@@ -7,7 +7,7 @@ import (
 )
 
 // ErrWorkerPanic is wrapped by the error a parallel search (Options.Workers
-// > 0) returns when a worker goroutine panics: the panic is recovered, the
+// > 1) returns when a worker goroutine panics: the panic is recovered, the
 // sibling workers are cancelled, and the panic value is reported through
 // errors.Is(err, ErrWorkerPanic) instead of crashing the process.
 var ErrWorkerPanic = core.ErrWorkerPanic
@@ -50,14 +50,14 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 //
 // Cancellation is reported through the Result, not the error: the error
 // is non-nil only for invalid options or an internal failure (e.g. a
-// worker panic when Options.Workers > 0). A ctx that is already cancelled
+// worker panic when Options.Workers > 1). A ctx that is already cancelled
 // on entry yields an empty partial Result with TrialsDone == 0.
 func SearchContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
-	return searchHook(g, opt, ctxHook(ctx))
+	return NewSearcher(g).search(opt, ctxHook(ctx))
 }
 
 // ctxHook adapts a context to the core Interrupt polling hook. The hook
-// is safe for concurrent use, as the parallel runners require.
+// is safe for concurrent use, as multi-worker runs require.
 func ctxHook(ctx context.Context) func() bool {
 	if ctx == nil {
 		return nil

@@ -32,11 +32,11 @@ func ExampleExact() {
 	// MPMB B(0,1|1,2) has weight 7 and P=0.1142
 }
 
-// SearchOS samples possible worlds with the Ordering Sampling algorithm;
-// with a fixed Seed the result is reproducible.
-func ExampleSearchOS() {
+// Search with MethodOS samples possible worlds with the Ordering Sampling
+// algorithm; with a fixed Seed the result is reproducible.
+func ExampleSearch_orderingSampling() {
 	g := buildFigure1()
-	res, err := mpmb.SearchOS(g, mpmb.Options{Trials: 20000, Seed: 42})
+	res, err := mpmb.Search(g, mpmb.Options{Method: mpmb.MethodOS, Trials: 20000, Seed: 42})
 	if err != nil {
 		panic(err)
 	}

@@ -47,7 +47,7 @@ func main() {
 		name string
 		g    *mpmb.Graph
 	}{{"TC (typical controls)", tc}, {"ASD (autism spectrum)", asd}} {
-		res, err := mpmb.SearchOLS(group.g, opt)
+		res, err := mpmb.Search(group.g, opt)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -44,14 +44,15 @@ func main() {
 	opt := mpmb.Options{Trials: demoTrials, PrepTrials: 100, Seed: 11, Mu: 0.05}
 
 	t0 = time.Now()
-	ols, err := mpmb.SearchOLS(g, opt)
+	ols, err := mpmb.Search(g, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
 	olsTime := time.Since(t0)
 
 	t0 = time.Now()
-	kl, err := mpmb.SearchOLSKL(g, opt)
+	opt.Method = mpmb.MethodOLSKL
+	kl, err := mpmb.Search(g, opt)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func main() {
 	}
 
 	// The top-k extension (Section VII): more than one important region.
-	res, err := mpmb.SearchOLS(g, opt)
+	res, err := mpmb.Search(g, opt)
 	if err != nil {
 		log.Fatal(err)
 	}

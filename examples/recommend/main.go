@@ -102,7 +102,7 @@ func movieRecommendations() {
 	opt := mpmb.DefaultOptions()
 	opt.Trials = 5000 // plenty for a demo
 	opt.Seed = 7
-	res, err := mpmb.SearchOLS(g, opt)
+	res, err := mpmb.Search(g, opt)
 	if err != nil {
 		log.Fatal(err)
 	}

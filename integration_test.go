@@ -39,15 +39,18 @@ func TestCrossMethodTopKConsistency(t *testing.T) {
 			g := d.G
 			opt := Options{Trials: tc.trials, PrepTrials: 150, Seed: 9, Mu: 0.05}
 
-			osRes, err := SearchOS(g, opt)
+			opt.Method = MethodOS
+			osRes, err := Search(g, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			olsRes, err := SearchOLS(g, opt)
+			opt.Method = MethodOLS
+			olsRes, err := Search(g, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			klRes, err := SearchOLSKL(g, opt)
+			opt.Method = MethodOLSKL
+			klRes, err := Search(g, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +121,7 @@ func TestProbabilityMassSanity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := SearchOLS(d.G, Options{Trials: tc.trials, PrepTrials: 100, Seed: 11})
+			res, err := Search(d.G, Options{Method: MethodOLS, Trials: tc.trials, PrepTrials: 100, Seed: 11})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -237,7 +237,7 @@ func runMethodTimed(g *bigraph.Graph, name string, m Method, opt Options) (Timin
 			KL:          core.KLOptions{Mu: opt.Mu},
 		}
 		t0 = time.Now()
-		if _, err := core.OLSSamplingPhase(cands, olsOpt); err != nil {
+		if _, err := core.OLSSamplingPhaseParallel(cands, olsOpt, 1); err != nil {
 			return cell, err
 		}
 		cell.Sampling = time.Since(t0)

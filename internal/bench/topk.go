@@ -46,16 +46,16 @@ func RunTopKAgreement(opt Options) ([]TopKAgreement, error) {
 		if err != nil {
 			return nil, err
 		}
-		olsRes, err := core.OLSSamplingPhase(cands, core.OLSOptions{
+		olsRes, err := core.OLSSamplingPhaseParallel(cands, core.OLSOptions{
 			PrepTrials: opt.PrepTrials, Trials: opt.SampleTrials, Seed: opt.Seed,
-		})
+		}, 1)
 		if err != nil {
 			return nil, err
 		}
-		klRes, err := core.OLSSamplingPhase(cands, core.OLSOptions{
+		klRes, err := core.OLSSamplingPhaseParallel(cands, core.OLSOptions{
 			PrepTrials: opt.PrepTrials, Trials: opt.SampleTrials, Seed: opt.Seed,
 			UseKarpLuby: true, KL: core.KLOptions{Mu: opt.Mu},
-		})
+		}, 1)
 		if err != nil {
 			return nil, err
 		}

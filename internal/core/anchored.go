@@ -366,97 +366,48 @@ func (x *anchoredIndex) emit(sMB *butterfly.MaxSet, p, m1, m2 bigraph.VertexID, 
 // are sampled lazily around the anchor and each world's maximum
 // anchor-containing butterfly set is credited, exactly like OS but with
 // S_MB restricted to butterflies through the anchor. An anchor with zero
-// butterfly support yields an empty Result. Resume, OnTrial and Executor
-// are not supported for anchored runs; Interrupt yields a partial Result
-// without a checkpoint.
+// butterfly support yields an empty Result. Resume is not supported for
+// anchored runs; Interrupt yields a partial Result without a checkpoint.
+//
+// AnchoredOS is AnchoredOSParallel with one worker.
 func AnchoredOS(g *bigraph.Graph, a Anchor, opt OSOptions) (*Result, error) {
-	if err := anchoredOSCheck(g, a, opt); err != nil {
-		return nil, err
-	}
-	x := newAnchoredIndex(g, a)
-	acc := newProbAccumulator()
-	root := randx.New(opt.Seed)
-	var sMB butterfly.MaxSet
-	for trial := 1; trial <= opt.Trials; trial++ {
-		if opt.Interrupt != nil && opt.Interrupt() {
-			res := acc.resultNorm("os", opt.Trials, trial-1)
-			res.Partial = true
-			probeFinish(opt.Probe, res)
-			return res, nil
-		}
-		x.runTrialSeeded(root, uint64(trial), &sMB)
-		if !sMB.Empty() {
-			acc.addMaxSet(&sMB)
-		}
-	}
-	res := acc.result("os", opt.Trials)
-	probeFinish(opt.Probe, res)
-	return res, nil
+	return AnchoredOSParallel(g, a, opt, 1)
 }
 
 // AnchoredOSParallel is AnchoredOS with trials spread over workers
-// goroutines (0 means GOMAXPROCS). Each worker derives the same per-trial
-// streams from the shared seed, so results are identical to AnchoredOS.
+// goroutines (≤ 1 means one). Each worker derives the same per-trial
+// streams from the shared seed, so results are identical for every
+// worker count.
 func AnchoredOSParallel(g *bigraph.Graph, a Anchor, opt OSOptions, workers int) (*Result, error) {
-	if err := anchoredOSCheck(g, a, opt); err != nil {
+	if opt.Trials <= 0 {
+		return nil, fmt.Errorf("core: anchored OS requires Trials > 0, got %d", opt.Trials)
+	}
+	if opt.Resume != nil {
+		return nil, fmt.Errorf("core: anchored runs do not support Resume")
+	}
+	if err := a.Validate(g); err != nil {
 		return nil, err
 	}
-	if workers <= 0 {
-		workers = parDefaultWorkers()
-	}
-	if workers == 1 || opt.Trials < 2*parChunkTrials {
-		return AnchoredOS(g, a, opt)
-	}
-	accs := make([]*probAccumulator, workers)
-	done, err := parLoop(0, opt.Trials, workers, opt.Interrupt, func(w int) func(lo, hi int) {
-		x := newAnchoredIndex(g, a)
-		root := randx.New(opt.Seed)
-		acc := newProbAccumulator()
-		accs[w] = acc
-		var sMB butterfly.MaxSet
-		return func(lo, hi int) {
-			for t := lo; t <= hi; t++ {
-				x.runTrialSeeded(root, uint64(t), &sMB)
-				if !sMB.Empty() {
-					acc.addMaxSet(&sMB)
-				}
-			}
-		}
+	kern := opt.kernel()
+	kern.OnTrial = opt.OnTrial
+	r, err := execute(opt.Executor, workers, &ExecJob{
+		Kind:      ExecOS,
+		Graph:     g,
+		Seed:      opt.Seed,
+		Units:     opt.Trials,
+		Anchor:    a,
+		OS:        kern,
+		Interrupt: opt.Interrupt,
+		Probe:     opt.Probe,
+		into:      &ExecResult{acc: newProbAccumulator()},
 	})
 	if err != nil {
 		return nil, err
 	}
-	acc := newProbAccumulator()
-	for _, a2 := range accs {
-		if a2 != nil {
-			acc.merge(a2)
-		}
-	}
-	var res *Result
-	if done < opt.Trials {
-		res = acc.resultNorm("os", opt.Trials, done)
-		res.Partial = true
-	} else {
-		res = acc.result("os", opt.Trials)
-	}
+	res := r.acc.resultNorm("os", opt.Trials, r.Done)
+	res.Partial = r.Done < opt.Trials
 	probeFinish(opt.Probe, res)
 	return res, nil
-}
-
-func anchoredOSCheck(g *bigraph.Graph, a Anchor, opt OSOptions) error {
-	if opt.Trials <= 0 {
-		return fmt.Errorf("core: anchored OS requires Trials > 0, got %d", opt.Trials)
-	}
-	if opt.Resume != nil {
-		return fmt.Errorf("core: anchored runs do not support Resume")
-	}
-	if opt.Executor != nil {
-		return fmt.Errorf("core: anchored runs do not support an explicit Executor")
-	}
-	if opt.OnTrial != nil {
-		return fmt.Errorf("core: anchored runs do not support OnTrial")
-	}
-	return a.Validate(g)
 }
 
 // PrepareAnchoredCandidates runs nPrep anchored trials and unions each
@@ -464,64 +415,10 @@ func anchoredOSCheck(g *bigraph.Graph, a Anchor, opt OSOptions) error {
 // analogue of PrepareCandidates. Interrupt stops early: the returned set
 // reports the completed prefix in PrepDone (no checkpoint).
 func PrepareAnchoredCandidates(g *bigraph.Graph, a Anchor, nPrep int, seed uint64, interrupt func() bool) (*Candidates, error) {
-	if nPrep <= 0 {
-		return nil, fmt.Errorf("core: anchored preparing phase requires PrepTrials > 0, got %d", nPrep)
-	}
 	if err := a.Validate(g); err != nil {
 		return nil, err
 	}
-	x := newAnchoredIndex(g, a)
-	root := randx.New(seed)
-	hits := make(map[butterfly.Butterfly]int)
-	var sMB butterfly.MaxSet
-	done := 0
-	for trial := 1; trial <= nPrep; trial++ {
-		if interrupt != nil && interrupt() {
-			break
-		}
-		x.runTrialSeeded(root, uint64(trial), &sMB)
-		for _, b := range sMB.Set {
-			hits[b]++
-		}
-		done = trial
-	}
-	c, err := NewCandidates(g, hits)
-	if err != nil {
-		return nil, err
-	}
-	c.PrepDone = done
-	return c, nil
-}
-
-// AnchoredOLS runs Ordering-Listing Sampling restricted to the anchor:
-// the preparing phase unions anchored maximum sets into C_MB, then the
-// unchanged shared-trial estimator (or Karp-Luby when opt.UseKarpLuby)
-// prices exactly those candidates. workers 0 means a sequential sampling
-// phase. Resume and Executor are not supported for anchored runs;
-// Interrupt during preparation returns a partial Result with no
-// estimates, during sampling a partial Result over the completed prefix
-// (in both cases without a checkpoint).
-func AnchoredOLS(g *bigraph.Graph, a Anchor, opt OLSOptions, workers int) (*Result, error) {
-	method := opt.method()
-	if opt.Resume != nil {
-		return nil, fmt.Errorf("core: anchored runs do not support Resume")
-	}
-	if opt.Executor != nil {
-		return nil, fmt.Errorf("core: anchored runs do not support an explicit Executor")
-	}
-	cands, err := PrepareAnchoredCandidates(g, a, opt.PrepTrials, opt.Seed, opt.Interrupt)
-	if err != nil {
-		return nil, err
-	}
-	if cands.PrepDone < opt.PrepTrials {
-		return &Result{
-			Method:     method,
-			Trials:     opt.Trials,
-			PrepTrials: opt.PrepTrials,
-			Partial:    true,
-		}, nil
-	}
-	return olsSampling(cands, opt, workers, nil)
+	return prepare(g, a, nPrep, seed, OSOptions{Interrupt: interrupt}, nil, 0)
 }
 
 // ExactAnchored enumerates every possible world (so the graph must have

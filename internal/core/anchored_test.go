@@ -193,7 +193,7 @@ func TestAnchoredOLSMatchesCandidateOracle(t *testing.T) {
 			if kl {
 				opt.KL.Mu = 0.05
 			}
-			res, err := AnchoredOLS(g, a, opt, 2)
+			res, err := anchoredOLS(g, a, opt, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,7 +261,7 @@ func TestAnchoredZeroSupport(t *testing.T) {
 		if len(res.Estimates) != 0 {
 			t.Fatalf("anchor %v: anchored OS returned %d estimates, want 0", a, len(res.Estimates))
 		}
-		ols, err := AnchoredOLS(g, a, OLSOptions{Trials: 200, PrepTrials: 50, Seed: 3}, 0)
+		ols, err := anchoredOLS(g, a, OLSOptions{Trials: 200, PrepTrials: 50, Seed: 3}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func TestAnchoredInterrupt(t *testing.T) {
 		t.Fatalf("interrupted anchored OS: TrialsDone=%d", res.TrialsDone)
 	}
 	calls = 0
-	ols, err := AnchoredOLS(g, a, OLSOptions{Trials: 1000, PrepTrials: 100, Seed: 1, Interrupt: stopAfter(5)}, 0)
+	ols, err := anchoredOLS(g, a, OLSOptions{Trials: 1000, PrepTrials: 100, Seed: 1, Interrupt: stopAfter(5)}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestAnchoredInterrupt(t *testing.T) {
 	if _, err := AnchoredOS(g, a, OSOptions{Trials: 10, Resume: &Checkpoint{}}); err == nil {
 		t.Fatal("anchored OS with Resume: expected error")
 	}
-	if _, err := AnchoredOLS(g, a, OLSOptions{Trials: 10, PrepTrials: 5, Resume: &Checkpoint{}}, 0); err == nil {
+	if _, err := anchoredOLS(g, a, OLSOptions{Trials: 10, PrepTrials: 5, Resume: &Checkpoint{}}, 0); err == nil {
 		t.Fatal("anchored OLS with Resume: expected error")
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
 	"github.com/uncertain-graphs/mpmb/internal/butterfly"
-	"github.com/uncertain-graphs/mpmb/internal/randx"
 	"github.com/uncertain-graphs/mpmb/internal/telemetry"
 )
 
@@ -32,50 +31,59 @@ type Candidates struct {
 	// through the OSOptions Interrupt hook, in which case List reflects
 	// only the completed prefix of trials.
 	PrepDone int
+	// anchored marks a set listed around an anchor: its partial results
+	// carry no checkpoint, since no resume path rebuilds anchored state.
+	anchored bool
 }
 
 // PrepareCandidates runs the OLS preparing phase (lines 2–4 of Algorithm
 // 3): nPrep Ordering Sampling trials whose per-trial maximum sets are
 // unioned into C_MB. Per Lemma VI.1, a butterfly with true probability
-// P(B) appears in C_MB with probability 1 − (1−P(B))^nPrep.
+// P(B) appears in C_MB with probability 1 − (1−P(B))^nPrep. The pruning
+// knobs, Interrupt, Probe and Resume of osOpt apply; its other fields are
+// ignored.
 //
 // If osOpt.Interrupt fires, the phase stops and the returned candidate
-// set covers only the completed trials (PrepDone < nPrep); OLS converts
-// that into a resumable prepare-phase checkpoint.
+// set covers only the completed trials (PrepDone < nPrep); the sampling
+// phase converts that into a resumable prepare-phase checkpoint, which
+// osOpt.Resume continues bit-identically.
 func PrepareCandidates(g *bigraph.Graph, nPrep int, seed uint64, osOpt OSOptions) (*Candidates, error) {
-	c, _, err := prepareCandidates(g, nPrep, seed, osOpt, nil, 0)
-	return c, err
+	var resume []ButterflyCount
+	start := 0
+	if ck := osOpt.Resume; ck != nil {
+		if !ck.Prepare {
+			return nil, fmt.Errorf("core: checkpoint is from the sampling phase, not the preparing phase")
+		}
+		// Method, Trials and Mu belong to the sampling phase, which checks
+		// them when it receives the checkpoint.
+		if err := ck.resumeCheck(ck.Method, seed, ck.Trials, nPrep, ck.Mu, g); err != nil {
+			return nil, err
+		}
+		resume, start = ck.Counts, ck.Done
+	}
+	return prepare(g, Anchor{}, nPrep, seed, osOpt, resume, start)
 }
 
-// prepareCandidates is PrepareCandidates with resume support: it seeds the
-// hit tallies from a prepare-phase checkpoint's entries and continues at
-// trial start+1. The second return reports whether the phase was cut
-// short by osOpt.Interrupt.
-func prepareCandidates(g *bigraph.Graph, nPrep int, seed uint64, osOpt OSOptions, resume []ButterflyCount, start int) (*Candidates, bool, error) {
+// prepare runs the preparing phase as a one-worker Ordering Sampling job
+// (anchored when anchor is set) whose per-butterfly maximum tallies are
+// the candidate hit counts, seeded from resume's tallies of trials
+// 1..start. With a probe, each butterfly first seen in a trial is
+// announced as a promoted candidate.
+func prepare(g *bigraph.Graph, anchor Anchor, nPrep int, seed uint64, osOpt OSOptions, resume []ButterflyCount, start int) (*Candidates, error) {
 	if nPrep <= 0 {
-		return nil, false, fmt.Errorf("core: preparing phase requires nPrep > 0, got %d", nPrep)
+		return nil, fmt.Errorf("core: preparing phase requires nPrep > 0, got %d", nPrep)
 	}
-	idx := acquireKernel(g, osOpt)
-	defer releaseKernel(idx)
-	root := randx.New(seed)
-	hits := make(map[butterfly.Butterfly]int)
-	for _, e := range resume {
-		hits[e.B] = int(e.Count)
-	}
-	done := start
-	interrupted := false
-	var sMB butterfly.MaxSet
 	probe := osOpt.Probe.WithPhase(telemetry.PhasePrep)
-	meter := newTrialMeter(probe, 0, idx.snap.numEdges(), false)
-	for trial := start + 1; trial <= nPrep; trial++ {
-		if osOpt.Interrupt != nil && osOpt.Interrupt() {
-			interrupted = true
-			break
+	kern := osOpt.kernel()
+	if probe != nil {
+		seen := make(map[butterfly.Butterfly]bool, len(resume))
+		for _, e := range resume {
+			seen[e.B] = true
 		}
-		scanned, fellBack := idx.runTrialSeeded(root, uint64(trial), &sMB)
-		for _, b := range sMB.Set {
-			if probe != nil {
-				if _, seen := hits[b]; !seen {
+		kern.OnTrial = func(trial int, sMB *butterfly.MaxSet) {
+			for _, b := range sMB.Set {
+				if !seen[b] {
+					seen[b] = true
 					probe.Add(0, telemetry.CounterCandidates, 1)
 					probe.Emit(telemetry.Event{
 						Kind: telemetry.EventCandidatePromoted, Trial: trial,
@@ -83,18 +91,30 @@ func prepareCandidates(g *bigraph.Graph, nPrep int, seed uint64, osOpt OSOptions
 					})
 				}
 			}
-			hits[b]++
 		}
-		meter.observe(trial, scanned, fellBack, !sMB.Empty())
-		done = trial
 	}
-	meter.flush(done)
-	c, err := NewCandidates(g, hits)
+	r, err := execute(nil, 1, &ExecJob{
+		Kind:      ExecOS,
+		Graph:     g,
+		Seed:      seed,
+		Units:     nPrep,
+		Start:     start,
+		Anchor:    anchor,
+		OS:        kern,
+		Interrupt: osOpt.Interrupt,
+		Probe:     probe,
+		into:      &ExecResult{Done: start, acc: accumulatorFromCounts(resume)},
+	})
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	c.PrepDone = done
-	return c, interrupted, nil
+	c, err := NewCandidates(g, r.acc.hits())
+	if err != nil {
+		return nil, err
+	}
+	c.PrepDone = r.Done
+	c.anchored = anchor.Kind != 0
+	return c, nil
 }
 
 // NewCandidates builds a sorted candidate set from a butterfly→hit-count

@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
 	"github.com/uncertain-graphs/mpmb/internal/butterfly"
@@ -525,15 +524,4 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("core: reading checkpoint %s: %w", path, err)
 	}
 	return c, nil
-}
-
-// sortedCounts converts an accumulator snapshot into canonical-order
-// checkpoint entries.
-func sortedCounts(counts map[butterfly.Butterfly]int, weights map[butterfly.Butterfly]float64) []ButterflyCount {
-	out := make([]ButterflyCount, 0, len(counts))
-	for b, n := range counts {
-		out = append(out, ButterflyCount{B: b, Count: int64(n), Weight: weights[b]})
-	}
-	sort.Slice(out, func(i, j int) bool { return lessButterfly(out[i].B, out[j].B) })
-	return out
 }

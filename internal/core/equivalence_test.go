@@ -70,7 +70,7 @@ func TestOLSParallelFullResultEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 3} {
-				par, err := OLSParallel(g, opt, workers)
+				par, err := OLS(g, pooled(opt, workers))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -154,7 +154,7 @@ func TestKernelMatchesSeedOLS(t *testing.T) {
 			}
 			requireSameResult(t, ref.Method+" kernel vs seed (sequential)", ref, seq)
 			for _, workers := range []int{1, 8} {
-				par, err := OLSParallel(g, opt, workers)
+				par, err := OLS(g, pooled(opt, workers))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -219,7 +219,7 @@ func TestKernelMatchesSeedAfterResume(t *testing.T) {
 			var polls atomic.Int64
 			cut := opt
 			cut.Interrupt = func() bool { return polls.Add(1) > int64(opt.PrepTrials)+4 }
-			part, err := OLSParallel(g, cut, 4)
+			part, err := OLS(g, pooled(cut, 4))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,7 +230,7 @@ func TestKernelMatchesSeedAfterResume(t *testing.T) {
 			res.Resume = part.Checkpoint
 			for label, finish := range map[string]func() (*Result, error){
 				"sequential": func() (*Result, error) { return OLS(g, res) },
-				"parallel":   func() (*Result, error) { return OLSParallel(g, res, 4) },
+				"parallel":   func() (*Result, error) { return OLS(g, pooled(res, 4)) },
 			} {
 				got, err := finish()
 				if err != nil {
@@ -260,12 +260,72 @@ func TestEstimateKarpLubyParallelSingleWorker(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := EstimateKarpLubyParallel(cands, opt, 1)
+		popt := opt
+		popt.Executor = &LocalExecutor{Workers: 1}
+		par, err := EstimateKarpLuby(cands, popt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(par, seq) {
 			t.Fatalf("workers=1 KL estimates differ:\nseq: %v\npar: %v", seq, par)
+		}
+	}
+}
+
+// TestOneWorkerExecutorMatchesSeed is the explicit LocalExecutor{Workers:
+// 1} column of the kernel-vs-seed tables: a run handed a one-worker
+// executor must reproduce the frozen seed implementation bit for bit.
+func TestOneWorkerExecutorMatchesSeed(t *testing.T) {
+	r := rand.New(rand.NewSource(71))
+	for trial := 0; trial < 4; trial++ {
+		g := randGraph(r, 7, 7, 20)
+		opt := OSOptions{Trials: 400, Seed: uint64(trial)*31 + 3}
+		ref, err := OSReference(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		one := opt
+		one.Executor = &LocalExecutor{Workers: 1}
+		got, err := OS(g, one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, "os one-worker executor vs seed", ref, got)
+		for _, useKL := range []bool{false, true} {
+			olsOpt := OLSOptions{PrepTrials: 30, Trials: 300, Seed: uint64(trial)*37 + 1, UseKarpLuby: useKL}
+			ref, err := OLSReference(g, olsOpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := OLS(g, pooled(olsOpt, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, ref.Method+" one-worker executor vs seed", ref, got)
+		}
+	}
+}
+
+// TestAnchoredOSFullResultEquivalence adds anchored OS to the table: for
+// every anchor of every kind, AnchoredOS and AnchoredOSParallel at
+// workers {1, 3} return the same full Result.
+func TestAnchoredOSFullResultEquivalence(t *testing.T) {
+	r := rand.New(rand.NewSource(73))
+	for trial := 0; trial < 3; trial++ {
+		g := randGraph(r, 6, 6, 16)
+		for _, a := range allAnchors(g) {
+			opt := OSOptions{Trials: 300, Seed: uint64(trial)*41 + 5}
+			seq, err := AnchoredOS(g, a, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 3} {
+				par, err := AnchoredOSParallel(g, a, opt, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameResult(t, "anchored os "+a.String(), seq, par)
+			}
 		}
 	}
 }

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
@@ -11,12 +15,11 @@ import (
 	"github.com/uncertain-graphs/mpmb/internal/telemetry"
 )
 
-// TrialExecutor is the seam between a parallel runner's bookkeeping
-// (validation, resume, partial results, checkpoints) and the machinery
-// that actually executes its independent trial units. The runners hand an
-// executor a declarative ExecJob — "run units Start+1..Units of this
-// kind" — and fold the returned additive payload into their resumed
-// state.
+// TrialExecutor is the seam between a runner's bookkeeping (validation,
+// resume, partial results, checkpoints) and the machinery that actually
+// executes its independent trial units. The runners hand an executor a
+// declarative ExecJob — "run units Start+1..Units of this kind" — and fold
+// the returned additive payload into their resumed state.
 //
 // The contract every implementation must honour, because the runners'
 // bit-identity guarantee rests on it:
@@ -31,7 +34,8 @@ import (
 //     executed units; merging per-range payloads in prefix order equals
 //     running the whole range in one place.
 //
-// LocalExecutor is the in-process worker pool behind Options.Workers;
+// LocalExecutor is the in-process worker pool every runner uses by
+// default (a sequential run is LocalExecutor{Workers: 1});
 // internal/dist provides the coordinator-backed distributed executor.
 type TrialExecutor interface {
 	// ExecuteTrials runs job's units Start+1..Units and returns the
@@ -44,8 +48,9 @@ type TrialExecutor interface {
 type ExecKind uint8
 
 const (
-	// ExecOS runs Ordering Sampling world trials (Algorithm 2); the
-	// payload is the per-butterfly maximum tally.
+	// ExecOS runs Ordering Sampling world trials (Algorithm 2) — of the
+	// global query, of an anchored one (ExecJob.Anchor), or of the OLS
+	// preparing phase; the payload is the per-butterfly maximum tally.
 	ExecOS ExecKind = iota + 1
 	// ExecOptimized runs shared sampling trials of the optimized
 	// estimator (Algorithm 5); the payload is the per-candidate hit
@@ -89,8 +94,8 @@ type ExecSpec struct {
 	Mu         float64
 }
 
-// ExecJob is one executable range request. Fields are read-only to the
-// executor; Graph and Cands are shared, immutable structures.
+// ExecJob is one executable range request. Exported fields are read-only
+// to the executor; Graph and Cands are shared, immutable structures.
 type ExecJob struct {
 	// Kind picks the trial body; it decides which payload fields of the
 	// ExecResult are populated.
@@ -106,13 +111,19 @@ type ExecJob struct {
 	// prefix. The executor runs units Start+1..Units.
 	Units int
 	Start int
-	// OS carries the Ordering Sampling kernel knobs for ExecOS (and the
-	// preparing-phase knobs a remote worker must rebuild candidates
-	// with). Only the pruning/ablation flags are meaningful here —
-	// trial counts, seeds and hooks travel in the fields above.
+	// Anchor, when set, restricts an ExecOS job to butterflies containing
+	// it: units run the anchored two-hop kernel instead of the snapshot
+	// kernel.
+	Anchor Anchor
+	// OS carries the Ordering Sampling kernel knobs for ExecOS: the
+	// pruning/ablation flags and the OnTrial hook. Trial counts, seeds,
+	// Interrupt and Probe travel in the fields of the job itself.
 	OS OSOptions
-	// KL carries the Karp-Luby sizing knobs for ExecKarpLuby
-	// (BaseTrials, Mu, MaxTrials). Hook fields must be nil.
+	// Optimized carries the ExecOptimized per-trial knobs: the
+	// EagerSampling/DisableEarlyBreak ablations and the OnTrial hook.
+	Optimized OptimizedOptions
+	// KL carries the Karp-Luby knobs for ExecKarpLuby: BaseTrials, Mu,
+	// MaxTrials and the OnCandidateTrial/OnlyCandidate hooks.
 	KL KLOptions
 	// Interrupt, if non-nil, is polled during execution; when it
 	// returns true the executor stops at a unit boundary and returns
@@ -129,6 +140,42 @@ type ExecJob struct {
 	// Spec is the run-level identity for remote execution (see
 	// ExecSpec).
 	Spec ExecSpec
+
+	// into is the package runner's state of units 1..Start. LocalExecutor
+	// folds the run straight into it and returns it, so a one-worker run's
+	// running leader estimates span the resumed prefix too; any other
+	// executor's payload is folded in by the runner (see execute).
+	into *ExecResult
+}
+
+// oneWorkerFeature names the job's tracing hook or estimator ablation, or
+// returns "". These features see units in index order on one goroutine,
+// so a job that sets one runs only on a single worker.
+func (j *ExecJob) oneWorkerFeature() string {
+	switch {
+	case j.OS.OnTrial != nil || j.Optimized.OnTrial != nil:
+		return "the OnTrial hook"
+	case j.Optimized.EagerSampling || j.Optimized.DisableEarlyBreak:
+		return "the estimator ablations"
+	case j.KL.OnCandidateTrial != nil || j.KL.OnlyCandidate != nil:
+		return "the Karp-Luby tracing hooks"
+	}
+	return ""
+}
+
+// LocalOnly returns an error naming the part of the job that exists only
+// in this process — an anchor, a tracing hook, or an estimator ablation —
+// or nil. Executors that ship units to other processes must refuse a job
+// for which it is non-nil rather than run a different computation.
+func (j *ExecJob) LocalOnly() error {
+	f := j.oneWorkerFeature()
+	if j.Anchor.Kind != 0 {
+		f = "the anchor " + j.Anchor.String()
+	}
+	if f == "" {
+		return nil
+	}
+	return fmt.Errorf("core: %v job sets %s", j.Kind, f)
 }
 
 // ExecResult is the additive payload of an executed range. Exactly one
@@ -150,10 +197,9 @@ type ExecResult struct {
 	CandProbs  []float64
 	CandTrials []int
 
-	// acc is the in-process fast path for ExecOS: LocalExecutor hands
-	// the merged worker accumulator over directly so the local runner
-	// keeps today's allocation profile (no snapshot/rebuild round
-	// trip). Remote executors populate Counts instead.
+	// acc is the in-process form of the ExecOS payload: LocalExecutor
+	// tallies into an accumulator directly, with no snapshot/rebuild
+	// round trip. Remote executors populate Counts instead.
 	acc *probAccumulator
 }
 
@@ -169,21 +215,72 @@ func (r *ExecResult) CountsSnapshot() []ButterflyCount {
 	return r.Counts
 }
 
-// foldCounts merges an ExecOS payload into an accumulator.
-func (r *ExecResult) foldCounts(a *probAccumulator) {
-	if r.acc != nil {
-		a.merge(r.acc)
-		return
-	}
-	if len(r.Counts) > 0 {
-		a.merge(accumulatorFromCounts(r.Counts))
+// newExecState returns the empty state of a job's kind: the payload of
+// no units, ready to fold executed ranges into.
+func newExecState(job *ExecJob) *ExecResult {
+	switch job.Kind {
+	case ExecOS:
+		return &ExecResult{acc: newProbAccumulator()}
+	case ExecOptimized:
+		return &ExecResult{CandCounts: make([]int64, len(job.Cands.List))}
+	default:
+		return &ExecResult{CandProbs: make([]float64, job.Units), CandTrials: make([]int, job.Units)}
 	}
 }
 
-// LocalExecutor runs job ranges on an in-process worker pool — the
-// chunked atomic-cursor dispatch that has always been behind the
-// parallel runners, now behind the TrialExecutor seam. The zero value is
-// ready to use (GOMAXPROCS workers).
+// fold merges r, the payload of units start+1..r.Done, into x, the state
+// of units 1..start.
+func (x *ExecResult) fold(kind ExecKind, r *ExecResult, start int) {
+	if r == x {
+		return
+	}
+	switch kind {
+	case ExecOS:
+		if r.acc != nil {
+			x.acc.merge(r.acc)
+		} else if len(r.Counts) > 0 {
+			x.acc.merge(accumulatorFromCounts(r.Counts))
+		}
+	case ExecOptimized:
+		for i, cnt := range r.CandCounts {
+			x.CandCounts[i] += cnt
+		}
+	case ExecKarpLuby:
+		if r.Done > start {
+			copy(x.CandProbs[start:r.Done], r.CandProbs[start:r.Done])
+			copy(x.CandTrials[start:r.Done], r.CandTrials[start:r.Done])
+		}
+	}
+	x.Done = r.Done
+}
+
+// execute runs job — on exec, or on a LocalExecutor with the given worker
+// count (≤ 1 meaning one) when exec is nil — and returns job.into with the
+// run folded in. An explicit exec receives workers as the job's hint. It
+// is how every runner in the package executes.
+func execute(exec TrialExecutor, workers int, job *ExecJob) (*ExecResult, error) {
+	if exec == nil {
+		exec = &LocalExecutor{Workers: max(workers, 1)}
+	}
+	job.Workers = workers
+	r, err := exec.ExecuteTrials(job)
+	if err != nil {
+		return nil, err
+	}
+	job.into.fold(job.Kind, r, job.Start)
+	return job.into, nil
+}
+
+// LocalExecutor runs job ranges on an in-process worker pool: chunked
+// atomic-cursor dispatch over per-worker scratch, folded into one payload
+// once the workers join. It is the package's only loop over trial units.
+// The zero value is ready to use (GOMAXPROCS workers).
+//
+// With one worker it claims one unit per interrupt poll and flushes
+// telemetry every probeFlushEvery units, publishing running leader
+// estimates as it goes, and it accepts the tracing hooks and estimator
+// ablations (see ExecJob.LocalOnly). With more it claims parChunkTrials
+// units per poll and flushes per chunk.
 type LocalExecutor struct {
 	// Workers overrides the pool size (0 defers to the job's hint, then
 	// GOMAXPROCS).
@@ -199,189 +296,414 @@ func (e *LocalExecutor) workerCount(job *ExecJob) int {
 		w = job.Workers
 	}
 	if w <= 0 {
-		w = parDefaultWorkers()
+		w = runtime.GOMAXPROCS(0)
 	}
-	if rem := job.Units - job.Start; w > rem {
-		w = rem
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(min(w, job.Units-job.Start), 1)
+}
+
+// unitWorker is one goroutine's share of a job: the per-unit trial body
+// of its kind with worker-local scratch and telemetry.
+type unitWorker interface {
+	// unit runs the 1-based trial unit u.
+	unit(u int)
+	// flush publishes the worker's telemetry through unit hi.
+	flush(hi int)
+	// finish runs once every worker has joined: it flushes what a
+	// one-worker run has not yet published, folds the worker's payload
+	// into the job state, and releases its scratch.
+	finish(done int)
 }
 
 // ExecuteTrials implements TrialExecutor.
 func (e *LocalExecutor) ExecuteTrials(job *ExecJob) (*ExecResult, error) {
-	if job.Start >= job.Units {
-		return &ExecResult{Done: job.Units}, nil
+	out := job.into
+	if out == nil {
+		out = newExecState(job)
 	}
+	if job.Start >= job.Units {
+		out.Done = job.Units
+		return out, nil
+	}
+	workers := e.workerCount(job)
+	if f := job.oneWorkerFeature(); f != "" && workers > 1 {
+		return nil, fmt.Errorf("core: %s needs a one-worker run, got %d workers", f, workers)
+	}
+	var newWorker func(w int) unitWorker
 	switch job.Kind {
 	case ExecOS:
-		return e.runOS(job)
+		newWorker = func(w int) unitWorker { return newOSWorker(job, out, w, workers == 1) }
 	case ExecOptimized:
-		return e.runOptimized(job)
+		thresh := edgeThresholds(job.Graph) // shared read-only by all workers
+		newWorker = func(w int) unitWorker { return newOptimizedWorker(job, out, thresh, w, workers == 1) }
 	case ExecKarpLuby:
-		return e.runKarpLuby(job)
+		thresh := edgeThresholds(job.Graph)
+		newWorker = func(w int) unitWorker { return newKLWorker(job, out, thresh, w) }
+	default:
+		return nil, fmt.Errorf("core: LocalExecutor: unknown job kind %v", job.Kind)
 	}
-	return nil, fmt.Errorf("core: LocalExecutor: unknown job kind %v", job.Kind)
+	if workers > 1 {
+		job.Probe.EnsureWorkers(workers)
+	}
+	ws := make([]unitWorker, workers)
+	done, err := parLoop(job.Start, job.Units, workers, job.Interrupt, func(w int) func(lo, hi int) {
+		uw := newWorker(w)
+		ws[w] = uw
+		if workers > 1 {
+			job.Probe.LabelWorker(w)
+		}
+		return func(lo, hi int) {
+			for u := lo; u <= hi; u++ {
+				uw.unit(u)
+			}
+			if workers > 1 {
+				// Chunks are always fully executed, so flushing per chunk
+				// keeps the registry's counters an exact function of the
+				// done-prefix — identical totals to a one-worker run.
+				uw.flush(hi)
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, uw := range ws {
+		if uw != nil {
+			uw.finish(done)
+		}
+	}
+	out.Done = done
+	return out, nil
 }
 
-// runOS executes Ordering Sampling world trials. Worker-local
-// accumulators and kernels, merged at the end; no shared mutable state
-// during the run (DeriveInto only reads the root stream). Each worker
-// builds one flat kernel and reuses it for every trial of every chunk it
-// claims, so the steady-state per-trial cost is the kernel scan alone —
-// no per-trial closures, derives, or allocations.
-func (e *LocalExecutor) runOS(job *ExecJob) (*ExecResult, error) {
-	workers := e.workerCount(job)
-	job.Probe.EnsureWorkers(workers)
-	root := randx.New(job.Seed)
-	accs := make([]*probAccumulator, workers)
-	idxs := make([]*osIndex, workers)
-	done, err := parLoop(job.Start, job.Units, workers, job.Interrupt, func(w int) func(int, int) {
-		acc := newProbAccumulator()
-		accs[w] = acc
+// ErrWorkerPanic wraps a panic recovered inside an executor's worker
+// goroutine. The panic does not crash the process: the first panicking
+// worker records its value, the remaining workers drain, and the runner
+// returns this error (no partial result — an abandoned chunk would break
+// the completed-prefix invariant that partial results rely on). When the
+// panic struck inside a claimed chunk, the wrapped text names that chunk's
+// trial bounds, so a distributed lease reissue (or a local bisection) can
+// name the poisoned range.
+var ErrWorkerPanic = errors.New("core: worker panicked")
+
+// parChunkTrials is the dispatch granularity of a multi-worker pool. A
+// worker claims one chunk of consecutive trials at a time and always
+// finishes a claimed chunk, so on cancellation the completed trials form
+// an exact prefix 1..done — exactly the state a resume expects. Small
+// enough that cancellation latency is a few chunk-lengths of work, large
+// enough that the atomic claim is amortized away.
+const parChunkTrials = 16
+
+// parLoop runs trials start+1..end distributed over workers goroutines.
+// newBody runs once on each worker's goroutine to set up worker-local
+// scratch and returns the chunk function, which must execute trials
+// lo..hi inclusive. Handing bodies a whole chunk (rather than one trial)
+// lets them keep kernel state hot across the chunk and costs one indirect
+// call per chunk instead of one per trial.
+//
+// One worker runs on the caller's goroutine, one trial per chunk, polling
+// interrupt before every trial: exactly a sequential loop. More workers
+// share chunked dispatch: a monotonic counter hands out chunks of
+// parChunkTrials consecutive trials. Workers poll stop/interrupt only
+// BETWEEN chunks and never abandon a claimed chunk, so every handed-out
+// chunk is fully executed and the executed trials are exactly
+// start+1..done for the returned done. A worker panic is recovered,
+// cancels the siblings, and surfaces as an ErrWorkerPanic-wrapped error
+// naming the claimed chunk's bounds; done is meaningless in that case
+// because the panicking worker abandoned its chunk mid-flight.
+func parLoop(start, end, workers int, interrupt func() bool, newBody func(w int) func(lo, hi int)) (done int, err error) {
+	if workers == 1 {
+		body := newBody(0)
+		for t := start + 1; t <= end; t++ {
+			if interrupt != nil && interrupt() {
+				return t - 1, nil
+			}
+			body(t, t)
+		}
+		return end, nil
+	}
+	const chunk = parChunkTrials
+	total := end - start
+	nChunks := (total + chunk - 1) / chunk
+	var next atomic.Int64
+	stop := make(chan struct{})
+	var stopOnce sync.Once
+	halt := func() { stopOnce.Do(func() { close(stop) }) }
+	var panicMu sync.Mutex
+	var panicErr error
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// The claimed chunk's bounds, for the panic report. curHi==0
+			// means no chunk was claimed yet (trial bounds are 1-based), so
+			// the panic came from newBody or the between-chunk bookkeeping.
+			var curLo, curHi int
+			defer func() {
+				if r := recover(); r != nil {
+					panicMu.Lock()
+					if panicErr == nil {
+						if curHi > 0 {
+							panicErr = fmt.Errorf("%w: trials %d..%d: %v", ErrWorkerPanic, curLo, curHi, r)
+						} else {
+							panicErr = fmt.Errorf("%w: %v", ErrWorkerPanic, r)
+						}
+					}
+					panicMu.Unlock()
+					halt()
+				}
+			}()
+			body := newBody(w)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if interrupt != nil && interrupt() {
+					halt()
+					return
+				}
+				c := next.Add(1) - 1
+				if c >= int64(nChunks) {
+					return
+				}
+				lo := start + int(c)*chunk + 1
+				hi := min(start+(int(c)+1)*chunk, end)
+				curLo, curHi = lo, hi
+				body(lo, hi)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if panicErr != nil {
+		return 0, panicErr
+	}
+	handed := min(int(next.Load()), nChunks)
+	return min(start+handed*chunk, end), nil
+}
+
+// osWorker runs ExecOS units: Ordering Sampling world trials on a pooled
+// snapshot kernel, or on the anchored kernel for an anchored job. Each
+// worker reuses one kernel for every trial it claims, so the steady-state
+// per-trial cost is the kernel scan alone.
+type osWorker struct {
+	job   *ExecJob
+	out   *ExecResult
+	root  *randx.RNG
+	idx   *osIndex       // global jobs
+	anc   *anchoredIndex // anchored jobs
+	acc   *probAccumulator
+	sMB   butterfly.MaxSet
+	meter trialMeter
+	// lead publishes the running leader estimate at flush cadence: a
+	// one-worker run outside the preparing phase (whose tallies are
+	// candidate hits, not the run's estimates).
+	lead bool
+}
+
+func newOSWorker(job *ExecJob, out *ExecResult, w int, single bool) *osWorker {
+	x := &osWorker{job: job, out: out, root: randx.New(job.Seed), acc: out.acc}
+	if !single {
+		x.acc = newProbAccumulator()
+	}
+	numE := 0
+	if job.Anchor.Kind != 0 {
+		x.anc = newAnchoredIndex(job.Graph, job.Anchor)
+	} else {
 		// Worker kernels come from the graph snapshot's pool: across runs
-		// over the same graph the ~1MB per-kernel scratch is reused instead
-		// of reallocated, which is what held the parallel path at ~40
-		// allocs per trial.
-		idx := acquireKernel(job.Graph, job.OS)
-		idxs[w] = idx
-		var sMB butterfly.MaxSet
-		job.Probe.LabelWorker(w)
-		meter := newTrialMeter(job.Probe, w, idx.snap.numEdges(), false)
-		return func(lo, hi int) {
-			for trial := lo; trial <= hi; trial++ {
-				scanned, fellBack := idx.runTrialSeeded(root, uint64(trial), &sMB)
-				hit := !sMB.Empty()
-				if hit {
-					acc.addMaxSet(&sMB)
-				}
-				meter.observe(trial, scanned, fellBack, hit)
-			}
-			// Chunks are always fully executed, so flushing per chunk keeps
-			// the registry's counters an exact function of the done-prefix —
-			// identical totals to the sequential run over the same trials.
-			meter.flush(hi)
-		}
-	})
-	// parLoop has joined every worker goroutine, so the kernels are idle
-	// and can rejoin the snapshot's pool (even on a worker panic).
-	for _, idx := range idxs {
-		if idx != nil {
-			releaseKernel(idx)
-		}
+		// over the same graph the ~1MB per-kernel scratch is reused
+		// instead of reallocated.
+		x.idx = acquireKernel(job.Graph, job.OS)
+		numE = x.idx.snap.numEdges()
 	}
-	if err != nil {
-		return nil, err
-	}
-	merged := newProbAccumulator()
-	for _, a := range accs {
-		if a != nil {
-			merged.merge(a)
-		}
-	}
-	return &ExecResult{Done: done, acc: merged}, nil
+	x.meter = newTrialMeter(job.Probe, w, numE, false)
+	x.lead = single && job.Probe != nil && job.Probe.Phase != telemetry.PhasePrep
+	return x
 }
 
-// runOptimized executes shared sampling trials of the optimized
-// estimator. Each worker owns private lazy-sampling scratch and a
-// private count vector, summed into one full-width vector at the end.
-func (e *LocalExecutor) runOptimized(job *ExecJob) (*ExecResult, error) {
-	workers := e.workerCount(job)
-	job.Probe.EnsureWorkers(workers)
-	c := job.Cands
-	n := len(c.List)
-	g := c.G
-	numE := g.NumEdges()
-	// One id-indexed threshold table, shared read-only by all workers.
-	thresh := edgeThresholds(g)
-	root := randx.New(job.Seed)
-	countsPer := make([][]int64, workers)
-	done, err := parLoop(job.Start, job.Units, workers, job.Interrupt, func(w int) func(int, int) {
-		cw := make([]int64, n)
-		countsPer[w] = cw
-		stamp := make([]int32, numE)
-		val := make([]bool, numE)
-		var cur int32
-		var rng randx.RNG
-		job.Probe.LabelWorker(w)
-		meter := newTrialMeter(job.Probe, w, n, true)
-		return func(lo, hi int) {
-			for trial := lo; trial <= hi; trial++ {
-				root.DeriveInto(uint64(trial), &rng)
-				cur++
-				wMax := math.Inf(-1)
-				examined := n
-				for k := 0; k < n; k++ {
-					cand := &c.List[k]
-					if cand.Weight < wMax {
-						examined = k
-						break
-					}
-					exists := true
-					for _, id := range cand.Edges {
-						if stamp[id] != cur {
-							stamp[id] = cur
-							val[id] = rng.BernoulliThresholded(thresh[id])
-						}
-						if !val[id] {
-							exists = false
-							break
-						}
-					}
-					if exists {
-						cw[k]++
-						wMax = cand.Weight
-					}
-				}
-				meter.observe(trial, examined, false, !math.IsInf(wMax, -1))
-			}
-			meter.flush(hi)
-		}
-	})
-	if err != nil {
-		return nil, err
+func (x *osWorker) unit(u int) {
+	var scanned int
+	var fellBack bool
+	if x.idx != nil {
+		scanned, fellBack = x.idx.runTrialSeeded(x.root, uint64(u), &x.sMB)
+	} else {
+		x.anc.runTrialSeeded(x.root, uint64(u), &x.sMB)
 	}
-	counts := make([]int64, n)
-	for _, cw := range countsPer {
-		if cw == nil {
-			continue
-		}
-		for i, cnt := range cw {
-			counts[i] += cnt
-		}
+	hit := !x.sMB.Empty()
+	if hit {
+		x.acc.addMaxSet(&x.sMB)
 	}
-	return &ExecResult{Done: done, CandCounts: counts}, nil
+	if x.job.OS.OnTrial != nil {
+		x.job.OS.OnTrial(u, &x.sMB)
+	}
+	if x.meter.observe(u, scanned, fellBack, hit) && x.lead {
+		probeEstimate(x.job.Probe, 0, int64(x.acc.leadCount), u, x.acc.leadB, x.acc.leadW)
+	}
 }
 
-// runKarpLuby prices candidates Start..Units-1. parLoop's 1-based
-// "trials" start+1..n map to candidate indices start..n-1; writes into
-// the full-width vectors are per-index disjoint.
-func (e *LocalExecutor) runKarpLuby(job *ExecJob) (*ExecResult, error) {
-	workers := e.workerCount(job)
-	job.Probe.EnsureWorkers(workers)
+func (x *osWorker) flush(hi int) { x.meter.flush(hi) }
+
+func (x *osWorker) finish(done int) {
+	x.meter.flush(done)
+	if x.acc != x.out.acc {
+		x.out.acc.merge(x.acc)
+	}
+	if x.idx != nil {
+		releaseKernel(x.idx)
+	}
+}
+
+// optimizedWorker runs ExecOptimized units: shared sampling trials of the
+// optimized estimator with private lazy-sampling scratch. A one-worker
+// run counts straight into the job state; a pool member keeps a private
+// count vector, summed into the state when the workers join.
+type optimizedWorker struct {
+	job    *ExecJob
+	out    *ExecResult
+	c      *Candidates
+	root   *randx.RNG
+	rng    randx.RNG
+	thresh []uint64
+	stamp  []int32
+	val    []bool
+	cur    int32
+	// relevant is the union of candidate edges, for the EagerSampling
+	// ablation.
+	relevant []bigraph.EdgeID
+	counts   []int64
+	hits     []int
+	meter    trialMeter
+	// lead marks a one-worker run: it counts into the job state and
+	// publishes the running leader at flush cadence.
+	lead bool
+}
+
+func newOptimizedWorker(job *ExecJob, out *ExecResult, thresh []uint64, w int, single bool) *optimizedWorker {
 	c := job.Cands
-	n := job.Units
-	probs := make([]float64, n)
-	trials := make([]int, n)
 	numE := c.G.NumEdges()
-	thresh := edgeThresholds(c.G) // shared read-only by all workers
-	root := randx.New(job.Seed)
-	done, err := parLoop(job.Start, n, workers, job.Interrupt, func(w int) func(int, int) {
-		scratch := newKLScratch(numE, thresh)
-		job.Probe.LabelWorker(w)
-		lastT := time.Now()
-		return func(lo, hi int) {
-			for trial := lo; trial <= hi; trial++ {
-				i := trial - 1
-				probs[i], trials[i] = klPrice(c, i, job.KL, root, scratch)
-				probeKLCandidate(job.Probe, w, i, trials[i], &lastT)
+	x := &optimizedWorker{
+		job: job, out: out, c: c, root: randx.New(job.Seed), thresh: thresh,
+		stamp: make([]int32, numE), val: make([]bool, numE),
+		counts: out.CandCounts,
+		meter:  newTrialMeter(job.Probe, w, len(c.List), true),
+		lead:   single,
+	}
+	if !single {
+		x.counts = make([]int64, len(c.List))
+	}
+	if job.Optimized.EagerSampling {
+		seen := make(map[bigraph.EdgeID]bool)
+		for _, cand := range c.List {
+			for _, id := range cand.Edges {
+				if !seen[id] {
+					seen[id] = true
+					x.relevant = append(x.relevant, id)
+				}
 			}
 		}
-	})
-	if err != nil {
-		return nil, err
 	}
-	return &ExecResult{Done: done, CandProbs: probs, CandTrials: trials}, nil
+	return x
 }
+
+// unit runs one trial of Algorithm 5: candidates are visited in
+// descending weight order, each candidate's four edges are sampled lazily
+// (an edge is drawn at most once per trial no matter how many candidates
+// contain it), the first existing candidate fixes w_max, candidates tied
+// at w_max keep being collected, and the scan stops at the first
+// candidate lighter than w_max.
+func (x *optimizedWorker) unit(u int) {
+	opt := &x.job.Optimized
+	list, counts := x.c.List, x.counts
+	stamp, val, thresh := x.stamp, x.val, x.thresh
+	rng := &x.rng
+	x.root.DeriveInto(uint64(u), rng)
+	x.cur++
+	cur := x.cur
+	if opt.EagerSampling {
+		for _, id := range x.relevant {
+			stamp[id] = cur
+			val[id] = rng.BernoulliThresholded(thresh[id])
+		}
+	}
+	wMax := math.Inf(-1)
+	x.hits = x.hits[:0]
+	examined := len(list)
+	for k := range list { // line 4: B_k in weight order
+		cand := &list[k]
+		if cand.Weight < wMax { // line 5
+			if opt.DisableEarlyBreak {
+				continue
+			}
+			examined = k
+			break // line 6
+		}
+		exists := true
+		for _, id := range cand.Edges { // line 7: lazy sampling
+			if stamp[id] != cur {
+				stamp[id] = cur
+				val[id] = rng.BernoulliThresholded(thresh[id])
+			}
+			if !val[id] {
+				exists = false
+				break
+			}
+		}
+		if exists { // lines 8–10
+			counts[k]++
+			wMax = cand.Weight
+			if opt.OnTrial != nil {
+				x.hits = append(x.hits, k)
+			}
+		}
+	}
+	if opt.OnTrial != nil {
+		opt.OnTrial(u, x.hits)
+	}
+	if x.meter.observe(u, examined, false, !math.IsInf(wMax, -1)) && x.lead {
+		probeOptimizedLeader(x.job.Probe, x.c, counts, u)
+	}
+}
+
+func (x *optimizedWorker) flush(hi int) { x.meter.flush(hi) }
+
+func (x *optimizedWorker) finish(done int) {
+	x.meter.flush(done)
+	if !x.lead { // a pool member's private vector
+		for i, cnt := range x.counts {
+			x.out.CandCounts[i] += cnt
+		}
+	}
+}
+
+// klWorker runs ExecKarpLuby units: unit u prices candidate u-1, writing
+// its estimate straight into the job state's full-width vectors (writes
+// are per-index disjoint across workers).
+type klWorker struct {
+	job     *ExecJob
+	out     *ExecResult
+	root    *randx.RNG
+	scratch *klScratch
+	w       int
+	lastT   time.Time
+}
+
+func newKLWorker(job *ExecJob, out *ExecResult, thresh []uint64, w int) *klWorker {
+	x := &klWorker{job: job, out: out, root: randx.New(job.Seed), scratch: newKLScratch(job.Graph.NumEdges(), thresh), w: w}
+	if job.Probe != nil {
+		x.lastT = time.Now()
+	}
+	return x
+}
+
+func (x *klWorker) unit(u int) {
+	i := u - 1
+	if only := x.job.KL.OnlyCandidate; only != nil && i != *only {
+		return
+	}
+	x.out.CandProbs[i], x.out.CandTrials[i] = klPrice(x.job.Cands, i, x.job.KL, x.root, x.scratch)
+	probeKLCandidate(x.job.Probe, x.w, i, x.out.CandTrials[i], &x.lastT)
+}
+
+func (x *klWorker) flush(int)  {}
+func (x *klWorker) finish(int) {}

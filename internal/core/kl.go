@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
 	"github.com/uncertain-graphs/mpmb/internal/randx"
@@ -47,8 +46,9 @@ type KLOptions struct {
 	// Interrupt, if non-nil, is polled between candidates; when it returns
 	// true the run stops, leaving later candidates unpriced (State reports
 	// how many were finished). Estimation is candidate-granular, so the
-	// priced prefix is exact. Parallel runners poll the hook concurrently
-	// from every worker; it must be safe for concurrent use there.
+	// priced prefix is exact. A multi-worker executor polls the hook
+	// concurrently from every worker; it must be safe for concurrent use
+	// there.
 	Interrupt func() bool
 	// State, if non-nil, receives the run's completion state — partial
 	// flag, priced-candidate count, and per-candidate data for
@@ -66,10 +66,12 @@ type KLOptions struct {
 	// counts actually executed, flushed once per priced candidate. Nil
 	// costs one predictable branch per candidate.
 	Probe *telemetry.Probe
-	// Executor, if non-nil, replaces EstimateKarpLubyParallel's default
-	// in-process worker pool with an explicit TrialExecutor. Spec then
-	// carries the run-level identity remote executors need; both are
-	// ignored by the sequential EstimateKarpLuby.
+	// Executor, if non-nil, replaces the default one-worker LocalExecutor
+	// with an explicit TrialExecutor (a multi-worker pool, a distributed
+	// fan-out). Candidates are the unit axis: each one's stream derives
+	// from (Seed, candidate index), so per-candidate results are
+	// bit-identical on any executor. Spec then carries the run-level
+	// identity remote executors need.
 	Executor TrialExecutor
 	Spec     ExecSpec
 }
@@ -110,6 +112,9 @@ func newKLScratch(numE int, thresh []uint64) *klScratch {
 // Note the estimate treats C_MB as the complete competitor set; butterflies
 // missing from the candidate set bias P̂ upward by at most Σ P(B_missing)
 // (Lemma VI.5).
+//
+// Candidates are priced on opt.Executor, or on one local worker when it is
+// nil. The OnCandidateTrial and OnlyCandidate hooks need a one-worker run.
 func EstimateKarpLuby(c *Candidates, opt KLOptions) ([]float64, error) {
 	if err := validateKL(opt); err != nil {
 		return nil, err
@@ -121,32 +126,33 @@ func EstimateKarpLuby(c *Candidates, opt KLOptions) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	scratch := newKLScratch(c.G.NumEdges(), edgeThresholds(c.G))
-	root := randx.New(opt.Seed)
-	partial := false
-	done := n
-	var lastT time.Time
-	if opt.Probe != nil {
-		lastT = time.Now()
-	}
-	for i := start; i < n; i++ {
-		if opt.Interrupt != nil && opt.Interrupt() {
-			partial = true
-			done = i
-			break
-		}
-		if opt.OnlyCandidate != nil && i != *opt.OnlyCandidate {
-			continue
-		}
-		probs[i], trialsUsed[i] = klPrice(c, i, opt, root, scratch)
-		probeKLCandidate(opt.Probe, 0, i, trialsUsed[i], &lastT)
+	r, err := execute(opt.Executor, 0, &ExecJob{
+		Kind:  ExecKarpLuby,
+		Graph: c.G,
+		Cands: c,
+		Seed:  opt.Seed,
+		Units: n,
+		Start: start,
+		KL: KLOptions{
+			BaseTrials:       opt.BaseTrials,
+			Mu:               opt.Mu,
+			MaxTrials:        opt.MaxTrials,
+			OnCandidateTrial: opt.OnCandidateTrial,
+			OnlyCandidate:    opt.OnlyCandidate,
+		},
+		Interrupt: opt.Interrupt,
+		Probe:     opt.Probe,
+		Spec:      opt.Spec,
+		into:      &ExecResult{Done: start, CandProbs: probs, CandTrials: trialsUsed},
+	})
+	if err != nil {
+		return nil, err
 	}
 	if opt.TrialsUsed != nil {
 		*opt.TrialsUsed = trialsUsed
 	}
 	if opt.State != nil {
-		*opt.State = EstimatorState{Partial: partial, Done: done, Probs: probs, Trials: trialsUsed}
+		*opt.State = EstimatorState{Partial: r.Done < n, Done: r.Done, Probs: probs, Trials: trialsUsed}
 	}
 	return probs, nil
 }
@@ -170,8 +176,7 @@ func klResumeInit(n int, opt KLOptions, probs []float64, trialsUsed []int) (int,
 	return opt.ResumeDone, nil
 }
 
-// validateKL checks the option combinations shared by the sequential and
-// parallel Karp-Luby runners.
+// validateKL checks the Karp-Luby option combinations.
 func validateKL(opt KLOptions) error {
 	if opt.BaseTrials <= 0 {
 		return fmt.Errorf("core: Karp-Luby estimator requires BaseTrials > 0, got %d", opt.BaseTrials)

@@ -35,8 +35,8 @@ type OLSOptions struct {
 	// partial Result with a resumable Checkpoint. Cancellation during the
 	// preparing phase yields a prepare-phase checkpoint and no estimates
 	// yet; during the sampling phase, estimates over the completed prefix.
-	// Parallel runners poll the hook concurrently from every worker; it
-	// must be safe for concurrent use there.
+	// A multi-worker sampling phase polls the hook concurrently from every
+	// worker; it must be safe for concurrent use there.
 	Interrupt func() bool
 	// Resume continues a cancelled run from its checkpoint. The options
 	// must match the checkpointed run (method, seed, trial targets, Mu,
@@ -49,9 +49,10 @@ type OLSOptions struct {
 	// promotions), the sampling phase under "sample". Nil is free.
 	Probe *telemetry.Probe
 	// Executor, if non-nil, runs the SAMPLING phase through an explicit
-	// TrialExecutor instead of the in-process worker pool (the preparing
-	// phase always runs locally: it is short, and its candidate set is
-	// what remote workers rebuild deterministically from the seed).
+	// TrialExecutor — a multi-worker LocalExecutor, a distributed fan-out
+	// — instead of one local worker (the preparing phase always runs on
+	// one local worker: it is short, and its candidate set is what remote
+	// workers rebuild deterministically from the seed).
 	Executor TrialExecutor
 }
 
@@ -76,6 +77,14 @@ func (o OLSOptions) mu() float64 {
 	return 0
 }
 
+// checkpoint returns the run's checkpoint header at done completed units.
+func (o OLSOptions) checkpoint(g *bigraph.Graph, done int) *Checkpoint {
+	return &Checkpoint{
+		Method: o.method(), Seed: o.Seed, Trials: o.Trials, PrepTrials: o.PrepTrials,
+		Mu: o.mu(), GraphCRC: g.Checksum(), Done: done,
+	}
+}
+
 // OLS is Ordering-Listing Sampling (Section VI, Algorithm 3). The
 // preparing phase (lines 2–4) runs Ordering Sampling for PrepTrials
 // rounds, unioning each round's maximum butterfly set into the candidate
@@ -87,109 +96,64 @@ func (o OLSOptions) mu() float64 {
 // included) and reports both phases' trial counts. A graph that produced
 // no candidate at all (no butterfly observed in any preparing trial)
 // yields an empty Result rather than an error.
+//
+// Both phases run on one local worker unless opt.Executor takes over the
+// sampling phase; the Result is bit-identical either way. opt.Resume is
+// checked against the run by the sampling phase, after a prepare-phase
+// checkpoint has resumed the listing.
 func OLS(g *bigraph.Graph, opt OLSOptions) (*Result, error) {
-	return olsRun(g, opt, 0)
-}
-
-// OLSParallel is OLS with the sampling phase distributed over workers
-// goroutines (0 means GOMAXPROCS); the short preparing phase stays
-// sequential. Results are bit-identical to OLS with the same options.
-func OLSParallel(g *bigraph.Graph, opt OLSOptions, workers int) (*Result, error) {
-	if workers <= 0 {
-		workers = parDefaultWorkers()
-	}
-	return olsRun(g, opt, workers)
-}
-
-// olsRun executes both OLS phases; workers 0 means a fully sequential
-// sampling phase.
-func olsRun(g *bigraph.Graph, opt OLSOptions, workers int) (*Result, error) {
-	method := opt.method()
-	if opt.Resume != nil {
-		if err := opt.Resume.resumeCheck(method, opt.Seed, opt.Trials, opt.PrepTrials, opt.mu(), g); err != nil {
-			return nil, err
-		}
-	}
-	prepOpt := opt.OS
+	prepOpt := opt.OS.kernel()
 	prepOpt.Interrupt = opt.Interrupt
-	prepOpt.Probe = opt.Probe // prepareCandidates rebinds it to the prep phase
-	var resumeCounts []ButterflyCount
-	start := 0
-	if opt.Resume != nil && opt.Resume.Prepare {
-		resumeCounts = opt.Resume.Counts
-		start = opt.Resume.Done
+	prepOpt.Probe = opt.Probe // the preparing phase rebinds it to its phase label
+	if ck := opt.Resume; ck != nil && ck.Prepare {
+		prepOpt.Resume = ck
 	}
-	cands, interrupted, err := prepareCandidates(g, opt.PrepTrials, opt.Seed, prepOpt, resumeCounts, start)
+	cands, err := PrepareCandidates(g, opt.PrepTrials, opt.Seed, prepOpt)
 	if err != nil {
 		return nil, err
 	}
-	if interrupted {
-		return prepPartialResult(method, g, opt, cands), nil
-	}
-	samplingResume := opt.Resume
-	if samplingResume != nil && samplingResume.Prepare {
-		samplingResume = nil // the prepare checkpoint is consumed; sampling starts fresh
-	}
-	return olsSampling(cands, opt, workers, samplingResume)
+	return OLSSamplingPhaseParallel(cands, opt, 1)
 }
 
-// prepPartialResult wraps a cancelled preparing phase: no estimates yet,
-// just the resumable hit tallies.
-func prepPartialResult(method string, g *bigraph.Graph, opt OLSOptions, cands *Candidates) *Result {
-	return &Result{
-		Method:     method,
-		Trials:     opt.Trials,
-		PrepTrials: opt.PrepTrials,
-		Partial:    true,
-		TrialsDone: 0,
-		Checkpoint: &Checkpoint{
-			Method:     method,
-			Seed:       opt.Seed,
-			Trials:     opt.Trials,
-			PrepTrials: opt.PrepTrials,
-			Mu:         opt.mu(),
-			GraphCRC:   g.Checksum(),
-			Prepare:    true,
-			Done:       cands.PrepDone,
-			Counts:     cands.prepSnapshot(),
-		},
-	}
-}
-
-// OLSSamplingPhase runs only the sampling phase of Algorithm 3 over an
-// already-prepared candidate set. The benchmark harness uses this to time
-// the two phases separately (Fig. 8) and to sweep trial counts without
-// re-listing candidates; the Searcher uses it to reuse cached candidates.
-// opt.Resume must be nil or a sampling-phase checkpoint (prepare-phase
-// checkpoints are consumed by OLS itself).
-func OLSSamplingPhase(cands *Candidates, opt OLSOptions) (*Result, error) {
-	return OLSSamplingPhaseParallel(cands, opt, 0)
-}
-
-// OLSSamplingPhaseParallel is OLSSamplingPhase with the estimator trials
-// (or, for Karp-Luby, candidates) distributed over workers goroutines
-// (0 means sequential). Results are bit-identical to the sequential phase.
+// OLSSamplingPhaseParallel runs the sampling phase of Algorithm 3 over an
+// already-prepared candidate set, with the estimator trials (or, for
+// Karp-Luby, candidates) distributed over workers goroutines (≤ 1 means
+// one) or over opt.Executor when one is set. Results are bit-identical for
+// every worker count. The benchmark harness uses it to time the two
+// phases separately (Fig. 8) and to sweep trial counts without re-listing
+// candidates; the Searcher uses it to reuse cached candidates.
+//
+// A candidate set whose listing was interrupted (PrepDone < PrepTrials)
+// yields the prepare-phase partial Result, with a checkpoint that resumes
+// the listing. opt.Resume is validated against the run; a prepare-phase
+// checkpoint has been consumed by the listing, so sampling starts fresh.
 func OLSSamplingPhaseParallel(cands *Candidates, opt OLSOptions, workers int) (*Result, error) {
+	method := opt.method()
+	g := cands.G
 	resume := opt.Resume
 	if resume != nil {
-		if err := resume.resumeCheck(opt.method(), opt.Seed, opt.Trials, opt.PrepTrials, opt.mu(), cands.G); err != nil {
+		if err := resume.resumeCheck(method, opt.Seed, opt.Trials, opt.PrepTrials, opt.mu(), g); err != nil {
 			return nil, err
 		}
 		if resume.Prepare {
-			return nil, fmt.Errorf("core: checkpoint is from the preparing phase; resume through OLS, not the sampling phase")
+			resume = nil
 		}
 	}
-	return olsSampling(cands, opt, workers, resume)
-}
-
-// olsSampling prices the candidates and assembles the Result, threading
-// cancellation, resume state, and partial-result bookkeeping through the
-// selected estimator.
-func olsSampling(cands *Candidates, opt OLSOptions, workers int, resume *Checkpoint) (*Result, error) {
-	method := opt.method()
-	g := cands.G
+	if cands.PrepDone < opt.PrepTrials {
+		res := &Result{Method: method, Trials: opt.Trials, PrepTrials: opt.PrepTrials, Partial: true}
+		if !cands.anchored {
+			res.Checkpoint = opt.checkpoint(g, cands.PrepDone)
+			res.Checkpoint.Prepare = true
+			res.Checkpoint.Counts = cands.prepSnapshot()
+		}
+		return res, nil
+	}
 	if cands.Len() == 0 {
 		return &Result{Method: method, Trials: opt.Trials, TrialsDone: opt.Trials, PrepTrials: opt.PrepTrials}, nil
+	}
+	exec := opt.Executor
+	if exec == nil {
+		exec = &LocalExecutor{Workers: max(workers, 1)}
 	}
 	// The sampling phase must not share a random stream with the
 	// preparing phase; offset the seed deterministically.
@@ -208,7 +172,7 @@ func olsSampling(cands *Candidates, opt OLSOptions, workers int, resume *Checkpo
 		kl.Interrupt = opt.Interrupt
 		kl.State = &st
 		kl.Probe = opt.Probe
-		kl.Executor = opt.Executor
+		kl.Executor = exec
 		kl.Spec = spec
 		if resume != nil {
 			if len(resume.CandProbs) != cands.Len() {
@@ -218,11 +182,7 @@ func olsSampling(cands *Candidates, opt OLSOptions, workers int, resume *Checkpo
 			kl.ResumeTrials = resume.CandTrials
 			kl.ResumeDone = resume.Done
 		}
-		if workers > 1 || opt.Executor != nil {
-			probs, err = EstimateKarpLubyParallel(cands, kl, workers)
-		} else {
-			probs, err = EstimateKarpLuby(cands, kl)
-		}
+		probs, err = EstimateKarpLuby(cands, kl)
 	} else {
 		op := opt.Optimized
 		op.Trials = opt.Trials
@@ -230,7 +190,7 @@ func olsSampling(cands *Candidates, opt OLSOptions, workers int, resume *Checkpo
 		op.Interrupt = opt.Interrupt
 		op.State = &st
 		op.Probe = opt.Probe
-		op.Executor = opt.Executor
+		op.Executor = exec
 		op.Spec = spec
 		if resume != nil {
 			if len(resume.CandCounts) != cands.Len() {
@@ -239,11 +199,7 @@ func olsSampling(cands *Candidates, opt OLSOptions, workers int, resume *Checkpo
 			op.ResumeCounts = resume.CandCounts
 			op.ResumeDone = resume.Done
 		}
-		if workers > 1 || opt.Executor != nil {
-			probs, err = EstimateOptimizedParallel(cands, op, workers)
-		} else {
-			probs, err = EstimateOptimized(cands, op)
-		}
+		probs, err = EstimateOptimized(cands, op)
 	}
 	if err != nil {
 		return nil, err
@@ -253,15 +209,9 @@ func olsSampling(cands *Candidates, opt OLSOptions, workers int, resume *Checkpo
 	if st.Partial {
 		res.Partial = true
 		res.TrialsDone = st.Done
-		ck := &Checkpoint{
-			Method:     method,
-			Seed:       opt.Seed,
-			Trials:     opt.Trials,
-			PrepTrials: opt.PrepTrials,
-			Mu:         opt.mu(),
-			GraphCRC:   g.Checksum(),
-			Done:       st.Done,
-		}
+	}
+	if st.Partial && !cands.anchored {
+		ck := opt.checkpoint(g, st.Done)
 		if opt.UseKarpLuby {
 			ck.CandProbs = st.Probs
 			ck.CandTrials = make([]int64, len(st.Trials))

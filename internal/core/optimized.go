@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math"
 
-	"github.com/uncertain-graphs/mpmb/internal/randx"
 	"github.com/uncertain-graphs/mpmb/internal/telemetry"
 )
 
@@ -47,9 +45,9 @@ type OptimizedOptions struct {
 	OnTrial func(trial int, hits []int)
 	// Interrupt, if non-nil, is polled between trials; when it returns
 	// true the run stops and the returned probabilities are normalized
-	// over the completed trials (State reports how many). Parallel runners
-	// poll the hook concurrently from every worker; it must be safe for
-	// concurrent use there.
+	// over the completed trials (State reports how many). A multi-worker
+	// executor polls the hook concurrently from every worker; it must be
+	// safe for concurrent use there.
 	Interrupt func() bool
 	// State, if non-nil, receives the run's completion state — partial
 	// flag, completed trials, and the raw counts needed to checkpoint.
@@ -65,10 +63,10 @@ type OptimizedOptions struct {
 	// lines 5-6), and running leader estimates. Nil costs one predictable
 	// branch per trial.
 	Probe *telemetry.Probe
-	// Executor, if non-nil, replaces EstimateOptimizedParallel's default
-	// in-process worker pool with an explicit TrialExecutor. Spec then
-	// carries the run-level identity remote executors need; both are
-	// ignored by the sequential EstimateOptimized.
+	// Executor, if non-nil, replaces the default one-worker LocalExecutor
+	// with an explicit TrialExecutor (a multi-worker pool, a distributed
+	// fan-out). Spec then carries the run-level identity remote executors
+	// need.
 	Executor TrialExecutor
 	Spec     ExecSpec
 }
@@ -82,97 +80,42 @@ type OptimizedOptions struct {
 // contain it), the first existing candidate fixes w_max, candidates tied
 // at w_max keep being collected, and the scan stops at the first candidate
 // lighter than w_max. Each trial therefore costs O(|C_MB|) in the worst
-// case and typically far less (Lemma VI.3).
+// case and typically far less (Lemma VI.3). Presence draws go through
+// precomputed Bernoulli thresholds, draw-for-draw identical to
+// randx.Bernoulli, and the steady-state trial allocates nothing.
+//
+// Trials run on opt.Executor, or on one local worker when it is nil; the
+// estimates are bit-identical either way. The OnTrial hook and the
+// EagerSampling/DisableEarlyBreak ablations need a one-worker run.
 func EstimateOptimized(c *Candidates, opt OptimizedOptions) ([]float64, error) {
 	if opt.Trials <= 0 {
 		return nil, fmt.Errorf("core: optimized estimator requires Trials > 0, got %d", opt.Trials)
 	}
-	n := len(c.List)
-	counts, start, err := optimizedResumeCounts(n, opt)
+	counts, err := optimizedResumeCounts(len(c.List), opt)
 	if err != nil {
 		return nil, err
 	}
-	g := c.G
-	// Per-trial lazy sampling state over backbone edge ids. Presence draws
-	// go through precomputed Bernoulli thresholds (one raw generator word
-	// compared against thresh[id], draw-for-draw identical to
-	// randx.Bernoulli) and the per-trial stream is derived in place, so the
-	// steady-state trial allocates nothing.
-	numE := g.NumEdges()
-	stamp := make([]int32, numE)
-	val := make([]bool, numE)
-	thresh := edgeThresholds(g)
-	var cur int32
-	var rng randx.RNG
-
-	// Union of candidate edges, for the eager ablation.
-	var relevant []int
-	if opt.EagerSampling {
-		seen := make(map[int]struct{})
-		for _, cand := range c.List {
-			for _, id := range cand.Edges {
-				if _, ok := seen[int(id)]; !ok {
-					seen[int(id)] = struct{}{}
-					relevant = append(relevant, int(id))
-				}
-			}
-		}
+	r, err := execute(opt.Executor, 0, &ExecJob{
+		Kind:  ExecOptimized,
+		Graph: c.G,
+		Cands: c,
+		Seed:  opt.Seed,
+		Units: opt.Trials,
+		Start: opt.ResumeDone,
+		Optimized: OptimizedOptions{
+			EagerSampling:     opt.EagerSampling,
+			DisableEarlyBreak: opt.DisableEarlyBreak,
+			OnTrial:           opt.OnTrial,
+		},
+		Interrupt: opt.Interrupt,
+		Probe:     opt.Probe,
+		Spec:      opt.Spec,
+		into:      &ExecResult{Done: opt.ResumeDone, CandCounts: counts},
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	root := randx.New(opt.Seed)
-	var hits []int
-	meter := newTrialMeter(opt.Probe, 0, n, true)
-	for trial := start; trial <= opt.Trials; trial++ {
-		if opt.Interrupt != nil && opt.Interrupt() {
-			meter.flush(trial - 1)
-			return optimizedFinish(counts, trial-1, opt, true), nil
-		}
-		root.DeriveInto(uint64(trial), &rng)
-		cur++
-		if opt.EagerSampling {
-			for _, id := range relevant {
-				stamp[id] = cur
-				val[id] = rng.BernoulliThresholded(thresh[id])
-			}
-		}
-		wMax := math.Inf(-1)
-		hits = hits[:0]
-		examined := n
-		for k := 0; k < n; k++ { // line 4: B_k in weight order
-			cand := &c.List[k]
-			if cand.Weight < wMax { // line 5
-				if opt.DisableEarlyBreak {
-					continue
-				}
-				examined = k
-				break // line 6
-			}
-			exists := true
-			for _, id := range cand.Edges { // line 7: lazy sampling
-				if stamp[id] != cur {
-					stamp[id] = cur
-					val[id] = rng.BernoulliThresholded(thresh[id])
-				}
-				if !val[id] {
-					exists = false
-					break
-				}
-			}
-			if exists { // lines 8–10
-				counts[k]++
-				hits = append(hits, k)
-				wMax = cand.Weight
-			}
-		}
-		if opt.OnTrial != nil {
-			opt.OnTrial(trial, hits)
-		}
-		if meter.observe(trial, examined, false, len(hits) > 0) {
-			probeOptimizedLeader(opt.Probe, c, counts, trial)
-		}
-	}
-	meter.flush(opt.Trials)
-	return optimizedFinish(counts, opt.Trials, opt, false), nil
+	return optimizedFinish(r.CandCounts, r.Done, opt, r.Done < opt.Trials), nil
 }
 
 // probeOptimizedLeader publishes the running argmax of the optimized
@@ -191,22 +134,22 @@ func probeOptimizedLeader(p *telemetry.Probe, c *Candidates, counts []int64, tri
 	probeEstimate(p, 0, counts[lead], trial, c.List[lead].B, c.List[lead].Weight)
 }
 
-// optimizedResumeCounts validates resume options and returns the starting
-// accumulator plus the first trial to run.
-func optimizedResumeCounts(n int, opt OptimizedOptions) ([]int64, int, error) {
+// optimizedResumeCounts validates resume options and returns the
+// accumulator of the resumed prefix 1..ResumeDone.
+func optimizedResumeCounts(n int, opt OptimizedOptions) ([]int64, error) {
 	if opt.ResumeDone < 0 || opt.ResumeDone > opt.Trials {
-		return nil, 0, fmt.Errorf("core: optimized resume at trial %d outside [0,%d]", opt.ResumeDone, opt.Trials)
+		return nil, fmt.Errorf("core: optimized resume at trial %d outside [0,%d]", opt.ResumeDone, opt.Trials)
 	}
 	counts := make([]int64, n)
 	if opt.ResumeCounts != nil {
 		if len(opt.ResumeCounts) != n {
-			return nil, 0, fmt.Errorf("core: optimized resume has %d candidate counts, want %d", len(opt.ResumeCounts), n)
+			return nil, fmt.Errorf("core: optimized resume has %d candidate counts, want %d", len(opt.ResumeCounts), n)
 		}
 		copy(counts, opt.ResumeCounts)
 	} else if opt.ResumeDone != 0 {
-		return nil, 0, fmt.Errorf("core: optimized resume at trial %d without counts", opt.ResumeDone)
+		return nil, fmt.Errorf("core: optimized resume at trial %d without counts", opt.ResumeDone)
 	}
-	return counts, opt.ResumeDone + 1, nil
+	return counts, nil
 }
 
 // optimizedFinish converts counts into probabilities normalized over the

@@ -35,14 +35,16 @@ type OSOptions struct {
 	DropA2 bool
 	// OnTrial, if non-nil, is invoked after every trial with the 1-based
 	// trial index and that trial's maximum butterfly set. The MaxSet is
-	// reused between trials; copy what must be retained.
+	// reused between trials; copy what must be retained. It needs a
+	// one-worker run.
 	OnTrial func(trial int, sMB *butterfly.MaxSet)
 	// Interrupt, if non-nil, is polled between trials; when it returns
 	// true the run stops and returns a partial Result over the completed
 	// trials with a resumable Checkpoint attached. OS trials are short, so
 	// between-trial granularity suffices (unlike MC-VP's mid-trial hook).
-	// Parallel runners poll the hook concurrently from every worker, so it
-	// must be safe for concurrent use there (a context-derived hook is).
+	// A multi-worker run polls the hook concurrently from every worker,
+	// so it must be safe for concurrent use there (a context-derived hook
+	// is).
 	Interrupt func() bool
 	// Resume restores the accumulator from a checkpoint written by an
 	// earlier cancelled run with identical options; the run continues at
@@ -55,12 +57,17 @@ type OSOptions struct {
 	// A nil Probe costs one predictable branch per trial and changes no
 	// Result bit.
 	Probe *telemetry.Probe
-	// Executor, if non-nil, replaces OSParallel's default in-process
-	// worker pool with an explicit TrialExecutor (e.g. a distributed
-	// fan-out). Per-trial streams derive from (Seed, trial index), so any
-	// conforming executor returns bit-identical results. Ignored by the
-	// sequential OS.
+	// Executor, if non-nil, replaces the default in-process LocalExecutor
+	// with an explicit TrialExecutor (e.g. a distributed fan-out).
+	// Per-trial streams derive from (Seed, trial index), so any
+	// conforming executor returns bit-identical results.
 	Executor TrialExecutor
+}
+
+// kernel returns the options' kernel knobs alone — the pruning and
+// ablation flags a trial kernel (local or remote) is built with.
+func (o OSOptions) kernel() OSOptions {
+	return OSOptions{DisableEdgePrune: o.DisableEdgePrune, KeepAllAngles: o.KeepAllAngles, DropA2: o.DropA2}
 }
 
 // OS is Ordering Sampling (Section V, Algorithm 2). Like MC-VP it samples
@@ -87,45 +94,54 @@ type OSOptions struct {
 // open-addressing angle table, and a worker-local derived stream — all
 // draw-for-draw identical to the frozen seed implementation in osref.go,
 // which the equivalence tests compare against bit for bit.
+//
+// OS is OSParallel with one worker.
 func OS(g *bigraph.Graph, opt OSOptions) (*Result, error) {
+	return OSParallel(g, opt, 1)
+}
+
+// OSParallel runs Ordering Sampling with trials distributed over workers
+// goroutines (≤ 1 means one), or over opt.Executor when one is set.
+// Trials are independent and each trial's random stream is derived from
+// (Seed, trial index), so the estimates are bit-identical for every
+// worker count and executor — parallelism changes wall-clock time, never
+// results. Cancellation (opt.Interrupt) yields a partial Result with a
+// resumable Checkpoint, and opt.Resume continues such a checkpoint. The
+// OnTrial hook needs a one-worker run.
+func OSParallel(g *bigraph.Graph, opt OSOptions, workers int) (*Result, error) {
 	if opt.Trials <= 0 {
 		return nil, fmt.Errorf("core: OS requires Trials > 0, got %d", opt.Trials)
 	}
-	idx := acquireKernel(g, opt)
-	defer releaseKernel(idx)
-	acc := newProbAccumulator()
-	start := 1
-	if opt.Resume != nil {
-		if err := opt.Resume.resumeCheck("os", opt.Seed, opt.Trials, 0, 0, g); err != nil {
+	state := &ExecResult{acc: newProbAccumulator()}
+	if ck := opt.Resume; ck != nil {
+		if err := ck.resumeCheck("os", opt.Seed, opt.Trials, 0, 0, g); err != nil {
 			return nil, err
 		}
-		acc = accumulatorFromCounts(opt.Resume.Counts)
-		start = opt.Resume.Done + 1
+		state = &ExecResult{Done: ck.Done, acc: accumulatorFromCounts(ck.Counts)}
 	}
-	root := randx.New(opt.Seed)
-	var sMB butterfly.MaxSet
-	meter := newTrialMeter(opt.Probe, 0, idx.snap.numEdges(), false)
-	for trial := start; trial <= opt.Trials; trial++ {
-		if opt.Interrupt != nil && opt.Interrupt() {
-			meter.flush(trial - 1)
-			res := acc.partialResult("os", g, opt.Seed, opt.Trials, trial-1)
-			probeFinish(opt.Probe, res)
-			return res, nil
-		}
-		scanned, fellBack := idx.runTrialSeeded(root, uint64(trial), &sMB)
-		hit := !sMB.Empty()
-		if hit {
-			acc.addMaxSet(&sMB)
-		}
-		if opt.OnTrial != nil {
-			opt.OnTrial(trial, &sMB)
-		}
-		if meter.observe(trial, scanned, fellBack, hit) {
-			probeEstimate(opt.Probe, 0, int64(acc.leadCount), trial, acc.leadB, acc.leadW)
-		}
+	kern := opt.kernel()
+	kern.OnTrial = opt.OnTrial
+	r, err := execute(opt.Executor, workers, &ExecJob{
+		Kind:      ExecOS,
+		Graph:     g,
+		Seed:      opt.Seed,
+		Units:     opt.Trials,
+		Start:     state.Done,
+		OS:        kern,
+		Interrupt: opt.Interrupt,
+		Probe:     opt.Probe,
+		Spec:      ExecSpec{Method: "os", Seed: opt.Seed, Trials: opt.Trials},
+		into:      state,
+	})
+	if err != nil {
+		return nil, err
 	}
-	meter.flush(opt.Trials)
-	res := acc.result("os", opt.Trials)
+	var res *Result
+	if r.Done < opt.Trials {
+		res = r.acc.partialResult("os", g, opt.Seed, opt.Trials, r.Done)
+	} else {
+		res = r.acc.result("os", opt.Trials)
+	}
 	probeFinish(opt.Probe, res)
 	return res, nil
 }
@@ -254,11 +270,10 @@ func newOSIndexFromSnapshot(g *bigraph.Graph, opt OSOptions, snap *edgeSnapshot)
 
 // acquireKernel returns a trial kernel over g's cached calibrated
 // snapshot, reusing a previously released kernel when the snapshot's pool
-// has one. This is how every production runner (sequential OS, parallel
-// workers, candidate prep, the bench harness) obtains its kernel: repeat
-// runs and parallel chunks over the same graph stop paying the ~1MB
-// per-kernel build, which is what held the parallel path at ~40 allocs
-// per trial.
+// has one. This is how every LocalExecutor OS worker and the bench
+// harness obtain their kernel: repeat runs and parallel chunks over the
+// same graph stop paying the ~1MB per-kernel build, which is what held
+// the parallel path at ~40 allocs per trial.
 func acquireKernel(g *bigraph.Graph, opt OSOptions) *osIndex {
 	snap := snapshotFor(g)
 	if k, ok := snap.kernels.Get().(*osIndex); ok && k != nil {

@@ -68,7 +68,9 @@ func TestEstimateOptimizedParallelMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{0, 1, 2, 5} {
-			par, err := EstimateOptimizedParallel(cands, opt, workers)
+			popt := opt
+			popt.Executor = &LocalExecutor{Workers: workers}
+			par, err := EstimateOptimized(cands, popt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,13 +89,13 @@ func TestEstimateOptimizedParallelValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EstimateOptimizedParallel(cands, OptimizedOptions{Trials: 0}, 2); err == nil {
+	if _, err := EstimateOptimized(cands, OptimizedOptions{Trials: 0, Executor: &LocalExecutor{Workers: 2}}); err == nil {
 		t.Fatal("accepted Trials=0")
 	}
-	if _, err := EstimateOptimizedParallel(cands, OptimizedOptions{Trials: 10, EagerSampling: true}, 2); err == nil {
+	if _, err := EstimateOptimized(cands, OptimizedOptions{Trials: 10, EagerSampling: true, Executor: &LocalExecutor{Workers: 2}}); err == nil {
 		t.Fatal("accepted an ablation option")
 	}
-	if _, err := EstimateOptimizedParallel(cands, OptimizedOptions{Trials: 10, OnTrial: func(int, []int) {}}, 2); err == nil {
+	if _, err := EstimateOptimized(cands, OptimizedOptions{Trials: 10, OnTrial: func(int, []int) {}, Executor: &LocalExecutor{Workers: 2}}); err == nil {
 		t.Fatal("accepted an OnTrial hook")
 	}
 }
@@ -120,7 +122,8 @@ func TestEstimateKarpLubyParallelMatchesSequential(t *testing.T) {
 		for _, workers := range []int{0, 2, 4} {
 			popt := opt
 			popt.TrialsUsed = &parUsed
-			par, err := EstimateKarpLubyParallel(cands, popt, workers)
+			popt.Executor = &LocalExecutor{Workers: workers}
+			par, err := EstimateKarpLuby(cands, popt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,11 +145,11 @@ func TestEstimateKarpLubyParallelValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EstimateKarpLubyParallel(cands, KLOptions{BaseTrials: 0}, 2); err == nil {
+	if _, err := EstimateKarpLuby(cands, KLOptions{BaseTrials: 0, Executor: &LocalExecutor{Workers: 2}}); err == nil {
 		t.Fatal("accepted BaseTrials=0")
 	}
 	idx := 0
-	if _, err := EstimateKarpLubyParallel(cands, KLOptions{BaseTrials: 10, OnlyCandidate: &idx}, 2); err == nil {
+	if _, err := EstimateKarpLuby(cands, KLOptions{BaseTrials: 10, OnlyCandidate: &idx, Executor: &LocalExecutor{Workers: 2}}); err == nil {
 		t.Fatal("accepted OnlyCandidate")
 	}
 }

@@ -218,7 +218,7 @@ func TestResumeBitIdenticalParallel(t *testing.T) {
 		}
 		cutOpt := olsOpt
 		cutOpt.Interrupt = interruptAfter(prep + 5)
-		part, err := OLSParallel(g, cutOpt, 4)
+		part, err := OLS(g, pooled(cutOpt, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func TestResumeBitIdenticalParallel(t *testing.T) {
 		}
 		resOpt := olsOpt
 		resOpt.Resume = reloadCheckpoint(t, part.Checkpoint)
-		resumed, err := OLSParallel(g, resOpt, 4)
+		resumed, err := OLS(g, pooled(resOpt, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,18 +339,18 @@ func TestWorkerPanicIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EstimateOptimizedParallel(cands, OptimizedOptions{Trials: 500, Seed: 2, Interrupt: panicHook(3)}, 4); !errors.Is(err, ErrWorkerPanic) {
-		t.Fatalf("EstimateOptimizedParallel: err = %v, want ErrWorkerPanic", err)
+	if _, err := EstimateOptimized(cands, OptimizedOptions{Trials: 500, Seed: 2, Interrupt: panicHook(3), Executor: &LocalExecutor{Workers: 4}}); !errors.Is(err, ErrWorkerPanic) {
+		t.Fatalf("EstimateOptimized on 4 workers: err = %v, want ErrWorkerPanic", err)
 	}
 	// Karp-Luby has only len(cands) dispatch polls; panic on the first.
-	if _, err := EstimateKarpLubyParallel(cands, KLOptions{BaseTrials: 50, Seed: 2, Interrupt: panicHook(0)}, 2); !errors.Is(err, ErrWorkerPanic) {
-		t.Fatalf("EstimateKarpLubyParallel: err = %v, want ErrWorkerPanic", err)
+	if _, err := EstimateKarpLuby(cands, KLOptions{BaseTrials: 50, Seed: 2, Interrupt: panicHook(0), Executor: &LocalExecutor{Workers: 2}}); !errors.Is(err, ErrWorkerPanic) {
+		t.Fatalf("EstimateKarpLuby on 2 workers: err = %v, want ErrWorkerPanic", err)
 	}
 	// The sequential preparing phase polls once per prep trial (calls
 	// 1..5, below the threshold), so the panic lands in a sampling-phase
 	// worker; five prep trials are enough to give Figure 1 candidates.
-	if _, err := OLSParallel(g, OLSOptions{PrepTrials: 5, Trials: 500, Seed: 2, Interrupt: panicHook(7)}, 4); !errors.Is(err, ErrWorkerPanic) {
-		t.Fatalf("OLSParallel: err = %v, want ErrWorkerPanic", err)
+	if _, err := OLS(g, pooled(OLSOptions{PrepTrials: 5, Trials: 500, Seed: 2, Interrupt: panicHook(7)}, 4)); !errors.Is(err, ErrWorkerPanic) {
+		t.Fatalf("OLS on 4 workers: err = %v, want ErrWorkerPanic", err)
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 	"github.com/uncertain-graphs/mpmb/internal/telemetry"
 )
 
-// probeFlushEvery is the sequential runners' flush cadence: trial tallies
+// probeFlushEvery is a one-worker run's flush cadence: trial tallies
 // accumulate in plain locals and fold into the registry's atomic shards
 // only every this many trials, keeping atomics (and time.Now) off the
-// per-trial hot path. Parallel runners flush per claimed chunk instead
+// per-trial hot path. Multi-worker runs flush per claimed chunk instead
 // (parChunkTrials), so a completed chunk is always fully visible.
 const probeFlushEvery = 64
 
@@ -43,7 +43,7 @@ func newTrialMeter(p *telemetry.Probe, w, numE int, cand bool) trialMeter {
 }
 
 // observe accumulates one completed trial and flushes on the batch
-// cadence. It reports whether it flushed, so sequential runners can emit
+// cadence. It reports whether it flushed, so one-worker runs can emit
 // running-estimate updates at the same cadence.
 func (m *trialMeter) observe(trial, scanned int, fellBack, hit bool) bool {
 	if m.p == nil {

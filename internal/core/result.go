@@ -206,83 +206,103 @@ func (r *Result) Lookup(b butterfly.Butterfly) (Estimate, bool) {
 }
 
 // probAccumulator tallies, per butterfly, how many trials reported it as a
-// maximum weighted butterfly. It is the shared bookkeeping behind MC-VP
-// and OS (lines 18–19 of Algorithm 1, 21–22 of Algorithm 2).
+// maximum weighted butterfly. It is the shared bookkeeping behind MC-VP,
+// OS and the OLS preparing phase (lines 18–19 of Algorithm 1, 21–22 of
+// Algorithm 2, and the C_MB hit counts of lines 2–4 of Algorithm 3).
 type probAccumulator struct {
-	counts  map[butterfly.Butterfly]int
-	weights map[butterfly.Butterfly]float64
+	// tally keeps each butterfly's count and weight behind a pointer, so
+	// crediting a butterfly seen before costs one map lookup: the hot path
+	// when a large weight tie class reaches S_MB in every trial.
+	tally map[butterfly.Butterfly]*butterflyTally
 	// Running leader (argmax of counts), maintained incrementally so
 	// instrumented runners can publish a live estimate at each flush
-	// without rescanning the maps. Telemetry-only: the Result order is
+	// without rescanning the map. Telemetry-only: the Result order is
 	// still established by sortEstimates.
 	leadCount int
 	leadB     butterfly.Butterfly
 	leadW     float64
 }
 
+// butterflyTally is one butterfly's accumulated count and its weight.
+type butterflyTally struct {
+	n int
+	w float64
+}
+
 func newProbAccumulator() *probAccumulator {
-	return &probAccumulator{
-		counts:  make(map[butterfly.Butterfly]int),
-		weights: make(map[butterfly.Butterfly]float64),
+	return &probAccumulator{tally: make(map[butterfly.Butterfly]*butterflyTally)}
+}
+
+// credit adds n trials to butterfly b of weight w.
+func (a *probAccumulator) credit(b butterfly.Butterfly, n int, w float64) {
+	t := a.tally[b]
+	if t == nil {
+		t = &butterflyTally{w: w}
+		a.tally[b] = t
+	}
+	t.n += n
+	if t.n > a.leadCount {
+		a.leadCount, a.leadB, a.leadW = t.n, b, w
 	}
 }
 
 // addMaxSet credits one trial's maximum set.
 func (a *probAccumulator) addMaxSet(m *butterfly.MaxSet) {
 	for _, b := range m.Set {
-		a.counts[b]++
-		a.weights[b] = m.W
-		if c := a.counts[b]; c > a.leadCount {
-			a.leadCount, a.leadB, a.leadW = c, b, m.W
-		}
+		a.credit(b, 1, m.W)
 	}
 }
 
 // merge folds another accumulator's tallies into a (used to combine
 // worker-local accumulators and resumed checkpoint state).
 func (a *probAccumulator) merge(b *probAccumulator) {
-	for bf, c := range b.counts {
-		a.counts[bf] += c
-		a.weights[bf] = b.weights[bf]
-		if n := a.counts[bf]; n > a.leadCount {
-			a.leadCount, a.leadB, a.leadW = n, bf, b.weights[bf]
-		}
+	for bf, t := range b.tally {
+		a.credit(bf, t.n, t.w)
 	}
 }
 
 // snapshot exports the accumulator as canonical-order checkpoint entries.
 func (a *probAccumulator) snapshot() []ButterflyCount {
-	return sortedCounts(a.counts, a.weights)
+	out := make([]ButterflyCount, 0, len(a.tally))
+	for b, t := range a.tally {
+		out = append(out, ButterflyCount{B: b, Count: int64(t.n), Weight: t.w})
+	}
+	sort.Slice(out, func(i, j int) bool { return lessButterfly(out[i].B, out[j].B) })
+	return out
+}
+
+// hits returns the per-butterfly counts as a hit map.
+func (a *probAccumulator) hits() map[butterfly.Butterfly]int {
+	h := make(map[butterfly.Butterfly]int, len(a.tally))
+	for b, t := range a.tally {
+		h[b] = t.n
+	}
+	return h
 }
 
 // accumulatorFromCounts rebuilds an accumulator from checkpoint entries.
 func accumulatorFromCounts(entries []ButterflyCount) *probAccumulator {
 	a := newProbAccumulator()
 	for _, e := range entries {
-		a.counts[e.B] = int(e.Count)
-		a.weights[e.B] = e.Weight
-		if c := int(e.Count); c > a.leadCount {
-			a.leadCount, a.leadB, a.leadW = c, e.B, e.Weight
-		}
+		a.credit(e.B, int(e.Count), e.Weight)
 	}
 	return a
 }
 
 // result converts counts into probabilities P̂(B) = count/trials.
 func (a *probAccumulator) result(method string, trials int) *Result {
-	res := a.resultNorm(method, trials, trials)
-	return res
+	return a.resultNorm(method, trials, trials)
 }
 
 // resultNorm normalizes counts over norm completed trials while reporting
 // trials as the run's target — the partial-result path, where norm < trials.
 func (a *probAccumulator) resultNorm(method string, trials, norm int) *Result {
-	es := make([]Estimate, 0, len(a.counts))
-	for b, c := range a.counts {
+	es := make([]Estimate, 0, len(a.tally))
+	for b, t := range a.tally {
 		es = append(es, Estimate{
 			B:      b,
-			Weight: a.weights[b],
-			P:      float64(c) / float64(norm),
+			Weight: t.w,
+			P:      float64(t.n) / float64(norm),
 		})
 	}
 	sortEstimates(es)

@@ -114,8 +114,8 @@ const (
 	// defaultEpsilonZ is the 99% two-sided normal critical value.
 	defaultEpsilonZ = 2.5758293035489004
 	// auditSeedSalt derives the audit-trial random stream from the run
-	// seed. It must differ from the sampling-phase offset (see
-	// olsSampling) so audits never reuse a prep or sampling stream.
+	// seed. It must differ from the OLSSamplingPhaseParallel seed offset
+	// so audits never reuse a prep or sampling stream.
 	auditSeedSalt = 0x5bd1e995c0ffee11
 )
 
@@ -125,8 +125,8 @@ type SupervisorOptions struct {
 	// and deterministic; they have nothing to supervise).
 	Method string
 	// Trials / PrepTrials / Seed / Workers follow the method's own option
-	// struct semantics. Workers > 0 selects the parallel runners (os and
-	// the OLS sampling phase only).
+	// struct semantics. Workers > 1 spreads os and the OLS sampling phase
+	// over that many goroutines.
 	Trials     int
 	PrepTrials int
 	Seed       uint64
@@ -172,7 +172,7 @@ type SupervisorOptions struct {
 	Now func() time.Time
 	// Interrupt is the external cancellation hook (context, signal),
 	// polled alongside the supervisor's own bookkeeping. Must be safe for
-	// concurrent use when Workers > 0.
+	// concurrent use when Workers > 1.
 	Interrupt func() bool
 
 	// OS carries Ordering Sampling knobs for the os method and the OLS
@@ -187,8 +187,9 @@ type SupervisorOptions struct {
 	Optimized OptimizedOptions
 
 	// Prepared supplies an already-listed candidate set (the Searcher's
-	// cache). It must have been prepared with PrepDone == PrepTrials and
-	// the same Seed/graph; ignored when Resume is set.
+	// cache), prepared with the same Seed/graph and PrepTrials. A set
+	// with PrepDone < PrepTrials is an interrupted listing, which the
+	// supervisor continues. Ignored when Resume is set.
 	Prepared *Candidates
 	// Resume continues a checkpoint written by an earlier supervised (or
 	// plain) run. A checkpoint whose PrepTrials exceeds the configured
@@ -454,11 +455,10 @@ func (s *supervisor) countingStep(method string, ck *Checkpoint) (*Result, error
 			o.Interrupt = s.gate.poll
 			o.Resume = ck
 			o.Probe = s.opt.Probe
-			if s.opt.Workers > 0 {
-				o.OnTrial = nil // unsupported by the parallel runner
-				return OSParallel(s.g, o, s.opt.Workers)
+			if s.opt.Workers > 1 {
+				o.OnTrial = nil // a one-worker feature
 			}
-			return OS(s.g, o)
+			return OSParallel(s.g, o, s.opt.Workers)
 		}
 	})
 }
@@ -490,18 +490,26 @@ func (s *supervisor) runOLS() (*Result, error) {
 		}
 	}
 	var cands *Candidates
-	if p := s.opt.Prepared; p != nil && s.opt.Resume == nil && p.PrepDone == prepTarget {
-		cands = p
+	if p := s.opt.Prepared; p != nil && s.opt.Resume == nil {
+		if p.PrepDone == prepTarget {
+			cands = p
+		} else if p.PrepDone < prepTarget {
+			// An interrupted listing: continue it.
+			prepResume, prepStart = p.prepSnapshot(), p.PrepDone
+		}
 	}
 	escalations := 0
 	for {
 		if cands == nil {
-			c, interrupted, err := prepareCandidates(s.g, prepTarget, s.opt.Seed, s.prepOS(), prepResume, prepStart)
+			c, err := prepare(s.g, Anchor{}, prepTarget, s.opt.Seed, s.prepOS(), prepResume, prepStart)
 			if err != nil {
 				return nil, err
 			}
-			if interrupted {
-				res := prepPartialResult(method, s.g, s.olsOpts(prepTarget, nil), c)
+			if c.PrepDone < prepTarget {
+				res, err := OLSSamplingPhaseParallel(c, s.olsOpts(prepTarget, nil), 1)
+				if err != nil {
+					return nil, err
+				}
 				reason, _ := s.stopFor()
 				if reason == "" {
 					reason = StopCancelled
@@ -575,11 +583,9 @@ func (s *supervisor) runOLS() (*Result, error) {
 // deadline only — prep polls must not consume the sampling segment's
 // budget).
 func (s *supervisor) prepOS() OSOptions {
-	o := s.opt.OS
-	o.OnTrial = nil
-	o.Resume = nil
+	o := s.opt.OS.kernel()
 	o.Interrupt = s.gate.passive
-	o.Probe = s.opt.Probe // prepareCandidates rebinds it to the prep phase
+	o.Probe = s.opt.Probe // the preparing phase rebinds it to its phase label
 	return o
 }
 
@@ -683,8 +689,8 @@ func (s *supervisor) withWatchdog(method string, fn func() (*Result, error)) (*R
 // segGate is the supervisor's interrupt hook: it multiplexes external
 // cancellation, the deadline, and a per-segment poll budget through the
 // runners' existing Interrupt seam, so the unmodified partial-Result +
-// Checkpoint machinery does the segmenting. All state is atomic — the
-// parallel runners poll from every worker.
+// Checkpoint machinery does the segmenting. All state is atomic — a
+// multi-worker run polls from every worker.
 type segGate struct {
 	external func() bool
 	deadline time.Time

@@ -114,3 +114,21 @@ func bigraphBuilder1() *bigraph.Graph {
 type maxSetScratch struct {
 	m butterfly.MaxSet
 }
+
+// pooled spreads an OLS run's sampling phase over a LocalExecutor of w
+// workers.
+func pooled(opt OLSOptions, w int) OLSOptions {
+	opt.Executor = &LocalExecutor{Workers: w}
+	return opt
+}
+
+// anchoredOLS is Ordering-Listing Sampling restricted to an anchor: the
+// anchored preparing phase, then the sampling phase over its candidates
+// on w workers.
+func anchoredOLS(g *bigraph.Graph, a Anchor, opt OLSOptions, w int) (*Result, error) {
+	cands, err := PrepareAnchoredCandidates(g, a, opt.PrepTrials, opt.Seed, opt.Interrupt)
+	if err != nil {
+		return nil, err
+	}
+	return OLSSamplingPhaseParallel(cands, opt, w)
+}

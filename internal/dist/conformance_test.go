@@ -11,6 +11,8 @@ import (
 	"time"
 
 	mpmb "github.com/uncertain-graphs/mpmb"
+	"github.com/uncertain-graphs/mpmb/internal/butterfly"
+	"github.com/uncertain-graphs/mpmb/internal/core"
 )
 
 // meshGraph is a deterministic dense-ish fixture: big enough that every
@@ -183,22 +185,22 @@ func TestConformanceMidRunResume(t *testing.T) {
 			// trials), and the interrupt must land between leases. A single
 			// worker with an injected hold makes the interruption
 			// deterministic: it completes the first range, then parks its
-			// second completion until the search has been cancelled — so the
-			// coordinator's merged prefix is a strict, non-empty prefix when
-			// the executor collects it.
+			// second completion until the executor has collected — so the
+			// drain cannot merge it, and the coordinator's merged prefix is a
+			// strict, non-empty prefix when the executor collects it.
 			coord := NewCoordinator()
 			coord.LeaseUnits = 4
 			hs := httptest.NewServer(coord.Handler())
 			defer hs.Close()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			cancelled := make(chan struct{})
+			collected := make(chan struct{})
 			var completes int32
 			w := &Worker{Base: hs.URL, Pool: 1, testFaults: &workerFaults{
 				interceptComplete: func(*LeaseComplete) bool {
 					if atomic.AddInt32(&completes, 1) == 2 {
 						select {
-						case <-cancelled:
+						case <-collected:
 						case <-time.After(5 * time.Second):
 						}
 					}
@@ -217,7 +219,6 @@ func TestConformanceMidRunResume(t *testing.T) {
 				for {
 					if prefix, start, ok := coordProgress(coord); ok && prefix > start {
 						cancel()
-						close(cancelled)
 						return
 					}
 					select {
@@ -228,8 +229,11 @@ func TestConformanceMidRunResume(t *testing.T) {
 				}
 			}()
 			opt := baseOptions(method)
-			opt.Executor = &Executor{C: coord, Poll: time.Millisecond}
+			// The held lease never lands before the collect, so the drain
+			// waits out its bound; keep it short.
+			opt.Executor = &Executor{C: coord, Poll: time.Millisecond, DrainWait: 50 * time.Millisecond}
 			partial, err := mpmb.SearchContext(ctx, g, opt)
+			close(collected)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -278,5 +282,28 @@ func TestExecutorRejectsAdaptive(t *testing.T) {
 	opt.Executor = &Executor{C: coord}
 	if _, err := mpmb.Search(g, opt); err == nil {
 		t.Fatal("exact method accepted an Executor")
+	}
+}
+
+// TestExecutorRefusesLocalOnlyJobs: the workers rebuild a job from its
+// wire spec, which carries no anchor and no process-local hook, so the
+// executor must refuse such a job with an error instead of running the
+// global kernel in its place.
+func TestExecutorRefusesLocalOnlyJobs(t *testing.T) {
+	g := meshGraph(t)
+	spec := core.ExecSpec{Method: "os", Seed: 7, Trials: 100}
+	onlyCand := 0
+	for name, job := range map[string]*core.ExecJob{
+		"anchor": {Kind: core.ExecOS, Graph: g, Seed: 7, Units: 100, Spec: spec,
+			Anchor: core.Anchor{Kind: core.AnchorLeft, U: 0}},
+		"os hook": {Kind: core.ExecOS, Graph: g, Seed: 7, Units: 100, Spec: spec,
+			OS: core.OSOptions{OnTrial: func(int, *butterfly.MaxSet) {}}},
+		"karp-luby hook": {Kind: core.ExecOS, Graph: g, Seed: 7, Units: 100, Spec: spec,
+			KL: core.KLOptions{OnlyCandidate: &onlyCand}},
+	} {
+		ex := &Executor{C: NewCoordinator()}
+		if _, err := ex.ExecuteTrials(job); err == nil {
+			t.Errorf("%s: distributed executor accepted a job its workers cannot reproduce", name)
+		}
 	}
 }

@@ -141,6 +141,9 @@ func (c *Coordinator) register(job *core.ExecJob) (uint64, chan struct{}, error)
 	if job.Spec.Method == "" {
 		return 0, nil, fmt.Errorf("dist: job carries no ExecSpec run identity; distributed execution requires one")
 	}
+	if err := job.LocalOnly(); err != nil {
+		return 0, nil, fmt.Errorf("dist: workers cannot reproduce the job: %w", err)
+	}
 	var buf bytes.Buffer
 	if err := bigraph.WriteBinary(&buf, job.Graph); err != nil {
 		return 0, nil, fmt.Errorf("dist: encoding graph: %w", err)

@@ -146,10 +146,11 @@ func (e *Executor) runFallback(stop <-chan struct{}, id uint64, job *core.ExecJo
 		rep := e.C.grantJob("local-fallback", id)
 		switch rep.Status {
 		case LeaseGranted:
-			msg, err := executeSpan(job, id, rep.Lease, rep.Lo, rep.Hi, pool)
+			msg, err := executeSpan(job, pool, rep.Lo, rep.Hi)
 			if err != nil {
 				return
 			}
+			msg.Worker, msg.Job, msg.Lease = "local-fallback", id, rep.Lease
 			ack, err := e.C.complete(msg)
 			if err != nil {
 				return
@@ -173,29 +174,31 @@ func (e *Executor) runFallback(stop <-chan struct{}, id uint64, job *core.ExecJo
 	}
 }
 
-// executeSpan runs one leased span of job through a fresh LocalExecutor
-// and assembles its completion message — the in-process mirror of the
-// remote worker's execute, sharing its payload and counter contract.
-func executeSpan(job *core.ExecJob, jobID, leaseID uint64, lo, hi, pool int) (*LeaseComplete, error) {
+// executeSpan runs the leased span lo..hi of job — its kind, graph,
+// candidates, phase seed and kernel knobs — on a pool-worker LocalExecutor
+// and returns the completion message for it. The span's telemetry flows
+// into a fresh registry whose terminal snapshot becomes the exact counter
+// delta shipped with the payload. Remote workers and the in-process
+// fallback both run spans through it; the caller fills in the routing
+// fields (Worker, Job, Lease).
+func executeSpan(job *core.ExecJob, pool, lo, hi int) (*LeaseComplete, error) {
 	reg := telemetry.NewRegistry()
-	sub := &core.ExecJob{
-		Kind:    job.Kind,
-		Graph:   job.Graph,
-		Cands:   job.Cands,
-		Seed:    job.Seed,
-		Units:   hi,     // run exactly the leased range:
-		Start:   lo - 1, // units Start+1..Units = lo..hi
-		OS:      job.OS,
-		KL:      job.KL,
-		Probe:   &telemetry.Probe{Reg: reg, Method: job.Spec.Method},
-		Workers: pool,
-	}
-	res, err := (&core.LocalExecutor{Workers: pool}).ExecuteTrials(sub)
+	res, err := (&core.LocalExecutor{Workers: pool}).ExecuteTrials(&core.ExecJob{
+		Kind:  job.Kind,
+		Graph: job.Graph,
+		Cands: job.Cands,
+		Seed:  job.Seed,
+		Units: hi,     // run exactly the leased range:
+		Start: lo - 1, // units Start+1..Units = lo..hi
+		OS:    job.OS,
+		KL:    job.KL,
+		Probe: &telemetry.Probe{Reg: reg, Method: job.Spec.Method},
+	})
 	if err != nil {
 		return nil, err
 	}
 	if res.Done != hi {
-		return nil, fmt.Errorf("dist: fallback range %d..%d stopped at %d without an interrupt", lo, hi, res.Done)
+		return nil, fmt.Errorf("dist: range %d..%d stopped at %d without an interrupt", lo, hi, res.Done)
 	}
 	var payload RangePayload
 	switch job.Kind {
@@ -212,9 +215,6 @@ func executeSpan(job *core.ExecJob, jobID, leaseID uint64, lo, hi, pool int) (*L
 	m := reg.Snapshot()
 	return &LeaseComplete{
 		V:       Version,
-		Worker:  "local-fallback",
-		Job:     jobID,
-		Lease:   leaseID,
 		Lo:      lo,
 		Hi:      hi,
 		Payload: payload,

@@ -264,10 +264,8 @@ func (w *Worker) lease(ctx context.Context) (*LeaseReply, error) {
 	return &rep, nil
 }
 
-// execute runs one leased range through the in-process LocalExecutor
-// and assembles its completion message. The range's telemetry flows
-// into a fresh per-lease registry whose terminal snapshot becomes the
-// exact counter delta shipped with the payload.
+// execute rebuilds the job of one leased range from its spec and runs
+// the range through executeSpan.
 func (w *Worker) execute(ctx context.Context, rep *LeaseReply) (*LeaseComplete, error) {
 	spec := rep.Job
 	if spec == nil {
@@ -293,62 +291,24 @@ func (w *Worker) execute(ctx context.Context, rep *LeaseReply) (*LeaseComplete, 
 			return nil, err
 		}
 	}
-	reg := telemetry.NewRegistry()
-	probe := &telemetry.Probe{Reg: reg, Method: spec.Method}
-	job := &core.ExecJob{
+	msg, err := executeSpan(&core.ExecJob{
 		Kind:  kind,
 		Graph: wg.g,
 		Cands: cands,
 		Seed:  spec.PhaseSeed,
-		Units: rep.Hi,     // run exactly the leased range:
-		Start: rep.Lo - 1, // units Start+1..Units = lo..hi
 		OS:    osOpt,
 		KL: core.KLOptions{
 			BaseTrials: spec.KLBaseTrials,
 			Mu:         spec.KLMu,
 			MaxTrials:  spec.KLMaxTrials,
 		},
-		Probe:   probe,
-		Workers: w.Pool,
-	}
-	res, err := (&core.LocalExecutor{Workers: w.Pool}).ExecuteTrials(job)
+		Spec: core.ExecSpec{Method: spec.Method},
+	}, w.Pool, rep.Lo, rep.Hi)
 	if err != nil {
 		return nil, err
 	}
-	if res.Done != rep.Hi {
-		return nil, fmt.Errorf("dist: range %d..%d stopped at %d without an interrupt", rep.Lo, rep.Hi, res.Done)
-	}
-	var payload RangePayload
-	switch kind {
-	case core.ExecOS:
-		payload.Counts = res.CountsSnapshot()
-	case core.ExecOptimized:
-		payload.CandCounts = res.CandCounts
-	case core.ExecKarpLuby:
-		payload.CandProbs = res.CandProbs[rep.Lo-1 : rep.Hi]
-		payload.CandTrials = res.CandTrials[rep.Lo-1 : rep.Hi]
-	default:
-		return nil, fmt.Errorf("%w: unknown job kind %d", ErrBadPayload, spec.Kind)
-	}
-	m := reg.Snapshot()
-	return &LeaseComplete{
-		V:       Version,
-		Worker:  w.Name,
-		Job:     spec.Job,
-		Lease:   rep.Lease,
-		Lo:      rep.Lo,
-		Hi:      rep.Hi,
-		Payload: payload,
-		Counters: Counters{
-			Trials:          m.Trials,
-			TrialHits:       m.TrialHits,
-			EdgesScanned:    m.EdgesScanned,
-			EdgesPruned:     m.EdgesPruned,
-			CandScanned:     m.CandScanned,
-			CandPruned:      m.CandPruned,
-			PrefixFallbacks: m.PrefixFallbacks,
-		},
-	}, nil
+	msg.Worker, msg.Job, msg.Lease = w.Name, spec.Job, rep.Lease
+	return msg, nil
 }
 
 // graph returns the verified graph for a spec, fetching it once per

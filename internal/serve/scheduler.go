@@ -220,13 +220,13 @@ func (sc *scheduler) runJob(j *Job) {
 			journalF.Close()
 		}
 	}()
-	obs.InstrumentStore(s.store.ckpt)
+	ckpt := s.store.jobCheckpoints(obs)
 
 	// Resume from a persisted checkpoint if one exists (drain suspension
 	// or a crashed process). The engine validates it against the spec and
 	// the graph CRC; the finished result is bit-identical to an
 	// uninterrupted run.
-	ck, err := s.store.loadCheckpoint(j.ID)
+	ck, err := s.store.loadCheckpoint(ckpt, j.ID)
 	if err != nil {
 		sc.finalize(j, JobFailed, fmt.Sprintf("loading checkpoint: %v", err), nil)
 		return
@@ -241,7 +241,7 @@ func (sc *scheduler) runJob(j *Job) {
 	defer cancel()
 	j.attachCancel(cancel)
 
-	res, err := sc.runSliced(runCtx, j, entry, obs, ck)
+	res, err := sc.runSliced(runCtx, j, entry, obs, ckpt, ck)
 	if err != nil {
 		sc.finalize(j, JobFailed, err.Error(), nil)
 		return
@@ -263,7 +263,7 @@ func (sc *scheduler) runJob(j *Job) {
 // Returns (result, nil) for a terminal result — complete, or an honest
 // partial from the engine's own deadline/epsilon stopping. Returns
 // (nil, nil) after finalizing a cancellation or suspension itself.
-func (sc *scheduler) runSliced(runCtx context.Context, j *Job, entry *graphEntry, obs *mpmb.Observer, ck *mpmb.Checkpoint) (*mpmb.Result, error) {
+func (sc *scheduler) runSliced(runCtx context.Context, j *Job, entry *graphEntry, obs *mpmb.Observer, ckpt *core.CheckpointStore, ck *mpmb.Checkpoint) (*mpmb.Result, error) {
 	s := sc.s
 	spec := j.Spec
 	slicing := spec.resumable() && s.cfg.CheckpointEvery > 0
@@ -316,16 +316,7 @@ func (sc *scheduler) runSliced(runCtx context.Context, j *Job, entry *graphEntry
 		if slicing {
 			sliceCtx, sliceCancel = context.WithTimeout(runCtx, s.cfg.CheckpointEvery)
 		}
-		var res *mpmb.Result
-		var err error
-		if ck != nil && ck.Prepare {
-			// A prepare-phase OLS checkpoint resumes through the package
-			// front door: the Searcher's cached candidate set cannot help a
-			// run interrupted before the candidate set existed.
-			res, err = mpmb.SearchContext(sliceCtx, entry.g, opt)
-		} else {
-			res, err = entry.searcher.SearchContext(sliceCtx, opt)
-		}
+		res, err := entry.searcher.SearchContext(sliceCtx, opt)
 		if sliceCancel != nil {
 			sliceCancel()
 		}
@@ -355,7 +346,7 @@ func (sc *scheduler) runSliced(runCtx context.Context, j *Job, entry *graphEntry
 
 		checkpointed := false
 		if res.Checkpoint != nil {
-			if err := s.store.saveCheckpoint(j.ID, res.Checkpoint); err != nil {
+			if err := s.store.saveCheckpoint(ckpt, j.ID, res.Checkpoint); err != nil {
 				// Periodic checkpoint failure is survivable (the run can
 				// continue and retry next slice); an interrupt without a
 				// persisted checkpoint loses the prefix, so surface it.

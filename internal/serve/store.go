@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	mpmb "github.com/uncertain-graphs/mpmb"
 	"github.com/uncertain-graphs/mpmb/internal/core"
 )
 
@@ -116,15 +117,24 @@ func (st *stateStore) loadManifests() ([]manifest, error) {
 	return out, nil
 }
 
-// saveCheckpoint persists a job's engine checkpoint through the
+// jobCheckpoints returns a copy of the retrying checkpoint store
+// instrumented with one job's observer. Concurrent jobs each get their
+// own, so each job's checkpoint counters and events go to that job.
+func (st *stateStore) jobCheckpoints(obs *mpmb.Observer) *core.CheckpointStore {
+	c := *st.ckpt
+	obs.InstrumentStore(&c)
+	return &c
+}
+
+// saveCheckpoint persists a job's engine checkpoint through the job's
 // retrying store.
-func (st *stateStore) saveCheckpoint(id string, ck *core.Checkpoint) error {
-	return st.ckpt.Save(st.checkpointPath(id), ck)
+func (st *stateStore) saveCheckpoint(ckpt *core.CheckpointStore, id string, ck *core.Checkpoint) error {
+	return ckpt.Save(st.checkpointPath(id), ck)
 }
 
 // loadCheckpoint returns the job's checkpoint, or (nil, nil) when none
 // exists — absence is the common case, not an error worth retrying.
-func (st *stateStore) loadCheckpoint(id string) (*core.Checkpoint, error) {
+func (st *stateStore) loadCheckpoint(ckpt *core.CheckpointStore, id string) (*core.Checkpoint, error) {
 	path := st.checkpointPath(id)
 	if _, err := os.Stat(path); err != nil {
 		if os.IsNotExist(err) {
@@ -132,7 +142,7 @@ func (st *stateStore) loadCheckpoint(id string) (*core.Checkpoint, error) {
 		}
 		return nil, err
 	}
-	return st.ckpt.Load(path)
+	return ckpt.Load(path)
 }
 
 func (st *stateStore) removeCheckpoint(id string) {

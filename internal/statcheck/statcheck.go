@@ -406,12 +406,12 @@ func (h *harness) runOLS(ci int, cs *CaseReport, g *bigraph.Graph, exactP map[bu
 	if err != nil {
 		return err
 	}
-	res, err := core.OLSSamplingPhase(cands, core.OLSOptions{
+	res, err := core.OLSSamplingPhaseParallel(cands, core.OLSOptions{
 		PrepTrials:  h.cfg.PrepTrials,
 		Trials:      h.cfg.Trials,
 		Seed:        seed,
 		UseKarpLuby: useKL,
-	})
+	}, 1)
 	if err != nil {
 		return err
 	}

@@ -117,11 +117,11 @@ func (h *harness) runAnchored(ci int, cs *CaseReport, g *bigraph.Graph, a core.A
 	if err != nil {
 		return err
 	}
-	res, err := core.OLSSamplingPhase(cands, core.OLSOptions{
+	res, err := core.OLSSamplingPhaseParallel(cands, core.OLSOptions{
 		PrepTrials: h.cfg.PrepTrials,
 		Trials:     h.cfg.Trials,
 		Seed:       seed,
-	})
+	}, 1)
 	if err != nil {
 		return err
 	}

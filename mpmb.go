@@ -32,8 +32,7 @@
 //
 // SearchContext adds cancellation with partial results and resume; the
 // Searcher answers repeated queries against one graph with cached
-// preparing phases; Result.TopK is the top-k MPMB extension. The
-// per-method SearchXXX functions are deprecated facades over Search.
+// preparing phases; Result.TopK is the top-k MPMB extension.
 //
 // # Quick start
 //
@@ -58,9 +57,6 @@
 package mpmb
 
 import (
-	"fmt"
-	"runtime"
-
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
 	"github.com/uncertain-graphs/mpmb/internal/butterfly"
 	"github.com/uncertain-graphs/mpmb/internal/core"
@@ -138,96 +134,9 @@ func SaveGraphBinary(path string, g *Graph) error { return bigraph.SaveBinary(pa
 // Search runs the method selected in opt — the package's canonical
 // entry point. See SearchContext for the cancellable variant with
 // partial results and resume, and the Searcher for repeated queries
-// against one graph.
+// against one graph; Search is a query on a throwaway Searcher.
 func Search(g *Graph, opt Options) (*Result, error) {
-	return searchHook(g, opt, nil)
-}
-
-// searchHook is the shared dispatcher behind Search and SearchContext:
-// it validates the options, threads the cancellation hook, resume
-// checkpoint, and telemetry probe into the core runners, routes to the
-// parallel runners when opt.Workers asks for them, and stamps the final
-// Metrics snapshot onto the result.
-func searchHook(g *Graph, opt Options, interrupt func() bool) (*Result, error) {
-	method := opt.Method
-	if method == "" {
-		method = MethodOLS
-	}
-	if err := opt.validateFor(method); err != nil {
-		return nil, err
-	}
-	if q := opt.Query; q != nil {
-		if q.Community != nil {
-			return searchCommunities(g, opt, method, interrupt)
-		}
-		if q.anchored() {
-			return searchAnchored(g, opt, method, interrupt)
-		}
-	}
-	var sizing *core.PrepSizing
-	if q := opt.Query; q != nil && q.AdaptivePrep {
-		s, m := applySizing(g, &opt, method, nil)
-		sizing, method = &s, m
-	}
-	res, err := dispatch(g, opt, method, interrupt, opt.Observer.probe(method, opt.Workers))
-	if err != nil {
-		return nil, err
-	}
-	if sizing != nil {
-		attachSizing(res, *sizing)
-	}
-	finishMetrics(opt.Observer, res)
-	return res, nil
-}
-
-// dispatch routes a validated search to its core runner.
-func dispatch(g *Graph, opt Options, method Method, interrupt func() bool, probe *telemetry.Probe) (*Result, error) {
-	if opt.adaptive() {
-		return core.Supervise(g, supervisorOptions(opt, method, interrupt, nil, probe))
-	}
-	switch method {
-	case MethodExact:
-		return core.ExactInterruptible(g, interrupt)
-	case MethodMCVP:
-		return core.MCVP(g, core.MCVPOptions{
-			Trials:    opt.Trials,
-			Seed:      opt.Seed,
-			Interrupt: interrupt,
-			Resume:    opt.Resume,
-			Probe:     probe,
-		})
-	case MethodOS:
-		osOpt := core.OSOptions{
-			Trials:    opt.Trials,
-			Seed:      opt.Seed,
-			Interrupt: interrupt,
-			Resume:    opt.Resume,
-			Probe:     probe,
-			Executor:  opt.Executor,
-		}
-		if opt.Workers > 0 || opt.Executor != nil {
-			return core.OSParallel(g, osOpt, opt.Workers)
-		}
-		return core.OS(g, osOpt)
-	case MethodOLS, MethodOLSKL:
-		olsOpt := core.OLSOptions{
-			PrepTrials:  opt.PrepTrials,
-			Trials:      opt.Trials,
-			Seed:        opt.Seed,
-			UseKarpLuby: method == MethodOLSKL,
-			KL:          core.KLOptions{Mu: opt.Mu},
-			Interrupt:   interrupt,
-			Resume:      opt.Resume,
-			Probe:       probe,
-			Executor:    opt.Executor,
-		}
-		if opt.Workers > 0 || opt.Executor != nil {
-			return core.OLSParallel(g, olsOpt, opt.Workers)
-		}
-		return core.OLS(g, olsOpt)
-	default:
-		return nil, fmt.Errorf("mpmb: unknown method %q", opt.Method)
-	}
+	return NewSearcher(g).search(opt, nil)
 }
 
 // supervisorOptions maps the public adaptive options onto the core
@@ -251,71 +160,6 @@ func supervisorOptions(opt Options, method Method, interrupt func() bool, prepar
 		Resume:         opt.Resume,
 		Probe:          probe,
 	}
-}
-
-// SearchMCVP runs the Monte-Carlo with Vertex Priority baseline
-// (Algorithm 1) for opt.Trials sampled worlds.
-//
-// Deprecated: Use Search with Options.Method = MethodMCVP. Note that
-// the query variants (Options.Query) are not available here: mc-vp
-// cannot restrict its world enumeration to an anchor.
-func SearchMCVP(g *Graph, opt Options) (*Result, error) {
-	opt.Method = MethodMCVP
-	return searchHook(g, opt, nil)
-}
-
-// SearchOS runs Ordering Sampling (Algorithm 2) for opt.Trials sampled
-// worlds.
-//
-// Deprecated: Use Search with Options.Method = MethodOS — which also
-// unlocks Options.Query (anchored and per-community variants) that this
-// facade predates.
-func SearchOS(g *Graph, opt Options) (*Result, error) {
-	opt.Method = MethodOS
-	return searchHook(g, opt, nil)
-}
-
-// SearchOSParallel is SearchOS with trials spread over the given number
-// of goroutines (0 = GOMAXPROCS). Per-trial random streams are derived
-// from (Seed, trial index), so results are bit-identical to SearchOS with
-// the same options — only wall-clock time changes.
-//
-// Deprecated: Use Search with Options.Method = MethodOS and
-// Options.Workers set (where Workers = 0 means sequential; pass
-// runtime.GOMAXPROCS(0) for this function's workers = 0 behaviour).
-// Note that unlike earlier releases this facade now honours the
-// adaptive options (AuditEvery/Epsilon/Deadline/StallTimeout) instead
-// of silently ignoring them.
-func SearchOSParallel(g *Graph, opt Options, workers int) (*Result, error) {
-	opt.Method = MethodOS
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	opt.Workers = workers
-	return searchHook(g, opt, nil)
-}
-
-// SearchOLS runs Ordering-Listing Sampling (Algorithm 3) with the paper's
-// optimized shared-trial estimator (Algorithm 5).
-//
-// Deprecated: Use Search with Options.Method = MethodOLS (the
-// default) — which also unlocks Options.Query (anchored search,
-// per-community top-k, adaptive prep sizing) that this facade predates.
-func SearchOLS(g *Graph, opt Options) (*Result, error) {
-	opt.Method = MethodOLS
-	return searchHook(g, opt, nil)
-}
-
-// SearchOLSKL runs Ordering-Listing Sampling with the Karp-Luby estimator
-// (Algorithm 4) in the sampling phase. When opt.Mu > 0, per-candidate
-// trial counts follow Equation 8 relative to opt.Trials.
-//
-// Deprecated: Use Search with Options.Method = MethodOLSKL — which
-// also unlocks Options.Query (anchored and per-community variants) that
-// this facade predates.
-func SearchOLSKL(g *Graph, opt Options) (*Result, error) {
-	opt.Method = MethodOLSKL
-	return searchHook(g, opt, nil)
 }
 
 // Exact computes P(B) for every butterfly by enumerating all 2^|E|

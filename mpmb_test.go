@@ -148,7 +148,7 @@ func TestPublicAPIDatasets(t *testing.T) {
 			t.Fatalf("%s: empty dataset", name)
 		}
 		// Public-API smoke: OLS completes on every generated dataset.
-		res, err := SearchOLS(d.G, Options{Trials: 50, PrepTrials: 10, Seed: 2})
+		res, err := Search(d.G, Options{Method: MethodOLS, Trials: 50, PrepTrials: 10, Seed: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -166,7 +166,7 @@ func TestPublicAPIDatasets(t *testing.T) {
 
 func TestTopKExtension(t *testing.T) {
 	g := figure1(t)
-	res, err := SearchOS(g, Options{Trials: 20000, Seed: 3})
+	res, err := Search(g, Options{Method: MethodOS, Trials: 20000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,14 +191,15 @@ func TestCountingFacade(t *testing.T) {
 	}
 }
 
-func TestSearchOSParallelFacade(t *testing.T) {
+func TestSearchWorkersMatchSequential(t *testing.T) {
 	g := figure1(t)
-	opt := Options{Trials: 4000, Seed: 5}
-	seq, err := SearchOS(g, opt)
+	opt := Options{Method: MethodOS, Trials: 4000, Seed: 5}
+	seq, err := Search(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SearchOSParallel(g, opt, 4)
+	opt.Workers = 4
+	par, err := Search(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,8 +211,8 @@ func TestSearchOSParallelFacade(t *testing.T) {
 			t.Fatalf("estimate %d differs: %+v vs %+v", i, par.Estimates[i], seq.Estimates[i])
 		}
 	}
-	if _, err := SearchOSParallel(g, Options{Trials: 0}, 2); err == nil {
-		t.Fatal("SearchOSParallel accepted Trials=0")
+	if _, err := Search(g, Options{Method: MethodOS, Trials: 0, Workers: 2}); err == nil {
+		t.Fatal("Search accepted Trials=0 with Workers")
 	}
 }
 
@@ -238,7 +239,7 @@ func TestThresholdFacade(t *testing.T) {
 
 func TestConfidenceIntervalFacade(t *testing.T) {
 	g := figure1(t)
-	res, err := SearchOS(g, Options{Trials: 10000, Seed: 13})
+	res, err := Search(g, Options{Method: MethodOS, Trials: 10000, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,8 +60,8 @@ type ObserverConfig struct {
 }
 
 // Observer collects run telemetry: attach one via Options.Observer and
-// every search entry point (Search, SearchContext, the Searcher methods,
-// and the deprecated SearchXXX facades) instruments its run with it.
+// every search entry point (Search, SearchContext and the Searcher
+// methods) instruments its run with it.
 //
 // Counters are monotone and survive across sequential runs sharing the
 // observer, which is what Prometheus-style scrapers expect; Metrics may

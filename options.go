@@ -30,8 +30,7 @@ var Methods = []Method{MethodExact, MethodMCVP, MethodOS, MethodOLSKL, MethodOLS
 // Options configures a search. DefaultOptions matches the paper's
 // experimental setup.
 type Options struct {
-	// Method picks the algorithm for Search (ignored by the SearchXXX
-	// functions, which are explicit). Empty means MethodOLS.
+	// Method picks the algorithm for Search. Empty means MethodOLS.
 	Method Method
 	// Trials is the sampling trial count N: the number of sampled worlds
 	// for MC-VP and OS, N_op for OLS, and the Equation 8 base for OLS-KL.
@@ -45,7 +44,7 @@ type Options struct {
 	// candidate then runs exactly Trials trials.
 	Mu float64
 	// Workers distributes the sampling trials over that many goroutines
-	// (os, ols, ols-kl only; 0 keeps the run sequential). Results are
+	// (os, ols, ols-kl only; 0 or 1 keeps the run sequential). Results are
 	// bit-identical to the sequential run with the same options — each
 	// trial's random stream derives from (Seed, trial index), so only
 	// wall-clock time changes. Exact and mc-vp reject Workers > 0.
@@ -129,9 +128,9 @@ func DefaultOptions() Options {
 }
 
 // OptionError reports which Options field made a search configuration
-// invalid. Every entry point (Search, SearchContext, the Searcher, the
-// deprecated SearchXXX facades, and Options.Validate) returns one for a
-// bad configuration; match with errors.As to recover the field name —
+// invalid. Every entry point (Search, SearchContext, the Searcher, and
+// Options.Validate) returns one for a bad configuration; match with
+// errors.As to recover the field name —
 // the CLIs use it to point at the offending flag.
 type OptionError struct {
 	// Field is the Options field name, e.g. "Trials" or "Epsilon".
@@ -160,8 +159,7 @@ func (o Options) Validate() error {
 }
 
 // validateFor checks the options against the method that will actually
-// run — the Search dispatcher passes o.Method, while the explicit
-// SearchXXX functions pass their own method so o.Method is ignored.
+// run: o.Method with the MethodOLS default resolved.
 func (o Options) validateFor(m Method) error {
 	switch m {
 	case MethodExact, MethodMCVP, MethodOS, MethodOLS, MethodOLSKL, Method(""):

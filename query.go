@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"github.com/uncertain-graphs/mpmb/internal/core"
-	"github.com/uncertain-graphs/mpmb/internal/telemetry"
 )
 
 // EdgeAnchor names a backbone edge (U ∈ L, V ∈ R) for an edge-anchored
@@ -219,96 +218,6 @@ func applySizing(g *Graph, opt *Options, method Method, anchor *core.Anchor) (co
 	return s, method
 }
 
-// searchAnchored runs a validated anchored query.
-func searchAnchored(g *Graph, opt Options, method Method, interrupt func() bool) (*Result, error) {
-	a, err := opt.Query.coreAnchor(g)
-	if err != nil {
-		return nil, err
-	}
-	var sizing *core.PrepSizing
-	if opt.Query.AdaptivePrep {
-		s, m := applySizing(g, &opt, method, &a)
-		sizing, method = &s, m
-	}
-	probe := opt.Observer.probe(method, opt.Workers)
-	var res *Result
-	switch method {
-	case MethodExact:
-		res, err = core.ExactAnchored(g, a)
-	case MethodOS:
-		res, err = runAnchoredOS(g, a, opt, interrupt, probe)
-	default: // MethodOLS, MethodOLSKL
-		res, err = core.AnchoredOLS(g, a, core.OLSOptions{
-			PrepTrials:  opt.PrepTrials,
-			Trials:      opt.Trials,
-			Seed:        opt.Seed,
-			UseKarpLuby: method == MethodOLSKL,
-			KL:          core.KLOptions{Mu: opt.Mu},
-			Interrupt:   interrupt,
-			Probe:       probe,
-		}, opt.Workers)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if sizing != nil {
-		attachSizing(res, *sizing)
-	}
-	finishMetrics(opt.Observer, res)
-	return res, nil
-}
-
-// runAnchoredOS routes to the sequential or parallel anchored counting
-// runner.
-func runAnchoredOS(g *Graph, a core.Anchor, opt Options, interrupt func() bool, probe *telemetry.Probe) (*Result, error) {
-	osOpt := core.OSOptions{
-		Trials:    opt.Trials,
-		Seed:      opt.Seed,
-		Interrupt: interrupt,
-		Probe:     probe,
-	}
-	if opt.Workers > 0 {
-		return core.AnchoredOSParallel(g, a, osOpt, opt.Workers)
-	}
-	return core.AnchoredOS(g, a, osOpt)
-}
-
-// runAnchoredOrGlobalOS is the sized ladder-entry runner: when the
-// pre-pass picks OS as the entry method, the run skips the preparing
-// phase entirely — anchored when the anchor is set, global otherwise.
-func runAnchoredOrGlobalOS(g *Graph, a core.Anchor, opt Options, interrupt func() bool) (*Result, error) {
-	probe := opt.Observer.probe(MethodOS, opt.Workers)
-	if a.Kind != 0 {
-		return runAnchoredOS(g, a, opt, interrupt, probe)
-	}
-	osOpt := core.OSOptions{
-		Trials:    opt.Trials,
-		Seed:      opt.Seed,
-		Interrupt: interrupt,
-		Probe:     probe,
-	}
-	if opt.Workers > 0 {
-		return core.OSParallel(g, osOpt, opt.Workers)
-	}
-	return core.OS(g, osOpt)
-}
-
-// searchCommunities runs a validated per-community query, fanning
-// communities out across workers with the package-level runner.
-func searchCommunities(g *Graph, opt Options, method Method, interrupt func() bool) (*Result, error) {
-	subs, err := communitySubgraphs(g, opt.Query.Community)
-	if err != nil {
-		return nil, err
-	}
-	parts, err := runCommunities(subs, opt, func(i int, cg core.CommunityGraph, innerOpt Options) (*Result, error) {
-		return searchHook(cg.G, innerOpt, interrupt)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return assembleCommunities(opt, method, parts)
-}
-
 // communitySubgraphs splits the graph, mapping spec errors to the
 // Query.Community field.
 func communitySubgraphs(g *Graph, c *Communities) ([]core.CommunityGraph, error) {
@@ -324,20 +233,15 @@ func communitySubgraphs(g *Graph, c *Communities) ([]core.CommunityGraph, error)
 }
 
 // runCommunities executes one run per community with bounded
-// concurrency. run receives the community's index, subgraph and derived
-// inner options, and returns the subgraph-relative result (remapping to
-// parent ids happens here). The first error in community order wins.
-func runCommunities(subs []core.CommunityGraph, opt Options, run func(i int, cg core.CommunityGraph, innerOpt Options) (*Result, error)) ([]core.CommunityResult, error) {
+// concurrency. run receives the community's index and derived inner
+// options, and returns the subgraph-relative result (remapping to parent
+// ids happens here). The first error in community order wins.
+func runCommunities(subs []core.CommunityGraph, opt Options, run func(i int, innerOpt Options) (*Result, error)) ([]core.CommunityResult, error) {
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(subs) {
-		workers = len(subs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(min(workers, len(subs)), 1)
 	results := make([]*Result, len(subs))
 	errs := make([]error, len(subs))
 	sem := make(chan struct{}, workers)
@@ -349,7 +253,7 @@ func runCommunities(subs []core.CommunityGraph, opt Options, run func(i int, cg 
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			cg := subs[i]
-			res, err := run(i, cg, communityInnerOptions(opt, cg.ID))
+			res, err := run(i, communityInnerOptions(opt, cg.ID))
 			if err != nil {
 				errs[i] = fmt.Errorf("community %d: %w", cg.ID, err)
 				return

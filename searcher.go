@@ -2,7 +2,9 @@ package mpmb
 
 import (
 	"context"
+	"slices"
 	"sync"
+	"time"
 
 	"github.com/uncertain-graphs/mpmb/internal/core"
 	"github.com/uncertain-graphs/mpmb/internal/telemetry"
@@ -71,125 +73,163 @@ func NewSearcher(g *Graph) *Searcher {
 // Graph returns the wrapped graph.
 func (s *Searcher) Graph() *Graph { return s.g }
 
-// Search dispatches like the package-level Search, but OLS-family methods
-// reuse the cached candidate set for (opt.PrepTrials, opt.Seed) instead of
+// Search answers the query like the package-level Search, reusing the
+// cached candidate set for (opt.PrepTrials, opt.Seed) instead of
 // re-running the preparing phase. Results are identical to the one-shot
 // functions with the same options.
 func (s *Searcher) Search(opt Options) (*Result, error) {
-	return s.searchHook(opt, nil)
+	return s.search(opt, nil)
 }
 
 // SearchContext is Search with the package-level SearchContext's
 // graceful-degradation contract: cancelling ctx returns a partial Result
 // (with a resumable Checkpoint for the resumable methods) instead of
-// discarding the completed trials. Resume a sampling-phase checkpoint by
-// passing it back via opt.Resume; a prepare-phase OLS checkpoint must go
-// through the package-level SearchContext, which re-runs the preparing
-// phase the Searcher would otherwise cache.
+// discarding the completed trials — a cancelled preparing phase included.
+// Resume either kind of checkpoint by passing it back via opt.Resume.
 func (s *Searcher) SearchContext(ctx context.Context, opt Options) (*Result, error) {
-	return s.searchHook(opt, ctxHook(ctx))
+	return s.search(opt, ctxHook(ctx))
 }
 
-func (s *Searcher) searchHook(opt Options, interrupt func() bool) (*Result, error) {
-	switch opt.Method {
-	case MethodOLS, MethodOLSKL, Method(""):
-		method := opt.Method
-		if method == "" {
-			method = MethodOLS
-		}
-		if err := opt.validateFor(method); err != nil {
-			return nil, err
-		}
-		if q := opt.Query; q != nil && q.Community != nil {
-			return s.searchCommunities(opt, method, interrupt)
-		}
-		anchor := core.Anchor{}
-		var sizing *core.PrepSizing
-		if q := opt.Query; q != nil {
-			if q.anchored() {
-				a, err := q.coreAnchor(s.g)
-				if err != nil {
-					return nil, err
-				}
-				anchor = a
-			}
-			if q.AdaptivePrep {
-				var sizeAnchor *core.Anchor
-				if anchor.Kind != 0 {
-					sizeAnchor = &anchor
-				}
-				sz, m := applySizing(s.g, &opt, method, sizeAnchor)
-				sizing = &sz
-				if m == MethodOS {
-					// The sizing pre-pass entered the ladder at OS: no
-					// preparing phase, so no candidate cache involved.
-					res, err := runAnchoredOrGlobalOS(s.g, anchor, opt, interrupt)
-					if err != nil {
-						return nil, err
-					}
-					attachSizing(res, sz)
-					finishMetrics(opt.Observer, res)
-					return res, nil
-				}
-			}
-		}
-		probe := opt.Observer.probe(method, opt.Workers)
-		// The preparing phase is only instrumented when this call actually
-		// runs it; a cache hit reports no prep trials — the metrics
-		// reflect work done, not work reused.
-		cands, err := s.candidatesProbe(opt.PrepTrials, opt.Seed, anchor, probe)
+// search is the package's one query router: Search, SearchContext and
+// both Searcher methods run it (the package-level functions on a
+// throwaway Searcher). It validates the options, resolves the query
+// variant, threads the cancellation hook, resume checkpoint and telemetry
+// probe into the core runner of the method, and stamps the final Metrics
+// snapshot onto the result.
+func (s *Searcher) search(opt Options, interrupt func() bool) (*Result, error) {
+	method := opt.Method
+	if method == "" {
+		method = MethodOLS
+	}
+	if err := opt.validateFor(method); err != nil {
+		return nil, err
+	}
+	g, q := s.g, opt.Query
+	if q != nil && q.Community != nil {
+		subs, kids, err := s.communityEntry(q.Community)
 		if err != nil {
 			return nil, err
 		}
-		var res *Result
-		if opt.adaptive() {
-			// The supervisor seeds from the cached candidate set; an audit
-			// escalation re-prepares past it (the widened set is not cached
-			// back — it depends on audit state, not on (PrepTrials, Seed)).
-			// Anchored queries reject the adaptive options, so this branch
-			// only runs with the global candidate set.
-			res, err = core.Supervise(s.g, supervisorOptions(opt, method, interrupt, cands, probe))
-		} else {
-			res, err = core.OLSSamplingPhaseParallel(cands, core.OLSOptions{
-				PrepTrials:  opt.PrepTrials,
-				Trials:      opt.Trials,
-				Seed:        opt.Seed,
-				UseKarpLuby: method == MethodOLSKL,
-				KL:          core.KLOptions{Mu: opt.Mu},
-				Interrupt:   interrupt,
-				Resume:      opt.Resume,
-				Probe:       probe,
-				Executor:    opt.Executor,
-			}, opt.Workers)
-		}
+		parts, err := runCommunities(subs, opt, func(i int, innerOpt Options) (*Result, error) {
+			return kids[i].search(innerOpt, interrupt)
+		})
 		if err != nil {
 			return nil, err
 		}
-		if sizing != nil {
-			attachSizing(res, *sizing)
+		return assembleCommunities(opt, method, parts)
+	}
+	var anchor core.Anchor
+	if q != nil && q.anchored() {
+		a, err := q.coreAnchor(g)
+		if err != nil {
+			return nil, err
 		}
-		finishMetrics(opt.Observer, res)
-		return res, nil
+		anchor = a
+	}
+	anchored := anchor.Kind != 0
+	var sizing *core.PrepSizing
+	if q != nil && q.AdaptivePrep {
+		var sizeAnchor *core.Anchor
+		if anchored {
+			sizeAnchor = &anchor
+		}
+		sz, m := applySizing(g, &opt, method, sizeAnchor)
+		sizing, method = &sz, m
+	}
+	probe := opt.Observer.probe(method, opt.Workers)
+	osOpt := core.OSOptions{
+		Trials:    opt.Trials,
+		Seed:      opt.Seed,
+		Interrupt: interrupt,
+		Resume:    opt.Resume,
+		Probe:     probe,
+		Executor:  opt.Executor,
+	}
+	var res *Result
+	var err error
+	switch {
+	case method == MethodExact && anchored:
+		res, err = core.ExactAnchored(g, anchor)
+	case method == MethodExact:
+		res, err = core.ExactInterruptible(g, interrupt)
+	case method == MethodOLS || method == MethodOLSKL:
+		res, err = s.searchOLS(opt, method, anchor, interrupt, probe, func(o core.OSOptions) (*core.Candidates, error) {
+			if anchored {
+				return core.PrepareAnchoredCandidates(g, anchor, opt.PrepTrials, opt.Seed, o.Interrupt)
+			}
+			return core.PrepareCandidates(g, opt.PrepTrials, opt.Seed, o)
+		})
+	case opt.adaptive():
+		res, err = core.Supervise(g, supervisorOptions(opt, method, interrupt, nil, probe))
+	case method == MethodMCVP:
+		res, err = core.MCVP(g, core.MCVPOptions{
+			Trials:    opt.Trials,
+			Seed:      opt.Seed,
+			Interrupt: interrupt,
+			Resume:    opt.Resume,
+			Probe:     probe,
+		})
+	case anchored:
+		res, err = core.AnchoredOSParallel(g, anchor, osOpt, opt.Workers)
 	default:
-		return searchHook(s.g, opt, interrupt)
+		res, err = core.OSParallel(g, osOpt, opt.Workers)
 	}
+	if err != nil {
+		return nil, err
+	}
+	if sizing != nil {
+		attachSizing(res, *sizing)
+	}
+	finishMetrics(opt.Observer, res)
+	return res, nil
 }
 
-// searchCommunities is the Searcher's community fan-out: the split and
-// one child Searcher per community are cached, so each community's
-// preparing phase is listed once across repeated queries.
-func (s *Searcher) searchCommunities(opt Options, method Method, interrupt func() bool) (*Result, error) {
-	subs, kids, err := s.communityEntry(opt.Query.Community)
-	if err != nil {
-		return nil, err
+// searchOLS runs the OLS methods: prepare, the query's preparing phase,
+// through the candidate cache, then the sampling phase (or the
+// supervisor) over its candidates. The preparing phase polls the caller's
+// interrupt — and, for a supervised run, its Deadline — and resumes a
+// prepare-phase checkpoint; an interrupted listing comes back as a
+// partial Result.
+func (s *Searcher) searchOLS(opt Options, method Method, anchor core.Anchor, interrupt func() bool, probe *telemetry.Probe, prepare func(core.OSOptions) (*core.Candidates, error)) (*Result, error) {
+	supervised := opt.adaptive()
+	prepOpt := core.OSOptions{Interrupt: interrupt, Probe: probe}
+	if !opt.Deadline.IsZero() {
+		prepOpt.Interrupt = func() bool {
+			return (interrupt != nil && interrupt()) || !time.Now().Before(opt.Deadline)
+		}
 	}
-	parts, err := runCommunities(subs, opt, func(i int, cg core.CommunityGraph, innerOpt Options) (*Result, error) {
-		return kids[i].searchHook(innerOpt, interrupt)
-	})
-	if err != nil {
-		return nil, err
+	if ck := opt.Resume; ck != nil && ck.Prepare {
+		prepOpt.Resume = ck
 	}
-	return assembleCommunities(opt, method, parts)
+	var cands *core.Candidates
+	// A supervised resume re-lists through its own checkpoint.
+	if !supervised || opt.Resume == nil {
+		key := candKey{prepTrials: opt.PrepTrials, seed: opt.Seed, anchor: anchor}
+		var err error
+		cands, err = s.candidates(key, func() (*core.Candidates, error) { return prepare(prepOpt) })
+		if err != nil {
+			return nil, err
+		}
+	}
+	if supervised {
+		// The supervisor seeds from the cached (or continues an
+		// interrupted) candidate set; an audit escalation re-prepares past
+		// it (the widened set is not cached back — it depends on audit
+		// state, not on (PrepTrials, Seed)). Anchored queries reject the
+		// adaptive options, so this only runs with the global set.
+		return core.Supervise(s.g, supervisorOptions(opt, method, interrupt, cands, probe))
+	}
+	return core.OLSSamplingPhaseParallel(cands, core.OLSOptions{
+		PrepTrials:  opt.PrepTrials,
+		Trials:      opt.Trials,
+		Seed:        opt.Seed,
+		UseKarpLuby: method == MethodOLSKL,
+		KL:          core.KLOptions{Mu: opt.Mu},
+		Interrupt:   interrupt,
+		Resume:      opt.Resume,
+		Probe:       probe,
+		Executor:    opt.Executor,
+	}, opt.Workers)
 }
 
 // communityEntry returns the cached (or freshly built) community split
@@ -203,7 +243,7 @@ func (s *Searcher) communityEntry(c *Communities) ([]core.CommunityGraph, []*Sea
 	if ok {
 		s.mu.Unlock()
 		<-e.ready
-		if e.err == nil && intsEqual(e.specL, c.L) && intsEqual(e.specR, c.R) {
+		if e.err == nil && slices.Equal(e.specL, c.L) && slices.Equal(e.specR, c.R) {
 			return e.subs, e.kids, nil
 		}
 		if e.err != nil {
@@ -260,60 +300,48 @@ func communityLabelHash(l, r []int) uint64 {
 	return h
 }
 
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // CandidateCount reports how many candidate butterflies the preparing
 // phase for (prepTrials, seed) finds, materializing (and caching) it.
 func (s *Searcher) CandidateCount(prepTrials int, seed uint64) (int, error) {
-	cands, err := s.candidates(prepTrials, seed)
+	cands, err := s.candidates(candKey{prepTrials: prepTrials, seed: seed}, func() (*core.Candidates, error) {
+		return core.PrepareCandidates(s.g, prepTrials, seed, core.OSOptions{})
+	})
 	if err != nil {
 		return 0, err
 	}
 	return cands.Len(), nil
 }
 
-func (s *Searcher) candidates(prepTrials int, seed uint64) (*core.Candidates, error) {
-	return s.candidatesProbe(prepTrials, seed, core.Anchor{}, nil)
-}
-
-func (s *Searcher) candidatesProbe(prepTrials int, seed uint64, anchor core.Anchor, probe *telemetry.Probe) (*core.Candidates, error) {
-	key := candKey{prepTrials: prepTrials, seed: seed, anchor: anchor}
-	s.mu.Lock()
-	e, ok := s.cands[key]
-	if ok {
+// candidates returns the candidate set for key, running prepare when no
+// completed or in-flight preparing phase for it exists. Only completed
+// phases stay cached: a failed or interrupted flight is evicted, and the
+// callers that were waiting on an interrupted one retry — each with its
+// own interrupt — rather than inherit someone else's cancellation.
+func (s *Searcher) candidates(key candKey, prepare func() (*core.Candidates, error)) (*core.Candidates, error) {
+	for {
+		s.mu.Lock()
+		e, ok := s.cands[key]
+		if !ok {
+			break // s.mu stays held: this caller claims the key below
+		}
 		s.mu.Unlock()
 		// Either a completed prep (ready already closed) or one in
 		// flight; wait rather than duplicating the work. The follower's
 		// probe records nothing for the preparing phase — the metrics
 		// reflect work done, not work awaited.
 		<-e.ready
-		return e.cands, e.err
+		if e.err != nil || e.cands.PrepDone == key.prepTrials {
+			return e.cands, e.err
+		}
 	}
-	e = &candEntry{ready: make(chan struct{})}
+	e := &candEntry{ready: make(chan struct{})}
 	s.cands[key] = e
 	s.mu.Unlock()
 
 	// Prepare outside the lock: the phase is expensive and the slot
 	// already claims the key, so concurrent identical preps run once.
-	if anchor.Kind != 0 {
-		e.cands, e.err = core.PrepareAnchoredCandidates(s.g, anchor, prepTrials, seed, nil)
-	} else {
-		e.cands, e.err = core.PrepareCandidates(s.g, prepTrials, seed, core.OSOptions{Probe: probe})
-	}
-	if e.err != nil {
-		// A failed prep must not poison the key forever: evict the slot
-		// so a later call retries (waiters already joined still see the
-		// error of the flight they joined).
+	e.cands, e.err = prepare()
+	if e.err != nil || e.cands.PrepDone < key.prepTrials {
 		s.mu.Lock()
 		if s.cands[key] == e {
 			delete(s.cands, key)

@@ -1,6 +1,8 @@
 package mpmb
 
 import (
+	"context"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -142,5 +144,57 @@ func TestSearcherValidation(t *testing.T) {
 	s := NewSearcher(figure1(t))
 	if _, err := s.Search(Options{Method: MethodOLS, Trials: 0}); err == nil {
 		t.Fatal("invalid options accepted")
+	}
+}
+
+// TestSearcherSearchContextPrepCheckpoint cancels a Searcher query inside
+// its preparing phase: the partial Result carries a prepare-phase
+// checkpoint, and resuming it through the same Searcher finishes
+// bit-identically to an uninterrupted run. The interrupted listing is not
+// cached, so the resume lists (and caches) the complete candidate set.
+func TestSearcherSearchContextPrepCheckpoint(t *testing.T) {
+	g := observerGraph(t)
+	opt := Options{Method: MethodOLS, Trials: 2000, PrepTrials: 20000, Seed: 17}
+	want, err := Search(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := NewSearcher(g)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// Cancel at the first preparing-phase flush: the preparing phase is
+	// far longer than the observer's delivery latency.
+	obs := NewObserver(ObserverConfig{OnEvent: func(e Event) {
+		if e.Kind == EventTrialDone && e.Phase == "prep" {
+			cancel()
+		}
+	}})
+	defer obs.Close()
+	cut := opt
+	cut.Observer = obs
+	part, err := s.SearchContext(ctx, cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := part.Checkpoint
+	if !part.Partial || ck == nil || !ck.Prepare {
+		t.Fatalf("cancelled listing: Partial=%v checkpoint=%+v, want a prepare-phase checkpoint", part.Partial, ck)
+	}
+	if ck.Done <= 0 || ck.Done >= opt.PrepTrials {
+		t.Skipf("cancellation landed at prep trial %d, not strictly inside the preparing phase", ck.Done)
+	}
+
+	resume := opt
+	resume.Resume = ck
+	got, err := s.SearchContext(context.Background(), resume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed Result diverges from the uninterrupted run\n got: %+v\nwant: %+v", got, want)
+	}
+	if n, err := s.CandidateCount(opt.PrepTrials, opt.Seed); err != nil || n != len(want.Estimates) {
+		t.Fatalf("cached candidate set has %d candidates (err %v), want %d", n, err, len(want.Estimates))
 	}
 }
