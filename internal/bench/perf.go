@@ -181,8 +181,8 @@ func RunPerfCorpus(corpus PerfCorpus, rounds int) (*PerfReport, error) {
 // RunPerfCorpusAnchor is RunPerfCorpus with the anchored_os row's anchor
 // pinned (`mpmb-bench perf -anchor-l/...`). nil picks the default: the
 // heaviest edge's left endpoint — a popular vertex in the skewed
-// corpus, so the anchored two-hop enumeration is a real workload rather
-// than an empty scan.
+// corpus, so its anchored snapshot (the edges of its butterflies) is a
+// real workload rather than an empty scan.
 func RunPerfCorpusAnchor(corpus PerfCorpus, rounds int, anchor *core.Anchor) (*PerfReport, error) {
 	if rounds <= 0 {
 		rounds = DefaultPerfRounds
@@ -297,10 +297,11 @@ func RunPerfCorpusAnchor(corpus PerfCorpus, rounds int, anchor *core.Anchor) (*P
 	rep.Entries = append(rep.Entries,
 		entryFromResult("optimized_estimator", optRes, perfEstimatorTrials))
 
-	// anchored_os: the anchored counting kernel, amortized per trial.
-	// The anchored trial enumerates only the anchor's two-hop
-	// neighbourhood with lazy edge draws, so its ns/trial against
-	// os_kernel quantifies the locality win of the anchored query path.
+	// anchored_os: a whole anchored run, amortized per trial. It builds
+	// the anchor's snapshot — only the edges of the butterflies through
+	// the anchor — and runs the OS kernel's per-position loop over it, so
+	// its ns/trial against os_kernel quantifies the locality win of the
+	// anchored query path.
 	a := core.Anchor{}
 	if anchor != nil {
 		a = *anchor

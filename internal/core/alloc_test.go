@@ -68,6 +68,31 @@ func TestOSTrialZeroAllocsAblations(t *testing.T) {
 	}
 }
 
+// TestAnchoredTrialZeroAllocs repeats the gate for every anchor of a
+// random graph: an anchored trial is the same kernel over the anchor's
+// snapshot, so it allocates nothing at steady state either.
+func TestAnchoredTrialZeroAllocs(t *testing.T) {
+	r := rand.New(rand.NewSource(98))
+	g := randGraph(r, 8, 8, 50) // 5x6, 25 edges
+	for _, a := range allAnchors(g) {
+		idx := newOSIndexFromSnapshot(g, OSOptions{}, newAnchoredSnapshot(g, a))
+		root := randx.New(61)
+		var sMB butterfly.MaxSet
+		const window = 128
+		for trial := 1; trial <= window; trial++ {
+			idx.runTrialSeeded(root, uint64(trial), &sMB)
+		}
+		trial := 0
+		allocs := testing.AllocsPerRun(2*window, func() {
+			trial = trial%window + 1
+			idx.runTrialSeeded(root, uint64(trial), &sMB)
+		})
+		if allocs != 0 {
+			t.Fatalf("anchor %v: anchored trial allocates %v times, want 0", a, allocs)
+		}
+	}
+}
+
 // TestOSParallelLowAllocs pins the parallel executor's allocation
 // behavior at steady state. Before the snapshot cache and kernel pool,
 // every parallel chunk built a fresh ~1MB osIndex and the path paid ~40

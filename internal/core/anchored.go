@@ -1,13 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"math"
+	"slices"
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
 	"github.com/uncertain-graphs/mpmb/internal/butterfly"
-	"github.com/uncertain-graphs/mpmb/internal/possible"
-	"github.com/uncertain-graphs/mpmb/internal/randx"
 )
 
 // AnchorKind selects which element of the graph an anchored query pins.
@@ -74,300 +73,114 @@ func (a Anchor) String() string {
 	return "unanchored"
 }
 
-// anchorPartner is the per-partner angle record of the anchored trial
-// scan, the anchor-restricted analogue of the OS kernel's angleEntry
-// (Table II): for a partner vertex p on the anchor's side it tracks the
-// best (w1) and second-best (w2) angle weight through the anchor, with
-// the middle vertices attaining each. For AnchorEdge queries only wA (the
-// forced angle through the anchored middle) and the w1 class are used.
-type anchorPartner struct {
-	gen   uint32
-	wA    float64
-	w1    float64
-	mids1 []bigraph.VertexID
-	w2    float64
-	mids2 []bigraph.VertexID
-}
-
-// update folds one angle (anchor, mid, partner) of weight w into the
-// Table II classes: new maximum, tie with the maximum, new second, tie
-// with the second, or ignored.
-func (e *anchorPartner) update(w float64, mid bigraph.VertexID) {
-	switch {
-	case w > e.w1:
-		e.w2 = e.w1
-		e.mids2 = append(e.mids2[:0], e.mids1...)
-		e.w1 = w
-		e.mids1 = append(e.mids1[:0], mid)
-	case w == e.w1:
-		e.mids1 = append(e.mids1, mid)
-	case w > e.w2:
-		e.w2 = w
-		e.mids2 = append(e.mids2[:0], mid)
-	case w == e.w2:
-		e.mids2 = append(e.mids2, mid)
-	}
-}
-
-// bestWeight is the weight of the best butterfly through (anchor,
-// partner) formable from the recorded angles, or -Inf when fewer than two
-// angles exist.
-func (e *anchorPartner) bestWeight() float64 {
-	if len(e.mids1) >= 2 {
-		return 2 * e.w1
-	}
-	if len(e.mids1) == 1 && len(e.mids2) >= 1 {
-		return e.w1 + e.w2
-	}
-	return math.Inf(-1)
-}
-
-// anchoredIndex runs anchor-restricted trials: instead of the global OS
-// edge scan it enumerates only the anchor's two-hop neighbourhood,
-// Bernoulli-sampling each touched edge lazily (at most once per trial,
-// through the same precomputed thresholds as the optimized estimator).
-// Distinct trials derive independent streams from the root seed, so the
-// per-trial distribution of S_MB restricted to anchor-containing
-// butterflies is exact even though untouched edges are never drawn.
-type anchoredIndex struct {
-	g          *bigraph.Graph
-	anchor     Anchor
-	anchorEdge bigraph.EdgeID // AnchorEdge only
-
-	// Lazy per-trial edge presence, EstimateOptimized-style.
-	thresh []uint64
-	stamp  []int32
-	val    []bool
-	cur    int32
-	rng    randx.RNG
-
-	// Per-partner angle table with generation stamps, so a trial only
-	// resets the entries it touches.
-	ents    []anchorPartner
-	gen     uint32
-	touched []bigraph.VertexID
-}
-
-func newAnchoredIndex(g *bigraph.Graph, a Anchor) *anchoredIndex {
-	x := &anchoredIndex{
-		g:      g,
-		anchor: a,
-		thresh: edgeThresholds(g),
-		stamp:  make([]int32, g.NumEdges()),
-		val:    make([]bool, g.NumEdges()),
-	}
-	partners := g.NumL()
-	if a.Kind == AnchorRight {
-		partners = g.NumR()
-	}
-	x.ents = make([]anchorPartner, partners)
-	if a.Kind == AnchorEdge {
-		id, ok := g.FindEdge(a.U, a.V)
-		if !ok {
-			panic("core: anchoredIndex on non-backbone anchor edge")
-		}
-		x.anchorEdge = id
-	}
-	return x
-}
-
-// present lazily samples edge id for the current trial.
-func (x *anchoredIndex) present(id bigraph.EdgeID) bool {
-	if x.stamp[id] != x.cur {
-		x.stamp[id] = x.cur
-		x.val[id] = x.rng.BernoulliThresholded(x.thresh[id])
-	}
-	return x.val[id]
-}
-
-// entry returns the partner record, resetting it on first touch in the
-// current trial.
-func (x *anchoredIndex) entry(p bigraph.VertexID) *anchorPartner {
-	e := &x.ents[p]
-	if e.gen != x.gen {
-		e.gen = x.gen
-		e.wA = math.Inf(-1)
-		e.w1 = math.Inf(-1)
-		e.w2 = math.Inf(-1)
-		e.mids1 = e.mids1[:0]
-		e.mids2 = e.mids2[:0]
-		x.touched = append(x.touched, p)
-	}
-	return e
-}
-
-// runTrialSeeded samples one world with the per-trial stream derived from
-// root and fills sMB with the anchored maximum butterfly set.
-func (x *anchoredIndex) runTrialSeeded(root *randx.RNG, id uint64, sMB *butterfly.MaxSet) {
-	root.DeriveInto(id, &x.rng)
-	x.cur++
-	if x.cur == math.MaxInt32 {
-		for i := range x.stamp {
-			x.stamp[i] = 0
-		}
-		x.cur = 1
-	}
-	x.runTrial(sMB, x.present)
-}
-
-// runTrial computes S_MB restricted to butterflies containing the anchor
-// under the given edge-presence oracle. present is consulted at most once
-// per edge per trial by construction of the traversal plus (for the RNG
-// path) the stamp table.
-func (x *anchoredIndex) runTrial(sMB *butterfly.MaxSet, present func(bigraph.EdgeID) bool) {
-	sMB.Reset()
-	x.touched = x.touched[:0]
-	x.gen++
-	if x.gen == 0 {
-		for i := range x.ents {
-			x.ents[i].gen = 0
-		}
-		x.gen = 1
-	}
-	switch x.anchor.Kind {
+// contains reports whether butterfly b contains the anchor.
+func (a Anchor) contains(b butterfly.Butterfly) bool {
+	inL := b.U1 == a.U || b.U2 == a.U
+	inR := b.V1 == a.V || b.V2 == a.V
+	switch a.Kind {
 	case AnchorLeft:
-		x.vertexTrial(x.anchor.U, x.g.NeighborsL(x.anchor.U), x.g.NeighborsR, present, sMB)
+		return inL
 	case AnchorRight:
-		x.vertexTrial(x.anchor.V, x.g.NeighborsR(x.anchor.V), x.g.NeighborsL, present, sMB)
+		return inR
 	case AnchorEdge:
-		x.edgeTrial(present, sMB)
+		return inL && inR
 	}
+	return false
 }
 
-// vertexTrial handles vertex anchors. outer is the anchor's adjacency
-// (middles on the opposite side); inner maps a middle to its adjacency
-// (partners on the anchor's side). Angles (anchor, mid, partner) feed the
-// Table II classes keyed by partner; the anchored S_MB is then the union,
-// over partners attaining the maximum bestWeight, of the butterflies
-// formable from their top angle classes.
-func (x *anchoredIndex) vertexTrial(anchor bigraph.VertexID, outer []bigraph.Half, inner func(bigraph.VertexID) []bigraph.Half, present func(bigraph.EdgeID) bool, sMB *butterfly.MaxSet) {
-	g := x.g
-	for _, h := range outer {
-		if !present(h.E) {
-			continue
-		}
-		mid := h.To
-		wAnchor := g.Edge(h.E).W
-		for _, h2 := range inner(mid) {
-			p := h2.To
-			if p == anchor || !present(h2.E) {
-				continue
-			}
-			x.entry(p).update(wAnchor+g.Edge(h2.E).W, mid)
-		}
+// newAnchoredSnapshot lays out the snapshot an anchored job's kernels
+// scan, built once per job with the global snapshot's layout code: only
+// the edges of the backbone butterflies through a, in the global
+// weight-descending order, paired on the anchor's side (an edge anchor
+// pairs on the left, so its right endpoint is the pinned center). Every
+// world's anchored S_MB is made of these edges alone, so a trial over the
+// snapshot with the anchored admission rule (see admitEdge) is Algorithm
+// 2 with S_MB restricted to butterflies through the anchor.
+func newAnchoredSnapshot(g *bigraph.Graph, a Anchor) *edgeSnapshot {
+	s := layoutSnapshot(g, anchoredEdges(g, a), a.Kind == AnchorRight)
+	s.anchor, s.pin = a, a.U
+	if a.Kind == AnchorRight {
+		s.pin = a.V
 	}
-	wMax := math.Inf(-1)
-	for _, p := range x.touched {
-		if bw := x.ents[p].bestWeight(); bw > wMax {
-			wMax = bw
-		}
-	}
-	if math.IsInf(wMax, -1) {
-		return
-	}
-	for _, p := range x.touched {
-		e := &x.ents[p]
-		if e.bestWeight() != wMax {
-			continue
-		}
-		if len(e.mids1) >= 2 {
-			for i := 0; i < len(e.mids1); i++ {
-				for j := i + 1; j < len(e.mids1); j++ {
-					x.emit(sMB, p, e.mids1[i], e.mids1[j], wMax)
-				}
-			}
-		}
-		if len(e.mids1) == 1 && e.w1+e.w2 == wMax {
-			for _, m2 := range e.mids2 {
-				x.emit(sMB, p, e.mids1[0], m2, wMax)
-			}
-		}
-	}
+	return s
 }
 
-// edgeTrial handles edge anchors (u,v): when the anchored edge is
-// present, each partner p with (p,v) present contributes the forced angle
-// wA(p) = w(u,v)+w(p,v), and the best co-angle (u,m,p) over middles m != v
-// completes the butterfly B(u,p|v,m) of weight wA(p)+w(u,m)+w(p,m).
-func (x *anchoredIndex) edgeTrial(present func(bigraph.EdgeID) bool, sMB *butterfly.MaxSet) {
-	if !present(x.anchorEdge) {
-		return
+// anchoredEdges lists the edges of the backbone butterflies through a in
+// the global weight-descending order. A butterfly through the anchor's
+// vertex x on the pairing side joins x and a partner y over two middles
+// in N(x) ∩ N(y), so the wedge count from x — |N(x) ∩ N(y)| for every y,
+// as in vertex-priority butterfly counting — names the partners: y is
+// one exactly when its count is at least 2 (and, for an edge anchor,
+// when y is adjacent to the pinned center too). The butterfly edges are
+// then each partner's edges to middles of x, and x's edges to middles
+// that have a partner.
+func anchoredEdges(g *bigraph.Graph, a Anchor) []bigraph.EdgeID {
+	x, nbr, opp, n := a.U, g.NeighborsL, g.NeighborsR, g.NumL()
+	if a.Kind == AnchorRight {
+		x, nbr, opp, n = a.V, g.NeighborsR, g.NeighborsL, g.NumR()
 	}
-	g := x.g
-	u, v := x.anchor.U, x.anchor.V
-	wuv := g.Edge(x.anchorEdge).W
-	for _, h := range g.NeighborsR(v) {
-		p := h.To
-		if p == u || !present(h.E) {
-			continue
+	cnt := make([]int32, n)
+	wedgeCount(x, nbr, opp, cnt)
+	if a.Kind == AnchorEdge {
+		adj := make([]int32, n)
+		for _, h := range g.NeighborsR(a.V) {
+			adj[h.To] = cnt[h.To]
 		}
-		x.entry(p).wA = wuv + g.Edge(h.E).W
+		cnt = adj
 	}
-	for _, h := range g.NeighborsL(u) {
-		mid := h.To
-		if mid == v || !present(h.E) {
-			continue
-		}
-		wum := g.Edge(h.E).W
-		for _, h2 := range g.NeighborsR(mid) {
-			p := h2.To
-			if p == u || !present(h2.E) {
-				continue
-			}
-			e := &x.ents[p]
-			if e.gen != x.gen || math.IsInf(e.wA, -1) {
-				continue // (p,v) absent: no butterfly through the anchor edge
-			}
-			w := wum + g.Edge(h2.E).W
-			switch {
-			case w > e.w1:
-				e.w1 = w
-				e.mids1 = append(e.mids1[:0], mid)
-			case w == e.w1:
-				e.mids1 = append(e.mids1, mid)
+	var ids []bigraph.EdgeID
+	for _, h := range nbr(x) {
+		k := len(ids)
+		for _, h2 := range opp(h.To) {
+			if cnt[h2.To] >= 2 {
+				ids = append(ids, h2.E)
 			}
 		}
-	}
-	wMax := math.Inf(-1)
-	for _, p := range x.touched {
-		e := &x.ents[p]
-		if len(e.mids1) == 0 {
-			continue
-		}
-		if bw := e.wA + e.w1; bw > wMax {
-			wMax = bw
+		if len(ids) > k {
+			ids = append(ids, h.E)
 		}
 	}
-	if math.IsInf(wMax, -1) {
-		return
-	}
-	for _, p := range x.touched {
-		e := &x.ents[p]
-		if len(e.mids1) == 0 || e.wA+e.w1 != wMax {
-			continue
-		}
-		for _, m := range e.mids1 {
-			sMB.Add(butterfly.New(u, p, v, m), wMax)
-		}
-	}
+	return byWeightDesc(g, ids)
 }
 
-// emit adds the butterfly formed by the anchor, partner p and middles m1,
-// m2, orienting by the anchor's side.
-func (x *anchoredIndex) emit(sMB *butterfly.MaxSet, p, m1, m2 bigraph.VertexID, w float64) {
-	if x.anchor.Kind == AnchorRight {
-		sMB.Add(butterfly.New(m1, m2, x.anchor.V, p), w)
-		return
+// byWeightDesc puts ids in the order of g.EdgesByWeightDesc (weight
+// descending, then id). When g's snapshot is cached the order is read
+// off it in one pass over |E| edges; otherwise ids are sorted. A sort
+// comparison reads two edges at random and costs several pass steps,
+// so on a cached graph the pass is the cheaper way for all but anchors
+// of a few thousand edges, where the sort would save about a
+// millisecond per million edges of the graph.
+func byWeightDesc(g *bigraph.Graph, ids []bigraph.EdgeID) []bigraph.EdgeID {
+	if s := cachedSnapshot(g); s != nil {
+		in := make([]uint64, (s.numEdges()+63)/64)
+		for _, id := range ids {
+			in[id>>6] |= 1 << (id & 63)
+		}
+		ids = ids[:0]
+		for _, id := range s.id {
+			if in[id>>6]>>(id&63)&1 != 0 {
+				ids = append(ids, id)
+			}
+		}
+		return ids
 	}
-	sMB.Add(butterfly.New(x.anchor.U, p, m1, m2), w)
+	slices.SortFunc(ids, func(a, b bigraph.EdgeID) int {
+		if c := cmp.Compare(g.Edge(b).W, g.Edge(a).W); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return ids
 }
 
-// AnchoredOS runs anchor-restricted Ordering Sampling: opt.Trials worlds
-// are sampled lazily around the anchor and each world's maximum
-// anchor-containing butterfly set is credited, exactly like OS but with
-// S_MB restricted to butterflies through the anchor. An anchor with zero
-// butterfly support yields an empty Result. Resume is not supported for
-// anchored runs; Interrupt yields a partial Result without a checkpoint.
+// AnchoredOS runs anchor-restricted Ordering Sampling: OS's trial kernel
+// over the anchor's own snapshot (see newAnchoredSnapshot), so each of
+// opt.Trials worlds credits its maximum set among the butterflies through
+// the anchor. An anchor with zero butterfly support yields an empty
+// Result. Resume is not supported for anchored runs; Interrupt yields a
+// partial Result without a checkpoint. An edge anchor rejects the
+// KeepAllAngles and DropA2 knobs, which its angle entries have no room
+// for; every other knob applies as in OS.
 //
 // AnchoredOS is AnchoredOSParallel with one worker.
 func AnchoredOS(g *bigraph.Graph, a Anchor, opt OSOptions) (*Result, error) {
@@ -419,39 +232,4 @@ func PrepareAnchoredCandidates(g *bigraph.Graph, a Anchor, nPrep int, seed uint6
 		return nil, err
 	}
 	return prepare(g, a, nPrep, seed, OSOptions{Interrupt: interrupt}, nil, 0)
-}
-
-// ExactAnchored enumerates every possible world (so the graph must have
-// at most possible.MaxEnumerableEdges edges) and accumulates the exact
-// probability of each butterfly being in the anchored maximum set — the
-// brute-force oracle the statcheck harness certifies anchored estimators
-// against. An anchor contained in no butterfly yields an empty Result.
-func ExactAnchored(g *bigraph.Graph, a Anchor) (*Result, error) {
-	if err := a.Validate(g); err != nil {
-		return nil, err
-	}
-	x := newAnchoredIndex(g, a)
-	probs := make(map[butterfly.Butterfly]float64)
-	weights := make(map[butterfly.Butterfly]float64)
-	var sMB butterfly.MaxSet
-	err := possible.Enumerate(g, func(w *possible.World, pr float64) bool {
-		if pr == 0 {
-			return true
-		}
-		x.runTrial(&sMB, w.Has)
-		for _, b := range sMB.Set {
-			probs[b] += pr
-			weights[b] = sMB.W
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	es := make([]Estimate, 0, len(probs))
-	for b, p := range probs {
-		es = append(es, Estimate{B: b, P: p, Weight: weights[b]})
-	}
-	sortEstimates(es)
-	return &Result{Method: "exact", Estimates: es}, nil
 }

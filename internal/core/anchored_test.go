@@ -1,56 +1,17 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
 	"github.com/uncertain-graphs/mpmb/internal/butterfly"
 	"github.com/uncertain-graphs/mpmb/internal/possible"
+	"github.com/uncertain-graphs/mpmb/internal/telemetry"
 )
-
-// anchorContains reports whether b contains the anchor.
-func anchorContains(b butterfly.Butterfly, a Anchor) bool {
-	switch a.Kind {
-	case AnchorLeft:
-		return b.U1 == a.U || b.U2 == a.U
-	case AnchorRight:
-		return b.V1 == a.V || b.V2 == a.V
-	case AnchorEdge:
-		return (b.U1 == a.U || b.U2 == a.U) && (b.V1 == a.V || b.V2 == a.V)
-	}
-	return false
-}
-
-// refExactAnchored is an independent brute-force oracle: it enumerates
-// worlds and lists every butterfly via the reference enumerator, keeping
-// the max-weight set restricted to anchor-containing butterflies. It
-// shares no traversal code with anchoredIndex.
-func refExactAnchored(t *testing.T, g *bigraph.Graph, a Anchor) map[butterfly.Butterfly]float64 {
-	t.Helper()
-	probs := make(map[butterfly.Butterfly]float64)
-	err := possible.Enumerate(g, func(w *possible.World, pr float64) bool {
-		if pr == 0 {
-			return true
-		}
-		var m butterfly.MaxSet
-		butterfly.ForEachInWorld(g, w, func(b butterfly.Butterfly, wt float64) bool {
-			if anchorContains(b, a) {
-				m.Add(b, wt)
-			}
-			return true
-		})
-		for _, b := range m.Set {
-			probs[b] += pr
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatalf("enumerate: %v", err)
-	}
-	return probs
-}
 
 // allAnchors lists every valid anchor of g.
 func allAnchors(g *bigraph.Graph) []Anchor {
@@ -67,34 +28,159 @@ func allAnchors(g *bigraph.Graph) []Anchor {
 	return as
 }
 
-// TestExactAnchoredMatchesReference certifies the anchored trial
-// traversal itself: ExactAnchored (which drives anchoredIndex.runTrial
-// over every world) must agree exactly with the independent reference
-// oracle for every anchor of every graph.
-func TestExactAnchoredMatchesReference(t *testing.T) {
+// denseGraph draws a graph of 2 to 4 vertices a side that holds each
+// possible edge with probability 3/4, up to maxEdges of them, with
+// weights from weights and probabilities from probGrid.
+func denseGraph(r *rand.Rand, maxEdges int, weights []float64) *bigraph.Graph {
+	numL, numR := 2+r.Intn(3), 2+r.Intn(3)
+	b := bigraph.NewBuilder(numL, numR)
+	for u := 0; u < numL; u++ {
+		for v := 0; v < numR && b.NumEdges() < maxEdges; v++ {
+			if r.Intn(4) > 0 {
+				w := weights[r.Intn(len(weights))]
+				p := probGrid[r.Intn(len(probGrid))]
+				b.MustAddEdge(bigraph.VertexID(u), bigraph.VertexID(v), w, p)
+			}
+		}
+	}
+	return b.Build()
+}
+
+// TestAnchoredTrialMatchesBruteForce certifies the anchored trial itself:
+// on every world of every graph, a kernel over the anchor's snapshot
+// (osIndex.runTrial with World.Has) must return exactly the brute-force
+// maximum set of the world's butterflies containing the anchor, for every
+// left, right and edge anchor. Half the random graphs draw their weights
+// from {0.5, 1, 1.5}, so weight ties are the rule there.
+func TestAnchoredTrialMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
-	graphs := []*bigraph.Graph{figure1Graph()}
-	for i := 0; i < 25; i++ {
-		graphs = append(graphs, randGraph(r, 4, 4, 12))
+	graphs := []*bigraph.Graph{figure1Graph(), pendantGraph()}
+	for i := 0; i < 100; i++ {
+		weights := halfGrid
+		if i%2 == 1 {
+			weights = halfGrid[:3]
+		}
+		graphs = append(graphs, denseGraph(r, 12, weights))
 	}
 	for gi, g := range graphs {
+		anchors := allAnchors(g)
+		kernels := make([]*osIndex, len(anchors))
+		for i, a := range anchors {
+			kernels[i] = newOSIndexFromSnapshot(g, OSOptions{}, newAnchoredSnapshot(g, a))
+		}
+		var world []butterfly.WithWeight
+		var got butterfly.MaxSet
+		err := possible.Enumerate(g, func(w *possible.World, _ float64) bool {
+			world = world[:0]
+			butterfly.ForEachInWorld(g, w, func(b butterfly.Butterfly, wt float64) bool {
+				world = append(world, butterfly.WithWeight{B: b, W: wt})
+				return true
+			})
+			for i, a := range anchors {
+				var want butterfly.MaxSet
+				for _, bw := range world {
+					if a.contains(bw.B) {
+						want.Add(bw.B, bw.W)
+					}
+				}
+				kernels[i].runTrial(&got, w.Has)
+				sameMaxSet(t, got, want, fmt.Sprintf("graph %d anchor %v", gi, a))
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestAnchoredSnapshotOrder: an anchored snapshot lists its edges in
+// g.EdgesByWeightDesc order whether it sorts them (no global snapshot
+// cached) or reads the order off the cached global snapshot.
+func TestAnchoredSnapshotOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	for i := 0; i < 10; i++ {
+		g := randGraph(r, 6, 6, 30)
+		pos := make(map[bigraph.EdgeID]int)
+		for p, id := range g.EdgesByWeightDesc() {
+			pos[id] = p
+		}
+		anchors := allAnchors(g)
+		sorted := make([][]bigraph.EdgeID, len(anchors))
+		for ai, a := range anchors {
+			sorted[ai] = newAnchoredSnapshot(g, a).id
+			for k := 1; k < len(sorted[ai]); k++ {
+				if pos[sorted[ai][k-1]] > pos[sorted[ai][k]] {
+					t.Fatalf("graph %d anchor %v: edges %v out of weight order", i, a, sorted[ai])
+				}
+			}
+		}
+		snapshotFor(g)
+		for ai, a := range anchors {
+			if got := newAnchoredSnapshot(g, a).id; !slices.Equal(got, sorted[ai]) {
+				t.Fatalf("graph %d anchor %v: cached order %v, sorted %v", i, a, got, sorted[ai])
+			}
+		}
+	}
+}
+
+// TestAnchoredAblationsAgree: the knobs an anchored run honours are pure
+// ablations there too — DisableEdgePrune for every anchor, KeepAllAngles
+// for vertex anchors — so each returns the default Result bit for bit.
+// An edge anchor rejects KeepAllAngles and DropA2.
+func TestAnchoredAblationsAgree(t *testing.T) {
+	r := rand.New(rand.NewSource(79))
+	for trial := 0; trial < 6; trial++ {
+		g := denseGraph(r, 16, halfGrid)
+		if trial%2 == 1 {
+			g = randGraph(r, 10, 10, 80)
+		}
 		for _, a := range allAnchors(g) {
-			ref := refExactAnchored(t, g, a)
-			res, err := ExactAnchored(g, a)
+			opt := OSOptions{Trials: 300, Seed: uint64(trial)*17 + 3}
+			base, err := AnchoredOS(g, a, opt)
 			if err != nil {
-				t.Fatalf("graph %d anchor %v: %v", gi, a, err)
+				t.Fatal(err)
 			}
-			if len(res.Estimates) != len(ref) {
-				t.Fatalf("graph %d anchor %v: got %d estimates, want %d", gi, a, len(res.Estimates), len(ref))
+			ablations := []OSOptions{{DisableEdgePrune: true}}
+			if a.Kind != AnchorEdge {
+				ablations = append(ablations, OSOptions{KeepAllAngles: true}, OSOptions{KeepAllAngles: true, DisableEdgePrune: true})
 			}
-			for _, e := range res.Estimates {
-				if !anchorContains(e.B, a) {
-					t.Fatalf("graph %d anchor %v: estimate %v does not contain anchor", gi, a, e.B)
+			for _, k := range ablations {
+				k.Trials, k.Seed = opt.Trials, opt.Seed
+				got, err := AnchoredOS(g, a, k)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if want := ref[e.B]; math.Abs(e.P-want) > 1e-12 {
-					t.Fatalf("graph %d anchor %v: P(%v) = %v, want %v", gi, a, e.B, e.P, want)
-				}
+				requireSameResult(t, fmt.Sprintf("anchored %v prune-off=%v all-angles=%v", a, k.DisableEdgePrune, k.KeepAllAngles), base, got)
 			}
+		}
+	}
+	e := Anchor{Kind: AnchorEdge, U: 0, V: 0}
+	for _, k := range []OSOptions{{Trials: 10, KeepAllAngles: true}, {Trials: 10, DropA2: true}} {
+		if _, err := AnchoredOS(figure1Graph(), e, k); err == nil {
+			t.Fatalf("edge anchor with %+v: expected an error", k)
+		}
+	}
+}
+
+// TestAnchoredProbeMetersScan: an anchored run meters its ordered scan
+// like a global one — edges scanned > 0, and scanned + pruned is every
+// trial's pass over the anchored snapshot — on one worker and on two.
+func TestAnchoredProbeMetersScan(t *testing.T) {
+	g := benchGraph()
+	a := Anchor{Kind: AnchorLeft, U: g.Edge(g.EdgesByWeightDesc()[0]).U}
+	n := int64(newAnchoredSnapshot(g, a).numEdges())
+	const trials = 200
+	for _, workers := range []int{1, 2} {
+		reg := telemetry.NewRegistry()
+		opt := OSOptions{Trials: trials, Seed: 5, Probe: &telemetry.Probe{Reg: reg, Method: "os"}}
+		if _, err := AnchoredOSParallel(g, a, opt, workers); err != nil {
+			t.Fatal(err)
+		}
+		m := reg.Snapshot()
+		if m.Trials != trials || m.EdgesScanned <= 0 || m.EdgesScanned+m.EdgesPruned != trials*n {
+			t.Fatalf("%d workers: trials %d, scanned %d + pruned %d, want %d trials, scanned > 0 and a sum of %d",
+				workers, m.Trials, m.EdgesScanned, m.EdgesPruned, trials, trials*n)
 		}
 	}
 }
@@ -111,7 +197,7 @@ func TestAnchoredOSMatchesExact(t *testing.T) {
 	eps := statTol(trials)
 	for gi, g := range graphs {
 		for ai, a := range allAnchors(g) {
-			exact, err := ExactAnchored(g, a)
+			exact, err := ExactAnchored(g, a, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +287,7 @@ func TestAnchoredOLSMatchesCandidateOracle(t *testing.T) {
 				t.Fatalf("anchor %v kl=%v: %d estimates, %d candidates", a, kl, len(res.Estimates), cands.Len())
 			}
 			for _, e := range res.Estimates {
-				if !anchorContains(e.B, a) {
+				if !a.contains(e.B) {
 					t.Fatalf("anchor %v: candidate %v does not contain anchor", a, e.B)
 				}
 			}
@@ -247,7 +333,7 @@ func TestAnchoredZeroSupport(t *testing.T) {
 		{Kind: AnchorEdge, U: 0, V: 0},
 	}
 	for _, a := range anchors {
-		exact, err := ExactAnchored(g, a)
+		exact, err := ExactAnchored(g, a, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

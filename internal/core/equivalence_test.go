@@ -308,7 +308,7 @@ func TestOneWorkerExecutorMatchesSeed(t *testing.T) {
 
 // TestAnchoredOSFullResultEquivalence adds anchored OS to the table: for
 // every anchor of every kind, AnchoredOS and AnchoredOSParallel at
-// workers {1, 3} return the same full Result.
+// workers {1, 2, 3, 4} return the same full Result.
 func TestAnchoredOSFullResultEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 3; trial++ {
@@ -319,7 +319,7 @@ func TestAnchoredOSFullResultEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 3} {
+			for _, workers := range []int{1, 2, 3, 4} {
 				par, err := AnchoredOSParallel(g, a, opt, workers)
 				if err != nil {
 					t.Fatal(err)

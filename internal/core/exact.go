@@ -25,10 +25,30 @@ func Exact(g *bigraph.Graph) (*Result, error) {
 // the enumeration is the only way to finish, and graphs small enough to
 // enumerate restart cheaply.
 func ExactInterruptible(g *bigraph.Graph, interrupt func() bool) (*Result, error) {
+	return exactWorlds(g, nil, interrupt)
+}
+
+// ExactAnchored is ExactInterruptible with each world's maximum set taken
+// over the butterflies containing a alone: the brute-force oracle the
+// statcheck harness certifies the anchored estimators against. It lists
+// butterflies with the reference enumerator, so it shares no code with
+// the anchored trial kernel. An anchor contained in no butterfly yields
+// an empty Result.
+func ExactAnchored(g *bigraph.Graph, a Anchor, interrupt func() bool) (*Result, error) {
+	if err := a.Validate(g); err != nil {
+		return nil, err
+	}
+	return exactWorlds(g, a.contains, interrupt)
+}
+
+// exactWorlds is the world loop of the exact oracles. keep, when non-nil,
+// restricts each world's maximum set to the butterflies it accepts.
+func exactWorlds(g *bigraph.Graph, keep func(butterfly.Butterfly) bool, interrupt func() bool) (*Result, error) {
 	probs := make(map[butterfly.Butterfly]float64)
 	weights := make(map[butterfly.Butterfly]float64)
 	worlds := 0
 	interrupted := false
+	var m butterfly.MaxSet
 	err := possible.Enumerate(g, func(w *possible.World, pr float64) bool {
 		worlds++
 		// Poll on the first world (so a pre-cancelled run stops immediately
@@ -41,7 +61,13 @@ func ExactInterruptible(g *bigraph.Graph, interrupt func() bool) (*Result, error
 		if pr == 0 {
 			return true
 		}
-		m := butterfly.MaxWeightSet(g, w)
+		m.Reset()
+		butterfly.ForEachInWorld(g, w, func(b butterfly.Butterfly, wt float64) bool {
+			if keep == nil || keep(b) {
+				m.Add(b, wt)
+			}
+			return true
+		})
 		for _, b := range m.Set {
 			probs[b] += pr
 			weights[b] = m.W

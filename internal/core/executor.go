@@ -112,8 +112,9 @@ type ExecJob struct {
 	Units int
 	Start int
 	// Anchor, when set, restricts an ExecOS job to butterflies containing
-	// it: units run the anchored two-hop kernel instead of the snapshot
-	// kernel.
+	// it: the job builds a snapshot of the anchor's butterfly edges, and
+	// its units run the snapshot kernel over it with the anchored
+	// admission rule.
 	Anchor Anchor
 	// OS carries the Ordering Sampling kernel knobs for ExecOS: the
 	// pruning/ablation flags and the OnTrial hook. Trial counts, seeds,
@@ -331,7 +332,11 @@ func (e *LocalExecutor) ExecuteTrials(job *ExecJob) (*ExecResult, error) {
 	var newWorker func(w int) unitWorker
 	switch job.Kind {
 	case ExecOS:
-		newWorker = func(w int) unitWorker { return newOSWorker(job, out, w, workers == 1) }
+		snap, err := osSnapshot(job)
+		if err != nil {
+			return nil, err
+		}
+		newWorker = func(w int) unitWorker { return newOSWorker(job, out, snap, w, workers == 1) }
 	case ExecOptimized:
 		thresh := edgeThresholds(job.Graph) // shared read-only by all workers
 		newWorker = func(w int) unitWorker { return newOptimizedWorker(job, out, thresh, w, workers == 1) }
@@ -483,16 +488,28 @@ func parLoop(start, end, workers int, interrupt func() bool, newBody func(w int)
 	return min(start+handed*chunk, end), nil
 }
 
+// osSnapshot returns the snapshot an ExecOS job's kernels scan: the
+// graph's cached global snapshot, or the anchored job's own snapshot of
+// the anchor's butterflies, which is dropped with the job.
+func osSnapshot(job *ExecJob) (*edgeSnapshot, error) {
+	a := job.Anchor
+	switch {
+	case a.Kind == 0:
+		return snapshotFor(job.Graph), nil
+	case a.Kind == AnchorEdge && (job.OS.KeepAllAngles || job.OS.DropA2):
+		return nil, fmt.Errorf("core: edge anchor %v does not support KeepAllAngles or DropA2", a)
+	}
+	return newAnchoredSnapshot(job.Graph, a), nil
+}
+
 // osWorker runs ExecOS units: Ordering Sampling world trials on a pooled
-// snapshot kernel, or on the anchored kernel for an anchored job. Each
-// worker reuses one kernel for every trial it claims, so the steady-state
-// per-trial cost is the kernel scan alone.
+// snapshot kernel. Each worker reuses one kernel for every trial it
+// claims, so the steady-state per-trial cost is the kernel scan alone.
 type osWorker struct {
 	job   *ExecJob
 	out   *ExecResult
 	root  *randx.RNG
-	idx   *osIndex       // global jobs
-	anc   *anchoredIndex // anchored jobs
+	idx   *osIndex
 	acc   *probAccumulator
 	sMB   butterfly.MaxSet
 	meter trialMeter
@@ -502,34 +519,21 @@ type osWorker struct {
 	lead bool
 }
 
-func newOSWorker(job *ExecJob, out *ExecResult, w int, single bool) *osWorker {
-	x := &osWorker{job: job, out: out, root: randx.New(job.Seed), acc: out.acc}
+func newOSWorker(job *ExecJob, out *ExecResult, snap *edgeSnapshot, w int, single bool) *osWorker {
+	// Worker kernels come from the snapshot's pool: across runs over the
+	// same graph the ~1MB per-kernel scratch is reused instead of
+	// reallocated.
+	x := &osWorker{job: job, out: out, root: randx.New(job.Seed), idx: snap.kernel(job.Graph, job.OS), acc: out.acc}
 	if !single {
 		x.acc = newProbAccumulator()
 	}
-	numE := 0
-	if job.Anchor.Kind != 0 {
-		x.anc = newAnchoredIndex(job.Graph, job.Anchor)
-	} else {
-		// Worker kernels come from the graph snapshot's pool: across runs
-		// over the same graph the ~1MB per-kernel scratch is reused
-		// instead of reallocated.
-		x.idx = acquireKernel(job.Graph, job.OS)
-		numE = x.idx.snap.numEdges()
-	}
-	x.meter = newTrialMeter(job.Probe, w, numE, false)
+	x.meter = newTrialMeter(job.Probe, w, snap.numEdges(), false)
 	x.lead = single && job.Probe != nil && job.Probe.Phase != telemetry.PhasePrep
 	return x
 }
 
 func (x *osWorker) unit(u int) {
-	var scanned int
-	var fellBack bool
-	if x.idx != nil {
-		scanned, fellBack = x.idx.runTrialSeeded(x.root, uint64(u), &x.sMB)
-	} else {
-		x.anc.runTrialSeeded(x.root, uint64(u), &x.sMB)
-	}
+	scanned, fellBack := x.idx.runTrialSeeded(x.root, uint64(u), &x.sMB)
 	hit := !x.sMB.Empty()
 	if hit {
 		x.acc.addMaxSet(&x.sMB)
@@ -549,9 +553,7 @@ func (x *osWorker) finish(done int) {
 	if x.acc != x.out.acc {
 		x.out.acc.merge(x.acc)
 	}
-	if x.idx != nil {
-		releaseKernel(x.idx)
-	}
+	releaseKernel(x.idx)
 }
 
 // optimizedWorker runs ExecOptimized units: shared sampling trials of the

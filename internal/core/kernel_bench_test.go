@@ -36,11 +36,32 @@ func benchGraph() *bigraph.Graph {
 // against BenchmarkOSReferenceTrial for the kernel-vs-seed speedup.
 func BenchmarkOSKernelTrial(b *testing.B) {
 	g := benchGraph()
-	// acquireKernel is the production entry point: it uses the cached,
-	// calibrated snapshot (truncated prefix, support-sharpened budgets),
-	// so this row measures the same code path OS and the parallel workers
-	// run.
-	idx := acquireKernel(g, OSOptions{})
+	// The cached, calibrated snapshot's kernel (truncated prefix,
+	// support-sharpened budgets) is the production entry point, so this
+	// row measures the same code path OS and the parallel workers run.
+	idx := snapshotFor(g).kernel(g, OSOptions{})
+	root := randx.New(42)
+	var sMB butterfly.MaxSet
+	for t := 1; t <= 128; t++ {
+		idx.runTrialSeeded(root, uint64(t), &sMB) // steady-state warmup
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx.runTrialSeeded(root, uint64(i)+1, &sMB)
+	}
+}
+
+// BenchmarkAnchoredOSTrial times one anchored trial on the same corpus,
+// anchored where `mpmb-bench perf` anchors its anchored_os row by
+// default: the left endpoint of the heaviest edge. The kernel scans the
+// anchor's own snapshot, built once here as an anchored job builds it;
+// compare it against BenchmarkOSKernelTrial for the cost of the
+// restricted query against the global one.
+func BenchmarkAnchoredOSTrial(b *testing.B) {
+	g := benchGraph()
+	a := Anchor{Kind: AnchorLeft, U: g.Edge(g.EdgesByWeightDesc()[0]).U}
+	idx := newOSIndexFromSnapshot(g, OSOptions{}, newAnchoredSnapshot(g, a))
 	root := randx.New(42)
 	var sMB butterfly.MaxSet
 	for t := 1; t <= 128; t++ {

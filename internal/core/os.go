@@ -152,7 +152,7 @@ func OSParallel(g *bigraph.Graph, opt OSOptions, workers int) (*Result, error) {
 // brute-force enumeration on the same world, which makes the OS pruning
 // logic checkable without any statistics.
 func OSOnWorld(g *bigraph.Graph, w *possible.World, opt OSOptions) butterfly.MaxSet {
-	idx := acquireKernel(g, opt)
+	idx := snapshotFor(g).kernel(g, opt)
 	defer releaseKernel(idx)
 	var sMB butterfly.MaxSet
 	idx.runTrial(&sMB, w.Has)
@@ -268,23 +268,21 @@ func newOSIndexFromSnapshot(g *bigraph.Graph, opt OSOptions, snap *edgeSnapshot)
 	return x
 }
 
-// acquireKernel returns a trial kernel over g's cached calibrated
-// snapshot, reusing a previously released kernel when the snapshot's pool
-// has one. This is how every LocalExecutor OS worker and the bench
-// harness obtain their kernel: repeat runs and parallel chunks over the
-// same graph stop paying the ~1MB per-kernel build, which is what held
-// the parallel path at ~40 allocs per trial.
-func acquireKernel(g *bigraph.Graph, opt OSOptions) *osIndex {
-	snap := snapshotFor(g)
-	if k, ok := snap.kernels.Get().(*osIndex); ok && k != nil {
+// kernel returns a trial kernel over s, reusing a previously released
+// kernel when s's pool has one. This is how every LocalExecutor OS worker
+// and the bench harness obtain their kernel: repeat runs and parallel
+// chunks over the same graph stop paying the ~1MB per-kernel build, which
+// is what held the parallel path at ~40 allocs per trial.
+func (s *edgeSnapshot) kernel(g *bigraph.Graph, opt OSOptions) *osIndex {
+	if k, ok := s.kernels.Get().(*osIndex); ok && k != nil {
 		k.opt = opt
 		k.instrumented = false
 		return k
 	}
-	return newOSIndexFromSnapshot(g, opt, snap)
+	return newOSIndexFromSnapshot(g, opt, s)
 }
 
-// releaseKernel returns a kernel obtained from acquireKernel to its
+// releaseKernel returns a kernel obtained from edgeSnapshot.kernel to its
 // snapshot's pool. The options are cleared so a pooled kernel does not
 // retain caller hooks (OnTrial/Interrupt/Probe closures) beyond its run.
 func releaseKernel(x *osIndex) {
@@ -353,6 +351,25 @@ func (e *angleEntry) update(w float64, mid bigraph.VertexID) {
 	default:
 		// w < w2: ignored, it can never be part of a maximum butterfly
 		// for this endpoint pair (Section V-C correctness argument).
+	}
+}
+
+// updatePinned applies an edge anchor's classes in place of Table II:
+// the angle at the pinned center is the pair's forced half (w1, mids1),
+// and of its other angles only the top class is kept (w2, mids2). Every
+// butterfly through the anchor edge is the forced half plus one other
+// angle, so bestWeight and the materializers read these entries
+// unchanged: mids1 never holds two middles.
+func (e *angleEntry) updatePinned(w float64, mid bigraph.VertexID, forced bool) {
+	switch {
+	case forced:
+		e.w1 = w
+		e.mids1 = append(e.mids1[:0], mid)
+	case w > e.w2:
+		e.w2 = w
+		e.mids2 = append(e.mids2[:0], mid)
+	case w == e.w2:
+		e.mids2 = append(e.mids2, mid)
 	}
 }
 
@@ -431,9 +448,10 @@ func (x *osIndex) runTrialSeeded(root *randx.RNG, id uint64, sMB *butterfly.MaxS
 //     and the trial is flagged fellBack for telemetry.
 //
 // The ablation and instrumentation paths share the generic admitEdge
-// walk instead — identical Results; only the instruction stream differs.
+// walk instead — identical Results; only the instruction stream differs —
+// and so do anchored snapshots, whose admission rule lives there.
 func (x *osIndex) runTrialRNG(sMB *butterfly.MaxSet, rng *randx.RNG) (scanned int, fellBack bool) {
-	if x.opt.KeepAllAngles || x.opt.DropA2 || x.instrumented {
+	if x.opt.KeepAllAngles || x.opt.DropA2 || x.instrumented || x.snap.anchor.Kind != 0 {
 		return x.runTrialRNGGeneric(sMB, rng), false
 	}
 	snap := x.snap
@@ -627,8 +645,10 @@ scan:
 
 // runTrialRNGGeneric is the unspecialized threshold trial: same
 // algorithm, same Results, with angle admission routed through admitEdge
-// so the ablation branches and the anglesGenerated instrumentation stay
-// in one place.
+// so the ablation branches, the anglesGenerated instrumentation and the
+// anchored admission rule stay in one place. It is the trial of every
+// anchored snapshot: the Section V-B prune runs against the anchored
+// running maximum with w̄ taken over the anchor's butterfly edges.
 func (x *osIndex) runTrialRNGGeneric(sMB *butterfly.MaxSet, rng *randx.RNG) (scanned int) {
 	x.resetTrial()
 	sMB.Reset()
@@ -683,6 +703,13 @@ func (x *osIndex) runTrial(sMB *butterfly.MaxSet, present func(bigraph.EdgeID) b
 // form an angle with every live edge already recorded at its center
 // endpoint, push each through the Table II update, lift w_max, and append
 // the edge to its center vertex's flat N̂_E region.
+//
+// On an anchored snapshot an angle forms only when one of its two edges
+// is the pin's edge at that center, so every pair holds the pin. Once the
+// pin's edge at a center is live it is that region's last entry, since a
+// later edge there can pair with it alone and is not recorded; any other
+// edge pairs with that last entry or, while the pin's edge is not yet
+// live, waits in the region for it.
 func (x *osIndex) admitEdge(i int, wMax float64) float64 {
 	snap := x.snap
 	ui, vj, w := snap.prt[i], snap.ctr[i], snap.w[i]
@@ -692,7 +719,15 @@ func (x *osIndex) admitEdge(i int, wMax float64) float64 {
 	if lm.gen != x.liveCur {
 		n = 0
 	}
-	for _, hb := range x.liveFlat[base : base+n] { // line 10: e_b = (v_j, u_k)
+	live, record := x.liveFlat[base:base+n], true
+	if snap.anchor.Kind != 0 && ui != snap.pin {
+		if n > 0 && live[n-1].to == snap.pin {
+			live, record = live[n-1:], false
+		} else {
+			live = nil
+		}
+	}
+	for _, hb := range live { // line 10: e_b = (v_j, u_k)
 		uk := hb.to
 		if uk == ui {
 			continue // cannot happen for simple graphs, but be safe
@@ -706,17 +741,22 @@ func (x *osIndex) admitEdge(i int, wMax float64) float64 {
 		if x.opt.KeepAllAngles {
 			ent.all = append(ent.all, midW{mid: vj, w: angleW})
 		}
-		if x.opt.DropA2 {
+		switch {
+		case snap.anchor.Kind == AnchorEdge:
+			ent.updatePinned(angleW, vj, vj == snap.anchor.V)
+		case x.opt.DropA2:
 			ent.updateDropA2(angleW, vj) // fault injection: A2 lost
-		} else {
+		default:
 			ent.update(angleW, vj) // line 12, Table II
 		}
 		if bw := ent.bestWeight(); bw > wMax {
 			wMax = bw // line 13
 		}
 	}
-	x.liveFlat[base+n] = liveEdge{to: ui, w: w, tok: snap.tok[ui]} // line 14
-	x.live[vj] = liveMeta{n: n + 1, gen: x.liveCur}
+	if record {
+		x.liveFlat[base+n] = liveEdge{to: ui, w: w, tok: snap.tok[ui]} // line 14
+		x.live[vj] = liveMeta{n: n + 1, gen: x.liveCur}
+	}
 	return wMax
 }
 

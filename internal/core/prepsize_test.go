@@ -15,7 +15,7 @@ import (
 func refExpectedButterflies(g *bigraph.Graph, anchor *Anchor) float64 {
 	var sum float64
 	for _, bw := range butterfly.AllBackbone(g) {
-		if anchor != nil && !anchorContains(bw.B, *anchor) {
+		if anchor != nil && !anchor.contains(bw.B) {
 			continue
 		}
 		ids, ok := bw.B.EdgeIDs(g)

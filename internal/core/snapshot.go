@@ -47,8 +47,9 @@ const calibrationSalt = 0x5ca1ab1e0ddba11d
 //
 // The snapshot also carries the flat N̂_E layout: right vertex v's live
 // already-processed edges occupy liveFlat[liveOff[v] : liveOff[v]+len],
-// where the region capacity is deg(v) — the most live edges v can ever
-// accumulate in one trial — so per-trial bookkeeping never allocates.
+// where the region capacity is v's degree within the snapshot — the most
+// live edges v can ever accumulate in one trial — so per-trial
+// bookkeeping never allocates.
 //
 // Since PR 9 the snapshot is immutable after snapshotFor returns and is
 // shared by every kernel over the same graph (see snapshotFor): it
@@ -78,6 +79,14 @@ type edgeSnapshot struct {
 	// centers on the right side (middles are right vertices, the seed
 	// implementation's fixed choice); flip=true centers on the left.
 	flip bool
+
+	// anchor is set on an anchored snapshot (see newAnchoredSnapshot): it
+	// holds only the edges of the backbone butterflies through the anchor,
+	// its pairing side is the anchor's side, and pin is the anchor's
+	// vertex on that side. Its kernels run the per-position loop with the
+	// anchored admission rule (see admitEdge).
+	anchor Anchor
+	pin    bigraph.VertexID
 
 	liveOff []int32 // per center vertex offset into liveFlat, len numCenter+1
 
@@ -164,16 +173,6 @@ type liveEdge struct {
 }
 
 func newEdgeSnapshot(g *bigraph.Graph) *edgeSnapshot {
-	sorted := g.EdgesByWeightDesc()
-	n := len(sorted)
-	s := &edgeSnapshot{
-		w:      make([]float64, n),
-		prt:    make([]bigraph.VertexID, n),
-		ctr:    make([]bigraph.VertexID, n),
-		id:     make([]bigraph.EdgeID, n),
-		thresh: make([]uint64, n),
-		wBar:   g.TopWeightSum(3),
-	}
 	// Side selection: center the live middle lists on the side with the
 	// smaller expected pair-work Σ_x d̄(x)² — the number of angles a trial
 	// forms is Σ over center vertices of C(present degree, 2).
@@ -186,39 +185,8 @@ func newEdgeSnapshot(g *bigraph.Graph) *edgeSnapshot {
 		d := g.ExpectedDegreeR(bigraph.VertexID(v))
 		workR += d * d
 	}
-	s.flip = workL < workR
-	s.pc = make([]uint64, n)
-	for i, eid := range sorted {
-		e := g.Edge(eid)
-		s.w[i] = e.W
-		if s.flip {
-			s.prt[i], s.ctr[i] = e.V, e.U
-		} else {
-			s.prt[i], s.ctr[i] = e.U, e.V
-		}
-		s.pc[i] = uint64(s.prt[i])<<32 | uint64(s.ctr[i])
-		s.id[i] = eid
-		s.thresh[i] = randx.BernoulliThreshold(e.P)
-	}
-	numCtr, numPrt := g.NumR(), g.NumL()
-	if s.flip {
-		numCtr, numPrt = g.NumL(), g.NumR()
-	}
-	s.liveOff = make([]int32, numCtr+1)
-	for c := 0; c < numCtr; c++ {
-		var deg int
-		if s.flip {
-			deg = g.DegreeL(bigraph.VertexID(c))
-		} else {
-			deg = g.DegreeR(bigraph.VertexID(c))
-		}
-		s.liveOff[c+1] = s.liveOff[c] + int32(deg)
-	}
-	s.tok = make([]uint64, numPrt)
-	for u := range s.tok {
-		sm := uint64(u) ^ 0x6a09e667f3bcc908 // fixed salt; any constant works
-		s.tok[u] = randx.SplitMix64(&sm)
-	}
+	s := layoutSnapshot(g, g.EdgesByWeightDesc(), workL < workR)
+	n := s.numEdges()
 
 	// Per-edge butterfly support, then the support-dependent kernel
 	// tables: normalized admission thresholds, the block draw schedule,
@@ -268,6 +236,58 @@ func newEdgeSnapshot(g *bigraph.Graph) *edgeSnapshot {
 	return s
 }
 
+// layoutSnapshot lays out the edges ids, given in the global
+// weight-descending order, as a snapshot centered on the left side when
+// flip is set: the per-position fields, the Section V-B budget w̄ of its
+// three heaviest edges, the per-center live regions and the pairing
+// tokens. The global snapshot adds its support tables on top; an
+// anchored snapshot (newAnchoredSnapshot) is this layout alone.
+func layoutSnapshot(g *bigraph.Graph, ids []bigraph.EdgeID, flip bool) *edgeSnapshot {
+	n := len(ids)
+	s := &edgeSnapshot{
+		w:      make([]float64, n),
+		prt:    make([]bigraph.VertexID, n),
+		ctr:    make([]bigraph.VertexID, n),
+		pc:     make([]uint64, n),
+		id:     ids,
+		thresh: make([]uint64, n),
+		flip:   flip,
+	}
+	numCtr, numPrt := g.NumR(), g.NumL()
+	if flip {
+		numCtr, numPrt = g.NumL(), g.NumR()
+	}
+	// A center's live region holds at most its snapshot degree; count
+	// those into liveOff[c+1], then prefix-sum them into offsets.
+	s.liveOff = make([]int32, numCtr+1)
+	for i, eid := range ids {
+		e := g.Edge(eid)
+		s.w[i] = e.W
+		if flip {
+			s.prt[i], s.ctr[i] = e.V, e.U
+		} else {
+			s.prt[i], s.ctr[i] = e.U, e.V
+		}
+		s.pc[i] = uint64(s.prt[i])<<32 | uint64(s.ctr[i])
+		s.thresh[i] = randx.BernoulliThreshold(e.P)
+		s.liveOff[s.ctr[i]+1]++
+	}
+	for c := 0; c < numCtr; c++ {
+		s.liveOff[c+1] += s.liveOff[c]
+	}
+	// w̄ adds the three heaviest weights lightest first, exactly as
+	// bigraph's TopWeightSum(3) does, so the budget is the same float.
+	for i := min(n, 3) - 1; i >= 0; i-- {
+		s.wBar += s.w[i]
+	}
+	s.tok = make([]uint64, numPrt)
+	for u := range s.tok {
+		sm := uint64(u) ^ 0x6a09e667f3bcc908 // fixed salt; any constant works
+		s.tok[u] = randx.SplitMix64(&sm)
+	}
+	return s
+}
+
 // numEdges returns the snapshot length.
 func (s *edgeSnapshot) numEdges() int { return len(s.id) }
 
@@ -276,13 +296,12 @@ func (s *edgeSnapshot) numEdges() int { return len(s.id) }
 // MaxInt32.
 //
 // The algorithm is the wedge-counting discipline of wing decomposition
-// (ParButterfly): fix a center vertex u on one side; one pass over the
-// neighborhoods of N(u) tallies cnt[u'] = |N(u) ∩ N(u')| for every
-// same-side vertex u'; a second pass then charges each edge (u, v) with
-// Σ_{u' ∈ N(v), u' ≠ u} (cnt[u'] − 1) — the number of butterflies
-// {u, u', v, v'} through (u, v). Total work is Σ over the opposite
-// side's degrees squared, so the center side is chosen to minimize it
-// (the same side-selection rule wing decomposition uses).
+// (ParButterfly): fix a center vertex x on one side; wedgeCount tallies
+// cnt[y] = |N(x) ∩ N(y)| for every same-side vertex y; a second pass then
+// charges each edge (x, m) with Σ_{y ∈ N(m), y ≠ x} (cnt[y] − 1) — the
+// number of butterflies {x, y, m, m'} through (x, m). Total work is Σ over
+// the opposite side's degrees squared, so the center side is chosen to
+// minimize it (the same side-selection rule wing decomposition uses).
 func edgeSupport(g *bigraph.Graph) []int32 {
 	sup := make([]int32, g.NumEdges())
 	var sumL2, sumR2 int64
@@ -294,65 +313,45 @@ func edgeSupport(g *bigraph.Graph) []int32 {
 		d := int64(g.DegreeR(bigraph.VertexID(v)))
 		sumR2 += d * d
 	}
-	if sumR2 <= sumL2 {
-		// Left centers: inner loops walk right neighborhoods (cost Σ_R d²).
-		cnt := make([]int32, g.NumL())
-		for u := 0; u < g.NumL(); u++ {
-			uid := bigraph.VertexID(u)
-			for _, h := range g.NeighborsL(uid) {
-				for _, h2 := range g.NeighborsR(h.To) {
-					if h2.To != uid {
-						cnt[h2.To]++
-					}
-				}
-			}
-			for _, h := range g.NeighborsL(uid) {
-				var c int64
-				for _, h2 := range g.NeighborsR(h.To) {
-					if h2.To == uid {
-						continue
-					}
-					c += int64(cnt[h2.To] - 1)
-				}
-				sup[h.E] = satInt32(c)
-			}
-			for _, h := range g.NeighborsL(uid) {
-				for _, h2 := range g.NeighborsR(h.To) {
-					cnt[h2.To] = 0
-				}
-			}
-		}
-		return sup
+	// Left centers walk right neighbourhoods (cost Σ_R d²), right centers
+	// left ones (cost Σ_L d²).
+	nbr, opp, n := g.NeighborsL, g.NeighborsR, g.NumL()
+	if sumR2 > sumL2 {
+		nbr, opp, n = g.NeighborsR, g.NeighborsL, g.NumR()
 	}
-	// Right centers: symmetric, inner loops walk left neighborhoods
-	// (cost Σ_L d²).
-	cnt := make([]int32, g.NumR())
-	for v := 0; v < g.NumR(); v++ {
-		vid := bigraph.VertexID(v)
-		for _, h := range g.NeighborsR(vid) {
-			for _, h2 := range g.NeighborsL(h.To) {
-				if h2.To != vid {
-					cnt[h2.To]++
+	cnt := make([]int32, n)
+	for c := 0; c < n; c++ {
+		x := bigraph.VertexID(c)
+		wedgeCount(x, nbr, opp, cnt)
+		for _, h := range nbr(x) {
+			var k int64
+			for _, h2 := range opp(h.To) {
+				if h2.To != x {
+					k += int64(cnt[h2.To] - 1)
 				}
 			}
+			sup[h.E] = satInt32(k)
 		}
-		for _, h := range g.NeighborsR(vid) {
-			var c int64
-			for _, h2 := range g.NeighborsL(h.To) {
-				if h2.To == vid {
-					continue
-				}
-				c += int64(cnt[h2.To] - 1)
-			}
-			sup[h.E] = satInt32(c)
-		}
-		for _, h := range g.NeighborsR(vid) {
-			for _, h2 := range g.NeighborsL(h.To) {
+		for _, h := range nbr(x) {
+			for _, h2 := range opp(h.To) {
 				cnt[h2.To] = 0
 			}
 		}
 	}
 	return sup
+}
+
+// wedgeCount adds one to cnt[y] per wedge (x, m, y) with y ≠ x, which on
+// zeroed counts leaves cnt[y] = |N(x) ∩ N(y)|. nbr lists the adjacency
+// of x's side and opp that of the other side.
+func wedgeCount(x bigraph.VertexID, nbr, opp func(bigraph.VertexID) []bigraph.Half, cnt []int32) {
+	for _, h := range nbr(x) {
+		for _, h2 := range opp(h.To) {
+			if h2.To != x {
+				cnt[h2.To]++
+			}
+		}
+	}
 }
 
 func satInt32(v int64) int32 {
@@ -420,18 +419,9 @@ type snapCacheEntry struct {
 // same graph may build duplicates — each fully calibrated and
 // interchangeable; one of them wins the cache slot.
 func snapshotFor(g *bigraph.Graph) *edgeSnapshot {
-	snapCache.Lock()
-	for i := range snapCache.entries {
-		if snapCache.entries[i].g == g {
-			e := snapCache.entries[i]
-			copy(snapCache.entries[1:i+1], snapCache.entries[:i])
-			snapCache.entries[0] = e
-			snapCache.Unlock()
-			return e.s
-		}
+	if s := cachedSnapshot(g); s != nil {
+		return s
 	}
-	snapCache.Unlock()
-
 	s := newEdgeSnapshot(g)
 	s.calibrate(g)
 
@@ -449,6 +439,22 @@ func snapshotFor(g *bigraph.Graph) *edgeSnapshot {
 		snapCache.entries = snapCache.entries[:snapCacheCap]
 	}
 	return s
+}
+
+// cachedSnapshot returns g's cached snapshot, or nil without building
+// one.
+func cachedSnapshot(g *bigraph.Graph) *edgeSnapshot {
+	snapCache.Lock()
+	defer snapCache.Unlock()
+	for i := range snapCache.entries {
+		if snapCache.entries[i].g == g {
+			e := snapCache.entries[i]
+			copy(snapCache.entries[1:i+1], snapCache.entries[:i])
+			snapCache.entries[0] = e
+			return e.s
+		}
+	}
+	return nil
 }
 
 // edgeThresholds precomputes the Bernoulli threshold of every backbone

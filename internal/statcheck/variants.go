@@ -11,12 +11,13 @@ import (
 )
 
 // This file extends the conformance harness to the query variants: the
-// anchored kernels (vertex- and edge-anchored OS and OLS) and the
-// per-community split. Each variant is checked against its own exact
-// brute-force oracle — core.ExactAnchored for the anchored runs (itself
-// certified in internal/core against an independent possible-world
-// reference) and per-subgraph core.Exact for the community split — with
-// the same Hoeffding acceptance intervals as the global methods.
+// anchored runs (vertex- and edge-anchored OS and OLS, the OS kernel over
+// an anchored snapshot) and the per-community split. Each variant is
+// checked against its own exact brute-force oracle — core.ExactAnchored
+// for the anchored runs (Exact's world loop keeping only the butterflies
+// through the anchor, so it shares no code with the kernel) and
+// per-subgraph core.Exact for the community split — with the same
+// Hoeffding acceptance intervals as the global methods.
 
 // Seed slots of the variant runs (slots 0..3 belong to the global
 // estimators, 8..15 to the metamorphic checks).
@@ -69,7 +70,7 @@ func (h *harness) runVariants(ci int, cs *CaseReport, g *bigraph.Graph) error {
 // deterministic contract: every anchored run must return exactly no
 // estimates, checked as a metamorphic (unbudgeted) invariant.
 func (h *harness) runAnchored(ci int, cs *CaseReport, g *bigraph.Graph, a core.Anchor) error {
-	exact, err := core.ExactAnchored(g, a)
+	exact, err := core.ExactAnchored(g, a, nil)
 	if err != nil {
 		return err
 	}

@@ -39,14 +39,14 @@ type Communities struct {
 // be combined with Community; AdaptivePrep composes with any of them.
 //
 // Anchored queries (AnchorL/AnchorR/AnchorEdge) restrict the search to
-// butterflies containing the anchor: candidate preparation and the trial
-// scans enumerate only the anchor's two-hop neighbourhood, so P(B) is
-// the probability that B is (one of) the heaviest among the
-// anchor-containing butterflies of a world. They support MethodExact,
-// MethodOS, MethodOLS and MethodOLSKL, reject Resume, Executor and the
-// adaptive supervisor options, and an anchor contained in no butterfly
-// yields an empty Result. Anchored MethodExact runs are not
-// interruptible (they are bounded by the 24-edge enumeration limit).
+// butterflies containing the anchor, so P(B) is the probability that B
+// is (one of) the heaviest among the anchor-containing butterflies of a
+// world. Candidate preparation and the trials run the global query's
+// trial kernel over a snapshot that holds only the edges of the anchor's
+// butterflies. They support MethodExact, MethodOS, MethodOLS and
+// MethodOLSKL, reject Resume, Executor and the adaptive supervisor
+// options, and an anchor contained in no butterfly yields an empty
+// Result.
 //
 // Community queries run one search per community label over its induced
 // subgraph, fanning communities out across Options.Workers (0 means

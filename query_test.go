@@ -479,3 +479,24 @@ func TestAnchoredSearchContextCancel(t *testing.T) {
 		t.Fatal("anchored partial results must not carry a checkpoint (Resume is rejected)")
 	}
 }
+
+// TestAnchoredExactContextCancel: the anchored exact oracle runs the
+// global one's world loop, so a cancelled context stops it at the first
+// world too.
+func TestAnchoredExactContextCancel(t *testing.T) {
+	g := figure1(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, q := range []*Query{{AnchorL: vptr(0)}, {AnchorR: vptr(1)}, {AnchorEdge: &EdgeAnchor{U: 0, V: 1}}} {
+		opt := DefaultOptions()
+		opt.Method = MethodExact
+		opt.Query = q
+		res, err := SearchContext(ctx, g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Partial || res.TrialsDone != 1 {
+			t.Fatalf("%+v: cancelled anchored exact search: partial=%v after %d worlds, want partial after 1", q, res.Partial, res.TrialsDone)
+		}
+	}
+}

@@ -149,7 +149,7 @@ func (s *Searcher) search(opt Options, interrupt func() bool) (*Result, error) {
 	var err error
 	switch {
 	case method == MethodExact && anchored:
-		res, err = core.ExactAnchored(g, anchor)
+		res, err = core.ExactAnchored(g, anchor, interrupt)
 	case method == MethodExact:
 		res, err = core.ExactInterruptible(g, interrupt)
 	case method == MethodOLS || method == MethodOLSKL:
