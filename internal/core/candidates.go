@@ -68,30 +68,10 @@ func PrepareCandidates(g *bigraph.Graph, nPrep int, seed uint64, osOpt OSOptions
 // (anchored when anchor is set) whose per-butterfly maximum tallies are
 // the candidate hit counts, seeded from resume's tallies of trials
 // 1..start. With a probe, each butterfly first seen in a trial is
-// announced as a promoted candidate.
+// announced as a promoted candidate (see osWorker.creditPromoting).
 func prepare(g *bigraph.Graph, anchor Anchor, nPrep int, seed uint64, osOpt OSOptions, resume []ButterflyCount, start int) (*Candidates, error) {
 	if nPrep <= 0 {
 		return nil, fmt.Errorf("core: preparing phase requires nPrep > 0, got %d", nPrep)
-	}
-	probe := osOpt.Probe.WithPhase(telemetry.PhasePrep)
-	kern := osOpt.kernel()
-	if probe != nil {
-		seen := make(map[butterfly.Butterfly]bool, len(resume))
-		for _, e := range resume {
-			seen[e.B] = true
-		}
-		kern.OnTrial = func(trial int, sMB *butterfly.MaxSet) {
-			for _, b := range sMB.Set {
-				if !seen[b] {
-					seen[b] = true
-					probe.Add(0, telemetry.CounterCandidates, 1)
-					probe.Emit(telemetry.Event{
-						Kind: telemetry.EventCandidatePromoted, Trial: trial,
-						B: probeButterfly(b), Weight: sMB.W,
-					})
-				}
-			}
-		}
 	}
 	r, err := execute(nil, 1, &ExecJob{
 		Kind:      ExecOS,
@@ -100,9 +80,9 @@ func prepare(g *bigraph.Graph, anchor Anchor, nPrep int, seed uint64, osOpt OSOp
 		Units:     nPrep,
 		Start:     start,
 		Anchor:    anchor,
-		OS:        kern,
+		OS:        osOpt.kernel(),
 		Interrupt: osOpt.Interrupt,
-		Probe:     probe,
+		Probe:     osOpt.Probe.WithPhase(telemetry.PhasePrep),
 		into:      &ExecResult{Done: start, acc: accumulatorFromCounts(resume)},
 	})
 	if err != nil {

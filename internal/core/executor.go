@@ -239,8 +239,8 @@ func (x *ExecResult) fold(kind ExecKind, r *ExecResult, start int) {
 	case ExecOS:
 		if r.acc != nil {
 			x.acc.merge(r.acc)
-		} else if len(r.Counts) > 0 {
-			x.acc.merge(accumulatorFromCounts(r.Counts))
+		} else {
+			x.acc.mergeCounts(r.Counts)
 		}
 	case ExecOptimized:
 		for i, cnt := range r.CandCounts {
@@ -517,6 +517,10 @@ type osWorker struct {
 	// one-worker run outside the preparing phase (whose tallies are
 	// candidate hits, not the run's estimates).
 	lead bool
+	// promote announces each butterfly new to the tally as a promoted
+	// candidate: a one-worker preparing phase under a probe, whose tally
+	// holds every earlier trial and the resumed prefix.
+	promote bool
 }
 
 func newOSWorker(job *ExecJob, out *ExecResult, snap *edgeSnapshot, w int, single bool) *osWorker {
@@ -528,14 +532,20 @@ func newOSWorker(job *ExecJob, out *ExecResult, snap *edgeSnapshot, w int, singl
 		x.acc = newProbAccumulator()
 	}
 	x.meter = newTrialMeter(job.Probe, w, snap.numEdges(), false)
-	x.lead = single && job.Probe != nil && job.Probe.Phase != telemetry.PhasePrep
+	if single && job.Probe != nil {
+		x.lead = job.Probe.Phase != telemetry.PhasePrep
+		x.promote = !x.lead
+	}
 	return x
 }
 
 func (x *osWorker) unit(u int) {
 	scanned, fellBack := x.idx.runTrialSeeded(x.root, uint64(u), &x.sMB)
 	hit := !x.sMB.Empty()
-	if hit {
+	switch {
+	case hit && x.promote:
+		x.creditPromoting(u)
+	case hit:
 		x.acc.addMaxSet(&x.sMB)
 	}
 	if x.job.OS.OnTrial != nil {
@@ -543,6 +553,21 @@ func (x *osWorker) unit(u int) {
 	}
 	if x.meter.observe(u, scanned, fellBack, hit) && x.lead {
 		probeEstimate(x.job.Probe, 0, int64(x.acc.leadCount), u, x.acc.leadB, x.acc.leadW)
+	}
+}
+
+// creditPromoting credits trial u's maximum set like addMaxSet, emitting
+// a candidate promotion for each butterfly the tally had not seen.
+func (x *osWorker) creditPromoting(u int) {
+	p := x.job.Probe
+	for _, b := range x.sMB.Set {
+		if x.acc.credit(b, 1, x.sMB.W) {
+			p.Add(0, telemetry.CounterCandidates, 1)
+			p.Emit(telemetry.Event{
+				Kind: telemetry.EventCandidatePromoted, Trial: u,
+				B: probeButterfly(b), Weight: x.sMB.W,
+			})
+		}
 	}
 }
 

@@ -209,40 +209,106 @@ func (r *Result) Lookup(b butterfly.Butterfly) (Estimate, bool) {
 // maximum weighted butterfly. It is the shared bookkeeping behind MC-VP,
 // OS and the OLS preparing phase (lines 18–19 of Algorithm 1, 21–22 of
 // Algorithm 2, and the C_MB hit counts of lines 2–4 of Algorithm 3).
+//
+// The tally is an open-addressing table in angleTable's style:
+// power-of-two capacity, linear probing, growth at 3/4 load, and each
+// butterfly's count and weight inline in its slot, so a credit is one
+// probe walk and no allocation. On tie-heavy graphs S_MB holds thousands
+// of butterflies per trial, and crediting them is the hot path beside
+// the trial kernel (docs/ALGORITHMS.md, "The butterfly tally").
 type probAccumulator struct {
-	// tally keeps each butterfly's count and weight behind a pointer, so
-	// crediting a butterfly seen before costs one map lookup: the hot path
-	// when a large weight tie class reaches S_MB in every trial.
-	tally map[butterfly.Butterfly]*butterflyTally
+	slots []tallySlot // nil until the first credit
+	mask  uint64
+	live  int
 	// Running leader (argmax of counts), maintained incrementally so
 	// instrumented runners can publish a live estimate at each flush
-	// without rescanning the map. Telemetry-only: the Result order is
+	// without rescanning the table. Telemetry-only: the Result order is
 	// still established by sortEstimates.
 	leadCount int
 	leadB     butterfly.Butterfly
 	leadW     float64
 }
 
-// butterflyTally is one butterfly's accumulated count and its weight.
-type butterflyTally struct {
-	n int
-	w float64
+// tallySlot is one 32-byte table slot: a butterfly, its weight, and nocc,
+// which holds count<<1 | 1 once the slot is taken and 0 while it is
+// empty. The occupancy bit is kept apart from the count because a
+// butterfly can be tallied at zero hits (the supervisor merges
+// audit-missed butterflies that way, and checkpoints carry zero counts).
+type tallySlot struct {
+	b    butterfly.Butterfly
+	w    float64
+	nocc uint64
 }
 
-func newProbAccumulator() *probAccumulator {
-	return &probAccumulator{tally: make(map[butterfly.Butterfly]*butterflyTally)}
+func (s *tallySlot) count() int { return int(s.nocc >> 1) }
+
+// minTallyCap is the capacity of a table's first allocation; growth is by
+// doubling.
+const minTallyCap = 16
+
+func newProbAccumulator() *probAccumulator { return &probAccumulator{} }
+
+// tallyHash maps a butterfly to a home-slot hash: its two packed 64-bit
+// halves folded into one word and finished with mix64.
+func tallyHash(b butterfly.Butterfly) uint64 {
+	hi := uint64(b.U1)<<32 | uint64(b.U2)
+	lo := uint64(b.V1)<<32 | uint64(b.V2)
+	return mix64(hi ^ lo*0x9e3779b97f4a7c15)
 }
 
-// credit adds n trials to butterfly b of weight w.
-func (a *probAccumulator) credit(b butterfly.Butterfly, n int, w float64) {
-	t := a.tally[b]
-	if t == nil {
-		t = &butterflyTally{w: w}
-		a.tally[b] = t
+// credit adds n ≥ 0 trials to butterfly b of weight w and reports whether
+// b was new to the tally. A new butterfly keeps w; later credits only add
+// to its count.
+func (a *probAccumulator) credit(b butterfly.Butterfly, n int, w float64) bool {
+	if a.slots == nil {
+		a.grow(minTallyCap)
 	}
-	t.n += n
-	if t.n > a.leadCount {
-		a.leadCount, a.leadB, a.leadW = t.n, b, w
+	h := tallyHash(b)
+	i := h & a.mask
+	for {
+		s := &a.slots[i]
+		if s.nocc == 0 {
+			break
+		}
+		if s.b == b {
+			s.nocc += uint64(n) << 1
+			if c := s.count(); c > a.leadCount {
+				a.leadCount, a.leadB, a.leadW = c, b, s.w
+			}
+			return false
+		}
+		i = (i + 1) & a.mask
+	}
+	if (a.live+1)*4 > len(a.slots)*3 {
+		a.grow(2 * len(a.slots))
+		i = h & a.mask
+		for a.slots[i].nocc != 0 {
+			i = (i + 1) & a.mask
+		}
+	}
+	a.slots[i] = tallySlot{b: b, w: w, nocc: uint64(n)<<1 | 1}
+	a.live++
+	if n > a.leadCount {
+		a.leadCount, a.leadB, a.leadW = n, b, w
+	}
+	return true
+}
+
+// grow rehashes the table into capacity slots, a power of two.
+func (a *probAccumulator) grow(capacity int) {
+	old := a.slots
+	a.slots = make([]tallySlot, capacity)
+	a.mask = uint64(capacity - 1)
+	for k := range old {
+		s := &old[k]
+		if s.nocc == 0 {
+			continue
+		}
+		i := tallyHash(s.b) & a.mask
+		for a.slots[i].nocc != 0 {
+			i = (i + 1) & a.mask
+		}
+		a.slots[i] = *s
 	}
 }
 
@@ -254,18 +320,30 @@ func (a *probAccumulator) addMaxSet(m *butterfly.MaxSet) {
 }
 
 // merge folds another accumulator's tallies into a (used to combine
-// worker-local accumulators and resumed checkpoint state).
+// worker-local accumulators).
 func (a *probAccumulator) merge(b *probAccumulator) {
-	for bf, t := range b.tally {
-		a.credit(bf, t.n, t.w)
+	for k := range b.slots {
+		if s := &b.slots[k]; s.nocc != 0 {
+			a.credit(s.b, s.count(), s.w)
+		}
+	}
+}
+
+// mergeCounts folds checkpoint entries into a (resumed state and remote
+// executors' payloads).
+func (a *probAccumulator) mergeCounts(entries []ButterflyCount) {
+	for _, e := range entries {
+		a.credit(e.B, int(e.Count), e.Weight)
 	}
 }
 
 // snapshot exports the accumulator as canonical-order checkpoint entries.
 func (a *probAccumulator) snapshot() []ButterflyCount {
-	out := make([]ButterflyCount, 0, len(a.tally))
-	for b, t := range a.tally {
-		out = append(out, ButterflyCount{B: b, Count: int64(t.n), Weight: t.w})
+	out := make([]ButterflyCount, 0, a.live)
+	for k := range a.slots {
+		if s := &a.slots[k]; s.nocc != 0 {
+			out = append(out, ButterflyCount{B: s.b, Count: int64(s.count()), Weight: s.w})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return lessButterfly(out[i].B, out[j].B) })
 	return out
@@ -273,9 +351,11 @@ func (a *probAccumulator) snapshot() []ButterflyCount {
 
 // hits returns the per-butterfly counts as a hit map.
 func (a *probAccumulator) hits() map[butterfly.Butterfly]int {
-	h := make(map[butterfly.Butterfly]int, len(a.tally))
-	for b, t := range a.tally {
-		h[b] = t.n
+	h := make(map[butterfly.Butterfly]int, a.live)
+	for k := range a.slots {
+		if s := &a.slots[k]; s.nocc != 0 {
+			h[s.b] = s.count()
+		}
 	}
 	return h
 }
@@ -283,9 +363,7 @@ func (a *probAccumulator) hits() map[butterfly.Butterfly]int {
 // accumulatorFromCounts rebuilds an accumulator from checkpoint entries.
 func accumulatorFromCounts(entries []ButterflyCount) *probAccumulator {
 	a := newProbAccumulator()
-	for _, e := range entries {
-		a.credit(e.B, int(e.Count), e.Weight)
-	}
+	a.mergeCounts(entries)
 	return a
 }
 
@@ -297,13 +375,15 @@ func (a *probAccumulator) result(method string, trials int) *Result {
 // resultNorm normalizes counts over norm completed trials while reporting
 // trials as the run's target — the partial-result path, where norm < trials.
 func (a *probAccumulator) resultNorm(method string, trials, norm int) *Result {
-	es := make([]Estimate, 0, len(a.tally))
-	for b, t := range a.tally {
-		es = append(es, Estimate{
-			B:      b,
-			Weight: t.w,
-			P:      float64(t.n) / float64(norm),
-		})
+	es := make([]Estimate, 0, a.live)
+	for k := range a.slots {
+		if s := &a.slots[k]; s.nocc != 0 {
+			es = append(es, Estimate{
+				B:      s.b,
+				Weight: s.w,
+				P:      float64(s.count()) / float64(norm),
+			})
+		}
 	}
 	sortEstimates(es)
 	return &Result{Method: method, Trials: trials, TrialsDone: norm, Estimates: es}

@@ -53,8 +53,8 @@ const calibrationSalt = 0x5ca1ab1e0ddba11d
 //
 // Since PR 9 the snapshot is immutable after snapshotFor returns and is
 // shared by every kernel over the same graph (see snapshotFor): it
-// additionally precomputes the batched-RNG draw schedule (admitTh,
-// wordOf, ndraws), the per-edge butterfly support counts and the
+// additionally precomputes, from per-edge butterfly support counts, the
+// batched-RNG draw schedule (admitTh, wordOf, ndraws) and the
 // support-sharpened prune budgets (wBarS, wBar2S), and the calibrated
 // truncated-prefix boundary (prefixLen).
 type edgeSnapshot struct {
@@ -98,23 +98,21 @@ type edgeSnapshot struct {
 	// angle.
 	tok []uint64
 
-	// support is the exact number of backbone butterflies (4-cycles)
-	// containing each snapshot position's edge, computed once at build in
-	// the wing-decomposition style (per-edge support via wedge counts from
-	// the cheaper side; cf. ParButterfly's wing ordering). An edge with
-	// support 0 lies on no backbone butterfly, so no possible world can
-	// materialize a butterfly through it: the kernel never admits it
-	// (admitTh 0), though the edge still consumes its Bernoulli draw so
-	// the word schedule of every later edge is unchanged. Counts saturate
-	// at MaxInt32; only >0 matters to the kernel.
-	support []int32
-
 	// admitTh is the batched-admission threshold of each position,
 	// normalized into [0, 2^53] so one branch-free comparison per edge
 	// decides admission: a position is admitted iff word>>11 < admitTh.
 	// p <= 0 and support-0 edges map to 0 (word>>11 < 0 is never true),
 	// p >= 1 maps to 2^53 (word>>11 <= 2^53-1 < 2^53 is always true),
 	// and p in (0, 1) keeps its BernoulliThreshold in [1, 2^53].
+	//
+	// An edge's support is the exact number of backbone butterflies
+	// (4-cycles) containing it, counted once at build in the
+	// wing-decomposition style (edgeSupport: wedge counts from the cheaper
+	// side; cf. ParButterfly's wing ordering). An edge with support 0 lies
+	// on no backbone butterfly, so no possible world can materialize a
+	// butterfly through it: the kernel never admits it, though the edge
+	// still consumes its Bernoulli draw so the word schedule of every later
+	// edge is unchanged.
 	admitTh []uint64
 
 	// wordOf[i] is the index, within position i's rngBlock-wide block, of
@@ -192,7 +190,6 @@ func newEdgeSnapshot(g *bigraph.Graph) *edgeSnapshot {
 	// tables: normalized admission thresholds, the block draw schedule,
 	// and the sharpened prune budgets.
 	sup := edgeSupport(g)
-	s.support = make([]int32, n)
 	s.admitTh = make([]uint64, n)
 	s.wordOf = make([]uint8, n)
 	s.ndraws = make([]uint8, (n+rngBlock-1)/rngBlock)
@@ -207,10 +204,8 @@ func newEdgeSnapshot(g *bigraph.Graph) *edgeSnapshot {
 			draws++
 		}
 		s.ndraws[i>>rngBlockShift] = draws
-		supI := sup[s.id[i]]
-		s.support[i] = supI
 		switch {
-		case supI == 0 || th == randx.BernoulliNever:
+		case sup[s.id[i]] == 0 || th == randx.BernoulliNever:
 			s.admitTh[i] = 0
 		case th == randx.BernoulliAlways:
 			s.admitTh[i] = 1 << 53
@@ -224,7 +219,7 @@ func newEdgeSnapshot(g *bigraph.Graph) *edgeSnapshot {
 	var top [3]float64
 	found := 0
 	for i := 0; i < n && found < 3; i++ {
-		if s.support[i] > 0 {
+		if sup[s.id[i]] > 0 {
 			top[found] = s.w[i]
 			found++
 		}

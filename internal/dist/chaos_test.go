@@ -119,6 +119,77 @@ func TestChaosDroppedCompleteRecovers(t *testing.T) {
 	}
 }
 
+// TestChaosJobCollectedBeforeGraphFetch collects a job after a worker was
+// granted a lease on it but before the worker fetched its graph, as when
+// a run finishes while a late or reissued lease is still out. The fetch
+// then answers 404 "no such job": the worker must drop the lease, count a
+// graph error and keep serving, not end its run with the error.
+func TestChaosJobCollectedBeforeGraphFetch(t *testing.T) {
+	g := meshGraph(t)
+	coord := NewCoordinator()
+	coord.LeaseUnits = 64
+	hs := httptest.NewServer(coord.Handler())
+	defer hs.Close()
+
+	gone, _, err := coord.register(&core.ExecJob{
+		Kind: core.ExecOS, Graph: g, Seed: 7, Units: 128,
+		Spec: core.ExecSpec{Method: "os", Seed: 7, Trials: 128},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	var served atomic.Int32
+	w := &Worker{Base: hs.URL, Name: "late", Pool: 1, Reg: reg, testFaults: &workerFaults{
+		granted: func(rep *LeaseReply) {
+			if rep.Job.Job != gone {
+				served.Add(1)
+				return
+			}
+			if _, err := coord.collect(gone); err != nil {
+				t.Errorf("collect: %v", err)
+			}
+		},
+	}}
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() { errc <- w.Run(ctx) }()
+	defer func() { cancel(); <-errc }()
+
+	deadline := time.After(10 * time.Second)
+	for reg.Snapshot().DistGraphErrors == 0 {
+		select {
+		case err := <-errc:
+			errc <- err // for the deferred teardown
+			t.Fatalf("worker ended holding a collected job's lease: %v", err)
+		case <-deadline:
+			t.Fatal("worker never dropped the collected job's lease")
+		case <-time.After(time.Millisecond):
+		}
+	}
+
+	// The same worker serves the next run to a bit-identical Result.
+	seq, err := mpmb.Search(g, baseOptions(mpmb.MethodOS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := baseOptions(mpmb.MethodOS)
+	opt.Executor = &Executor{C: coord}
+	got, err := mpmb.Search(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, seq) {
+		t.Fatalf("Result after the dropped lease diverges\n got: %+v\nwant: %+v", got, seq)
+	}
+	if served.Load() == 0 {
+		t.Fatal("the worker served no lease of the second run; test is vacuous")
+	}
+	if m := reg.Snapshot(); m.DistGraphErrors != 1 || m.DistExecErrors != 0 {
+		t.Fatalf("graph/exec errors = %d/%d, want 1/0", m.DistGraphErrors, m.DistExecErrors)
+	}
+}
+
 // executeRange mimics a worker's execution of one leased range without
 // HTTP: a fresh per-range registry, the LocalExecutor on the sub-range,
 // and the terminal snapshot as the counter delta.

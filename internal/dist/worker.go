@@ -74,6 +74,9 @@ type workerFaults struct {
 	// it is sent; returning false drops the message (the worker proceeds
 	// as if it were sent).
 	interceptComplete func(*LeaseComplete) bool
+	// granted, when non-nil, sees every granted lease before the worker
+	// executes it (and so before any graph fetch the lease triggers).
+	granted func(*LeaseReply)
 }
 
 // workerGraph is one verified graph plus its derived candidate sets,
@@ -147,18 +150,27 @@ func (w *Worker) Run(ctx context.Context) error {
 			if f := w.testFaults; f != nil && f.dieAfterLeases > 0 && w.leases >= f.dieAfterLeases {
 				return nil // chaos: die holding the lease
 			}
+			if f := w.testFaults; f != nil && f.granted != nil {
+				f.granted(rep)
+			}
 			msg, err := w.execute(ctx, rep)
 			if err != nil {
 				if ctx.Err() != nil {
 					return nil
 				}
-				if errors.Is(err, ErrTransportExhausted) {
+				switch {
+				case errors.Is(err, ErrTransportExhausted):
 					// The graph fetch died with the coordinator: abandon
 					// the lease (the TTL reissues it) and park.
 					w.count(telemetry.CounterDistGraphErrors)
 					if !w.park(ctx) {
 						return nil
 					}
+					continue
+				case jobGone(err):
+					// The job was collected while this worker held its
+					// lease: the run is over, so drop the lease and poll on.
+					w.count(telemetry.CounterDistGraphErrors)
 					continue
 				}
 				w.count(telemetry.CounterDistExecErrors)
@@ -337,6 +349,15 @@ func (w *Worker) graph(ctx context.Context, spec *JobSpec) (*workerGraph, error)
 	wg := &workerGraph{g: g, cands: make(map[candKey]*core.Candidates)}
 	w.graphs[spec.GraphCRC] = wg
 	return wg, nil
+}
+
+// jobGone reports whether err is the coordinator's 404 to a graph fetch:
+// the job was collected (it finished or was interrupted) after the lease
+// was granted. The coordinator likewise acknowledges and drops late
+// completions of a collected job.
+func jobGone(err error) bool {
+	var se *statusError
+	return errors.As(err, &se) && se.op == "graph" && se.code == http.StatusNotFound
 }
 
 // candidates rebuilds (or returns the cached) candidate set for a spec.
