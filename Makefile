@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race cover bench bench-compare microbench fuzz vet fmt experiments clean
+.PHONY: all build test test-race cover bench bench-compare microbench fuzz loc vet fmt experiments clean
 
 all: build test
 
@@ -46,10 +46,30 @@ bench-compare:
 microbench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Brief fuzzing sessions over both graph parsers.
+# Brief fuzzing sessions, 10 s each, over the targets CI's fuzz smoke
+# steps run: the checkpoint decoder and butterfly tally, the dist wire
+# decoder and merge, and both graph parsers.
+FUZZ_TARGETS := \
+	./internal/core/:FuzzCheckpointDecode \
+	./internal/core/:FuzzTally \
+	./internal/dist/:FuzzLeaseDecode \
+	./internal/dist/:FuzzCheckpointMerge \
+	./internal/bigraph/:FuzzRead \
+	./internal/bigraph/:FuzzReadBinary
 fuzz:
-	$(GO) test ./internal/bigraph/ -run '^FuzzRead$$' -fuzz '^FuzzRead$$' -fuzztime=30s
-	$(GO) test ./internal/bigraph/ -run '^FuzzReadBinary$$' -fuzz '^FuzzReadBinary$$' -fuzztime=30s
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; name=$${t#*:}; \
+		echo "fuzz $$name ($$pkg)"; \
+		$(GO) test $$pkg -run '^$$' -fuzz "^$$name\$$" -fuzztime=10s; \
+	done
+
+# Net non-test Go line delta of the working tree against BASE (git diff
+# --numstat, *.go minus *_test.go and minus benchmark/), the figure every
+# CHANGES.md entry states. New files count once they are staged.
+BASE ?= HEAD
+loc:
+	@git diff --numstat $(BASE) -- '*.go' ':!*_test.go' ':!benchmark/' | \
+		awk '{a += $$1; d += $$2} END {printf "non-test Go lines vs $(BASE): +%d -%d = %+d\n", a, d, a - d}'
 
 vet:
 	$(GO) vet ./...

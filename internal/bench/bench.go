@@ -160,19 +160,17 @@ func runMethodTimed(g *bigraph.Graph, name string, m Method, opt Options) (Timin
 			pilot = opt.SampleTrials
 		}
 		deadline := time.Now().Add(opt.TimeBudget / 2)
-		completed := 0
 		t0 := time.Now()
 		res, err := core.MCVP(g, core.MCVPOptions{
-			Trials:          pilot,
-			Seed:            opt.Seed,
-			Interrupt:       func() bool { return time.Now().After(deadline) },
-			CompletedTrials: &completed,
+			Trials:    pilot,
+			Seed:      opt.Seed,
+			Interrupt: func() bool { return time.Now().After(deadline) },
 		})
 		pilotTime := time.Since(t0)
 		if err != nil {
 			return cell, err
 		}
-		interrupted := res.Partial
+		interrupted, completed := res.Partial, res.TrialsDone
 		perTrial := pilotTime / time.Duration(completed+1)
 		if !interrupted && completed > 0 {
 			perTrial = pilotTime / time.Duration(completed)

@@ -192,35 +192,13 @@ func AnchoredOS(g *bigraph.Graph, a Anchor, opt OSOptions) (*Result, error) {
 // streams from the shared seed, so results are identical for every
 // worker count.
 func AnchoredOSParallel(g *bigraph.Graph, a Anchor, opt OSOptions, workers int) (*Result, error) {
-	if opt.Trials <= 0 {
-		return nil, fmt.Errorf("core: anchored OS requires Trials > 0, got %d", opt.Trials)
-	}
 	if opt.Resume != nil {
 		return nil, fmt.Errorf("core: anchored runs do not support Resume")
 	}
 	if err := a.Validate(g); err != nil {
 		return nil, err
 	}
-	kern := opt.kernel()
-	kern.OnTrial = opt.OnTrial
-	r, err := execute(opt.Executor, workers, &ExecJob{
-		Kind:      ExecOS,
-		Graph:     g,
-		Seed:      opt.Seed,
-		Units:     opt.Trials,
-		Anchor:    a,
-		OS:        kern,
-		Interrupt: opt.Interrupt,
-		Probe:     opt.Probe,
-		into:      &ExecResult{acc: newProbAccumulator()},
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := r.acc.resultNorm("os", opt.Trials, r.Done)
-	res.Partial = r.Done < opt.Trials
-	probeFinish(opt.Probe, res)
-	return res, nil
+	return osRun(g, a, opt, workers)
 }
 
 // PrepareAnchoredCandidates runs nPrep anchored trials and unions each
@@ -231,5 +209,5 @@ func PrepareAnchoredCandidates(g *bigraph.Graph, a Anchor, nPrep int, seed uint6
 	if err := a.Validate(g); err != nil {
 		return nil, err
 	}
-	return prepare(g, a, nPrep, seed, OSOptions{Interrupt: interrupt}, nil, 0)
+	return prepare(g, a, nPrep, seed, OSOptions{Interrupt: interrupt})
 }

@@ -48,28 +48,28 @@ type Candidates struct {
 // phase converts that into a resumable prepare-phase checkpoint, which
 // osOpt.Resume continues bit-identically.
 func PrepareCandidates(g *bigraph.Graph, nPrep int, seed uint64, osOpt OSOptions) (*Candidates, error) {
-	var resume []ButterflyCount
-	start := 0
 	if ck := osOpt.Resume; ck != nil {
 		if !ck.Prepare {
 			return nil, fmt.Errorf("core: checkpoint is from the sampling phase, not the preparing phase")
 		}
 		// Method, Trials and Mu belong to the sampling phase, which checks
 		// them when it receives the checkpoint.
-		if err := ck.resumeCheck(ck.Method, seed, ck.Trials, nPrep, ck.Mu, g); err != nil {
+		run := *ck
+		run.Seed, run.PrepTrials = seed, nPrep
+		if err := ck.resumeCheck(run, g); err != nil {
 			return nil, err
 		}
-		resume, start = ck.Counts, ck.Done
 	}
-	return prepare(g, Anchor{}, nPrep, seed, osOpt, resume, start)
+	return prepare(g, Anchor{}, nPrep, seed, osOpt)
 }
 
 // prepare runs the preparing phase as a one-worker Ordering Sampling job
 // (anchored when anchor is set) whose per-butterfly maximum tallies are
-// the candidate hit counts, seeded from resume's tallies of trials
-// 1..start. With a probe, each butterfly first seen in a trial is
-// announced as a promoted candidate (see osWorker.creditPromoting).
-func prepare(g *bigraph.Graph, anchor Anchor, nPrep int, seed uint64, osOpt OSOptions, resume []ButterflyCount, start int) (*Candidates, error) {
+// the candidate hit counts, continuing the prepare-phase checkpoint
+// osOpt.Resume when one is set. With a probe, each butterfly first seen
+// in a trial is announced as a promoted candidate (see
+// osWorker.creditPromoting).
+func prepare(g *bigraph.Graph, anchor Anchor, nPrep int, seed uint64, osOpt OSOptions) (*Candidates, error) {
 	if nPrep <= 0 {
 		return nil, fmt.Errorf("core: preparing phase requires nPrep > 0, got %d", nPrep)
 	}
@@ -78,13 +78,11 @@ func prepare(g *bigraph.Graph, anchor Anchor, nPrep int, seed uint64, osOpt OSOp
 		Graph:     g,
 		Seed:      seed,
 		Units:     nPrep,
-		Start:     start,
 		Anchor:    anchor,
 		OS:        osOpt.kernel(),
 		Interrupt: osOpt.Interrupt,
 		Probe:     osOpt.Probe.WithPhase(telemetry.PhasePrep),
-		into:      &ExecResult{Done: start, acc: accumulatorFromCounts(resume)},
-	})
+	}, osOpt.Resume)
 	if err != nil {
 		return nil, err
 	}
@@ -139,15 +137,17 @@ func AllBackboneCandidates(g *bigraph.Graph) (*Candidates, error) {
 // Len returns |C_MB|.
 func (c *Candidates) Len() int { return len(c.List) }
 
-// prepSnapshot exports the preparing-phase hit tallies as canonical-order
-// checkpoint entries, so a cancelled preparing phase can resume exactly.
-func (c *Candidates) prepSnapshot() []ButterflyCount {
-	out := make([]ButterflyCount, 0, len(c.List))
+// prepCheckpoint cuts the preparing phase's checkpoint from the listing,
+// for the run whose header is run: the candidates' hit tallies over the
+// PrepDone completed trials, at their canonical weights.
+func (c *Candidates) prepCheckpoint(run Checkpoint) *Checkpoint {
+	counts := make([]ButterflyCount, 0, len(c.List))
 	for _, cand := range c.List {
-		out = append(out, ButterflyCount{B: cand.B, Count: int64(cand.Hits), Weight: cand.Weight})
+		counts = append(counts, ButterflyCount{B: cand.B, Count: int64(cand.Hits), Weight: cand.Weight})
 	}
-	sort.Slice(out, func(i, j int) bool { return lessButterfly(out[i].B, out[j].B) })
-	return out
+	sort.Slice(counts, func(i, j int) bool { return lessButterfly(counts[i].B, counts[j].B) })
+	run.Prepare = true
+	return (&ExecResult{Done: c.PrepDone, Payload: Payload{Counts: counts}}).checkpoint(run, c.G)
 }
 
 // LargerCount returns L(i): the number of candidates whose weight is

@@ -7,8 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
 	"github.com/uncertain-graphs/mpmb/internal/butterfly"
@@ -84,15 +82,13 @@ type ButterflyCount struct {
 //	crcG    uint32   graph fingerprint
 //	flags   uint8    bit 0: prepare phase
 //	done    uint64
-//	kind    uint8    1 = Counts, 2 = CandCounts, 3 = CandProbs/CandTrials
+//	kind    uint8    the payload's ExecKind: 1 = Counts (ExecOS),
+//	                 2 = CandCounts (ExecOptimized), 3 = CandProbs/CandTrials
+//	                 (ExecKarpLuby)
 //	n       uint64   entry count, then n records (layout per kind)
 //	crc     uint32   IEEE CRC-32 over everything above
 const (
 	ckptVersion = 1
-
-	ckptKindCounts     = 1
-	ckptKindCandCounts = 2
-	ckptKindKL         = 3
 
 	// maxCheckpointEntries bounds decode-time allocation; a corrupted
 	// header must not be able to demand gigabytes.
@@ -101,20 +97,25 @@ const (
 
 var ckptMagic = [8]byte{'M', 'P', 'M', 'B', 'C', 'K', 'P', '1'}
 
-// payloadKind returns the payload section a method's checkpoint carries.
-func (c *Checkpoint) payloadKind() byte {
+// payloadKind returns the kind of state a method's checkpoint carries.
+func (c *Checkpoint) payloadKind() ExecKind {
 	if c.Prepare {
-		return ckptKindCounts
+		return ExecOS
 	}
 	switch c.Method {
 	case "mc-vp", "os":
-		return ckptKindCounts
+		return ExecOS
 	case "ols":
-		return ckptKindCandCounts
+		return ExecOptimized
 	case "ols-kl":
-		return ckptKindKL
+		return ExecKarpLuby
 	}
 	return 0
+}
+
+// payload views the checkpoint's payload section as a Payload.
+func (c *Checkpoint) payload() Payload {
+	return Payload{Counts: c.Counts, CandCounts: c.CandCounts, CandProbs: c.CandProbs, CandTrials: c.CandTrials}
 }
 
 // Encode writes the checkpoint in its versioned, checksummed binary form.
@@ -165,7 +166,7 @@ func (c *Checkpoint) Encode(w io.Writer) error {
 		return err
 	}
 	switch kind {
-	case ckptKindCounts:
+	case ExecOS:
 		if err := writeU(uint64(len(c.Counts)), 8); err != nil {
 			return err
 		}
@@ -182,7 +183,7 @@ func (c *Checkpoint) Encode(w io.Writer) error {
 				return err
 			}
 		}
-	case ckptKindCandCounts:
+	case ExecOptimized:
 		if err := writeU(uint64(len(c.CandCounts)), 8); err != nil {
 			return err
 		}
@@ -191,7 +192,7 @@ func (c *Checkpoint) Encode(w io.Writer) error {
 				return err
 			}
 		}
-	case ckptKindKL:
+	case ExecKarpLuby:
 		if err := writeU(uint64(len(c.CandProbs)), 8); err != nil {
 			return err
 		}
@@ -303,7 +304,7 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	if byte(kind) != c.payloadKind() {
+	if ExecKind(kind) != c.payloadKind() {
 		return nil, fmt.Errorf("core: checkpoint payload kind %d does not match method %q", kind, c.Method)
 	}
 	n, err := readU(8)
@@ -313,8 +314,8 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if n > maxCheckpointEntries {
 		return nil, fmt.Errorf("core: checkpoint declares %d entries (limit %d)", n, maxCheckpointEntries)
 	}
-	switch byte(kind) {
-	case ckptKindCounts:
+	switch ExecKind(kind) {
+	case ExecOS:
 		c.Counts = make([]ButterflyCount, 0, n)
 		for i := uint64(0); i < n; i++ {
 			var vs [4]uint64
@@ -340,7 +341,7 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 				Weight: math.Float64frombits(wBits),
 			})
 		}
-	case ckptKindCandCounts:
+	case ExecOptimized:
 		c.CandCounts = make([]int64, 0, n)
 		for i := uint64(0); i < n; i++ {
 			v, err := readU(8)
@@ -349,7 +350,7 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 			}
 			c.CandCounts = append(c.CandCounts, int64(v))
 		}
-	case ckptKindKL:
+	case ExecKarpLuby:
 		c.CandProbs = make([]float64, 0, n)
 		c.CandTrials = make([]int64, 0, n)
 		for i := uint64(0); i < n; i++ {
@@ -400,84 +401,37 @@ func (c *Checkpoint) validate() error {
 	if c.Prepare {
 		limit = c.PrepTrials
 	}
-	switch c.payloadKind() {
-	case ckptKindCounts:
-		if c.Done > limit {
-			return fmt.Errorf("Done=%d exceeds target %d", c.Done, limit)
-		}
-		if c.CandCounts != nil || c.CandProbs != nil || c.CandTrials != nil {
-			return fmt.Errorf("count-accumulator checkpoint carries candidate payloads")
-		}
-		prev := butterfly.Butterfly{}
-		for i, e := range c.Counts {
-			if e.Count < 0 || e.Count > int64(c.Done) {
-				return fmt.Errorf("entry %d: count %d outside [0,%d]", i, e.Count, c.Done)
-			}
-			if math.IsNaN(e.Weight) || math.IsInf(e.Weight, 0) {
-				return fmt.Errorf("entry %d: non-finite weight", i)
-			}
-			if e.B.U1 >= e.B.U2 || e.B.V1 >= e.B.V2 {
-				return fmt.Errorf("entry %d: non-canonical butterfly %v", i, e.B)
-			}
-			if i > 0 && !lessButterfly(prev, e.B) {
-				return fmt.Errorf("entry %d: butterflies out of canonical order", i)
-			}
-			prev = e.B
-		}
-	case ckptKindCandCounts:
-		if c.Done > limit {
-			return fmt.Errorf("Done=%d exceeds target %d", c.Done, limit)
-		}
-		if c.Counts != nil || c.CandProbs != nil || c.CandTrials != nil {
-			return fmt.Errorf("ols checkpoint carries foreign payloads")
-		}
-		for i, v := range c.CandCounts {
-			if v < 0 || v > int64(c.Done) {
-				return fmt.Errorf("candidate %d: count %d outside [0,%d]", i, v, c.Done)
-			}
-		}
-	case ckptKindKL:
-		if len(c.CandProbs) != len(c.CandTrials) {
-			return fmt.Errorf("ols-kl payload lengths differ (%d probs, %d trial counts)", len(c.CandProbs), len(c.CandTrials))
-		}
-		if c.Done > len(c.CandProbs) {
-			return fmt.Errorf("Done=%d exceeds %d candidates", c.Done, len(c.CandProbs))
-		}
-		if c.Counts != nil || c.CandCounts != nil {
-			return fmt.Errorf("ols-kl checkpoint carries foreign payloads")
-		}
-		for i, p := range c.CandProbs {
-			if math.IsNaN(p) || p < 0 || p > 1 {
-				return fmt.Errorf("candidate %d: probability %v outside [0,1]", i, p)
-			}
-			if c.CandTrials[i] < 0 {
-				return fmt.Errorf("candidate %d: negative trial count", i)
-			}
-		}
+	kind := c.payloadKind()
+	if kind != ExecKarpLuby && c.Done > limit {
+		return fmt.Errorf("Done=%d exceeds target %d", c.Done, limit)
 	}
-	return nil
+	return c.payload().Check(kind, c.Done, -1, false)
 }
 
-// resumeCheck verifies the checkpoint belongs to the run being resumed:
-// same method, seed, targets, Karp-Luby sizing, and graph.
-func (c *Checkpoint) resumeCheck(method string, seed uint64, trials, prepTrials int, mu float64, g *bigraph.Graph) error {
+// resumeCheck verifies the checkpoint belongs to the run whose header is
+// run: same method, seed, targets, Karp-Luby sizing, and graph. A nil
+// checkpoint resumes nothing, so it matches every run.
+func (c *Checkpoint) resumeCheck(run Checkpoint, g *bigraph.Graph) error {
+	if c == nil {
+		return nil
+	}
 	if err := c.validate(); err != nil {
 		return fmt.Errorf("core: invalid resume checkpoint: %w", err)
 	}
-	if c.Method != method {
-		return fmt.Errorf("core: checkpoint is for method %q, resuming %q", c.Method, method)
+	if c.Method != run.Method {
+		return fmt.Errorf("core: checkpoint is for method %q, resuming %q", c.Method, run.Method)
 	}
-	if c.Seed != seed {
-		return fmt.Errorf("core: checkpoint seed %d does not match run seed %d", c.Seed, seed)
+	if c.Seed != run.Seed {
+		return fmt.Errorf("core: checkpoint seed %d does not match run seed %d", c.Seed, run.Seed)
 	}
-	if c.Trials != trials {
-		return fmt.Errorf("core: checkpoint targets %d trials, run wants %d", c.Trials, trials)
+	if c.Trials != run.Trials {
+		return fmt.Errorf("core: checkpoint targets %d trials, run wants %d", c.Trials, run.Trials)
 	}
-	if c.PrepTrials != prepTrials {
-		return fmt.Errorf("core: checkpoint targets %d preparing trials, run wants %d", c.PrepTrials, prepTrials)
+	if c.PrepTrials != run.PrepTrials {
+		return fmt.Errorf("core: checkpoint targets %d preparing trials, run wants %d", c.PrepTrials, run.PrepTrials)
 	}
-	if method == "ols-kl" && c.Mu != mu {
-		return fmt.Errorf("core: checkpoint Mu=%v does not match run Mu=%v", c.Mu, mu)
+	if run.Method == "ols-kl" && c.Mu != run.Mu {
+		return fmt.Errorf("core: checkpoint Mu=%v does not match run Mu=%v", c.Mu, run.Mu)
 	}
 	if got := g.Checksum(); c.GraphCRC != got {
 		return fmt.Errorf("core: checkpoint graph fingerprint %08x does not match graph %08x", c.GraphCRC, got)
@@ -485,43 +439,38 @@ func (c *Checkpoint) resumeCheck(method string, seed uint64, trials, prepTrials 
 	return nil
 }
 
+// resumeState returns the state job starts from: the completed prefix ck
+// holds, which the caller has matched to the run with resumeCheck, or the
+// empty state when ck is nil. It is the one way a checkpoint becomes run
+// state, as checkpoint is the one way back.
+func resumeState(job *ExecJob, ck *Checkpoint) (*ExecResult, error) {
+	x, err := NewExecState(job)
+	if err != nil || ck == nil {
+		return x, err
+	}
+	p := ck.payload()
+	if got, want := len(p.CandCounts)+len(p.CandProbs), len(x.CandCounts)+len(x.CandProbs); got != want {
+		return nil, fmt.Errorf("core: checkpoint has %d candidates, the run has %d (options mismatch?)", got, want)
+	}
+	x.Fold(job.Kind, &ExecResult{Done: ck.Done, Payload: p})
+	return x, nil
+}
+
+// checkpoint cuts the checkpoint of x, the completed prefix of the run
+// whose header is run, on graph g: the run's identity over x's payload in
+// portable form.
+func (x *ExecResult) checkpoint(run Checkpoint, g *bigraph.Graph) *Checkpoint {
+	p := x.Export()
+	run.GraphCRC, run.Done = g.Checksum(), x.Done
+	run.Counts, run.CandCounts, run.CandProbs, run.CandTrials = p.Counts, p.CandCounts, p.CandProbs, p.CandTrials
+	return &run
+}
+
 // SaveCheckpoint writes the checkpoint to the named file, atomically: the
 // data goes to a temporary file in the same directory which is renamed
 // over path only after a successful write, so a crash mid-save never
 // leaves a truncated checkpoint behind.
-func SaveCheckpoint(path string, c *Checkpoint) error {
-	dir, base := filepath.Split(path)
-	f, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if err := c.Encode(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("core: writing checkpoint %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
+func SaveCheckpoint(path string, c *Checkpoint) error { return saveCheckpoint(osFS{}, path, c) }
 
 // LoadCheckpoint reads a checkpoint written by SaveCheckpoint.
-func LoadCheckpoint(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	c, err := DecodeCheckpoint(f)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading checkpoint %s: %w", path, err)
-	}
-	return c, nil
-}
+func LoadCheckpoint(path string) (*Checkpoint, error) { return loadCheckpoint(osFS{}, path) }

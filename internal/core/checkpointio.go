@@ -43,6 +43,10 @@ type CheckpointFile interface {
 // osFS is the production CheckpointFS.
 type osFS struct{}
 
+// OSFS is the real filesystem as a CheckpointFS, for callers that write
+// their own records through the checkpoint store's protocol.
+var OSFS CheckpointFS = osFS{}
+
 func (osFS) CreateTemp(dir, pattern string) (CheckpointFile, error) {
 	f, err := os.CreateTemp(dir, pattern)
 	if err != nil {
@@ -61,7 +65,8 @@ var ErrRetriesExhausted = errors.New("core: checkpoint retries exhausted")
 
 // RetryExhaustedError is the typed error behind ErrRetriesExhausted.
 type RetryExhaustedError struct {
-	// Op is "save" or "load"; Path is the checkpoint file.
+	// Op is "save" or "load" (or a caller's own operation, such as the
+	// dist journal's "journal"); Path is the file.
 	Op   string
 	Path string
 	// Attempts is how many times the operation was tried before giving
@@ -126,13 +131,92 @@ func (p RetryPolicy) backoff(k int, rng *randx.RNG) time.Duration {
 	return time.Duration((0.5 + 0.5*rng.Float64()) * float64(d))
 }
 
+// Do runs attempt until it succeeds or the policy's attempt budget is
+// spent, sleeping the jittered backoff between attempts, and reports each
+// failed attempt's 1-based number and error to failed (when non-nil).
+// After the last failure it returns a *RetryExhaustedError for op on path.
+func (p RetryPolicy) Do(op, path string, attempt func() error, failed func(k int, err error)) error {
+	n := max(p.MaxAttempts, 1)
+	sleep := p.Sleep
+	if sleep == nil {
+		sleep = time.Sleep
+	}
+	rng := randx.New(p.Seed)
+	var last error
+	for k := 0; k < n; k++ {
+		if k > 0 {
+			sleep(p.backoff(k-1, rng))
+		}
+		if last = attempt(); last == nil {
+			return nil
+		}
+		if failed != nil {
+			failed(k+1, last)
+		}
+	}
+	return &RetryExhaustedError{Op: op, Path: path, Attempts: n, Last: last}
+}
+
+// WriteAtomic writes path through fs (nil: the real filesystem) with the
+// temp-file-then-rename protocol: write fills a fresh temporary file,
+// created in path's directory, which replaces path only after the write
+// and the close succeed, so a failure at any step leaves path as it was.
+func WriteAtomic(fs CheckpointFS, path string, write func(io.Writer) error) error {
+	if fs == nil {
+		fs = osFS{}
+	}
+	dir, base := filepath.Split(path)
+	f, err := fs.CreateTemp(dir, base+".tmp*")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	if err := write(f); err != nil {
+		f.Close()
+		fs.Remove(tmp)
+		return err
+	}
+	if err := f.Close(); err != nil {
+		fs.Remove(tmp)
+		return err
+	}
+	if err := fs.Rename(tmp, path); err != nil {
+		fs.Remove(tmp)
+		return err
+	}
+	return nil
+}
+
+// saveCheckpoint encodes c to path through fs with WriteAtomic.
+func saveCheckpoint(fs CheckpointFS, path string, c *Checkpoint) error {
+	return WriteAtomic(fs, path, func(w io.Writer) error {
+		if err := c.Encode(w); err != nil {
+			return fmt.Errorf("core: writing checkpoint %s: %w", path, err)
+		}
+		return nil
+	})
+}
+
+// loadCheckpoint decodes the checkpoint at path through fs.
+func loadCheckpoint(fs CheckpointFS, path string) (*Checkpoint, error) {
+	f, err := fs.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	c, err := DecodeCheckpoint(f)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading checkpoint %s: %w", path, err)
+	}
+	return c, nil
+}
+
 // CheckpointStore saves and loads checkpoints through a CheckpointFS,
 // retrying transient failures with exponential backoff and jitter. The
 // zero value is NOT usable; construct with NewCheckpointStore.
 type CheckpointStore struct {
 	retry RetryPolicy
 	fs    CheckpointFS
-	sleep func(time.Duration)
 	probe *telemetry.Probe
 }
 
@@ -154,19 +238,7 @@ func NewCheckpointStoreFS(policy RetryPolicy, fs CheckpointFS) *CheckpointStore 
 	if fs == nil {
 		fs = osFS{}
 	}
-	sleep := policy.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	return &CheckpointStore{retry: policy, fs: fs, sleep: sleep}
-}
-
-// attempts returns the effective attempt budget.
-func (s *CheckpointStore) attempts() int {
-	if s.retry.MaxAttempts < 1 {
-		return 1
-	}
-	return s.retry.MaxAttempts
+	return &CheckpointStore{retry: policy, fs: fs}
 }
 
 // Save writes the checkpoint to path with the same atomic
@@ -183,51 +255,13 @@ func (s *CheckpointStore) Save(path string, c *Checkpoint) error {
 	if err := c.validate(); err != nil {
 		return fmt.Errorf("core: refusing to save invalid checkpoint: %w", err)
 	}
-	rng := randx.New(s.retry.Seed)
-	var last error
-	n := s.attempts()
-	for k := 0; k < n; k++ {
-		if k > 0 {
-			s.sleep(s.retry.backoff(k-1, rng))
-		}
-		if err := s.saveOnce(path, c); err != nil {
-			last = err
-			s.probe.Add(0, telemetry.CounterCheckpointRetries, 1)
-			s.probe.Emit(telemetry.Event{
-				Kind: telemetry.EventCheckpointRetried, N: int64(k + 1),
-				Detail: "save " + path + ": " + err.Error(),
-			})
-			continue
-		}
-		s.probe.Add(0, telemetry.CounterCheckpointSaves, 1)
-		s.probe.Emit(telemetry.Event{
-			Kind: telemetry.EventCheckpointSaved, Trial: c.Done, Detail: path,
-		})
-		return nil
-	}
-	return &RetryExhaustedError{Op: "save", Path: path, Attempts: n, Last: last}
-}
-
-func (s *CheckpointStore) saveOnce(path string, c *Checkpoint) error {
-	dir, base := filepath.Split(path)
-	f, err := s.fs.CreateTemp(dir, base+".tmp*")
-	if err != nil {
+	if err := s.retry.Do("save", path, func() error { return saveCheckpoint(s.fs, path, c) }, s.retried("save", path)); err != nil {
 		return err
 	}
-	tmp := f.Name()
-	if err := c.Encode(f); err != nil {
-		f.Close()
-		s.fs.Remove(tmp)
-		return fmt.Errorf("core: writing checkpoint %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		s.fs.Remove(tmp)
-		return err
-	}
-	if err := s.fs.Rename(tmp, path); err != nil {
-		s.fs.Remove(tmp)
-		return err
-	}
+	s.probe.Add(0, telemetry.CounterCheckpointSaves, 1)
+	s.probe.Emit(telemetry.Event{
+		Kind: telemetry.EventCheckpointSaved, Trial: c.Done, Detail: path,
+	})
 	return nil
 }
 
@@ -237,37 +271,25 @@ func (s *CheckpointStore) saveOnce(path string, c *Checkpoint) error {
 // genuinely torn file, and a truly corrupt file just costs the small
 // retry budget before surfacing its decode error as the Last cause.
 func (s *CheckpointStore) Load(path string) (*Checkpoint, error) {
-	rng := randx.New(s.retry.Seed)
-	var last error
-	n := s.attempts()
-	for k := 0; k < n; k++ {
-		if k > 0 {
-			s.sleep(s.retry.backoff(k-1, rng))
-		}
-		c, err := s.loadOnce(path)
-		if err != nil {
-			last = err
-			s.probe.Add(0, telemetry.CounterCheckpointRetries, 1)
-			s.probe.Emit(telemetry.Event{
-				Kind: telemetry.EventCheckpointRetried, N: int64(k + 1),
-				Detail: "load " + path + ": " + err.Error(),
-			})
-			continue
-		}
-		return c, nil
-	}
-	return nil, &RetryExhaustedError{Op: "load", Path: path, Attempts: n, Last: last}
-}
-
-func (s *CheckpointStore) loadOnce(path string) (*Checkpoint, error) {
-	f, err := s.fs.Open(path)
+	var c *Checkpoint
+	err := s.retry.Do("load", path, func() (err error) {
+		c, err = loadCheckpoint(s.fs, path)
+		return err
+	}, s.retried("load", path))
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	c, err := DecodeCheckpoint(f)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading checkpoint %s: %w", path, err)
-	}
 	return c, nil
+}
+
+// retried returns the store's failed-attempt hook for op on path: it
+// counts the retry and emits its event.
+func (s *CheckpointStore) retried(op, path string) func(int, error) {
+	return func(k int, err error) {
+		s.probe.Add(0, telemetry.CounterCheckpointRetries, 1)
+		s.probe.Emit(telemetry.Event{
+			Kind: telemetry.EventCheckpointRetried, N: int64(k),
+			Detail: op + " " + path + ": " + err.Error(),
+		})
+	}
 }

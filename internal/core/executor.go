@@ -39,8 +39,9 @@ import (
 // internal/dist provides the coordinator-backed distributed executor.
 type TrialExecutor interface {
 	// ExecuteTrials runs job's units Start+1..Units and returns the
-	// completed prefix with its payload. An error means no usable
-	// payload (e.g. a worker panic abandoned a chunk mid-flight).
+	// state of the completed ones, Start+1..Done (its Start is the
+	// job's). An error means no usable payload (e.g. a worker panic
+	// abandoned a chunk mid-flight).
 	ExecuteTrials(job *ExecJob) (*ExecResult, error)
 }
 
@@ -179,36 +180,111 @@ func (j *ExecJob) LocalOnly() error {
 	return fmt.Errorf("core: %v job sets %s", j.Kind, f)
 }
 
-// ExecResult is the additive payload of an executed range. Exactly one
-// payload group is populated, matching the job's Kind; all are
-// checkpoint-shaped, so a prefix payload converts directly into the
-// runners' resume state.
+// ExecResult is the state of a run of trial units: the additive payload of
+// units Start+1..Done, and the one in-memory form of a trial prefix. A
+// runner's state starts at unit 0 (resumeState seeds it from a checkpoint
+// and checkpoint cuts one from it); an executor returns the state of the
+// range it ran, which Fold merges into the runner's.
 type ExecResult struct {
-	// Done is the completed prefix: units Start+1..Done were executed.
-	Done int
-	// Counts is the ExecOS payload: per-butterfly maximum tallies over
-	// the executed units (order irrelevant; counts are additive).
-	Counts []ButterflyCount
-	// CandCounts is the ExecOptimized payload: a full-width
-	// per-candidate hit vector summed over the executed units.
-	CandCounts []int64
-	// CandProbs / CandTrials are the ExecKarpLuby payload: full-width
-	// vectors with entries Start..Done-1 filled (per-candidate writes
-	// are disjoint, so ranges concatenate exactly).
-	CandProbs  []float64
-	CandTrials []int
+	// Start and Done bound the units the state holds: Start+1..Done.
+	Start, Done int
+	// Payload is the state's tally; Export returns it in portable form.
+	Payload
 
 	// acc is the in-process form of the ExecOS payload: LocalExecutor
 	// tallies into an accumulator directly, with no snapshot/rebuild
-	// round trip. Remote executors populate Counts instead.
+	// round trip. Remote payloads arrive in Counts instead.
 	acc *probAccumulator
+}
+
+// Payload is a trial range's tally in portable form: the payload section
+// of a checkpoint and of a distributed range. Exactly one group is
+// populated, matching the job's kind:
+//
+//   - ExecOS: Counts, the per-butterfly maximum tallies in canonical
+//     order (counts add across ranges).
+//   - ExecOptimized: CandCounts, a full-width per-candidate hit vector
+//     (vectors add across ranges).
+//   - ExecKarpLuby: CandProbs and CandTrials, each unit's candidate
+//     estimate and executed trial count, unit Start+1 first (ranges
+//     concatenate).
+type Payload struct {
+	Counts     []ButterflyCount
+	CandCounts []int64
+	CandProbs  []float64
+	CandTrials []int64
+}
+
+// Check validates p as the payload of n completed units of a kind job,
+// by the rules every checkpoint and every distributed range obeys. Only
+// kind's fields may be set (kind 0 stands for whichever kind's are), and
+// every entry must be in range: butterfly tallies list canonical
+// butterflies in strictly increasing canonical order, with counts of at
+// most n and finite weights; candidate hit counts lie in [0, n] and
+// number exactly cands, unless cands is negative (unknown); the
+// Karp-Luby vectors are equally long, cover at least the n units, and
+// hold probabilities in [0, 1] and no negative trial count. A span — one
+// executed range rather than a run's prefix — credits every butterfly it
+// lists at least once and holds exactly its n units' Karp-Luby entries.
+func (p Payload) Check(kind ExecKind, n, cands int, span bool) error {
+	// set[k] reports whether kind k's fields are populated.
+	set := [...]bool{ExecOS: p.Counts != nil, ExecOptimized: p.CandCounts != nil, ExecKarpLuby: p.CandProbs != nil || p.CandTrials != nil}
+	for k, on := range set {
+		switch {
+		case !on || ExecKind(k) == kind:
+		case kind == 0:
+			kind = ExecKind(k)
+		default:
+			return fmt.Errorf("%v payload carries %v entries", kind, ExecKind(k))
+		}
+	}
+	switch kind {
+	case ExecOS:
+		least := int64(0)
+		if span {
+			least = 1
+		}
+		for i, e := range p.Counts {
+			switch {
+			case e.Count < least || e.Count > int64(n):
+				return fmt.Errorf("entry %d: count %d outside [%d,%d]", i, e.Count, least, n)
+			case math.IsNaN(e.Weight) || math.IsInf(e.Weight, 0):
+				return fmt.Errorf("entry %d: non-finite weight", i)
+			case e.B.U1 >= e.B.U2 || e.B.V1 >= e.B.V2:
+				return fmt.Errorf("entry %d: non-canonical butterfly %v", i, e.B)
+			case i > 0 && !lessButterfly(p.Counts[i-1].B, e.B):
+				return fmt.Errorf("entry %d: butterflies out of canonical order", i)
+			}
+		}
+	case ExecOptimized:
+		if cands >= 0 && len(p.CandCounts) != cands {
+			return fmt.Errorf("%d candidate counts for %d candidates", len(p.CandCounts), cands)
+		}
+		for i, v := range p.CandCounts {
+			if v < 0 || v > int64(n) {
+				return fmt.Errorf("candidate %d: count %d outside [0,%d]", i, v, n)
+			}
+		}
+	case ExecKarpLuby:
+		if len(p.CandProbs) != len(p.CandTrials) || len(p.CandProbs) < n || span && len(p.CandProbs) != n {
+			return fmt.Errorf("Karp-Luby vectors of %d/%d entries for %d units", len(p.CandProbs), len(p.CandTrials), n)
+		}
+		for i, prob := range p.CandProbs {
+			if math.IsNaN(prob) || prob < 0 || prob > 1 {
+				return fmt.Errorf("candidate %d: probability %v outside [0,1]", i, prob)
+			}
+			if p.CandTrials[i] < 0 {
+				return fmt.Errorf("candidate %d: negative trial count", i)
+			}
+		}
+	}
+	return nil
 }
 
 // CountsSnapshot exports the ExecOS payload as canonical-order
 // checkpoint entries regardless of which internal representation the
-// executor used. Remote executors serialize this; merging the entries of
-// several ranges (adding counts per butterfly) equals running the union
-// of the ranges in one place.
+// executor used. Merging the entries of several ranges (adding counts per
+// butterfly) equals running the union of the ranges in one place.
 func (r *ExecResult) CountsSnapshot() []ButterflyCount {
 	if r.acc != nil {
 		return r.acc.snapshot()
@@ -216,22 +292,35 @@ func (r *ExecResult) CountsSnapshot() []ButterflyCount {
 	return r.Counts
 }
 
-// newExecState returns the empty state of a job's kind: the payload of
-// no units, ready to fold executed ranges into.
-func newExecState(job *ExecJob) *ExecResult {
-	switch job.Kind {
-	case ExecOS:
-		return &ExecResult{acc: newProbAccumulator()}
-	case ExecOptimized:
-		return &ExecResult{CandCounts: make([]int64, len(job.Cands.List))}
-	default:
-		return &ExecResult{CandProbs: make([]float64, job.Units), CandTrials: make([]int, job.Units)}
-	}
+// Export returns the state's payload in portable form: what a checkpoint
+// or a distributed range carries.
+func (r *ExecResult) Export() Payload {
+	p := r.Payload
+	p.Counts = r.CountsSnapshot()
+	return p
 }
 
-// fold merges r, the payload of units start+1..r.Done, into x, the state
-// of units 1..start.
-func (x *ExecResult) fold(kind ExecKind, r *ExecResult, start int) {
+// NewExecState returns the empty state of job at its Start, ready to fold
+// executed ranges into. Its Karp-Luby vectors cover units Start+1..Units.
+func NewExecState(job *ExecJob) (*ExecResult, error) {
+	x := &ExecResult{Start: job.Start, Done: job.Start}
+	switch job.Kind {
+	case ExecOS:
+		x.acc = newProbAccumulator()
+	case ExecOptimized:
+		x.CandCounts = make([]int64, len(job.Cands.List))
+	case ExecKarpLuby:
+		n := max(job.Units-job.Start, 0)
+		x.CandProbs, x.CandTrials = make([]float64, n), make([]int64, n)
+	default:
+		return nil, fmt.Errorf("core: unknown job kind %v", job.Kind)
+	}
+	return x, nil
+}
+
+// Fold merges r, the state of units x.Done+1..r.Done of a kind job, into
+// x.
+func (x *ExecResult) Fold(kind ExecKind, r *ExecResult) {
 	if r == x {
 		return
 	}
@@ -247,19 +336,23 @@ func (x *ExecResult) fold(kind ExecKind, r *ExecResult, start int) {
 			x.CandCounts[i] += cnt
 		}
 	case ExecKarpLuby:
-		if r.Done > start {
-			copy(x.CandProbs[start:r.Done], r.CandProbs[start:r.Done])
-			copy(x.CandTrials[start:r.Done], r.CandTrials[start:r.Done])
-		}
+		copy(x.CandProbs[r.Start-x.Start:r.Done-x.Start], r.CandProbs)
+		copy(x.CandTrials[r.Start-x.Start:r.Done-x.Start], r.CandTrials)
 	}
 	x.Done = r.Done
 }
 
-// execute runs job — on exec, or on a LocalExecutor with the given worker
-// count (≤ 1 meaning one) when exec is nil — and returns job.into with the
-// run folded in. An explicit exec receives workers as the job's hint. It
-// is how every runner in the package executes.
-func execute(exec TrialExecutor, workers int, job *ExecJob) (*ExecResult, error) {
+// execute runs job from the completed prefix ck holds (nil: from the
+// start) — on exec, or on a LocalExecutor with the given worker count
+// (≤ 1 meaning one) when exec is nil — and returns the run state with the
+// executed range folded in. An explicit exec receives workers as the
+// job's hint. It is how every runner in the package executes.
+func execute(exec TrialExecutor, workers int, job *ExecJob, ck *Checkpoint) (*ExecResult, error) {
+	x, err := resumeState(job, ck)
+	if err != nil {
+		return nil, err
+	}
+	job.Start, job.into = x.Done, x
 	if exec == nil {
 		exec = &LocalExecutor{Workers: max(workers, 1)}
 	}
@@ -268,8 +361,8 @@ func execute(exec TrialExecutor, workers int, job *ExecJob) (*ExecResult, error)
 	if err != nil {
 		return nil, err
 	}
-	job.into.fold(job.Kind, r, job.Start)
-	return job.into, nil
+	x.Fold(job.Kind, r)
+	return x, nil
 }
 
 // LocalExecutor runs job ranges on an in-process worker pool: chunked
@@ -319,7 +412,10 @@ type unitWorker interface {
 func (e *LocalExecutor) ExecuteTrials(job *ExecJob) (*ExecResult, error) {
 	out := job.into
 	if out == nil {
-		out = newExecState(job)
+		var err error
+		if out, err = NewExecState(job); err != nil {
+			return nil, err
+		}
 	}
 	if job.Start >= job.Units {
 		out.Done = job.Units
@@ -343,8 +439,6 @@ func (e *LocalExecutor) ExecuteTrials(job *ExecJob) (*ExecResult, error) {
 	case ExecKarpLuby:
 		thresh := edgeThresholds(job.Graph)
 		newWorker = func(w int) unitWorker { return newKLWorker(job, out, thresh, w) }
-	default:
-		return nil, fmt.Errorf("core: LocalExecutor: unknown job kind %v", job.Kind)
 	}
 	if workers > 1 {
 		job.Probe.EnsureWorkers(workers)
@@ -704,8 +798,8 @@ func (x *optimizedWorker) finish(done int) {
 }
 
 // klWorker runs ExecKarpLuby units: unit u prices candidate u-1, writing
-// its estimate straight into the job state's full-width vectors (writes
-// are per-index disjoint across workers).
+// its estimate straight into the job state's vectors (writes are
+// per-index disjoint across workers).
 type klWorker struct {
 	job     *ExecJob
 	out     *ExecResult
@@ -728,8 +822,10 @@ func (x *klWorker) unit(u int) {
 	if only := x.job.KL.OnlyCandidate; only != nil && i != *only {
 		return
 	}
-	x.out.CandProbs[i], x.out.CandTrials[i] = klPrice(x.job.Cands, i, x.job.KL, x.root, x.scratch)
-	probeKLCandidate(x.job.Probe, x.w, i, x.out.CandTrials[i], &x.lastT)
+	p, n := klPrice(x.job.Cands, i, x.job.KL, x.root, x.scratch)
+	k := i - x.out.Start
+	x.out.CandProbs[k], x.out.CandTrials[k] = p, int64(n)
+	probeKLCandidate(x.job.Probe, x.w, i, n, &x.lastT)
 }
 
 func (x *klWorker) flush(int)  {}

@@ -23,23 +23,27 @@ func TestInterruptHooks(t *testing.T) {
 		t.Fatalf("OS interrupt: checkpoint = %+v", res.Checkpoint)
 	}
 
+	// Each sampling-phase estimator: a partial Result with nothing done
+	// and a checkpoint at 0, and no error from the bare estimator.
 	cands, err := AllBackboneCandidates(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st EstimatorState
-	if _, err := EstimateOptimized(cands, OptimizedOptions{Trials: 100, Seed: 1, Interrupt: always, State: &st}); err != nil {
+	for _, kl := range []bool{false, true} {
+		opt := OLSOptions{Trials: 100, Seed: 1, UseKarpLuby: kl, Interrupt: always}
+		res, err := OLSSamplingPhaseParallel(cands, opt, 1)
+		if err != nil {
+			t.Fatalf("%s interrupt: err = %v", opt.method(), err)
+		}
+		if !res.Partial || res.TrialsDone != 0 || res.Checkpoint == nil || res.Checkpoint.Done != 0 {
+			t.Fatalf("%s interrupt: Partial=%v TrialsDone=%d checkpoint=%+v, want partial at 0", opt.method(), res.Partial, res.TrialsDone, res.Checkpoint)
+		}
+	}
+	if _, err := EstimateOptimized(cands, OptimizedOptions{Trials: 100, Seed: 1, Interrupt: always}); err != nil {
 		t.Fatalf("optimized interrupt: err = %v", err)
 	}
-	if !st.Partial || st.Done != 0 {
-		t.Fatalf("optimized interrupt: state = %+v, want partial at 0", st)
-	}
-	st = EstimatorState{}
-	if _, err := EstimateKarpLuby(cands, KLOptions{BaseTrials: 100, Seed: 1, Interrupt: always, State: &st}); err != nil {
+	if _, err := EstimateKarpLuby(cands, KLOptions{BaseTrials: 100, Seed: 1, Interrupt: always}); err != nil {
 		t.Fatalf("karp-luby interrupt: err = %v", err)
-	}
-	if !st.Partial || st.Done != 0 {
-		t.Fatalf("karp-luby interrupt: state = %+v, want partial at 0", st)
 	}
 
 	// A counting interrupt lets some work through and then stops; the

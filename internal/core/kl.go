@@ -44,36 +44,23 @@ type KLOptions struct {
 	// thousands of irrelevant candidates.
 	OnlyCandidate *int
 	// Interrupt, if non-nil, is polled between candidates; when it returns
-	// true the run stops, leaving later candidates unpriced (State reports
-	// how many were finished). Estimation is candidate-granular, so the
-	// priced prefix is exact. A multi-worker executor polls the hook
-	// concurrently from every worker; it must be safe for concurrent use
-	// there.
+	// true the run stops, leaving later candidates unpriced (OLS reports
+	// how many were finished, and checkpoints them). Estimation is
+	// candidate-granular, so the priced prefix is exact. A multi-worker
+	// executor polls the hook concurrently from every worker; it must be
+	// safe for concurrent use there.
 	Interrupt func() bool
-	// State, if non-nil, receives the run's completion state — partial
-	// flag, priced-candidate count, and per-candidate data for
-	// checkpointing.
-	State *EstimatorState
-	// ResumeProbs / ResumeTrials / ResumeDone restore the first ResumeDone
-	// candidates' estimates from an earlier cancelled run; pricing
-	// continues at candidate ResumeDone and finishes bit-identically to an
-	// uninterrupted run (per-candidate streams derive from (Seed,
-	// candidate index)). Incompatible with OnlyCandidate.
-	ResumeProbs  []float64
-	ResumeTrials []int64
-	ResumeDone   int
 	// Probe, if non-nil, receives run telemetry: the per-candidate trial
 	// counts actually executed, flushed once per priced candidate. Nil
 	// costs one predictable branch per candidate.
 	Probe *telemetry.Probe
 	// Executor, if non-nil, replaces the default one-worker LocalExecutor
-	// with an explicit TrialExecutor (a multi-worker pool, a distributed
-	// fan-out). Candidates are the unit axis: each one's stream derives
-	// from (Seed, candidate index), so per-candidate results are
-	// bit-identical on any executor. Spec then carries the run-level
-	// identity remote executors need.
+	// with an explicit TrialExecutor: a multi-worker pool, or — through
+	// OLS, which supplies the run identity remote workers need — a
+	// distributed fan-out. Candidates are the unit axis: each one's stream
+	// derives from (Seed, candidate index), so per-candidate results are
+	// bit-identical on any executor.
 	Executor TrialExecutor
-	Spec     ExecSpec
 }
 
 // klScratch is the reusable lazy edge-sampling state shared by all trials
@@ -116,76 +103,62 @@ func newKLScratch(numE int, thresh []uint64) *klScratch {
 // Candidates are priced on opt.Executor, or on one local worker when it is
 // nil. The OnCandidateTrial and OnlyCandidate hooks need a one-worker run.
 func EstimateKarpLuby(c *Candidates, opt KLOptions) ([]float64, error) {
-	if err := validateKL(opt); err != nil {
-		return nil, err
-	}
-	n := len(c.List)
-	probs := make([]float64, n)
-	trialsUsed := make([]int, n)
-	start, err := klResumeInit(n, opt, probs, trialsUsed)
+	job, err := opt.job(c)
 	if err != nil {
 		return nil, err
 	}
-	r, err := execute(opt.Executor, 0, &ExecJob{
+	r, err := execute(opt.Executor, 0, job, nil)
+	if err != nil {
+		return nil, err
+	}
+	opt.report(r)
+	return r.probs(), nil
+}
+
+// job returns the estimator's run over c as an ExecJob: one unit per
+// candidate.
+func (o KLOptions) job(c *Candidates) (*ExecJob, error) {
+	if err := validateKL(o); err != nil {
+		return nil, err
+	}
+	return &ExecJob{
 		Kind:  ExecKarpLuby,
 		Graph: c.G,
 		Cands: c,
-		Seed:  opt.Seed,
-		Units: n,
-		Start: start,
+		Seed:  o.Seed,
+		Units: len(c.List),
 		KL: KLOptions{
-			BaseTrials:       opt.BaseTrials,
-			Mu:               opt.Mu,
-			MaxTrials:        opt.MaxTrials,
-			OnCandidateTrial: opt.OnCandidateTrial,
-			OnlyCandidate:    opt.OnlyCandidate,
+			BaseTrials:       o.BaseTrials,
+			Mu:               o.Mu,
+			MaxTrials:        o.MaxTrials,
+			OnCandidateTrial: o.OnCandidateTrial,
+			OnlyCandidate:    o.OnlyCandidate,
 		},
-		Interrupt: opt.Interrupt,
-		Probe:     opt.Probe,
-		Spec:      opt.Spec,
-		into:      &ExecResult{Done: start, CandProbs: probs, CandTrials: trialsUsed},
-	})
-	if err != nil {
-		return nil, err
-	}
-	if opt.TrialsUsed != nil {
-		*opt.TrialsUsed = trialsUsed
-	}
-	if opt.State != nil {
-		*opt.State = EstimatorState{Partial: r.Done < n, Done: r.Done, Probs: probs, Trials: trialsUsed}
-	}
-	return probs, nil
+		Interrupt: o.Interrupt,
+		Probe:     o.Probe,
+	}, nil
 }
 
-// klResumeInit validates the resume options and copies the already-priced
-// prefix into probs/trialsUsed, returning the first candidate to price.
-func klResumeInit(n int, opt KLOptions, probs []float64, trialsUsed []int) (int, error) {
-	if opt.ResumeDone == 0 && opt.ResumeProbs == nil {
-		return 0, nil
+// report hands the per-candidate trial counts state r executed to
+// TrialsUsed, when set.
+func (o KLOptions) report(r *ExecResult) {
+	if o.TrialsUsed == nil {
+		return
 	}
-	if opt.ResumeDone < 0 || opt.ResumeDone > n {
-		return 0, fmt.Errorf("core: Karp-Luby resume at candidate %d outside [0,%d]", opt.ResumeDone, n)
+	used := make([]int, len(r.CandTrials))
+	for i, t := range r.CandTrials {
+		used[i] = int(t)
 	}
-	if len(opt.ResumeProbs) != n || len(opt.ResumeTrials) != n {
-		return 0, fmt.Errorf("core: Karp-Luby resume has %d/%d entries, want %d", len(opt.ResumeProbs), len(opt.ResumeTrials), n)
-	}
-	for i := 0; i < opt.ResumeDone; i++ {
-		probs[i] = opt.ResumeProbs[i]
-		trialsUsed[i] = int(opt.ResumeTrials[i])
-	}
-	return opt.ResumeDone, nil
+	*o.TrialsUsed = used
 }
 
-// validateKL checks the Karp-Luby option combinations.
+// validateKL checks the Karp-Luby option values.
 func validateKL(opt KLOptions) error {
 	if opt.BaseTrials <= 0 {
 		return fmt.Errorf("core: Karp-Luby estimator requires BaseTrials > 0, got %d", opt.BaseTrials)
 	}
 	if opt.Mu < 0 || opt.Mu > 1 {
 		return fmt.Errorf("core: Karp-Luby Mu=%v outside [0,1]", opt.Mu)
-	}
-	if opt.OnlyCandidate != nil && (opt.ResumeDone != 0 || opt.ResumeProbs != nil) {
-		return fmt.Errorf("core: Karp-Luby resume is incompatible with OnlyCandidate")
 	}
 	return nil
 }

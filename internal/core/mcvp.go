@@ -36,10 +36,6 @@ type MCVPOptions struct {
 	// trial Resume.Done+1 and the final Result is bit-identical to an
 	// uninterrupted run.
 	Resume *Checkpoint
-	// CompletedTrials, if non-nil, receives the number of fully completed
-	// trials (useful to extrapolate a per-trial lower bound after an
-	// interrupt).
-	CompletedTrials *int
 	// Probe, if non-nil, receives run telemetry (trial counts and running
 	// leader estimates; MC-VP has no ordered scan, so no prune split). Nil
 	// costs one predictable branch per trial.
@@ -55,33 +51,22 @@ func MCVP(g *bigraph.Graph, opt MCVPOptions) (*Result, error) {
 	if opt.Trials <= 0 {
 		return nil, fmt.Errorf("core: MCVP requires Trials > 0, got %d", opt.Trials)
 	}
-	order := g.PriorityOrder() // line 2 of Algorithm 1
-	acc := newProbAccumulator()
-	start := 1
-	if opt.Resume != nil {
-		if err := opt.Resume.resumeCheck("mc-vp", opt.Seed, opt.Trials, 0, 0, g); err != nil {
-			return nil, err
-		}
-		acc = accumulatorFromCounts(opt.Resume.Counts)
-		start = opt.Resume.Done + 1
+	run := Checkpoint{Method: "mc-vp", Seed: opt.Seed, Trials: opt.Trials}
+	if err := opt.Resume.resumeCheck(run, g); err != nil {
+		return nil, err
 	}
+	// MC-VP's trial loop is its own, but its state is an ExecOS tally.
+	st, err := resumeState(&ExecJob{Kind: ExecOS}, opt.Resume)
+	if err != nil {
+		return nil, err
+	}
+	order := g.PriorityOrder() // line 2 of Algorithm 1
 	root := randx.New(opt.Seed)
 	world := possible.NewWorld(g.NumEdges())
 	var sMB butterfly.MaxSet
-	setCompleted := func(n int) {
-		if opt.CompletedTrials != nil {
-			*opt.CompletedTrials = n
-		}
-	}
-	setCompleted(start - 1)
 	meter := newTrialMeter(opt.Probe, 0, 0, false)
-	for trial := start; trial <= opt.Trials; trial++ {
-		if opt.Interrupt != nil && opt.Interrupt() {
-			meter.flush(trial - 1)
-			res := acc.partialResult("mc-vp", g, opt.Seed, opt.Trials, trial-1)
-			probeFinish(opt.Probe, res)
-			return res, nil
-		}
+	for st.Done < opt.Trials && (opt.Interrupt == nil || !opt.Interrupt()) {
+		trial := st.Done + 1
 		rng := root.Derive(uint64(trial))
 		possible.SampleInto(world, g, rng) // line 4
 		sMB.Reset()
@@ -97,27 +82,28 @@ func MCVP(g *bigraph.Graph, opt MCVPOptions) (*Result, error) {
 			return true
 		})
 		if interrupted {
-			// The half-enumerated trial is discarded; the accumulator only
-			// holds fully completed trials, so the prefix stays exact.
-			meter.flush(trial - 1)
-			res := acc.partialResult("mc-vp", g, opt.Seed, opt.Trials, trial-1)
-			probeFinish(opt.Probe, res)
-			return res, nil
+			// The half-enumerated trial is discarded; the state only holds
+			// fully completed trials, so the prefix stays exact.
+			break
 		}
 		hit := !sMB.Empty()
 		if hit {
-			acc.addMaxSet(&sMB) // lines 18–19
+			st.acc.addMaxSet(&sMB) // lines 18–19
 		}
-		setCompleted(trial)
+		st.Done = trial
 		if opt.OnTrial != nil {
 			opt.OnTrial(trial, &sMB)
 		}
 		if meter.observe(trial, 0, false, hit) {
-			probeEstimate(opt.Probe, 0, int64(acc.leadCount), trial, acc.leadB, acc.leadW)
+			probeEstimate(opt.Probe, 0, int64(st.acc.leadCount), trial, st.acc.leadB, st.acc.leadW)
 		}
 	}
-	meter.flush(opt.Trials)
-	res := acc.result("mc-vp", opt.Trials)
+	meter.flush(st.Done)
+	res := st.acc.resultNorm("mc-vp", opt.Trials, st.Done)
+	if st.Done < opt.Trials {
+		res.Partial = true
+		res.Checkpoint = st.checkpoint(run, g)
+	}
 	probeFinish(opt.Probe, res)
 	return res, nil
 }

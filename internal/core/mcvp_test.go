@@ -12,12 +12,10 @@ import (
 func TestMCVPInterrupt(t *testing.T) {
 	g := figure1Graph()
 
-	completed := -1
 	res, err := MCVP(g, MCVPOptions{
-		Trials:          100,
-		Seed:            1,
-		Interrupt:       func() bool { return true },
-		CompletedTrials: &completed,
+		Trials:    100,
+		Seed:      1,
+		Interrupt: func() bool { return true },
 	})
 	if err != nil {
 		t.Fatalf("err = %v, want partial result", err)
@@ -25,12 +23,8 @@ func TestMCVPInterrupt(t *testing.T) {
 	if !res.Partial || res.TrialsDone != 0 {
 		t.Fatalf("Partial=%v TrialsDone=%d, want partial 0", res.Partial, res.TrialsDone)
 	}
-	if completed != 0 {
-		t.Fatalf("completed = %d, want 0", completed)
-	}
 
 	calls := 0
-	completed = -1
 	res, err = MCVP(g, MCVPOptions{
 		Trials: 100,
 		Seed:   1,
@@ -38,26 +32,21 @@ func TestMCVPInterrupt(t *testing.T) {
 			calls++
 			return calls > 10
 		},
-		CompletedTrials: &completed,
 	})
 	if err != nil {
 		t.Fatalf("err = %v, want partial result", err)
 	}
-	if !res.Partial || res.TrialsDone != completed {
-		t.Fatalf("Partial=%v TrialsDone=%d completed=%d, want matching partial count", res.Partial, res.TrialsDone, completed)
-	}
-	if completed < 1 || completed >= 100 {
-		t.Fatalf("completed = %d, want a partial count", completed)
+	if !res.Partial || res.TrialsDone < 1 || res.TrialsDone >= 100 {
+		t.Fatalf("Partial=%v TrialsDone=%d, want a partial count", res.Partial, res.TrialsDone)
 	}
 
-	// No interrupt: full run, CompletedTrials reaches Trials.
-	completed = -1
-	res, err = MCVP(g, MCVPOptions{Trials: 50, Seed: 1, CompletedTrials: &completed})
+	// No interrupt: full run, TrialsDone reaches Trials.
+	res, err = MCVP(g, MCVPOptions{Trials: 50, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if completed != 50 || res.Trials != 50 {
-		t.Fatalf("completed = %d, res.Trials = %d, want 50", completed, res.Trials)
+	if res.TrialsDone != 50 || res.Trials != 50 {
+		t.Fatalf("TrialsDone = %d, res.Trials = %d, want 50", res.TrialsDone, res.Trials)
 	}
 }
 

@@ -20,11 +20,11 @@ type OLSOptions struct {
 	// UseKarpLuby selects Algorithm 4 for the sampling phase instead of
 	// the paper's optimized Algorithm 5, i.e. the OLS-KL configuration.
 	UseKarpLuby bool
-	// KL carries Karp-Luby-specific knobs. BaseTrials, Seed, Interrupt and
-	// the resume/state plumbing are overwritten from this struct's fields.
+	// KL carries Karp-Luby-specific knobs. BaseTrials, Seed, Interrupt,
+	// Probe and Executor are overwritten from this struct's fields.
 	KL KLOptions
-	// Optimized carries optimized-estimator knobs. Trials, Seed, Interrupt
-	// and the resume/state plumbing are overwritten likewise.
+	// Optimized carries optimized-estimator knobs. Trials, Seed,
+	// Interrupt, Probe and Executor are overwritten likewise.
 	Optimized OptimizedOptions
 	// OS configures the preparing phase's Ordering Sampling pruning
 	// behaviour (its Trials, Seed, OnTrial and Interrupt fields are
@@ -77,12 +77,10 @@ func (o OLSOptions) mu() float64 {
 	return 0
 }
 
-// checkpoint returns the run's checkpoint header at done completed units.
-func (o OLSOptions) checkpoint(g *bigraph.Graph, done int) *Checkpoint {
-	return &Checkpoint{
-		Method: o.method(), Seed: o.Seed, Trials: o.Trials, PrepTrials: o.PrepTrials,
-		Mu: o.mu(), GraphCRC: g.Checksum(), Done: done,
-	}
+// header returns the run's identity as a checkpoint header: method,
+// seed, trial targets and Karp-Luby sizing.
+func (o OLSOptions) header() Checkpoint {
+	return Checkpoint{Method: o.method(), Seed: o.Seed, Trials: o.Trials, PrepTrials: o.PrepTrials, Mu: o.mu()}
 }
 
 // OLS is Ordering-Listing Sampling (Section VI, Algorithm 3). The
@@ -128,100 +126,63 @@ func OLS(g *bigraph.Graph, opt OLSOptions) (*Result, error) {
 // the listing. opt.Resume is validated against the run; a prepare-phase
 // checkpoint has been consumed by the listing, so sampling starts fresh.
 func OLSSamplingPhaseParallel(cands *Candidates, opt OLSOptions, workers int) (*Result, error) {
-	method := opt.method()
-	g := cands.G
+	method, g, run := opt.method(), cands.G, opt.header()
 	resume := opt.Resume
-	if resume != nil {
-		if err := resume.resumeCheck(method, opt.Seed, opt.Trials, opt.PrepTrials, opt.mu(), g); err != nil {
-			return nil, err
-		}
-		if resume.Prepare {
-			resume = nil
-		}
+	if err := resume.resumeCheck(run, g); err != nil {
+		return nil, err
+	}
+	if resume != nil && resume.Prepare {
+		resume = nil
 	}
 	if cands.PrepDone < opt.PrepTrials {
 		res := &Result{Method: method, Trials: opt.Trials, PrepTrials: opt.PrepTrials, Partial: true}
 		if !cands.anchored {
-			res.Checkpoint = opt.checkpoint(g, cands.PrepDone)
-			res.Checkpoint.Prepare = true
-			res.Checkpoint.Counts = cands.prepSnapshot()
+			res.Checkpoint = cands.prepCheckpoint(run)
 		}
 		return res, nil
 	}
 	if cands.Len() == 0 {
 		return &Result{Method: method, Trials: opt.Trials, TrialsDone: opt.Trials, PrepTrials: opt.PrepTrials}, nil
 	}
-	exec := opt.Executor
-	if exec == nil {
-		exec = &LocalExecutor{Workers: max(workers, 1)}
-	}
 	// The sampling phase must not share a random stream with the
 	// preparing phase; offset the seed deterministically.
 	sampleSeed := opt.Seed ^ 0xa5a5a5a5deadbeef
-	// The run-level identity an explicit executor may need to rebuild the
-	// candidate set remotely: the RUN seed (the phase seed is derived from
-	// it) plus the trial targets and Mu the checkpoint layer validates.
-	spec := ExecSpec{Method: method, Seed: opt.Seed, Trials: opt.Trials, PrepTrials: opt.PrepTrials, Mu: opt.mu()}
-	var st EstimatorState
-	var probs []float64
+	var job *ExecJob
 	var err error
 	if opt.UseKarpLuby {
 		kl := opt.KL
-		kl.BaseTrials = opt.Trials
-		kl.Seed = sampleSeed
-		kl.Interrupt = opt.Interrupt
-		kl.State = &st
-		kl.Probe = opt.Probe
-		kl.Executor = exec
-		kl.Spec = spec
-		if resume != nil {
-			if len(resume.CandProbs) != cands.Len() {
-				return nil, fmt.Errorf("core: checkpoint has %d candidates, preparing phase produced %d (options mismatch?)", len(resume.CandProbs), cands.Len())
-			}
-			kl.ResumeProbs = resume.CandProbs
-			kl.ResumeTrials = resume.CandTrials
-			kl.ResumeDone = resume.Done
+		kl.BaseTrials, kl.Seed = opt.Trials, sampleSeed
+		if kl.OnlyCandidate != nil && resume != nil {
+			return nil, fmt.Errorf("core: Karp-Luby resume is incompatible with OnlyCandidate")
 		}
-		probs, err = EstimateKarpLuby(cands, kl)
+		job, err = kl.job(cands)
 	} else {
 		op := opt.Optimized
-		op.Trials = opt.Trials
-		op.Seed = sampleSeed
-		op.Interrupt = opt.Interrupt
-		op.State = &st
-		op.Probe = opt.Probe
-		op.Executor = exec
-		op.Spec = spec
-		if resume != nil {
-			if len(resume.CandCounts) != cands.Len() {
-				return nil, fmt.Errorf("core: checkpoint has %d candidates, preparing phase produced %d (options mismatch?)", len(resume.CandCounts), cands.Len())
-			}
-			op.ResumeCounts = resume.CandCounts
-			op.ResumeDone = resume.Done
-		}
-		probs, err = EstimateOptimized(cands, op)
+		op.Trials, op.Seed = opt.Trials, sampleSeed
+		job, err = op.job(cands)
 	}
 	if err != nil {
 		return nil, err
 	}
-	res := cands.result(method, probs, opt.Trials, opt.PrepTrials)
-	res.TrialsDone = opt.Trials
-	if st.Partial {
-		res.Partial = true
-		res.TrialsDone = st.Done
+	job.Interrupt, job.Probe = opt.Interrupt, opt.Probe
+	// The run-level identity an explicit executor may need to rebuild the
+	// candidate set remotely: the RUN seed (the phase seed is derived from
+	// it) plus the trial targets and Mu the checkpoint layer validates.
+	job.Spec = ExecSpec{Method: method, Seed: opt.Seed, Trials: opt.Trials, PrepTrials: opt.PrepTrials, Mu: opt.mu()}
+	r, err := execute(opt.Executor, workers, job, resume)
+	if err != nil {
+		return nil, err
 	}
-	if st.Partial && !cands.anchored {
-		ck := opt.checkpoint(g, st.Done)
-		if opt.UseKarpLuby {
-			ck.CandProbs = st.Probs
-			ck.CandTrials = make([]int64, len(st.Trials))
-			for i, t := range st.Trials {
-				ck.CandTrials[i] = int64(t)
-			}
-		} else {
-			ck.CandCounts = st.Counts
+	if opt.UseKarpLuby {
+		opt.KL.report(r)
+	}
+	res := cands.result(method, r.probs(), opt.Trials, opt.PrepTrials)
+	res.TrialsDone = opt.Trials
+	if r.Done < job.Units {
+		res.Partial, res.TrialsDone = true, r.Done
+		if !cands.anchored {
+			res.Checkpoint = r.checkpoint(run, g)
 		}
-		res.Checkpoint = ck
 	}
 	probeFinish(opt.Probe, res)
 	return res, nil

@@ -6,23 +6,6 @@ import (
 	"github.com/uncertain-graphs/mpmb/internal/telemetry"
 )
 
-// EstimatorState reports how far an estimator ran, for partial results and
-// checkpointing. An estimator fills the options' State pointer (when
-// non-nil) whether the run completed or was cancelled.
-type EstimatorState struct {
-	// Partial is true when the run was cut short by the Interrupt hook.
-	Partial bool
-	// Done is the completed prefix: trials for the optimized estimator,
-	// fully priced candidates for Karp-Luby.
-	Done int
-	// Counts is the optimized estimator's per-candidate hit tally at stop.
-	Counts []int64
-	// Probs / Trials are Karp-Luby's per-candidate estimates and executed
-	// trial counts (entries at index >= Done are unpriced).
-	Probs  []float64
-	Trials []int
-}
-
 // OptimizedOptions configures the paper's optimized probability estimator
 // (Algorithm 5), the sampling phase of OLS.
 type OptimizedOptions struct {
@@ -45,30 +28,20 @@ type OptimizedOptions struct {
 	OnTrial func(trial int, hits []int)
 	// Interrupt, if non-nil, is polled between trials; when it returns
 	// true the run stops and the returned probabilities are normalized
-	// over the completed trials (State reports how many). A multi-worker
-	// executor polls the hook concurrently from every worker; it must be
-	// safe for concurrent use there.
+	// over the completed trials (OLS reports how many, and checkpoints
+	// them). A multi-worker executor polls the hook concurrently from
+	// every worker; it must be safe for concurrent use there.
 	Interrupt func() bool
-	// State, if non-nil, receives the run's completion state — partial
-	// flag, completed trials, and the raw counts needed to checkpoint.
-	State *EstimatorState
-	// ResumeCounts / ResumeDone seed the accumulator from an earlier
-	// cancelled run: counts indexed like the candidate list, with
-	// ResumeDone trials already folded in. The run continues at trial
-	// ResumeDone+1 and finishes bit-identically to an uninterrupted one.
-	ResumeCounts []int64
-	ResumeDone   int
 	// Probe, if non-nil, receives run telemetry: trial counts, the
 	// candidate scanned/pruned split of the early break (Algorithm 3
 	// lines 5-6), and running leader estimates. Nil costs one predictable
 	// branch per trial.
 	Probe *telemetry.Probe
 	// Executor, if non-nil, replaces the default one-worker LocalExecutor
-	// with an explicit TrialExecutor (a multi-worker pool, a distributed
-	// fan-out). Spec then carries the run-level identity remote executors
-	// need.
+	// with an explicit TrialExecutor: a multi-worker pool, or — through
+	// OLS, which supplies the run identity remote workers need — a
+	// distributed fan-out.
 	Executor TrialExecutor
-	Spec     ExecSpec
 }
 
 // EstimateOptimized runs Algorithm 5 over a weight-sorted candidate set
@@ -88,34 +61,36 @@ type OptimizedOptions struct {
 // estimates are bit-identical either way. The OnTrial hook and the
 // EagerSampling/DisableEarlyBreak ablations need a one-worker run.
 func EstimateOptimized(c *Candidates, opt OptimizedOptions) ([]float64, error) {
-	if opt.Trials <= 0 {
-		return nil, fmt.Errorf("core: optimized estimator requires Trials > 0, got %d", opt.Trials)
-	}
-	counts, err := optimizedResumeCounts(len(c.List), opt)
+	job, err := opt.job(c)
 	if err != nil {
 		return nil, err
 	}
-	r, err := execute(opt.Executor, 0, &ExecJob{
+	r, err := execute(opt.Executor, 0, job, nil)
+	if err != nil {
+		return nil, err
+	}
+	return r.probs(), nil
+}
+
+// job returns the estimator's run over c as an ExecJob.
+func (o OptimizedOptions) job(c *Candidates) (*ExecJob, error) {
+	if o.Trials <= 0 {
+		return nil, fmt.Errorf("core: optimized estimator requires Trials > 0, got %d", o.Trials)
+	}
+	return &ExecJob{
 		Kind:  ExecOptimized,
 		Graph: c.G,
 		Cands: c,
-		Seed:  opt.Seed,
-		Units: opt.Trials,
-		Start: opt.ResumeDone,
+		Seed:  o.Seed,
+		Units: o.Trials,
 		Optimized: OptimizedOptions{
-			EagerSampling:     opt.EagerSampling,
-			DisableEarlyBreak: opt.DisableEarlyBreak,
-			OnTrial:           opt.OnTrial,
+			EagerSampling:     o.EagerSampling,
+			DisableEarlyBreak: o.DisableEarlyBreak,
+			OnTrial:           o.OnTrial,
 		},
-		Interrupt: opt.Interrupt,
-		Probe:     opt.Probe,
-		Spec:      opt.Spec,
-		into:      &ExecResult{Done: opt.ResumeDone, CandCounts: counts},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return optimizedFinish(r.CandCounts, r.Done, opt, r.Done < opt.Trials), nil
+		Interrupt: o.Interrupt,
+		Probe:     o.Probe,
+	}, nil
 }
 
 // probeOptimizedLeader publishes the running argmax of the optimized
@@ -134,35 +109,18 @@ func probeOptimizedLeader(p *telemetry.Probe, c *Candidates, counts []int64, tri
 	probeEstimate(p, 0, counts[lead], trial, c.List[lead].B, c.List[lead].Weight)
 }
 
-// optimizedResumeCounts validates resume options and returns the
-// accumulator of the resumed prefix 1..ResumeDone.
-func optimizedResumeCounts(n int, opt OptimizedOptions) ([]int64, error) {
-	if opt.ResumeDone < 0 || opt.ResumeDone > opt.Trials {
-		return nil, fmt.Errorf("core: optimized resume at trial %d outside [0,%d]", opt.ResumeDone, opt.Trials)
+// probs returns the per-candidate estimates of a sampling-phase state:
+// the optimized estimator's hit counts normalized over the completed
+// trials (lines 11–12), or the Karp-Luby estimates as priced.
+func (r *ExecResult) probs() []float64 {
+	if r.CandProbs != nil {
+		return r.CandProbs
 	}
-	counts := make([]int64, n)
-	if opt.ResumeCounts != nil {
-		if len(opt.ResumeCounts) != n {
-			return nil, fmt.Errorf("core: optimized resume has %d candidate counts, want %d", len(opt.ResumeCounts), n)
+	probs := make([]float64, len(r.CandCounts))
+	if r.Done > 0 {
+		for i, cnt := range r.CandCounts {
+			probs[i] = float64(cnt) / float64(r.Done)
 		}
-		copy(counts, opt.ResumeCounts)
-	} else if opt.ResumeDone != 0 {
-		return nil, fmt.Errorf("core: optimized resume at trial %d without counts", opt.ResumeDone)
-	}
-	return counts, nil
-}
-
-// optimizedFinish converts counts into probabilities normalized over the
-// done-trial prefix (lines 11–12) and reports the run state.
-func optimizedFinish(counts []int64, done int, opt OptimizedOptions, partial bool) []float64 {
-	probs := make([]float64, len(counts))
-	if done > 0 {
-		for i, cnt := range counts {
-			probs[i] = float64(cnt) / float64(done)
-		}
-	}
-	if opt.State != nil {
-		*opt.State = EstimatorState{Partial: partial, Done: done, Counts: counts}
 	}
 	return probs
 }

@@ -109,15 +109,20 @@ func OS(g *bigraph.Graph, opt OSOptions) (*Result, error) {
 // resumable Checkpoint, and opt.Resume continues such a checkpoint. The
 // OnTrial hook needs a one-worker run.
 func OSParallel(g *bigraph.Graph, opt OSOptions, workers int) (*Result, error) {
+	return osRun(g, Anchor{}, opt, workers)
+}
+
+// osRun is OSParallel, and AnchoredOSParallel when the anchor is set: one
+// ExecOS job continuing opt.Resume, its estimates normalized over the
+// completed trials. A global run cut short carries a resumable
+// checkpoint; an anchored run, which has no resume path, carries none.
+func osRun(g *bigraph.Graph, a Anchor, opt OSOptions, workers int) (*Result, error) {
 	if opt.Trials <= 0 {
 		return nil, fmt.Errorf("core: OS requires Trials > 0, got %d", opt.Trials)
 	}
-	state := &ExecResult{acc: newProbAccumulator()}
-	if ck := opt.Resume; ck != nil {
-		if err := ck.resumeCheck("os", opt.Seed, opt.Trials, 0, 0, g); err != nil {
-			return nil, err
-		}
-		state = &ExecResult{Done: ck.Done, acc: accumulatorFromCounts(ck.Counts)}
+	run := Checkpoint{Method: "os", Seed: opt.Seed, Trials: opt.Trials}
+	if err := opt.Resume.resumeCheck(run, g); err != nil {
+		return nil, err
 	}
 	kern := opt.kernel()
 	kern.OnTrial = opt.OnTrial
@@ -126,21 +131,21 @@ func OSParallel(g *bigraph.Graph, opt OSOptions, workers int) (*Result, error) {
 		Graph:     g,
 		Seed:      opt.Seed,
 		Units:     opt.Trials,
-		Start:     state.Done,
+		Anchor:    a,
 		OS:        kern,
 		Interrupt: opt.Interrupt,
 		Probe:     opt.Probe,
 		Spec:      ExecSpec{Method: "os", Seed: opt.Seed, Trials: opt.Trials},
-		into:      state,
-	})
+	}, opt.Resume)
 	if err != nil {
 		return nil, err
 	}
-	var res *Result
+	res := r.acc.resultNorm("os", opt.Trials, r.Done)
 	if r.Done < opt.Trials {
-		res = r.acc.partialResult("os", g, opt.Seed, opt.Trials, r.Done)
-	} else {
-		res = r.acc.result("os", opt.Trials)
+		res.Partial = true
+		if a.Kind == 0 {
+			res.Checkpoint = r.checkpoint(run, g)
+		}
 	}
 	probeFinish(opt.Probe, res)
 	return res, nil

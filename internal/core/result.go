@@ -10,7 +10,6 @@ import (
 	"math"
 	"sort"
 
-	"github.com/uncertain-graphs/mpmb/internal/bigraph"
 	"github.com/uncertain-graphs/mpmb/internal/butterfly"
 	"github.com/uncertain-graphs/mpmb/internal/telemetry"
 )
@@ -387,20 +386,4 @@ func (a *probAccumulator) resultNorm(method string, trials, norm int) *Result {
 	}
 	sortEstimates(es)
 	return &Result{Method: method, Trials: trials, TrialsDone: norm, Estimates: es}
-}
-
-// partialResult finalizes a cancelled counting run: estimates normalized
-// over the done-trial prefix plus a resumable checkpoint.
-func (a *probAccumulator) partialResult(method string, g *bigraph.Graph, seed uint64, trials, done int) *Result {
-	res := a.resultNorm(method, trials, done)
-	res.Partial = true
-	res.Checkpoint = &Checkpoint{
-		Method:   method,
-		Seed:     seed,
-		Trials:   trials,
-		GraphCRC: g.Checksum(),
-		Done:     done,
-		Counts:   a.snapshot(),
-	}
-	return res
 }

@@ -203,13 +203,6 @@ type SupervisorOptions struct {
 	Resume *Checkpoint
 }
 
-func (o SupervisorOptions) mu() float64 {
-	if o.Method == "ols-kl" {
-		return o.KL.Mu
-	}
-	return 0
-}
-
 // Supervise wraps a sampling run with the three robustness mechanisms of
 // the adaptive-run design: coverage audits with escalation and a
 // degradation ladder (OLS → OS → MC-VP), accuracy-aware stopping
@@ -470,21 +463,20 @@ func (s *supervisor) countingStep(method string, ck *Checkpoint) (*Result, error
 func (s *supervisor) runOLS() (*Result, error) {
 	method := s.opt.Method
 	prepTarget := s.opt.PrepTrials
-	var prepResume []ButterflyCount
-	prepStart := 0
-	var samplingCk *Checkpoint
+	// prepCk is the preparing phase's starting point (nil: the first
+	// trial); samplingCk the sampling phase's.
+	var prepCk, samplingCk *Checkpoint
 	if ck := s.opt.Resume; ck != nil {
 		if ck.PrepTrials > prepTarget {
 			// A checkpoint cut after an escalation carries the doubled
 			// target; adopt it as the current escalation level.
 			prepTarget = ck.PrepTrials
 		}
-		if err := ck.resumeCheck(method, s.opt.Seed, s.opt.Trials, prepTarget, s.opt.mu(), s.g); err != nil {
+		if err := ck.resumeCheck(s.olsOpts(prepTarget, nil).header(), s.g); err != nil {
 			return nil, err
 		}
 		if ck.Prepare {
-			prepResume = ck.Counts
-			prepStart = ck.Done
+			prepCk = ck
 		} else {
 			samplingCk = ck
 		}
@@ -495,13 +487,13 @@ func (s *supervisor) runOLS() (*Result, error) {
 			cands = p
 		} else if p.PrepDone < prepTarget {
 			// An interrupted listing: continue it.
-			prepResume, prepStart = p.prepSnapshot(), p.PrepDone
+			prepCk = p.prepCheckpoint(s.olsOpts(prepTarget, nil).header())
 		}
 	}
 	escalations := 0
 	for {
 		if cands == nil {
-			c, err := prepare(s.g, Anchor{}, prepTarget, s.opt.Seed, s.prepOS(), prepResume, prepStart)
+			c, err := prepare(s.g, Anchor{}, prepTarget, s.opt.Seed, s.prepOS(prepCk))
 			if err != nil {
 				return nil, err
 			}
@@ -517,7 +509,7 @@ func (s *supervisor) runOLS() (*Result, error) {
 				return s.finish(res, reason), nil
 			}
 			cands = c
-			prepResume, prepStart = nil, 0
+			prepCk = nil
 		}
 		s.gate.newSegment(s.segmentPolls(true))
 		res, err := s.olsStep(cands, prepTarget, samplingCk)
@@ -560,8 +552,8 @@ func (s *supervisor) runOLS() (*Result, error) {
 				// the resume machinery. Sampling restarts fresh: the
 				// per-candidate counts are indexed by a list that no
 				// longer exists.
-				prepResume = append(cands.prepSnapshot(), missed...)
-				prepStart = cands.PrepDone
+				prepCk = cands.prepCheckpoint(s.olsOpts(prepTarget, nil).header())
+				prepCk.Counts = append(prepCk.Counts, missed...)
 				prepTarget *= 2
 				cands = nil
 				samplingCk = nil
@@ -578,14 +570,15 @@ func (s *supervisor) runOLS() (*Result, error) {
 	}
 }
 
-// prepOS is the preparing phase's OS configuration: the caller's pruning
-// knobs with the supervisor's passive hook (external cancellation and
-// deadline only — prep polls must not consume the sampling segment's
-// budget).
-func (s *supervisor) prepOS() OSOptions {
+// prepOS is the preparing phase's OS configuration from checkpoint ck
+// (nil: from the first trial): the caller's pruning knobs with the
+// supervisor's passive hook (external cancellation and deadline only —
+// prep polls must not consume the sampling segment's budget).
+func (s *supervisor) prepOS(ck *Checkpoint) OSOptions {
 	o := s.opt.OS.kernel()
 	o.Interrupt = s.gate.passive
 	o.Probe = s.opt.Probe // the preparing phase rebinds it to its phase label
+	o.Resume = ck
 	return o
 }
 

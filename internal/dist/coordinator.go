@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
-	"github.com/uncertain-graphs/mpmb/internal/butterfly"
 	"github.com/uncertain-graphs/mpmb/internal/core"
 	"github.com/uncertain-graphs/mpmb/internal/telemetry"
 )
@@ -95,20 +94,12 @@ type pendingRange struct {
 	counters Counters
 }
 
-// countW is one butterfly's merged tally.
-type countW struct {
-	count  int64
-	weight float64
-}
-
 // distJob is the lease book and merge state of one registered job.
 type distJob struct {
 	id    uint64
 	spec  JobSpec
 	job   *core.ExecJob
 	graph []byte // binary graph served to workers
-
-	nCands int // candidate vector width (ExecOptimized)
 
 	nextLo    int               // next fresh range start
 	freed     []span            // expired ranges awaiting regrant, sorted by lo
@@ -117,15 +108,12 @@ type distJob struct {
 	pending   map[int]*pendingRange
 
 	// prefix is the merged prefix in absolute units: trials
-	// spec.Start+1..prefix are folded into the aggregate below, and
-	// their counters are flushed to the job's probe. The aggregate is,
-	// at every instant, bit-identical to a sequential run of exactly
-	// that prefix.
-	prefix     int
-	osCounts   map[butterfly.Butterfly]countW
-	candCounts []int64
-	candProbs  []float64
-	candTrials []int
+	// spec.Start+1..prefix are folded into state, and their counters are
+	// flushed to the job's probe. state is built and advanced by core —
+	// the same fold a local run's ranges go through — so it is, at every
+	// instant, bit-identical to a local run of exactly that range.
+	prefix int
+	state  *core.ExecResult
 
 	draining bool          // frontier frozen: no fresh grants, in-flight work may still land
 	halted   bool          // no further grants (interrupted or collected)
@@ -143,6 +131,10 @@ func (c *Coordinator) register(job *core.ExecJob) (uint64, chan struct{}, error)
 	}
 	if err := job.LocalOnly(); err != nil {
 		return 0, nil, fmt.Errorf("dist: workers cannot reproduce the job: %w", err)
+	}
+	state, err := core.NewExecState(job)
+	if err != nil {
+		return 0, nil, fmt.Errorf("dist: %w", err)
 	}
 	var buf bytes.Buffer
 	if err := bigraph.WriteBinary(&buf, job.Graph); err != nil {
@@ -182,19 +174,8 @@ func (c *Coordinator) register(job *core.ExecJob) (uint64, chan struct{}, error)
 		completed: make(map[int]int),
 		pending:   make(map[int]*pendingRange),
 		prefix:    job.Start,
+		state:     state,
 		done:      make(chan struct{}),
-	}
-	switch job.Kind {
-	case core.ExecOS:
-		j.osCounts = make(map[butterfly.Butterfly]countW)
-	case core.ExecOptimized:
-		j.nCands = len(job.Cands.List)
-		j.candCounts = make([]int64, j.nCands)
-	case core.ExecKarpLuby:
-		j.candProbs = make([]float64, job.Units)
-		j.candTrials = make([]int, job.Units)
-	default:
-		return 0, nil, fmt.Errorf("dist: unknown job kind %v", job.Kind)
 	}
 	if c.Journal != nil {
 		// Adopt any journal a crashed predecessor left for this exact
@@ -210,7 +191,7 @@ func (c *Coordinator) register(job *core.ExecJob) (uint64, chan struct{}, error)
 	return id, j.done, nil
 }
 
-// collect snapshots a job's merged prefix as a core.ExecResult and
+// collect returns a job's merged state, units Start+1..prefix, and
 // removes the job from the book. Late completions of removed jobs are
 // acknowledged and dropped.
 func (c *Coordinator) collect(id uint64) (*core.ExecResult, error) {
@@ -231,22 +212,7 @@ func (c *Coordinator) collect(id uint64) (*core.ExecResult, error) {
 	if c.Journal != nil {
 		c.Journal.discard(j.jdir)
 	}
-	res := &core.ExecResult{Done: j.prefix}
-	switch j.job.Kind {
-	case core.ExecOS:
-		counts := make([]core.ButterflyCount, 0, len(j.osCounts))
-		for b, cw := range j.osCounts {
-			counts = append(counts, core.ButterflyCount{B: b, Count: cw.count, Weight: cw.weight})
-		}
-		sort.Slice(counts, func(x, y int) bool { return lessB(counts[x].B, counts[y].B) })
-		res.Counts = counts
-	case core.ExecOptimized:
-		res.CandCounts = j.candCounts
-	case core.ExecKarpLuby:
-		res.CandProbs = j.candProbs
-		res.CandTrials = j.candTrials
-	}
-	return res, nil
+	return j.state, nil
 }
 
 // drain freezes a job's fresh-range frontier. An interrupted executor
@@ -278,19 +244,6 @@ func (c *Coordinator) settled(id uint64) bool {
 	}
 	c.expireLocked(j, c.now())
 	return len(j.leases) == 0 && len(j.freed) == 0
-}
-
-func lessB(a, b butterfly.Butterfly) bool {
-	if a.U1 != b.U1 {
-		return a.U1 < b.U1
-	}
-	if a.U2 != b.U2 {
-		return a.U2 < b.U2
-	}
-	if a.V1 != b.V1 {
-		return a.V1 < b.V1
-	}
-	return a.V2 < b.V2
 }
 
 func (c *Coordinator) leaseUnits() int {
@@ -468,10 +421,7 @@ func (c *Coordinator) complete(msg *LeaseComplete) (*CompleteReply, error) {
 		// work is obsolete, not wrong. Tell the worker to move on.
 		return &CompleteReply{V: Version, Accepted: false, JobDone: true}, nil
 	}
-	if err := j.checkRange(msg.Lo, msg.Hi); err != nil {
-		return nil, err
-	}
-	if err := j.checkPayload(msg); err != nil {
+	if err := j.check(msg); err != nil {
 		return nil, err
 	}
 	if _, dup := j.completed[msg.Lo]; dup {
@@ -507,11 +457,12 @@ func (c *Coordinator) complete(msg *LeaseComplete) (*CompleteReply, error) {
 	return &CompleteReply{V: Version, Accepted: true, JobDone: done}, nil
 }
 
-// checkRange validates a reported range against the job's fixed lease
-// arithmetic: ranges are aligned to Start on LeaseUnits boundaries and
-// clipped at Units, so exactly one shape is legal per lo.
-func (j *distJob) checkRange(lo, hi int) error {
-	lu := j.spec.LeaseUnits
+// check validates a completion against the job. Its range must match
+// the fixed lease arithmetic: ranges are aligned to Start on LeaseUnits
+// boundaries and clipped at Units, so exactly one shape is legal per lo.
+// Its payload must pass core's payload check as a span of the job's kind.
+func (j *distJob) check(msg *LeaseComplete) error {
+	lo, hi, lu := msg.Lo, msg.Hi, j.spec.LeaseUnits
 	if lo < j.spec.Start+1 || hi > j.spec.Units || hi < lo {
 		return fmt.Errorf("%w: %d..%d outside %d..%d", ErrBadRange, lo, hi, j.spec.Start+1, j.spec.Units)
 	}
@@ -525,32 +476,12 @@ func (j *distJob) checkRange(lo, hi int) error {
 	if hi != want {
 		return fmt.Errorf("%w: %d..%d does not match issued range %d..%d", ErrBadRange, lo, hi, lo, want)
 	}
-	return nil
-}
-
-// checkPayload validates the payload kind and width against the job.
-func (j *distJob) checkPayload(msg *LeaseComplete) error {
-	p := &msg.Payload
-	switch j.job.Kind {
-	case core.ExecOS:
-		if p.CandCounts != nil || p.CandProbs != nil || p.CandTrials != nil {
-			return fmt.Errorf("%w: OS job with candidate payload", ErrBadPayload)
-		}
-	case core.ExecOptimized:
-		if p.Counts != nil || p.CandProbs != nil || p.CandTrials != nil {
-			return fmt.Errorf("%w: optimized job with non-count payload", ErrBadPayload)
-		}
-		if len(p.CandCounts) != j.nCands {
-			return fmt.Errorf("%w: %d candidate counts for a %d-candidate job", ErrBadPayload, len(p.CandCounts), j.nCands)
-		}
-	case core.ExecKarpLuby:
-		if p.Counts != nil || p.CandCounts != nil {
-			return fmt.Errorf("%w: KL job with count payload", ErrBadPayload)
-		}
-		if width := msg.Hi - msg.Lo + 1; len(p.CandProbs) != width || len(p.CandTrials) != width {
-			return fmt.Errorf("%w: KL vectors of %d/%d entries for a %d-unit range",
-				ErrBadPayload, len(p.CandProbs), len(p.CandTrials), width)
-		}
+	cands := -1
+	if j.job.Kind == core.ExecOptimized {
+		cands = j.job.Cands.Len()
+	}
+	if err := core.Payload(msg.Payload).Check(j.job.Kind, hi-lo+1, cands, true); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadPayload, err)
 	}
 	return nil
 }
@@ -566,22 +497,7 @@ func (j *distJob) advanceLocked() {
 			return
 		}
 		delete(j.pending, j.prefix+1)
-		switch j.job.Kind {
-		case core.ExecOS:
-			for _, e := range pr.payload.Counts {
-				cw := j.osCounts[e.B]
-				cw.count += e.Count
-				cw.weight = e.Weight
-				j.osCounts[e.B] = cw
-			}
-		case core.ExecOptimized:
-			for i, v := range pr.payload.CandCounts {
-				j.candCounts[i] += v
-			}
-		case core.ExecKarpLuby:
-			copy(j.candProbs[pr.span.lo-1:pr.span.hi], pr.payload.CandProbs)
-			copy(j.candTrials[pr.span.lo-1:pr.span.hi], pr.payload.CandTrials)
-		}
+		j.state.Fold(j.job.Kind, &core.ExecResult{Start: pr.span.lo - 1, Done: pr.span.hi, Payload: core.Payload(pr.payload)})
 		p := j.job.Probe
 		ctr := pr.counters
 		p.Add(0, telemetry.CounterTrials, ctr.Trials)

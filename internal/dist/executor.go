@@ -200,24 +200,12 @@ func executeSpan(job *core.ExecJob, pool, lo, hi int) (*LeaseComplete, error) {
 	if res.Done != hi {
 		return nil, fmt.Errorf("dist: range %d..%d stopped at %d without an interrupt", lo, hi, res.Done)
 	}
-	var payload RangePayload
-	switch job.Kind {
-	case core.ExecOS:
-		payload.Counts = res.CountsSnapshot()
-	case core.ExecOptimized:
-		payload.CandCounts = res.CandCounts
-	case core.ExecKarpLuby:
-		payload.CandProbs = res.CandProbs[lo-1 : hi]
-		payload.CandTrials = res.CandTrials[lo-1 : hi]
-	default:
-		return nil, fmt.Errorf("%w: unknown job kind %d", ErrBadPayload, job.Kind)
-	}
 	m := reg.Snapshot()
 	return &LeaseComplete{
 		V:       Version,
 		Lo:      lo,
 		Hi:      hi,
-		Payload: payload,
+		Payload: RangePayload(res.Export()),
 		Counters: Counters{
 			Trials:          m.Trials,
 			TrialHits:       m.TrialHits,

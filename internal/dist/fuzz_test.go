@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"slices"
 	"testing"
 
 	mpmb "github.com/uncertain-graphs/mpmb"
+	"github.com/uncertain-graphs/mpmb/internal/butterfly"
 	"github.com/uncertain-graphs/mpmb/internal/core"
 )
 
@@ -24,19 +26,24 @@ func FuzzLeaseDecode(f *testing.F) {
 		return data
 	}
 	f.Add(valid(LeaseComplete{V: Version, Worker: "w0", Job: 1, Lease: 1, Lo: 1, Hi: 16,
-		Payload: RangePayload{Counts: []core.ButterflyCount{{Count: 3, Weight: 1.5}}}}))
+		Payload: RangePayload{Counts: []core.ButterflyCount{{B: butterfly.Butterfly{U1: 0, U2: 2, V1: 1, V2: 3}, Count: 3, Weight: 1.5}}}}))
 	f.Add(valid(LeaseComplete{V: Version, Job: 2, Lease: 9, Lo: 17, Hi: 32,
 		Payload: RangePayload{CandCounts: []int64{0, 16, 7}}}))
 	f.Add(valid(LeaseComplete{V: Version, Job: 3, Lease: 2, Lo: 1, Hi: 4,
-		Payload: RangePayload{CandProbs: []float64{0, 0.5, 1, 0.25}, CandTrials: []int{4, 4, 4, 4}}}))
+		Payload: RangePayload{CandProbs: []float64{0, 0.5, 1, 0.25}, CandTrials: []int64{4, 4, 4, 4}}}))
 	f.Add(valid(LeaseComplete{V: Version + 1, Lo: 1, Hi: 16})) // version skew
 	f.Add(valid(LeaseComplete{V: Version, Lo: 0, Hi: 16}))     // lo below first trial
 	f.Add(valid(LeaseComplete{V: Version, Lo: 17, Hi: 16}))    // inverted range
 	f.Add(valid(LeaseComplete{V: Version, Lo: 1, Hi: 2,        // KL width mismatch
-		Payload: RangePayload{CandProbs: []float64{0.5}, CandTrials: []int{1}}}))
+		Payload: RangePayload{CandProbs: []float64{0.5}, CandTrials: []int64{1}}}))
 	f.Add(valid(LeaseComplete{V: Version, Lo: 1, Hi: 16, // mixed payload kinds
 		Payload: RangePayload{CandCounts: []int64{1}, Counts: []core.ButterflyCount{{Count: 1}}}}))
 	f.Add(valid(LeaseComplete{V: Version, Lo: 1, Hi: 16, Counters: Counters{Trials: -1}}))
+	dup := butterfly.Butterfly{U1: 0, U2: 1, V1: 0, V2: 1}
+	f.Add(valid(LeaseComplete{V: Version, Lo: 1, Hi: 16, // one butterfly listed twice
+		Payload: RangePayload{Counts: []core.ButterflyCount{{B: dup, Count: 16, Weight: 4}, {B: dup, Count: 16, Weight: 4}}}}))
+	f.Add(valid(LeaseComplete{V: Version, Lo: 1, Hi: 16, // degenerate butterfly
+		Payload: RangePayload{Counts: []core.ButterflyCount{{B: butterfly.Butterfly{U1: 1, U2: 1, V1: 2, V2: 0}, Count: 3, Weight: 4}}}}))
 	f.Add([]byte(`{"v":1,"lo":1,"hi":16,"payload":{"counts":[{"count":-2}]}}`))
 	f.Add([]byte(`{"v":1,"lo":1,"hi":16,"payload":{"cand_probs":`))
 	f.Add([]byte(`not json at all`))
@@ -59,6 +66,19 @@ func FuzzLeaseDecode(f *testing.F) {
 		width := msg.Hi - msg.Lo + 1
 		if n := len(msg.Payload.CandProbs); n != 0 && n != width {
 			t.Fatalf("decoded KL payload width %d for range width %d", n, width)
+		}
+		for i, e := range msg.Payload.Counts {
+			b := e.B
+			if b.U1 >= b.U2 || b.V1 >= b.V2 || e.Count < 1 || e.Count > int64(width) {
+				t.Fatalf("decoded butterfly entry %+v for range width %d", e, width)
+			}
+			if i == 0 {
+				continue
+			}
+			p := msg.Payload.Counts[i-1].B
+			if slices.Compare([]uint32{p.U1, p.U2, p.V1, p.V2}, []uint32{b.U1, b.U2, b.V1, b.V2}) >= 0 {
+				t.Fatalf("decoded butterflies out of canonical order: %v then %v", p, b)
+			}
 		}
 		if msg.Counters.Trials < 0 || msg.Counters.TrialHits < 0 {
 			t.Fatalf("decoded negative counters: %+v", msg.Counters)

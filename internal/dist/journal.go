@@ -10,10 +10,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"github.com/uncertain-graphs/mpmb/internal/core"
-	"github.com/uncertain-graphs/mpmb/internal/randx"
 )
 
 // Journal is the coordinator's write-ahead record of a run: every lease
@@ -57,22 +55,8 @@ func (jl *Journal) fs() core.CheckpointFS {
 	return osJournalFS
 }
 
-// osJournalFS adapts the journal's default record I/O to the real
-// filesystem with checkpoint semantics.
-var osJournalFS core.CheckpointFS = realFS{}
-
-type realFS struct{}
-
-func (realFS) CreateTemp(dir, pattern string) (core.CheckpointFile, error) {
-	f, err := os.CreateTemp(dir, pattern)
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-func (realFS) Rename(oldpath, newpath string) error    { return os.Rename(oldpath, newpath) }
-func (realFS) Remove(name string) error                { return os.Remove(name) }
-func (realFS) Open(name string) (io.ReadCloser, error) { return os.Open(name) }
+// osJournalFS is the journal's default record I/O: the real filesystem.
+var osJournalFS = core.OSFS
 
 func (jl *Journal) retry() core.RetryPolicy {
 	p := jl.Retry
@@ -113,74 +97,21 @@ type grantRecord struct {
 	Hi int `json:"hi"`
 }
 
-// writeRecord atomically persists one record (temp file + rename),
-// retrying transient failures per the journal's policy.
+// writeRecord atomically persists one record with core's
+// temp-file-then-rename protocol, retrying transient failures per the
+// journal's policy.
 func (jl *Journal) writeRecord(dir, name string, v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("dist: encoding journal record %s: %w", name, err)
 	}
-	p := jl.retry()
-	attempts := p.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	sleep := p.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	rng := randx.New(p.Seed)
-	var last error
-	for k := 0; k < attempts; k++ {
-		if k > 0 {
-			sleep(retryBackoff(p, k-1, rng))
-		}
-		if err := jl.writeOnce(dir, name, data); err != nil {
-			last = err
-			continue
-		}
-		return nil
-	}
-	return &core.RetryExhaustedError{Op: "journal", Path: filepath.Join(dir, name), Attempts: attempts, Last: last}
-}
-
-// retryBackoff mirrors the checkpoint store's backoff: attempt k
-// (0-based) sleeps min(BaseDelay·2^k, MaxDelay) scaled by a uniform
-// jitter factor in [0.5, 1).
-func retryBackoff(p core.RetryPolicy, k int, rng *randx.RNG) time.Duration {
-	d := p.BaseDelay
-	for i := 0; i < k && d < p.MaxDelay; i++ {
-		d *= 2
-	}
-	if p.MaxDelay > 0 && d > p.MaxDelay {
-		d = p.MaxDelay
-	}
-	if d <= 0 {
-		return 0
-	}
-	return time.Duration((0.5 + 0.5*rng.Float64()) * float64(d))
-}
-
-func (jl *Journal) writeOnce(dir, name string, data []byte) error {
-	f, err := jl.fs().CreateTemp(dir, name+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		jl.fs().Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		jl.fs().Remove(tmp)
-		return err
-	}
-	if err := jl.fs().Rename(tmp, filepath.Join(dir, name)); err != nil {
-		jl.fs().Remove(tmp)
-		return err
-	}
-	return nil
+	path := filepath.Join(dir, name)
+	return jl.retry().Do("journal", path, func() error {
+		return core.WriteAtomic(jl.fs(), path, func(w io.Writer) error {
+			_, err := w.Write(data)
+			return err
+		})
+	}, nil)
 }
 
 // readRecord loads and decodes one record through the FS seam.
@@ -260,7 +191,7 @@ func (jl *Journal) replayLocked(j *distJob, dir string) {
 	for _, msg := range completes {
 		// The record was validated when first accepted; re-validate
 		// anyway so a corrupted file cannot poison the merge.
-		if j.checkRange(msg.Lo, msg.Hi) != nil || j.checkPayload(msg) != nil {
+		if j.check(msg) != nil {
 			continue
 		}
 		if _, dup := j.completed[msg.Lo]; dup {

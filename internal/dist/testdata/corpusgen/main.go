@@ -39,19 +39,21 @@ func main() {
 		panic(err)
 	}
 	decSeeds := map[string]string{
-		"valid-os":         `{"v":1,"worker":"w0","job":1,"lease":1,"lo":1,"hi":16,"payload":{"counts":[{"b":{"u1":0,"v1":1,"u2":2,"v2":3},"count":3,"weight":1.5}]},"counters":{"trials":16,"trial_hits":3,"edges_scanned":64,"edges_pruned":0,"cand_scanned":0,"cand_pruned":0}}`,
-		"valid-optimized":  `{"v":1,"job":2,"lease":9,"lo":17,"hi":32,"payload":{"cand_counts":[0,16,7]}}`,
-		"valid-kl":         `{"v":1,"job":3,"lease":2,"lo":1,"hi":4,"payload":{"cand_probs":[0,0.5,1,0.25],"cand_trials":[4,4,4,4]}}`,
-		"version-skew":     `{"v":2,"lo":1,"hi":16}`,
-		"lo-zero":          `{"v":1,"lo":0,"hi":16}`,
-		"inverted-range":   `{"v":1,"lo":17,"hi":16}`,
-		"kl-width-skew":    `{"v":1,"lo":1,"hi":2,"payload":{"cand_probs":[0.5],"cand_trials":[1]}}`,
-		"mixed-kinds":      `{"v":1,"lo":1,"hi":16,"payload":{"counts":[{"count":1}],"cand_counts":[1]}}`,
-		"negative-counter": `{"v":1,"lo":1,"hi":16,"counters":{"trials":-1}}`,
-		"negative-count":   `{"v":1,"lo":1,"hi":16,"payload":{"counts":[{"count":-2}]}}`,
-		"truncated-json":   `{"v":1,"lo":1,"hi":16,"payload":{"cand_probs":`,
-		"not-json":         `not json at all`,
-		"huge-version":     `{"v":1e309}`,
+		"valid-os":             `{"v":1,"worker":"w0","job":1,"lease":1,"lo":1,"hi":16,"payload":{"counts":[{"b":{"u1":0,"v1":1,"u2":2,"v2":3},"count":3,"weight":1.5}]},"counters":{"trials":16,"trial_hits":3,"edges_scanned":64,"edges_pruned":0,"cand_scanned":0,"cand_pruned":0}}`,
+		"valid-optimized":      `{"v":1,"job":2,"lease":9,"lo":17,"hi":32,"payload":{"cand_counts":[0,16,7]}}`,
+		"valid-kl":             `{"v":1,"job":3,"lease":2,"lo":1,"hi":4,"payload":{"cand_probs":[0,0.5,1,0.25],"cand_trials":[4,4,4,4]}}`,
+		"version-skew":         `{"v":2,"lo":1,"hi":16}`,
+		"lo-zero":              `{"v":1,"lo":0,"hi":16}`,
+		"inverted-range":       `{"v":1,"lo":17,"hi":16}`,
+		"kl-width-skew":        `{"v":1,"lo":1,"hi":2,"payload":{"cand_probs":[0.5],"cand_trials":[1]}}`,
+		"mixed-kinds":          `{"v":1,"lo":1,"hi":16,"payload":{"counts":[{"count":1}],"cand_counts":[1]}}`,
+		"negative-counter":     `{"v":1,"lo":1,"hi":16,"counters":{"trials":-1}}`,
+		"negative-count":       `{"v":1,"lo":1,"hi":16,"payload":{"counts":[{"count":-2}]}}`,
+		"duplicate-butterfly":  `{"v":1,"lo":1,"hi":16,"payload":{"counts":[{"b":{"u1":0,"v1":0,"u2":1,"v2":1},"count":16,"weight":4},{"b":{"u1":0,"v1":0,"u2":1,"v2":1},"count":16,"weight":4}]}}`,
+		"degenerate-butterfly": `{"v":1,"lo":1,"hi":16,"payload":{"counts":[{"b":{"u1":1,"v1":2,"u2":1,"v2":0},"count":3,"weight":4}]}}`,
+		"truncated-json":       `{"v":1,"lo":1,"hi":16,"payload":{"cand_probs":`,
+		"not-json":             `not json at all`,
+		"huge-version":         `{"v":1e309}`,
 	}
 	for name, body := range decSeeds {
 		write(dec, name, []byte(body))

@@ -22,9 +22,9 @@
 //     whichever copy completes first wins, the rest are dropped as
 //     duplicates.
 //
-// Merging in prefix order keeps the coordinator's aggregate equal, at
-// every instant, to a sequential run of trials 1..prefix — so a
-// mid-run interruption yields the engine's standard resumable
+// Merging in prefix order with core's own fold keeps the coordinator's
+// aggregate equal, at every instant, to a local run of the same trials —
+// so a mid-run interruption yields the engine's standard resumable
 // checkpoint, and terminal counters are exact.
 package dist
 
@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 
 	"github.com/uncertain-graphs/mpmb/internal/core"
@@ -133,12 +132,13 @@ type LeaseReply struct {
 	WaitMs int      `json:"wait_ms,omitempty"`
 }
 
-// RangePayload is the additive result of one executed range. Exactly
-// one group is populated, matching the job's kind (the same shapes as
-// core.ExecResult, restricted to the range):
+// RangePayload is the additive result of one executed range: core's
+// portable core.Payload of the range's state, converted to and from it
+// as is, with the wire's field names. Exactly one group is populated,
+// matching the job's kind:
 //
 //   - ExecOS: Counts, the per-butterfly maximum tallies of the range's
-//     trials (counts add across ranges).
+//     trials in canonical order (counts add across ranges).
 //   - ExecOptimized: CandCounts, a full-candidate-width hit vector
 //     summed over the range's trials (vectors add across ranges).
 //   - ExecKarpLuby: CandProbs and CandTrials of exactly the range's
@@ -152,7 +152,7 @@ type RangePayload struct {
 	Counts     []core.ButterflyCount `json:"counts,omitempty"`
 	CandCounts []int64               `json:"cand_counts,omitempty"`
 	CandProbs  []float64             `json:"cand_probs,omitempty"`
-	CandTrials []int                 `json:"cand_trials,omitempty"`
+	CandTrials []int64               `json:"cand_trials,omitempty"`
 }
 
 // Counters are the deterministic telemetry deltas of one executed
@@ -200,10 +200,10 @@ type CompleteReply struct {
 }
 
 // DecodeLeaseComplete parses and structurally validates a LeaseComplete:
-// protocol version, range sanity, and payload shape purity (exactly the
-// fields of one payload kind, finite floats, consistent lengths).
-// Job-contextual validation — lease-arithmetic alignment, candidate
-// widths — happens in the coordinator, which knows the job.
+// protocol version, range sanity, and the payload by core's payload check
+// as a span of whichever kind it carries. Job-contextual validation —
+// lease-arithmetic alignment, the job's kind, candidate widths — happens
+// in the coordinator, which knows the job.
 func DecodeLeaseComplete(data []byte) (*LeaseComplete, error) {
 	if len(data) > maxMessageBytes {
 		return nil, fmt.Errorf("%w: message of %d bytes exceeds limit", ErrBadPayload, len(data))
@@ -218,8 +218,8 @@ func DecodeLeaseComplete(data []byte) (*LeaseComplete, error) {
 	if msg.Lo < 1 || msg.Hi < msg.Lo {
 		return nil, fmt.Errorf("%w: range %d..%d", ErrBadRange, msg.Lo, msg.Hi)
 	}
-	if err := msg.Payload.check(msg.Hi - msg.Lo + 1); err != nil {
-		return nil, err
+	if err := core.Payload(msg.Payload).Check(0, msg.Hi-msg.Lo+1, -1, true); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
 	}
 	for _, c := range msg.Counters.slice() {
 		if c < 0 {
@@ -231,55 +231,6 @@ func DecodeLeaseComplete(data []byte) (*LeaseComplete, error) {
 
 func (c Counters) slice() [7]int64 {
 	return [7]int64{c.Trials, c.TrialHits, c.EdgesScanned, c.EdgesPruned, c.CandScanned, c.CandPruned, c.PrefixFallbacks}
-}
-
-// check validates a payload's internal consistency for a range of the
-// given width: at most one kind's fields populated, finite floats,
-// non-negative counts, and KL vectors of exactly the range width.
-func (p *RangePayload) check(width int) error {
-	kinds := 0
-	if p.Counts != nil {
-		kinds++
-	}
-	if p.CandCounts != nil {
-		kinds++
-	}
-	if p.CandProbs != nil || p.CandTrials != nil {
-		kinds++
-	}
-	if kinds > 1 {
-		return fmt.Errorf("%w: payload mixes kinds", ErrBadPayload)
-	}
-	for _, e := range p.Counts {
-		if e.Count <= 0 || int(e.Count) > width {
-			return fmt.Errorf("%w: butterfly count %d outside 1..%d", ErrBadPayload, e.Count, width)
-		}
-		if math.IsNaN(e.Weight) || math.IsInf(e.Weight, 0) {
-			return fmt.Errorf("%w: non-finite butterfly weight", ErrBadPayload)
-		}
-	}
-	for _, v := range p.CandCounts {
-		if v < 0 || int(v) > width {
-			return fmt.Errorf("%w: candidate count %d outside 0..%d", ErrBadPayload, v, width)
-		}
-	}
-	if p.CandProbs != nil || p.CandTrials != nil {
-		if len(p.CandProbs) != width || len(p.CandTrials) != width {
-			return fmt.Errorf("%w: KL vectors of %d/%d entries for a %d-unit range",
-				ErrBadPayload, len(p.CandProbs), len(p.CandTrials), width)
-		}
-		for _, v := range p.CandProbs {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || v > 1 {
-				return fmt.Errorf("%w: candidate probability outside [0,1]", ErrBadPayload)
-			}
-		}
-		for _, t := range p.CandTrials {
-			if t < 0 {
-				return fmt.Errorf("%w: negative candidate trial count", ErrBadPayload)
-			}
-		}
-	}
-	return nil
 }
 
 // readAll reads a message body under the size bound.
