@@ -20,8 +20,8 @@ cover:
 
 # Benchmark trajectory: time the flat-memory OS trial kernel against the
 # frozen seed baseline on the pinned corpora (headline + secondary) and
-# write BENCH_core.json (kernel/seed ns per trial, allocations, prune and
-# prefix-fallback effectiveness, speedup).
+# write BENCH_core.json (kernel/seed ns per trial, allocations, prune
+# effectiveness, speedup).
 bench:
 	$(GO) run ./cmd/mpmb-bench perf -bench-out BENCH_core.json -secondary
 
@@ -47,11 +47,13 @@ microbench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Brief fuzzing sessions, 10 s each, over the targets CI's fuzz smoke
-# steps run: the checkpoint decoder and butterfly tally, the dist wire
-# decoder and merge, and both graph parsers.
+# steps run: the checkpoint decoder, butterfly tally and trial kernel
+# (against the frozen seed), the dist wire decoder and merge, and both
+# graph parsers.
 FUZZ_TARGETS := \
 	./internal/core/:FuzzCheckpointDecode \
 	./internal/core/:FuzzTally \
+	./internal/core/:FuzzKernelVsSeed \
 	./internal/dist/:FuzzLeaseDecode \
 	./internal/dist/:FuzzCheckpointMerge \
 	./internal/bigraph/:FuzzRead \

@@ -119,11 +119,6 @@ type PerfEntry struct {
 	// skipped (OS rows only).
 	EdgesScannedPerTrial float64 `json:"edges_scanned_per_trial,omitempty"`
 	EdgesPrunedPerTrial  float64 `json:"edges_pruned_per_trial,omitempty"`
-	// PrefixFallbacksPerTrial is the fraction of trials that scanned past
-	// the snapshot's calibrated edge-prefix boundary (OS rows only). The
-	// calibration targets P(fallback) ≤ 1/(K+1) per trial, so this should
-	// stay well under ~0.02.
-	PrefixFallbacksPerTrial float64 `json:"prefix_fallbacks_per_trial,omitempty"`
 	// TrialsTimed is how many trials the benchmark runtime settled on.
 	TrialsTimed int `json:"trials_timed"`
 }
@@ -203,7 +198,7 @@ func RunPerfCorpusAnchor(corpus PerfCorpus, rounds int, anchor *core.Anchor) (*P
 	// inflating one side of the speedup ratio; the minimum over rounds is
 	// the standard robust statistic for "how fast does this code actually
 	// run".
-	var kernelScanned, kernelFallbacks float64
+	var kernelScanned float64
 	var kernelRes, seedRes testing.BenchmarkResult
 	for round := 0; round < rounds; round++ {
 		kr := testing.Benchmark(func(b *testing.B) {
@@ -212,14 +207,12 @@ func RunPerfCorpusAnchor(corpus PerfCorpus, rounds int, anchor *core.Anchor) (*P
 				kb.Trial(t) // grow pools to steady state before the timer
 			}
 			scanned := 0
-			fb0 := kb.Fallbacks()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				scanned += kb.Trial(i + 1)
 			}
 			kernelScanned = float64(scanned) / float64(b.N)
-			kernelFallbacks = float64(kb.Fallbacks()-fb0) / float64(b.N)
 		})
 		if round == 0 || kr.NsPerOp() < kernelRes.NsPerOp() {
 			kernelRes = kr
@@ -242,13 +235,12 @@ func RunPerfCorpusAnchor(corpus PerfCorpus, rounds int, anchor *core.Anchor) (*P
 	kernel := entryFromResult("os_kernel", kernelRes, 1)
 	kernel.EdgesScannedPerTrial = kernelScanned
 	kernel.EdgesPrunedPerTrial = float64(g.NumEdges()) - kernelScanned
-	kernel.PrefixFallbacksPerTrial = kernelFallbacks
 	rep.Entries = append(rep.Entries, kernel)
 	rep.Entries = append(rep.Entries, entryFromResult("os_seed_baseline", seedRes, 1))
 
 	// os_parallel: the batched worker path, amortized per trial. A
 	// registry-backed probe rides along so the row reports the same
-	// scanned/pruned/fallback split as the sequential kernel row — the
+	// scanned/pruned split as the sequential kernel row — the
 	// workers' trial meters flush into it per chunk, and dividing the
 	// accumulated counters by the accumulated trial count amortizes over
 	// every benchmark iteration (the probe costs one predictable branch
@@ -274,7 +266,6 @@ func RunPerfCorpusAnchor(corpus PerfCorpus, rounds int, anchor *core.Anchor) (*P
 	if pm := parReg.Snapshot(); pm.Trials > 0 {
 		par.EdgesScannedPerTrial = float64(pm.EdgesScanned) / float64(pm.Trials)
 		par.EdgesPrunedPerTrial = float64(pm.EdgesPruned) / float64(pm.Trials)
-		par.PrefixFallbacksPerTrial = float64(pm.PrefixFallbacks) / float64(pm.Trials)
 	}
 	rep.Entries = append(rep.Entries, par)
 
@@ -398,12 +389,12 @@ func printPerfTable(w io.Writer, label string, c PerfCorpus, entries []PerfEntry
 	}
 	fmt.Fprintf(w, "kernel performance on %s %dx%d |E|=%d p=[%.2f,%.2f] w=%s (%s/%s, %d cpus)\n",
 		label, c.NumL, c.NumR, c.NumEdges, c.PLo, c.PHi, kind, goos, goarch, ncpu)
-	fmt.Fprintf(w, "%-22s %14s %14s %14s %12s %12s %10s\n",
-		"entry", "ns/trial", "allocs/trial", "B/trial", "scanned", "pruned", "fallback")
+	fmt.Fprintf(w, "%-22s %14s %14s %14s %12s %12s\n",
+		"entry", "ns/trial", "allocs/trial", "B/trial", "scanned", "pruned")
 	for _, e := range entries {
-		fmt.Fprintf(w, "%-22s %14.1f %14.3f %14.1f %12.1f %12.1f %10.4f\n",
+		fmt.Fprintf(w, "%-22s %14.1f %14.3f %14.1f %12.1f %12.1f\n",
 			e.Name, e.NsPerTrial, e.AllocsPerTrial, e.BytesPerTrial,
-			e.EdgesScannedPerTrial, e.EdgesPrunedPerTrial, e.PrefixFallbacksPerTrial)
+			e.EdgesScannedPerTrial, e.EdgesPrunedPerTrial)
 	}
 	fmt.Fprintf(w, "os kernel speedup vs seed baseline: %.2fx\n", speedup)
 }

@@ -109,7 +109,7 @@ func TestOSParallelLowAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // warm: build and calibrate the snapshot, pool the kernels
+	run() // warm: build the snapshot, pool the kernels
 	allocs := testing.AllocsPerRun(10, run)
 	if perTrial := allocs / trials; perTrial >= 1 {
 		t.Fatalf("parallel OS allocates %.0f per run of %d trials (%.2f per trial), want well under 1 per trial",

@@ -2,20 +2,16 @@ package core
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
-	"github.com/uncertain-graphs/mpmb/internal/butterfly"
-	"github.com/uncertain-graphs/mpmb/internal/randx"
 )
 
 // These tests pin the batched-RNG draw schedule of the v2 kernel
 // (snapshot.go: wordOf/ndraws, os.go: the block mask loop) against the
 // frozen seed implementation at exactly the places a positional schedule
-// can break: deterministic edges (p ∈ {0, 1} consume no draw), edge
-// counts straddling the rngBlock boundary, and the calibrated prefix
-// fallback.
+// can break: deterministic edges (p ∈ {0, 1} consume no draw) and edge
+// counts straddling the rngBlock boundary.
 
 // TestBatchRNGDeterministicBoundaries drives the kernel across
 // probability patterns dominated by the p ∈ {0, 1} boundaries — where
@@ -115,71 +111,10 @@ func TestBatchRNGBlockSizeEdgeCases(t *testing.T) {
 	}
 }
 
-// prefixVsFullTrials runs the same seeded trials through a kernel with a
-// forced prefix boundary and one with the full scan, requiring identical
-// stop positions and identical maximum sets trial for trial. The prefix
-// crossing may only set the fellBack flag — it must never change where
-// the scan stops or what it finds.
-func prefixVsFullTrials(t *testing.T, g *bigraph.Graph, forcedPrefix, trials int) (fallbacks int) {
-	t.Helper()
-	full := newOSIndexFromSnapshot(g, OSOptions{}, newEdgeSnapshot(g))
-	snapP := newEdgeSnapshot(g)
-	snapP.prefixLen = forcedPrefix
-	pref := newOSIndexFromSnapshot(g, OSOptions{}, snapP)
-	rootA, rootB := randx.New(5), randx.New(5)
-	var a, b butterfly.MaxSet
-	for trial := 1; trial <= trials; trial++ {
-		sA, fA := full.runTrialSeeded(rootA, uint64(trial), &a)
-		sB, fB := pref.runTrialSeeded(rootB, uint64(trial), &b)
-		if fA {
-			t.Fatalf("trial %d: full-scan kernel reported a prefix fallback", trial)
-		}
-		if sA != sB {
-			t.Fatalf("trial %d: scan stop differs: full %d, forced prefix %d", trial, sA, sB)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("trial %d: maximum sets differ:\nfull:   W=%v %v\nprefix: W=%v %v",
-				trial, a.W, a.Set, b.W, b.Set)
-		}
-		if fB {
-			fallbacks++
-		}
-	}
-	return fallbacks
-}
-
-// TestPrefixFallbackExactness forces an absurdly short prefix (one
-// rngBlock) on a corpus built so the Section V-B prune never stops the
-// scan early — all weights equal, so w(e) + w̄ < w_max can never hold —
-// which makes every trial cross the boundary and exercise the exact
-// tail fallback.
-func TestPrefixFallbackExactness(t *testing.T) {
-	r := rand.New(rand.NewSource(313))
-	const numL, numR, numE = 30, 10, 200
-	b := bigraph.NewBuilder(numL, numR)
-	seen := make(map[[2]int]bool)
-	for added := 0; added < numE; {
-		u, v := r.Intn(numL), r.Intn(numR)
-		if seen[[2]int{u, v}] {
-			continue
-		}
-		seen[[2]int{u, v}] = true
-		b.MustAddEdge(bigraph.VertexID(u), bigraph.VertexID(v), 2, 0.5)
-		added++
-	}
-	g := b.Build()
-	const trials = 300
-	fallbacks := prefixVsFullTrials(t, g, rngBlock, trials)
-	if fallbacks == 0 {
-		t.Fatal("no trial crossed the forced one-block prefix; the corpus does not exercise the fallback")
-	}
-}
-
 // FuzzKernelVsSeed builds a small uncertain bipartite graph from raw
 // fuzz bytes (weights on the exact-tie half grid, probabilities from the
-// grid including the 0/1 endpoints) and cross-checks, per input: the v2
-// kernel's full Result against the frozen seed implementation, and a
-// forced-prefix kernel against the full scan trial for trial.
+// grid including the 0/1 endpoints) and cross-checks the v2 kernel's
+// full Result against the frozen seed implementation.
 func FuzzKernelVsSeed(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 17, 34, 51, 68, 85, 102, 119, 136, 153})
 	f.Add(uint64(9), []byte{255, 254, 3, 7, 11, 200, 100, 50})
@@ -215,8 +150,5 @@ func FuzzKernelVsSeed(f *testing.F) {
 			t.Fatal(err)
 		}
 		requireSameResult(t, "fuzz kernel vs seed", ref, got)
-		// prefixLen=0 marks every trial as fallen back; the scan itself
-		// must be untouched.
-		prefixVsFullTrials(t, g, 0, 40)
 	})
 }

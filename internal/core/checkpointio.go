@@ -159,14 +159,15 @@ func (p RetryPolicy) Do(op, path string, attempt func() error, failed func(k int
 
 // WriteAtomic writes path through fs (nil: the real filesystem) with the
 // temp-file-then-rename protocol: write fills a fresh temporary file,
-// created in path's directory, which replaces path only after the write
-// and the close succeed, so a failure at any step leaves path as it was.
+// created in path's directory ("." for a bare file name, so the rename
+// never crosses volumes) under a dot-prefixed name, which replaces path
+// only after the write and the close succeed, so a failure at any step
+// leaves path as it was.
 func WriteAtomic(fs CheckpointFS, path string, write func(io.Writer) error) error {
 	if fs == nil {
 		fs = osFS{}
 	}
-	dir, base := filepath.Split(path)
-	f, err := fs.CreateTemp(dir, base+".tmp*")
+	f, err := fs.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}

@@ -335,3 +335,75 @@ func TestCheckpointStoreRoundTripRealFS(t *testing.T) {
 	}
 	sameEstimates(t, a.Estimates, b.Estimates)
 }
+
+// dirFS is the real filesystem with relative paths resolved under root,
+// recording the directory and name pattern of every CreateTemp.
+type dirFS struct {
+	osFS
+	root     string
+	dirs     []string
+	patterns []string
+}
+
+func (f *dirFS) at(p string) string {
+	if filepath.IsAbs(p) {
+		return p
+	}
+	return filepath.Join(f.root, p)
+}
+
+func (f *dirFS) CreateTemp(dir, pattern string) (CheckpointFile, error) {
+	f.dirs = append(f.dirs, dir)
+	f.patterns = append(f.patterns, pattern)
+	return f.osFS.CreateTemp(f.at(dir), pattern)
+}
+
+func (f *dirFS) Rename(oldpath, newpath string) error {
+	return f.osFS.Rename(oldpath, f.at(newpath))
+}
+
+// TestWriteAtomicTempBesideTarget pins where WriteAtomic stages its temp
+// file: in the target's own directory — "." for a bare file name, never
+// os.TempDir(), so the final rename cannot cross volumes — under a
+// dot-prefixed name that directory listings can skip.
+func TestWriteAtomicTempBesideTarget(t *testing.T) {
+	root := t.TempDir()
+	if err := os.Mkdir(filepath.Join(root, "sub"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ path, dir string }{
+		{"run.ckpt", "."},
+		{filepath.Join("sub", "run.ckpt"), "sub"},
+		{filepath.Join(root, "abs.ckpt"), root},
+	} {
+		fs := &dirFS{root: root}
+		err := WriteAtomic(fs, tc.path, func(w io.Writer) error {
+			_, err := io.WriteString(w, tc.path)
+			return err
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.path, err)
+		}
+		if len(fs.dirs) != 1 || fs.dirs[0] != tc.dir {
+			t.Errorf("%s: CreateTemp got directories %q, want [%q]", tc.path, fs.dirs, tc.dir)
+		}
+		if want := "." + filepath.Base(tc.path) + ".tmp*"; fs.patterns[0] != want {
+			t.Errorf("%s: temp pattern %q, want %q", tc.path, fs.patterns[0], want)
+		}
+		got, err := os.ReadFile(fs.at(tc.path))
+		if err != nil || string(got) != tc.path {
+			t.Errorf("%s: target holds %q (%v)", tc.path, got, err)
+		}
+	}
+	for _, dir := range []string{root, filepath.Join(root, "sub")} {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if strings.Contains(e.Name(), ".tmp") {
+				t.Errorf("temp file %s left in %s", e.Name(), dir)
+			}
+		}
+	}
+}

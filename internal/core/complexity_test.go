@@ -30,7 +30,7 @@ func TestLemmaV1AngleWorkMatchesTheory(t *testing.T) {
 		g := b.Build()
 
 		const trials = 20000
-		idx := newOSIndex(g, OSOptions{DisableEdgePrune: true})
+		idx := newOSIndex(g, OSOptions{DisableEdgePrune: true, KeepAllAngles: true})
 
 		// The kernel centers angle formation on the side with the smaller
 		// expected pair-work (edgeSnapshot.flip), which is exactly the
@@ -63,7 +63,6 @@ func TestLemmaV1AngleWorkMatchesTheory(t *testing.T) {
 			bound += dbar
 		}
 		bound /= 2
-		idx.instrumented = true
 		root := randx.New(uint64(trial) + 5)
 		var sMB maxSetScratch
 		total := 0
@@ -72,7 +71,7 @@ func TestLemmaV1AngleWorkMatchesTheory(t *testing.T) {
 			idx.runTrial(&sMB.m, func(id bigraph.EdgeID) bool {
 				return rng.Bernoulli(g.Edge(id).P)
 			})
-			total += idx.anglesGenerated
+			total += anglesFormed(idx)
 		}
 		mean := float64(total) / trials
 		if math.Abs(mean-exact) > 0.05*exact+0.5 {
@@ -92,8 +91,7 @@ func TestEdgePruneReducesAngleWork(t *testing.T) {
 	g := randDenseSmallGraph(r, 20)
 	const trials = 2000
 	count := func(disable bool) int {
-		idx := newOSIndex(g, OSOptions{DisableEdgePrune: disable})
-		idx.instrumented = true
+		idx := newOSIndex(g, OSOptions{DisableEdgePrune: disable, KeepAllAngles: true})
 		root := randx.New(7)
 		var sMB maxSetScratch
 		total := 0
@@ -102,7 +100,7 @@ func TestEdgePruneReducesAngleWork(t *testing.T) {
 			idx.runTrial(&sMB.m, func(id bigraph.EdgeID) bool {
 				return rng.Bernoulli(g.Edge(id).P)
 			})
-			total += idx.anglesGenerated
+			total += anglesFormed(idx)
 		}
 		return total
 	}
@@ -110,4 +108,14 @@ func TestEdgePruneReducesAngleWork(t *testing.T) {
 	if pruned > unpruned {
 		t.Fatalf("pruned trials generated MORE angles: %d vs %d", pruned, unpruned)
 	}
+}
+
+// anglesFormed counts the angles the last trial of a KeepAllAngles kernel
+// formed: that ablation records every angle in its pair's all list.
+func anglesFormed(x *osIndex) int {
+	n := 0
+	for k := 0; k < x.poolN; k++ {
+		n += len(x.pool[k].all)
+	}
+	return n
 }

@@ -634,7 +634,7 @@ func newOSWorker(job *ExecJob, out *ExecResult, snap *edgeSnapshot, w int, singl
 }
 
 func (x *osWorker) unit(u int) {
-	scanned, fellBack := x.idx.runTrialSeeded(x.root, uint64(u), &x.sMB)
+	scanned := x.idx.runTrialSeeded(x.root, uint64(u), &x.sMB)
 	hit := !x.sMB.Empty()
 	switch {
 	case hit && x.promote:
@@ -645,7 +645,7 @@ func (x *osWorker) unit(u int) {
 	if x.job.OS.OnTrial != nil {
 		x.job.OS.OnTrial(u, &x.sMB)
 	}
-	if x.meter.observe(u, scanned, fellBack, hit) && x.lead {
+	if x.meter.observe(u, scanned, hit) && x.lead {
 		probeEstimate(x.job.Probe, 0, int64(x.acc.leadCount), u, x.acc.leadB, x.acc.leadW)
 	}
 }
@@ -781,7 +781,7 @@ func (x *optimizedWorker) unit(u int) {
 	if opt.OnTrial != nil {
 		opt.OnTrial(u, x.hits)
 	}
-	if x.meter.observe(u, examined, false, !math.IsInf(wMax, -1)) && x.lead {
+	if x.meter.observe(u, examined, !math.IsInf(wMax, -1)) && x.lead {
 		probeOptimizedLeader(x.job.Probe, x.c, counts, u)
 	}
 }

@@ -36,9 +36,9 @@ func benchGraph() *bigraph.Graph {
 // against BenchmarkOSReferenceTrial for the kernel-vs-seed speedup.
 func BenchmarkOSKernelTrial(b *testing.B) {
 	g := benchGraph()
-	// The cached, calibrated snapshot's kernel (truncated prefix,
-	// support-sharpened budgets) is the production entry point, so this
-	// row measures the same code path OS and the parallel workers run.
+	// The cached snapshot's kernel (support-sharpened budgets) is the
+	// production entry point, so this row measures the same code path OS
+	// and the parallel workers run.
 	idx := snapshotFor(g).kernel(g, OSOptions{})
 	root := randx.New(42)
 	var sMB butterfly.MaxSet

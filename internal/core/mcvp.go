@@ -94,7 +94,7 @@ func MCVP(g *bigraph.Graph, opt MCVPOptions) (*Result, error) {
 		if opt.OnTrial != nil {
 			opt.OnTrial(trial, &sMB)
 		}
-		if meter.observe(trial, 0, false, hit) {
+		if meter.observe(trial, 0, hit) {
 			probeEstimate(opt.Probe, 0, int64(st.acc.leadCount), trial, st.acc.leadB, st.acc.leadW)
 		}
 	}

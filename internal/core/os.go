@@ -170,8 +170,7 @@ func OSOnWorld(g *bigraph.Graph, w *possible.World, opt OSOptions) butterfly.Max
 //
 //   - Edge presence is decided by comparing one raw generator word
 //     against the snapshot's precomputed threshold (runTrialRNG), or by
-//     an arbitrary oracle (runTrial) for the per-world variant and the
-//     supervisor's audit trials.
+//     an arbitrary oracle (runTrial) for the per-world variant.
 //   - N̂_E(v) lives in one flat slice partitioned by the snapshot's CSR
 //     offsets, each center vertex owning a region of capacity deg(v)
 //     (the center side is chosen per graph by the snapshot; see
@@ -215,14 +214,6 @@ type osIndex struct {
 	// alias a later generation.
 	maxList []int32
 	maxGen  uint64
-
-	// anglesGenerated counts the angles produced by the last runTrial —
-	// instrumentation for verifying the Lemma V.1 per-trial complexity
-	// (O(min(Σ_L d̄², Σ_R d̄²)) angle work) in tests. It is maintained only
-	// while instrumented is set (the complexity tests set it), so the hot
-	// loop pays nothing for it in production runs.
-	instrumented    bool
-	anglesGenerated int
 }
 
 // angleEntry is one endpoint pair's angle bookkeeping: the largest (w1,
@@ -255,10 +246,6 @@ type liveMeta struct {
 	gen uint32
 }
 
-func newOSIndex(g *bigraph.Graph, opt OSOptions) *osIndex {
-	return newOSIndexFromSnapshot(g, opt, newEdgeSnapshot(g))
-}
-
 func newOSIndexFromSnapshot(g *bigraph.Graph, opt OSOptions, snap *edgeSnapshot) *osIndex {
 	x := &osIndex{
 		g:        g,
@@ -281,7 +268,6 @@ func newOSIndexFromSnapshot(g *bigraph.Graph, opt OSOptions, snap *edgeSnapshot)
 func (s *edgeSnapshot) kernel(g *bigraph.Graph, opt OSOptions) *osIndex {
 	if k, ok := s.kernels.Get().(*osIndex); ok && k != nil {
 		k.opt = opt
-		k.instrumented = false
 		return k
 	}
 	return newOSIndexFromSnapshot(g, opt, s)
@@ -305,7 +291,6 @@ func (x *osIndex) resetTrial() {
 	}
 	x.tab.reset()
 	x.poolN = 0
-	x.anglesGenerated = 0
 	x.maxList = x.maxList[:0]
 	x.maxGen++
 }
@@ -410,12 +395,9 @@ func (e *angleEntry) bestWeight() float64 {
 // kernel-local generator and runs the threshold-sampling trial. This is
 // the production hot path: it performs zero allocations at steady state
 // and its Result contribution is bit-identical to the seed
-// implementation's rng.Bernoulli closure over a Derive(id) stream.
-// fellBack reports that the trial crossed the snapshot's calibrated
-// prefix boundary (the prefix-sufficiency check failed and the scan
-// continued into the tail) — a telemetry signal, never a correctness
-// one, since the tail scan is exact.
-func (x *osIndex) runTrialSeeded(root *randx.RNG, id uint64, sMB *butterfly.MaxSet) (scanned int, fellBack bool) {
+// implementation's rng.Bernoulli closure over a Derive(id) stream. It
+// returns the snapshot position the scan stopped at.
+func (x *osIndex) runTrialSeeded(root *randx.RNG, id uint64, sMB *butterfly.MaxSet) (scanned int) {
 	root.DeriveInto(id, &x.rng)
 	return x.runTrialRNG(sMB, &x.rng)
 }
@@ -428,11 +410,10 @@ func (x *osIndex) runTrialSeeded(root *randx.RNG, id uint64, sMB *butterfly.MaxS
 // which is the exact stream consumption of randx.Bernoulli, so Results
 // are bit-identical to the seed implementation. It returns the snapshot
 // position the scan stopped at (the benchmark harness reports the
-// remainder as pruned) and whether the scan fell back past the
-// calibrated prefix.
+// remainder as pruned).
 //
-// The production configuration (no ablations, no instrumentation) runs
-// the specialized v2 loop:
+// The production configuration (no ablations) runs the specialized v2
+// loop:
 //
 //   - Block RNG: the block's raw words are generated into a stack
 //     buffer in one burst, then every position is tested branch-free
@@ -447,17 +428,13 @@ func (x *osIndex) runTrialSeeded(root *randx.RNG, id uint64, sMB *butterfly.MaxS
 //     wBar2S bounds — every skip is provably inert (the skipped work
 //     could neither raise nor tie the final w_max; see
 //     docs/ALGORITHMS.md), so Results stay bit-identical.
-//   - Truncated prefix: the block-entry stop check at the calibrated
-//     boundary prefixLen doubles as the prefix-sufficiency bound; when
-//     it fails the scan simply continues into the tail (exact fallback)
-//     and the trial is flagged fellBack for telemetry.
 //
-// The ablation and instrumentation paths share the generic admitEdge
-// walk instead — identical Results; only the instruction stream differs —
-// and so do anchored snapshots, whose admission rule lives there.
-func (x *osIndex) runTrialRNG(sMB *butterfly.MaxSet, rng *randx.RNG) (scanned int, fellBack bool) {
-	if x.opt.KeepAllAngles || x.opt.DropA2 || x.instrumented || x.snap.anchor.Kind != 0 {
-		return x.runTrialRNGGeneric(sMB, rng), false
+// The ablation paths share the generic admitEdge walk instead —
+// identical Results; only the instruction stream differs — and so do
+// anchored snapshots, whose admission rule lives there.
+func (x *osIndex) runTrialRNG(sMB *butterfly.MaxSet, rng *randx.RNG) (scanned int) {
+	if x.opt.KeepAllAngles || x.opt.DropA2 || x.snap.anchor.Kind != 0 {
+		return x.runTrialRNGGeneric(sMB, rng)
 	}
 	snap := x.snap
 	if snap.barren {
@@ -465,7 +442,7 @@ func (x *osIndex) runTrialRNG(sMB *butterfly.MaxSet, rng *randx.RNG) (scanned in
 		// maximum set is empty, and no draws are needed (each trial
 		// re-derives its stream, so skipping them is invisible).
 		sMB.Reset()
-		return 0, false
+		return 0
 	}
 	x.resetTrial()
 	sMB.Reset()
@@ -489,10 +466,6 @@ func (x *osIndex) runTrialRNG(sMB *butterfly.MaxSet, rng *randx.RNG) (scanned in
 	negInf := math.Inf(-1)
 
 	n := len(ws)
-	limit := n
-	if prune {
-		limit = snap.prefixLen // block-aligned, or n
-	}
 	// words is the block draw buffer. Deterministic positions may index
 	// one slot past the block's generated words (wordOf points at the
 	// next undetermined position); the read is harmless garbage — their
@@ -506,12 +479,6 @@ scan:
 		if prune && ws[b]+wBarS < wMax { // line 9, block granularity
 			scanned = b
 			break
-		}
-		if b == limit {
-			// The sufficiency check above did not stop the scan at the
-			// calibrated boundary: this trial needs the tail. The scan
-			// continues exactly as if no prefix existed.
-			fellBack = true
 		}
 		be := b + rngBlock
 		if be > n {
@@ -645,15 +612,15 @@ scan:
 	}
 	x.pool, x.poolN = pool, poolN
 	x.materializeList(sMB, wMax)
-	return scanned, fellBack
+	return scanned
 }
 
 // runTrialRNGGeneric is the unspecialized threshold trial: same
 // algorithm, same Results, with angle admission routed through admitEdge
-// so the ablation branches, the anglesGenerated instrumentation and the
-// anchored admission rule stay in one place. It is the trial of every
-// anchored snapshot: the Section V-B prune runs against the anchored
-// running maximum with w̄ taken over the anchor's butterfly edges.
+// so the ablation branches and the anchored admission rule stay in one
+// place. It is the trial of every anchored snapshot: the Section V-B
+// prune runs against the anchored running maximum with w̄ taken over the
+// anchor's butterfly edges.
 func (x *osIndex) runTrialRNGGeneric(sMB *butterfly.MaxSet, rng *randx.RNG) (scanned int) {
 	x.resetTrial()
 	sMB.Reset()
@@ -680,9 +647,7 @@ func (x *osIndex) runTrialRNGGeneric(sMB *butterfly.MaxSet, rng *randx.RNG) (sca
 }
 
 // runTrial executes the same trial against an arbitrary edge presence
-// oracle — World.Has for the deterministic per-world variant, or a
-// Bernoulli closure for callers that manage their own streams (the
-// supervisor's audit trials).
+// oracle — World.Has for the deterministic per-world variant (OSOnWorld).
 func (x *osIndex) runTrial(sMB *butterfly.MaxSet, present func(bigraph.EdgeID) bool) (scanned int) {
 	x.resetTrial()
 	sMB.Reset()
@@ -738,9 +703,6 @@ func (x *osIndex) admitEdge(i int, wMax float64) float64 {
 			continue // cannot happen for simple graphs, but be safe
 		}
 		angleW := w + hb.w // line 11: ∠_new = e_a ⊕ e_b
-		if x.instrumented {
-			x.anglesGenerated++
-		}
 		ei := x.entryFor(ui, uk)
 		ent := &x.pool[ei] // taken AFTER entryFor: the pool may have grown
 		if x.opt.KeepAllAngles {

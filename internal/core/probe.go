@@ -25,13 +25,12 @@ type trialMeter struct {
 	// numE is the snapshot length the scanned/pruned split is measured
 	// against (edges for OS-family kernels, candidates for the OLS
 	// sampling phase; 0 when the method has no ordered scan, e.g. mc-vp).
-	numE      int64
-	cand      bool // route flushes to the candidate counters
-	trials    int64
-	hits      int64
-	scanned   int64
-	fallbacks int64 // trials that crossed the calibrated prefix boundary
-	last      time.Time
+	numE    int64
+	cand    bool // route flushes to the candidate counters
+	trials  int64
+	hits    int64
+	scanned int64
+	last    time.Time
 }
 
 func newTrialMeter(p *telemetry.Probe, w, numE int, cand bool) trialMeter {
@@ -45,15 +44,12 @@ func newTrialMeter(p *telemetry.Probe, w, numE int, cand bool) trialMeter {
 // observe accumulates one completed trial and flushes on the batch
 // cadence. It reports whether it flushed, so one-worker runs can emit
 // running-estimate updates at the same cadence.
-func (m *trialMeter) observe(trial, scanned int, fellBack, hit bool) bool {
+func (m *trialMeter) observe(trial, scanned int, hit bool) bool {
 	if m.p == nil {
 		return false
 	}
 	m.trials++
 	m.scanned += int64(scanned)
-	if fellBack {
-		m.fallbacks++
-	}
 	if hit {
 		m.hits++
 	}
@@ -79,10 +75,10 @@ func (m *trialMeter) flush(lastTrial int) {
 	if m.cand {
 		m.p.FlushCandTrials(m.w, m.trials, m.hits, m.scanned, pruned, ns)
 	} else {
-		m.p.FlushEdgeTrials(m.w, m.trials, m.hits, m.scanned, pruned, m.fallbacks, ns)
+		m.p.FlushEdgeTrials(m.w, m.trials, m.hits, m.scanned, pruned, ns)
 	}
 	m.p.Emit(telemetry.Event{Kind: telemetry.EventTrialDone, Worker: m.w, Trial: lastTrial, N: m.trials})
-	m.trials, m.hits, m.scanned, m.fallbacks = 0, 0, 0, 0
+	m.trials, m.hits, m.scanned = 0, 0, 0
 	m.last = now
 }
 

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
-	"github.com/uncertain-graphs/mpmb/internal/butterfly"
 	"github.com/uncertain-graphs/mpmb/internal/randx"
 )
 
@@ -18,22 +17,6 @@ const (
 	rngBlock      = 64
 	rngBlockShift = 6
 )
-
-// calibrationTrials is K, the number of reserved trials the snapshot
-// build runs to place the truncated edge-prefix boundary. The boundary
-// is the maximum prune point those K trials observed (plus margin); by
-// exchangeability a fresh trial's prune point exceeds the maximum of K
-// i.i.d. calibration trials with probability at most 1/(K+1), so the
-// prefix-sufficiency check trips into the full-scan fallback on at most
-// ~1.5% of trials even before the margin. See docs/ALGORITHMS.md,
-// "Performance engineering v2".
-const calibrationTrials = 64
-
-// calibrationSalt seeds the calibration stream family together with the
-// graph checksum, keeping the prefix boundary a pure function of the
-// graph — never of a run's seed — so one calibrated snapshot serves
-// every run over the same graph.
-const calibrationSalt = 0x5ca1ab1e0ddba11d
 
 // edgeSnapshot is the struct-of-arrays view of a graph the flat OS trial
 // kernel scans: one parallel slice per field, in descending-weight order
@@ -51,12 +34,11 @@ const calibrationSalt = 0x5ca1ab1e0ddba11d
 // live edges v can ever accumulate in one trial — so per-trial
 // bookkeeping never allocates.
 //
-// Since PR 9 the snapshot is immutable after snapshotFor returns and is
-// shared by every kernel over the same graph (see snapshotFor): it
-// additionally precomputes, from per-edge butterfly support counts, the
+// The snapshot is immutable after snapshotFor returns and is shared by
+// every kernel over the same graph (see snapshotFor): it additionally
+// precomputes, from per-edge butterfly support counts, the
 // batched-RNG draw schedule (admitTh, wordOf, ndraws) and the
-// support-sharpened prune budgets (wBarS, wBar2S), and the calibrated
-// truncated-prefix boundary (prefixLen).
+// support-sharpened prune budgets (wBarS, wBar2S).
 type edgeSnapshot struct {
 	w      []float64          // edge weight, descending
 	prt    []bigraph.VertexID // pairing endpoint (outer side of the angle)
@@ -143,14 +125,6 @@ type edgeSnapshot struct {
 	// kernel returns immediately.
 	barren bool
 
-	// prefixLen is the calibrated truncated-prefix boundary m (a multiple
-	// of rngBlock, or numEdges): the kernel scans only positions < m and
-	// runs the deterministic sufficiency check w[m]+wBarS < w_max at the
-	// boundary, falling back to the tail scan — counted in telemetry —
-	// exactly when the check fails. Uncalibrated snapshots use the full
-	// length, which disables the fallback path entirely.
-	prefixLen int
-
 	// kernels recycles osIndex instances built over this snapshot, so a
 	// run (or a parallel worker) that needs a kernel for an already-seen
 	// graph reuses the previous run's allocations instead of rebuilding
@@ -227,7 +201,6 @@ func newEdgeSnapshot(g *bigraph.Graph) *edgeSnapshot {
 	s.barren = found == 0
 	s.wBarS = top[0] + top[1] + top[2]
 	s.wBar2S = top[0] + top[1]
-	s.prefixLen = n // uncalibrated: full scan, no fallback path
 	return s
 }
 
@@ -356,45 +329,11 @@ func satInt32(v int64) int32 {
 	return int32(v)
 }
 
-// calibrate places the truncated-prefix boundary by running
-// calibrationTrials reserved trials whose streams derive from the graph
-// checksum (never a run seed), recording the maximum position the
-// support-sharpened prune let any of them reach, and rounding that high
-// -water mark — plus a 1/8 margin and one spare block — up to a block
-// multiple. A fresh run trial then needs the tail beyond the boundary
-// with probability at most 1/(K+1) (exchangeability of K+1 i.i.d.
-// trials), before the margin; when it does, the kernel's sufficiency
-// check fails closed into the exact full-scan continuation and the
-// fallback is counted in telemetry.
-func (s *edgeSnapshot) calibrate(g *bigraph.Graph) {
-	n := s.numEdges()
-	s.prefixLen = n
-	if s.barren || n <= rngBlock {
-		return
-	}
-	x := newOSIndexFromSnapshot(g, OSOptions{}, s)
-	root := randx.New(uint64(g.Checksum())*0x9e3779b97f4a7c15 ^ calibrationSalt)
-	var sMB butterfly.MaxSet
-	maxStop := 0
-	for t := 1; t <= calibrationTrials; t++ {
-		stop, _ := x.runTrialSeeded(root, uint64(t), &sMB)
-		if stop > maxStop {
-			maxStop = stop
-		}
-	}
-	m := maxStop + maxStop/8 + rngBlock
-	m = (m + rngBlock - 1) &^ (rngBlock - 1)
-	if m < n {
-		s.prefixLen = m
-	}
-	s.kernels.Put(x) // the calibration kernel seeds the snapshot's pool
-}
-
-// snapCache memoizes calibrated snapshots per graph, keyed by graph
-// identity (graphs are immutable). Capacity is small — the cache exists
-// so repeated runs, parallel workers and pooled service jobs over the
-// same few graphs stop rebuilding ~1MB of SoA tables plus the support
-// counts per kernel — and old entries fall off the MRU tail, so at most
+// snapCache memoizes snapshots per graph, keyed by graph identity
+// (graphs are immutable). Capacity is small — the cache exists so
+// repeated runs, parallel workers and pooled service jobs over the same
+// few graphs stop rebuilding ~1MB of SoA tables plus the support counts
+// per kernel — and old entries fall off the MRU tail, so at most
 // snapCacheCap graphs are kept alive by it.
 const snapCacheCap = 4
 
@@ -408,17 +347,15 @@ type snapCacheEntry struct {
 	s *edgeSnapshot
 }
 
-// snapshotFor returns the calibrated snapshot for g, building it on the
-// first request. Building (support counting + calibration trials)
-// happens outside the cache lock, so concurrent first requests for the
-// same graph may build duplicates — each fully calibrated and
-// interchangeable; one of them wins the cache slot.
+// snapshotFor returns the snapshot for g, building it on the first
+// request. Building (layout and support counting) happens outside the
+// cache lock, so concurrent first requests for the same graph may build
+// duplicates — each interchangeable; one of them wins the cache slot.
 func snapshotFor(g *bigraph.Graph) *edgeSnapshot {
 	if s := cachedSnapshot(g); s != nil {
 		return s
 	}
 	s := newEdgeSnapshot(g)
-	s.calibrate(g)
 
 	snapCache.Lock()
 	defer snapCache.Unlock()

@@ -222,11 +222,12 @@ func Supervise(g *bigraph.Graph, opt SupervisorOptions) (*Result, error) {
 		z = defaultEpsilonZ
 	}
 	s := &supervisor{
-		g:   g,
-		opt: opt,
-		now: now,
-		z:   z,
-		rep: &AdaptiveReport{Epsilon: opt.Epsilon},
+		g:         g,
+		opt:       opt,
+		now:       now,
+		z:         z,
+		rep:       &AdaptiveReport{Epsilon: opt.Epsilon},
+		auditRoot: randx.New(opt.Seed ^ auditSeedSalt),
 		gate: &segGate{
 			external: opt.Interrupt,
 			deadline: opt.Deadline,
@@ -285,11 +286,9 @@ type supervisor struct {
 	rep  *AdaptiveReport
 	gate *segGate
 
-	// Audit state: a dedicated OS index and random stream, lazily built.
-	// The stream derives per-audit from (Seed ^ auditSeedSalt, audit
-	// index), so audits are deterministic and independent of both the
-	// preparing and the sampling streams.
-	auditIdx  *osIndex
+	// Audit state: a dedicated random stream that derives per-audit from
+	// (Seed ^ auditSeedSalt, audit index), so audits are deterministic and
+	// independent of both the preparing and the sampling streams.
 	auditRoot *randx.RNG
 	auditN    int
 }
@@ -607,21 +606,17 @@ func (s *supervisor) olsStep(cands *Candidates, prepTarget int, ck *Checkpoint) 
 // audit runs one full Ordering Sampling trial on a freshly sampled world
 // and returns the maximum butterflies it found that are missing from
 // C_MB (as zero-hit prep tallies, ready to merge). Audits always use the
-// pristine OS configuration — no ablation or fault-injection knobs.
+// pristine OS configuration — no ablation or fault-injection knobs — on a
+// kernel over the graph's cached snapshot.
 func (s *supervisor) audit(cands *Candidates) []ButterflyCount {
 	s.rep.Audits++
 	probe := s.opt.Probe.WithPhase(telemetry.PhaseAudit)
 	probe.Add(0, telemetry.CounterAudits, 1)
-	if s.auditIdx == nil {
-		s.auditIdx = newOSIndex(s.g, OSOptions{})
-		s.auditRoot = randx.New(s.opt.Seed ^ auditSeedSalt)
-	}
 	s.auditN++
-	rng := s.auditRoot.Derive(uint64(s.auditN))
+	idx := snapshotFor(s.g).kernel(s.g, OSOptions{})
 	var sMB butterfly.MaxSet
-	s.auditIdx.runTrial(&sMB, func(id bigraph.EdgeID) bool {
-		return rng.Bernoulli(s.g.Edge(id).P)
-	})
+	idx.runTrialSeeded(s.auditRoot, uint64(s.auditN), &sMB)
+	releaseKernel(idx)
 	if sMB.Empty() {
 		return nil
 	}

@@ -32,6 +32,11 @@ func statTolScaled(scale float64, trials int) float64 {
 	return 1e-9
 }
 
+// newOSIndex builds a kernel over a fresh, uncached snapshot of g.
+func newOSIndex(g *bigraph.Graph, opt OSOptions) *osIndex {
+	return newOSIndexFromSnapshot(g, opt, newEdgeSnapshot(g))
+}
+
 // figure1Graph builds the running example of the paper's Figure 1:
 // L = {u1, u2}, R = {v1, v2, v3} with the listed weights and
 // probabilities. Vertex ids: u1=0, u2=1; v1=0, v2=1, v3=2.

@@ -506,7 +506,6 @@ func (j *distJob) advanceLocked() {
 		p.Add(0, telemetry.CounterEdgesPruned, ctr.EdgesPruned)
 		p.Add(0, telemetry.CounterCandScanned, ctr.CandScanned)
 		p.Add(0, telemetry.CounterCandPruned, ctr.CandPruned)
-		p.Add(0, telemetry.CounterPrefixFallbacks, ctr.PrefixFallbacks)
 		j.prefix = pr.span.hi
 	}
 }

@@ -207,13 +207,12 @@ func executeSpan(job *core.ExecJob, pool, lo, hi int) (*LeaseComplete, error) {
 		Hi:      hi,
 		Payload: RangePayload(res.Export()),
 		Counters: Counters{
-			Trials:          m.Trials,
-			TrialHits:       m.TrialHits,
-			EdgesScanned:    m.EdgesScanned,
-			EdgesPruned:     m.EdgesPruned,
-			CandScanned:     m.CandScanned,
-			CandPruned:      m.CandPruned,
-			PrefixFallbacks: m.PrefixFallbacks,
+			Trials:       m.Trials,
+			TrialHits:    m.TrialHits,
+			EdgesScanned: m.EdgesScanned,
+			EdgesPruned:  m.EdgesPruned,
+			CandScanned:  m.CandScanned,
+			CandPruned:   m.CandPruned,
 		},
 	}, nil
 }

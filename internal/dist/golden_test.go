@@ -44,20 +44,13 @@ func goldenJobs(t *testing.T) map[string]*core.ExecJob {
 // lease's JobSpec and LeaseComplete for each payload kind, so a worker
 // and a coordinator built from different commits keep understanding each
 // other. The pinned completion must also decode and be accepted by the
-// current coordinator. Run with -update-golden to rewrite the files.
+// current coordinator, and so must the OS completion as older workers
+// send it, with the retired "prefix_fallbacks" counter. Run with
+// -update-golden to rewrite the files.
 func TestGoldenWireMessages(t *testing.T) {
 	for name, job := range goldenJobs(t) {
 		t.Run(name, func(t *testing.T) {
-			coord := NewCoordinator()
-			coord.LeaseUnits = 8
-			id, _, err := coord.register(job)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep := coord.grant("golden")
-			if rep.Status != LeaseGranted {
-				t.Fatalf("no lease granted: %+v", rep)
-			}
+			coord, id, rep := goldenLease(t, job)
 			msg, err := executeSpan(job, 1, rep.Lo, rep.Hi)
 			if err != nil {
 				t.Fatal(err)
@@ -69,16 +62,46 @@ func TestGoldenWireMessages(t *testing.T) {
 				t.Fatalf("pinned job spec decodes to %+v (%v), want %+v", back, err, *rep.Job)
 			}
 			complete := pinJSON(t, "lease-complete-"+name+".json", msg)
-			decoded, err := DecodeLeaseComplete(complete)
-			if err != nil {
-				t.Fatalf("pinned completion rejected by the decoder: %v", err)
+			inputs := [][]byte{complete}
+			if name == "os" {
+				legacy := bytes.Replace(complete, []byte(`"cand_pruned":0}`), []byte(`"cand_pruned":0,"prefix_fallbacks":3}`), 1)
+				if bytes.Equal(legacy, complete) {
+					t.Fatal("pinned OS completion has no counters to extend")
+				}
+				inputs = append(inputs, legacy)
 			}
-			ack, err := coord.complete(decoded)
-			if err != nil || !ack.Accepted {
-				t.Fatalf("pinned completion refused by the coordinator: %+v, %v", ack, err)
+			for i, data := range inputs {
+				if i > 0 {
+					coord, _, _ = goldenLease(t, job)
+				}
+				decoded, err := DecodeLeaseComplete(data)
+				if err != nil {
+					t.Fatalf("pinned completion rejected by the decoder: %v\n%s", err, data)
+				}
+				ack, err := coord.complete(decoded)
+				if err != nil || !ack.Accepted {
+					t.Fatalf("pinned completion refused by the coordinator: %+v, %v\n%s", ack, err, data)
+				}
 			}
 		})
 	}
+}
+
+// goldenLease registers job on a fresh coordinator leasing 8 units at a
+// time and grants its first lease.
+func goldenLease(t *testing.T, job *core.ExecJob) (*Coordinator, uint64, *LeaseReply) {
+	t.Helper()
+	coord := NewCoordinator()
+	coord.LeaseUnits = 8
+	id, _, err := coord.register(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := coord.grant("golden")
+	if rep.Status != LeaseGranted {
+		t.Fatalf("no lease granted: %+v", rep)
+	}
+	return coord, id, rep
 }
 
 // pinJSON marshals v and requires the bytes to equal the pinned file

@@ -167,12 +167,6 @@ type Counters struct {
 	EdgesPruned  int64 `json:"edges_pruned"`
 	CandScanned  int64 `json:"cand_scanned"`
 	CandPruned   int64 `json:"cand_pruned"`
-	// PrefixFallbacks counts trials of the range that crossed the kernel
-	// snapshot's calibrated prefix boundary. Deterministic per trial set
-	// (the boundary is a pure function of the graph), so it merges like
-	// the scan counters. Omitted from old workers' payloads and decoded
-	// as 0, which only undercounts telemetry — never results.
-	PrefixFallbacks int64 `json:"prefix_fallbacks,omitempty"`
 }
 
 // LeaseComplete reports an executed range. Lo/Hi are repeated from the
@@ -229,8 +223,8 @@ func DecodeLeaseComplete(data []byte) (*LeaseComplete, error) {
 	return &msg, nil
 }
 
-func (c Counters) slice() [7]int64 {
-	return [7]int64{c.Trials, c.TrialHits, c.EdgesScanned, c.EdgesPruned, c.CandScanned, c.CandPruned, c.PrefixFallbacks}
+func (c Counters) slice() [6]int64 {
+	return [6]int64{c.Trials, c.TrialHits, c.EdgesScanned, c.EdgesPruned, c.CandScanned, c.CandPruned}
 }
 
 // readAll reads a message body under the size bound.

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,37 +50,16 @@ func (st *stateStore) journalPath(id string) string {
 	return filepath.Join(st.dir, "events", id+".jsonl")
 }
 
-// writeAtomic lands data at path via a same-directory temp file and
-// rename, so readers (and crash recovery) never observe a partial write.
-func writeAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
 func (st *stateStore) saveManifest(m manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("serve: encoding manifest %s: %w", m.ID, err)
 	}
-	if err := writeAtomic(st.manifestPath(m.ID), data); err != nil {
+	err = core.WriteAtomic(nil, st.manifestPath(m.ID), func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+	if err != nil {
 		return fmt.Errorf("serve: persisting manifest %s: %w", m.ID, err)
 	}
 	return nil
@@ -154,7 +134,11 @@ func (st *stateStore) saveResult(doc resultDoc) error {
 	if err != nil {
 		return fmt.Errorf("serve: encoding result %s: %w", doc.ID, err)
 	}
-	if err := writeAtomic(st.resultPath(doc.ID), data); err != nil {
+	err = core.WriteAtomic(nil, st.resultPath(doc.ID), func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+	if err != nil {
 		return fmt.Errorf("serve: persisting result %s: %w", doc.ID, err)
 	}
 	return nil

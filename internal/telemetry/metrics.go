@@ -21,8 +21,9 @@ type Metrics struct {
 	EdgesPruned  int64 `json:"edges_pruned"`
 	CandScanned  int64 `json:"cand_scanned"`
 	CandPruned   int64 `json:"cand_pruned"`
-	// PrefixFallbacks counts OS kernel trials that crossed the calibrated
-	// truncated-prefix boundary into the full-scan tail.
+	// PrefixFallbacks is always 0: the OS kernel has no edge-prefix
+	// boundary to fall back past. The field stays for readers that still
+	// name it.
 	PrefixFallbacks int64 `json:"prefix_fallbacks"`
 
 	// Candidates counts butterflies promoted into C_MB.

@@ -54,11 +54,10 @@ func (p *Probe) EnsureWorkers(n int) {
 
 // FlushEdgeTrials folds a batch of OS-family trial tallies accumulated
 // in worker-local variables into worker w's shard. scanned/pruned split
-// the per-trial edge scan (Algorithm 2 line 7); fallbacks counts trials
-// that crossed the snapshot's calibrated prefix boundary; the probe's
-// phase routes the trial count to CounterPrepTrials or CounterTrials.
-// totalNs <= 0 skips the latency histogram.
-func (p *Probe) FlushEdgeTrials(w int, trials, hits, scanned, pruned, fallbacks, totalNs int64) {
+// the per-trial edge scan (Algorithm 2 line 7); the probe's phase routes
+// the trial count to CounterPrepTrials or CounterTrials. totalNs <= 0
+// skips the latency histogram.
+func (p *Probe) FlushEdgeTrials(w int, trials, hits, scanned, pruned, totalNs int64) {
 	if p == nil || p.Reg == nil || trials == 0 {
 		return
 	}
@@ -71,7 +70,6 @@ func (p *Probe) FlushEdgeTrials(w int, trials, hits, scanned, pruned, fallbacks,
 	r.Add(w, CounterTrialHits, hits)
 	r.Add(w, CounterEdgesScanned, scanned)
 	r.Add(w, CounterEdgesPruned, pruned)
-	r.Add(w, CounterPrefixFallbacks, fallbacks)
 	if totalNs > 0 {
 		r.RecordTrialNs(w, trials, totalNs)
 	}

@@ -20,7 +20,6 @@ func WritePrometheus(w io.Writer, m Metrics) error {
 		{"mpmb_prep_trials_total", "OLS preparing-phase trials executed.", m.PrepTrials},
 		{"mpmb_edges_scanned_total", "Edge positions scanned by the OS kernel.", m.EdgesScanned},
 		{"mpmb_edges_pruned_total", "Edge positions skipped by the descending-weight prune.", m.EdgesPruned},
-		{"mpmb_core_prefix_fallbacks_total", "OS kernel trials that fell back past the calibrated edge-prefix boundary.", m.PrefixFallbacks},
 		{"mpmb_candidates_scanned_total", "Candidate positions scanned by the OLS sampling phase.", m.CandScanned},
 		{"mpmb_candidates_pruned_total", "Candidate positions skipped by the OLS early break.", m.CandPruned},
 		{"mpmb_candidates_promoted_total", "Butterflies promoted into the candidate set C_MB.", m.Candidates},

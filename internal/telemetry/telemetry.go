@@ -78,12 +78,6 @@ const (
 	// connections after an unreachable spell (the worker parked in its
 	// reconnect loop and the coordinator came back).
 	CounterDistReconnects
-	// CounterPrefixFallbacks counts OS kernel trials whose scan crossed
-	// the snapshot's calibrated truncated-prefix boundary into the
-	// full-scan tail (the prefix-sufficiency bound failed to stop the
-	// trial early). Fallbacks are exact, just slower; a high rate means
-	// the calibration underestimated the workload's scan depth.
-	CounterPrefixFallbacks
 
 	numCounters
 )
@@ -247,7 +241,6 @@ func (r *Registry) Snapshot() Metrics {
 		PrepTrials:         tot[CounterPrepTrials],
 		EdgesScanned:       tot[CounterEdgesScanned],
 		EdgesPruned:        tot[CounterEdgesPruned],
-		PrefixFallbacks:    tot[CounterPrefixFallbacks],
 		CandScanned:        tot[CounterCandScanned],
 		CandPruned:         tot[CounterCandPruned],
 		Candidates:         tot[CounterCandidates],

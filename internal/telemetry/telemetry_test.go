@@ -145,7 +145,7 @@ func TestHubNilCallbackAndNilHub(t *testing.T) {
 
 func TestNilProbeIsNoOp(t *testing.T) {
 	var p *Probe
-	p.FlushEdgeTrials(0, 1, 1, 1, 1, 0, 1)
+	p.FlushEdgeTrials(0, 1, 1, 1, 1, 1)
 	p.FlushCandTrials(0, 1, 1, 1, 1, 1)
 	p.Add(0, CounterAudits, 1)
 	p.SetLeader(0.5, 0.01)
@@ -159,8 +159,8 @@ func TestNilProbeIsNoOp(t *testing.T) {
 func TestProbePhaseRouting(t *testing.T) {
 	r := NewRegistry()
 	p := &Probe{Reg: r, Method: "ols"}
-	p.WithPhase(PhasePrep).FlushEdgeTrials(0, 10, 4, 100, 50, 0, 0)
-	p.FlushEdgeTrials(0, 20, 8, 200, 100, 3, 0)
+	p.WithPhase(PhasePrep).FlushEdgeTrials(0, 10, 4, 100, 50, 0)
+	p.FlushEdgeTrials(0, 20, 8, 200, 100, 0)
 	p.FlushCandTrials(0, 30, 9, 60, 40, 0)
 	m := r.Snapshot()
 	if m.PrepTrials != 10 || m.Trials != 50 {
@@ -169,8 +169,8 @@ func TestProbePhaseRouting(t *testing.T) {
 	if m.EdgesScanned != 300 || m.EdgesPruned != 150 {
 		t.Errorf("edge split = %d/%d, want 300/150", m.EdgesScanned, m.EdgesPruned)
 	}
-	if m.PrefixFallbacks != 3 {
-		t.Errorf("PrefixFallbacks = %d, want 3", m.PrefixFallbacks)
+	if m.PrefixFallbacks != 0 {
+		t.Errorf("PrefixFallbacks = %d, want 0", m.PrefixFallbacks)
 	}
 	if m.CandScanned != 60 || m.CandPruned != 40 {
 		t.Errorf("cand split = %d/%d, want 60/40", m.CandScanned, m.CandPruned)
