@@ -68,99 +68,44 @@ func RunSamplingConvergence(opt Options) ([]ConvergenceResult, error) {
 			Series:  make(map[Method][]ConvergencePoint),
 		}
 
-		// OS trace: count how many trials report the target as maximum.
-		hits := 0
-		var osSeries []ConvergencePoint
-		every := trials2N / tracePoints
-		if every < 1 {
-			every = 1
-		}
-		_, err = core.OS(d.G, core.OSOptions{
-			Trials: trials2N,
-			Seed:   opt.Seed + 101,
-			OnTrial: func(trial int, sMB *butterfly.MaxSet) {
-				for _, b := range sMB.Set {
-					if b == target {
-						hits++
-						break
-					}
+		every := max(trials2N/tracePoints, 1)
+
+		// OS trace: the target's share of the maximum sets of the first t
+		// trials.
+		osJob := &core.ExecJob{Kind: core.ExecOS, Graph: d.G, Seed: opt.Seed + 101, Units: trials2N}
+		res.Series[OS], err = tracePrefixes(osJob, every, opt.SampleTrials, func(x *core.ExecResult) float64 {
+			for _, c := range x.CountsSnapshot() {
+				if c.B == target {
+					return float64(c.Count) / float64(x.Done)
 				}
-				if trial%every == 0 {
-					osSeries = append(osSeries, ConvergencePoint{
-						Frac: float64(trial) / float64(opt.SampleTrials),
-						P:    float64(hits) / float64(trial),
-					})
-				}
-			},
+			}
+			return 0
 		})
 		if err != nil {
 			return nil, err
 		}
-		res.Series[OS] = osSeries
-		res.RefP = osSeries[len(osSeries)-1].P
+		res.RefP = res.Series[OS][len(res.Series[OS])-1].P
 		res.Band = [2]float64{res.RefP * (1 - opt.Eps), res.RefP * (1 + opt.Eps)}
 
 		// OLS (optimized estimator) trace.
-		hits = 0
-		var olsSeries []ConvergencePoint
-		_, err = core.EstimateOptimized(cands, core.OptimizedOptions{
-			Trials: trials2N,
-			Seed:   opt.Seed + 202,
-			OnTrial: func(trial int, hit []int) {
-				for _, idx := range hit {
-					if idx == targetIdx {
-						hits++
-						break
-					}
-				}
-				if trial%every == 0 {
-					olsSeries = append(olsSeries, ConvergencePoint{
-						Frac: float64(trial) / float64(opt.SampleTrials),
-						P:    float64(hits) / float64(trial),
-					})
-				}
-			},
+		olsJob := &core.ExecJob{Kind: core.ExecOptimized, Graph: d.G, Cands: cands, Seed: opt.Seed + 202, Units: trials2N}
+		res.Series[OLS], err = tracePrefixes(olsJob, every, opt.SampleTrials, func(x *core.ExecResult) float64 {
+			return x.Probs()[targetIdx]
 		})
 		if err != nil {
 			return nil, err
 		}
-		res.Series[OLS] = olsSeries
 
-		// OLS-KL trace: the target candidate's running estimate over the
-		// same 2N trial axis as the other methods (the figure plots all
-		// three on one axis; the Eq. 8 dynamic count is reported
-		// separately in KLTargetTrials).
-		var klSeries []ConvergencePoint
-		var trialsUsed []int
-		_, err = core.EstimateKarpLuby(cands, core.KLOptions{
-			BaseTrials:    trials2N,
-			Seed:          opt.Seed + 303,
-			TrialsUsed:    &trialsUsed,
-			OnlyCandidate: &targetIdx,
-			OnCandidateTrial: func(cand, trial int, runningP float64) {
-				if cand != targetIdx {
-					return
-				}
-				if trial == 0 {
-					// Resolved without sampling (no heavier competitor):
-					// the estimate is flat across the whole axis.
-					klSeries = append(klSeries,
-						ConvergencePoint{Frac: 0, P: runningP},
-						ConvergencePoint{Frac: 2, P: runningP})
-					return
-				}
-				if trial%every == 0 {
-					klSeries = append(klSeries, ConvergencePoint{
-						Frac: float64(trial) / float64(opt.SampleTrials),
-						P:    runningP,
-					})
-				}
-			},
-		})
+		// OLS-KL trace: the target candidate's estimate over the same 2N
+		// trial axis as the other methods (the figure plots all three on
+		// one axis; the Eq. 8 dynamic count is reported separately in
+		// KLTargetTrials). The target is priced alone, as a one-unit job
+		// whose stream derives from its index, so pricing it with
+		// BaseTrials t gives its estimate after the first t trials.
+		res.Series[OLSKL], err = traceKarpLuby(cands, targetIdx, opt.Seed+303, every, trials2N, opt.SampleTrials)
 		if err != nil {
 			return nil, err
 		}
-		res.Series[OLSKL] = klSeries
 		// Report the Eq. 8 dynamic allocation for context.
 		dynTrials, err := core.KLTrials(cands.List[targetIdx].ExistProb,
 			cands.SI(targetIdx), math.Max(res.RefP, 1e-9), opt.Eps, opt.Delta)
@@ -169,6 +114,54 @@ func RunSamplingConvergence(opt Options) ([]ConvergenceResult, error) {
 		}
 
 		out = append(out, res)
+	}
+	return out, nil
+}
+
+// tracePrefixes runs job's units in one-worker segments of every units and
+// reads an estimate from the state of each prefix, as the dist
+// coordinator folds ranges. Every unit's stream derives from (job.Seed,
+// unit index), so the prefix state after t units is exactly a t-trial
+// run's; its point sits at t/budget on the trial axis.
+func tracePrefixes(job *core.ExecJob, every, budget int, read func(*core.ExecResult) float64) ([]ConvergencePoint, error) {
+	state, err := core.NewExecState(job)
+	if err != nil {
+		return nil, err
+	}
+	exec := &core.LocalExecutor{Workers: 1}
+	var out []ConvergencePoint
+	for t := every; t <= job.Units; t += every {
+		seg := *job
+		seg.Start, seg.Units = t-every, t
+		r, err := exec.ExecuteTrials(&seg)
+		if err != nil {
+			return nil, err
+		}
+		state.Fold(job.Kind, r)
+		out = append(out, ConvergencePoint{Frac: float64(t) / float64(budget), P: read(state)})
+	}
+	return out, nil
+}
+
+// traceKarpLuby prices candidate idx alone with BaseTrials t for every
+// traced t up to trials. A candidate resolved without sampling (no
+// heavier competitor) is flat across the whole axis.
+func traceKarpLuby(cands *core.Candidates, idx int, seed uint64, every, trials, budget int) ([]ConvergencePoint, error) {
+	exec := &core.LocalExecutor{Workers: 1}
+	var out []ConvergencePoint
+	for t := every; t <= trials; t += every {
+		r, err := exec.ExecuteTrials(&core.ExecJob{
+			Kind: core.ExecKarpLuby, Graph: cands.G, Cands: cands, Seed: seed,
+			Start: idx, Units: idx + 1, KL: core.KLOptions{BaseTrials: t},
+		})
+		if err != nil {
+			return nil, err
+		}
+		p := r.CandProbs[0]
+		if r.CandTrials[0] == 0 {
+			return []ConvergencePoint{{Frac: 0, P: p}, {Frac: 2, P: p}}, nil
+		}
+		out = append(out, ConvergencePoint{Frac: float64(t) / float64(budget), P: p})
 	}
 	return out, nil
 }
@@ -183,32 +176,19 @@ func RunSamplingConvergence(opt Options) ([]ConvergenceResult, error) {
 // prepared candidate sets, which would make the Fig. 11/12 traces
 // vacuous.
 func pickTarget(g *bigraph.Graph, cands *core.Candidates, opt Options) (int, error) {
-	index := make(map[butterfly.Butterfly]int, cands.Len())
-	for i, c := range cands.List {
-		index[c.B] = i
-	}
-	hits := make([]int, cands.Len())
-	_, err := core.OS(g, core.OSOptions{
-		Trials: opt.SampleTrials,
-		Seed:   opt.Seed + 7,
-		OnTrial: func(_ int, sMB *butterfly.MaxSet) {
-			for _, b := range sMB.Set {
-				if i, ok := index[b]; ok {
-					hits[i]++
-				}
-			}
-		},
-	})
+	run, err := core.OS(g, core.OSOptions{Trials: opt.SampleTrials, Seed: opt.Seed + 7})
 	if err != nil {
 		return 0, err
 	}
-	probs := make([]float64, len(hits))
+	est := make(map[butterfly.Butterfly]float64, len(run.Estimates))
+	for _, e := range run.Estimates {
+		est[e.B] = e.P
+	}
+	probs := make([]float64, cands.Len())
 	maxP := 0.0
-	for i, h := range hits {
-		probs[i] = float64(h) / float64(opt.SampleTrials)
-		if probs[i] > maxP {
-			maxP = probs[i]
-		}
+	for i, c := range cands.List {
+		probs[i] = est[c.B]
+		maxP = math.Max(maxP, probs[i])
 	}
 	if maxP == 0 {
 		return 0, fmt.Errorf("no candidate with nonzero probability")
@@ -272,23 +252,13 @@ func RunPreparingTrend(opt Options) ([]PreparingResult, error) {
 		// Reference estimate from OS over a doubled budget — immune to
 		// candidate-set truncation, unlike an OLS reference run that can
 		// miss the target altogether.
-		refHits := 0
-		_, err = core.OS(d.G, core.OSOptions{
-			Trials: 2 * opt.SampleTrials,
-			Seed:   opt.Seed + 11,
-			OnTrial: func(_ int, sMB *butterfly.MaxSet) {
-				for _, b := range sMB.Set {
-					if b == target {
-						refHits++
-						break
-					}
-				}
-			},
-		})
+		ref, err := core.OS(d.G, core.OSOptions{Trials: 2 * opt.SampleTrials, Seed: opt.Seed + 11})
 		if err != nil {
 			return nil, err
 		}
-		res.RefP = float64(refHits) / float64(2*opt.SampleTrials)
+		if e, ok := ref.Lookup(target); ok {
+			res.RefP = e.P
+		}
 		res.Band = [2]float64{res.RefP * (1 - opt.Eps), res.RefP * (1 + opt.Eps)}
 
 		for pct := 10; pct <= 200; pct += 10 {

@@ -118,14 +118,14 @@ type ExecJob struct {
 	// admission rule.
 	Anchor Anchor
 	// OS carries the Ordering Sampling kernel knobs for ExecOS: the
-	// pruning/ablation flags and the OnTrial hook. Trial counts, seeds,
-	// Interrupt and Probe travel in the fields of the job itself.
+	// pruning/ablation flags. Trial counts, seeds, Interrupt and Probe
+	// travel in the fields of the job itself.
 	OS OSOptions
 	// Optimized carries the ExecOptimized per-trial knobs: the
-	// EagerSampling/DisableEarlyBreak ablations and the OnTrial hook.
+	// EagerSampling/DisableEarlyBreak ablations.
 	Optimized OptimizedOptions
-	// KL carries the Karp-Luby knobs for ExecKarpLuby: BaseTrials, Mu,
-	// MaxTrials and the OnCandidateTrial/OnlyCandidate hooks.
+	// KL carries the Karp-Luby knobs for ExecKarpLuby: BaseTrials, Mu and
+	// MaxTrials.
 	KL KLOptions
 	// Interrupt, if non-nil, is polled during execution; when it
 	// returns true the executor stops at a unit boundary and returns
@@ -148,36 +148,23 @@ type ExecJob struct {
 	// running leader estimates span the resumed prefix too; any other
 	// executor's payload is folded in by the runner (see execute).
 	into *ExecResult
-}
-
-// oneWorkerFeature names the job's tracing hook or estimator ablation, or
-// returns "". These features see units in index order on one goroutine,
-// so a job that sets one runs only on a single worker.
-func (j *ExecJob) oneWorkerFeature() string {
-	switch {
-	case j.OS.OnTrial != nil || j.Optimized.OnTrial != nil:
-		return "the OnTrial hook"
-	case j.Optimized.EagerSampling || j.Optimized.DisableEarlyBreak:
-		return "the estimator ablations"
-	case j.KL.OnCandidateTrial != nil || j.KL.OnlyCandidate != nil:
-		return "the Karp-Luby tracing hooks"
-	}
-	return ""
+	// stop, when past Start, is the last unit of a supervised segment;
+	// execute lowers Units to it.
+	stop int
 }
 
 // LocalOnly returns an error naming the part of the job that exists only
-// in this process — an anchor, a tracing hook, or an estimator ablation —
-// or nil. Executors that ship units to other processes must refuse a job
-// for which it is non-nil rather than run a different computation.
+// in this process — an anchor or an estimator ablation — or nil.
+// Executors that ship units to other processes must refuse a job for
+// which it is non-nil rather than run a different computation.
 func (j *ExecJob) LocalOnly() error {
-	f := j.oneWorkerFeature()
-	if j.Anchor.Kind != 0 {
-		f = "the anchor " + j.Anchor.String()
+	switch {
+	case j.Anchor.Kind != 0:
+		return fmt.Errorf("core: %v job sets the anchor %v", j.Kind, j.Anchor)
+	case j.Optimized.EagerSampling || j.Optimized.DisableEarlyBreak:
+		return fmt.Errorf("core: %v job sets the estimator ablations", j.Kind)
 	}
-	if f == "" {
-		return nil
-	}
-	return fmt.Errorf("core: %v job sets %s", j.Kind, f)
+	return nil
 }
 
 // ExecResult is the state of a run of trial units: the additive payload of
@@ -353,6 +340,9 @@ func execute(exec TrialExecutor, workers int, job *ExecJob, ck *Checkpoint) (*Ex
 		return nil, err
 	}
 	job.Start, job.into = x.Done, x
+	if job.stop > x.Done {
+		job.Units = min(job.Units, job.stop)
+	}
 	if exec == nil {
 		exec = &LocalExecutor{Workers: max(workers, 1)}
 	}
@@ -372,9 +362,9 @@ func execute(exec TrialExecutor, workers int, job *ExecJob, ck *Checkpoint) (*Ex
 //
 // With one worker it claims one unit per interrupt poll and flushes
 // telemetry every probeFlushEvery units, publishing running leader
-// estimates as it goes, and it accepts the tracing hooks and estimator
-// ablations (see ExecJob.LocalOnly). With more it claims parChunkTrials
-// units per poll and flushes per chunk.
+// estimates as it goes. With more it claims parChunkTrials units per
+// poll and flushes per chunk. Either way it runs every job, including
+// those ExecJob.LocalOnly keeps in this process.
 type LocalExecutor struct {
 	// Workers overrides the pool size (0 defers to the job's hint, then
 	// GOMAXPROCS).
@@ -422,9 +412,6 @@ func (e *LocalExecutor) ExecuteTrials(job *ExecJob) (*ExecResult, error) {
 		return out, nil
 	}
 	workers := e.workerCount(job)
-	if f := job.oneWorkerFeature(); f != "" && workers > 1 {
-		return nil, fmt.Errorf("core: %s needs a one-worker run, got %d workers", f, workers)
-	}
 	var newWorker func(w int) unitWorker
 	switch job.Kind {
 	case ExecOS:
@@ -642,9 +629,6 @@ func (x *osWorker) unit(u int) {
 	case hit:
 		x.acc.addMaxSet(&x.sMB)
 	}
-	if x.job.OS.OnTrial != nil {
-		x.job.OS.OnTrial(u, &x.sMB)
-	}
 	if x.meter.observe(u, scanned, hit) && x.lead {
 		probeEstimate(x.job.Probe, 0, int64(x.acc.leadCount), u, x.acc.leadB, x.acc.leadW)
 	}
@@ -693,7 +677,6 @@ type optimizedWorker struct {
 	// ablation.
 	relevant []bigraph.EdgeID
 	counts   []int64
-	hits     []int
 	meter    trialMeter
 	// lead marks a one-worker run: it counts into the job state and
 	// publishes the running leader at flush cadence.
@@ -748,7 +731,6 @@ func (x *optimizedWorker) unit(u int) {
 		}
 	}
 	wMax := math.Inf(-1)
-	x.hits = x.hits[:0]
 	examined := len(list)
 	for k := range list { // line 4: B_k in weight order
 		cand := &list[k]
@@ -773,13 +755,7 @@ func (x *optimizedWorker) unit(u int) {
 		if exists { // lines 8–10
 			counts[k]++
 			wMax = cand.Weight
-			if opt.OnTrial != nil {
-				x.hits = append(x.hits, k)
-			}
 		}
-	}
-	if opt.OnTrial != nil {
-		opt.OnTrial(u, x.hits)
 	}
 	if x.meter.observe(u, examined, !math.IsInf(wMax, -1)) && x.lead {
 		probeOptimizedLeader(x.job.Probe, x.c, counts, u)
@@ -819,9 +795,6 @@ func newKLWorker(job *ExecJob, out *ExecResult, thresh []uint64, w int) *klWorke
 
 func (x *klWorker) unit(u int) {
 	i := u - 1
-	if only := x.job.KL.OnlyCandidate; only != nil && i != *only {
-		return
-	}
 	p, n := klPrice(x.job.Cands, i, x.job.KL, x.root, x.scratch)
 	k := i - x.out.Start
 	x.out.CandProbs[k], x.out.CandTrials[k] = p, int64(n)

@@ -32,17 +32,6 @@ type KLOptions struct {
 	// TrialsUsed, if non-nil, receives the per-candidate trial counts
 	// actually executed (indexed like the candidate list).
 	TrialsUsed *[]int
-	// OnCandidateTrial, if non-nil, is invoked after every trial of every
-	// candidate with the candidate index, the 1-based trial index, and
-	// the running estimate P̂(B_i) as of that trial. The convergence
-	// experiment (Fig. 11) hooks here. Candidates resolved without
-	// sampling (L(i) = 0 or S_i = 0) fire once with trial 0.
-	OnCandidateTrial func(cand, trial int, runningP float64)
-	// OnlyCandidate, when non-nil, restricts estimation to the single
-	// candidate with that index; every other probability is returned as
-	// 0. Convergence traces of one butterfly use this to avoid pricing
-	// thousands of irrelevant candidates.
-	OnlyCandidate *int
 	// Interrupt, if non-nil, is polled between candidates; when it returns
 	// true the run stops, leaving later candidates unpriced (OLS reports
 	// how many were finished, and checkpoints them). Estimation is
@@ -101,7 +90,7 @@ func newKLScratch(numE int, thresh []uint64) *klScratch {
 // (Lemma VI.5).
 //
 // Candidates are priced on opt.Executor, or on one local worker when it is
-// nil. The OnCandidateTrial and OnlyCandidate hooks need a one-worker run.
+// nil.
 func EstimateKarpLuby(c *Candidates, opt KLOptions) ([]float64, error) {
 	job, err := opt.job(c)
 	if err != nil {
@@ -112,7 +101,7 @@ func EstimateKarpLuby(c *Candidates, opt KLOptions) ([]float64, error) {
 		return nil, err
 	}
 	opt.report(r)
-	return r.probs(), nil
+	return r.Probs(), nil
 }
 
 // job returns the estimator's run over c as an ExecJob: one unit per
@@ -128,11 +117,9 @@ func (o KLOptions) job(c *Candidates) (*ExecJob, error) {
 		Seed:  o.Seed,
 		Units: len(c.List),
 		KL: KLOptions{
-			BaseTrials:       o.BaseTrials,
-			Mu:               o.Mu,
-			MaxTrials:        o.MaxTrials,
-			OnCandidateTrial: o.OnCandidateTrial,
-			OnlyCandidate:    o.OnlyCandidate,
+			BaseTrials: o.BaseTrials,
+			Mu:         o.Mu,
+			MaxTrials:  o.MaxTrials,
 		},
 		Interrupt: o.Interrupt,
 		Probe:     o.Probe,
@@ -177,9 +164,6 @@ func klPrice(c *Candidates, i int, opt KLOptions, root *randx.RNG, scratch *klSc
 	li := c.LargerCount(i) // line 3: L(i)
 	if li == 0 {
 		// No heavier candidate: B_i is maximum whenever it exists.
-		if opt.OnCandidateTrial != nil {
-			opt.OnCandidateTrial(i, 0, cand.ExistProb)
-		}
 		return cand.ExistProb, 0
 	}
 	// Per-competitor diff edge sets and probabilities (line 4).
@@ -197,9 +181,6 @@ func klPrice(c *Candidates, i int, opt KLOptions, root *randx.RNG, scratch *klSc
 	if sI == 0 {
 		// Every competitor has an impossible diff set; the union is
 		// empty and B_i is maximum exactly when it exists.
-		if opt.OnCandidateTrial != nil {
-			opt.OnCandidateTrial(i, 0, cand.ExistProb)
-		}
 		return cand.ExistProb, 0
 	}
 
@@ -246,13 +227,6 @@ func klPrice(c *Candidates, i int, opt KLOptions, root *randx.RNG, scratch *klSc
 		}
 		if minimal {
 			cnt++ // line 9
-		}
-		if opt.OnCandidateTrial != nil {
-			running := (1 - float64(cnt)/float64(t+1)*sI) * cand.ExistProb
-			if running < 0 {
-				running = 0
-			}
-			opt.OnCandidateTrial(i, t+1, running)
 		}
 	}
 	// Line 10.

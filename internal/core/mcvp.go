@@ -17,11 +17,6 @@ type MCVPOptions struct {
 	// Seed makes the run reproducible; per-trial streams are derived from
 	// it, so results are independent of scheduling.
 	Seed uint64
-	// OnTrial, if non-nil, is invoked after every trial with the 1-based
-	// trial index and that trial's maximum butterfly set (which may be
-	// empty). The convergence experiments (Figs. 11–12) hook here. The
-	// MaxSet is reused between trials; copy what must be retained.
-	OnTrial func(trial int, sMB *butterfly.MaxSet)
 	// Interrupt, if non-nil, is polled between trials and every few
 	// thousand enumerated butterflies. When it returns true MCVP stops and
 	// returns a partial Result over the completed trials (the current,
@@ -40,6 +35,10 @@ type MCVPOptions struct {
 	// leader estimates; MC-VP has no ordered scan, so no prune split). Nil
 	// costs one predictable branch per trial.
 	Probe *telemetry.Probe
+
+	// stop, when past the resumed prefix, ends the run after that trial
+	// with a partial Result: a supervised segment.
+	stop int
 }
 
 // MCVP is the baseline of Section IV (Algorithm 1): in each trial it
@@ -65,7 +64,11 @@ func MCVP(g *bigraph.Graph, opt MCVPOptions) (*Result, error) {
 	world := possible.NewWorld(g.NumEdges())
 	var sMB butterfly.MaxSet
 	meter := newTrialMeter(opt.Probe, 0, 0, false)
-	for st.Done < opt.Trials && (opt.Interrupt == nil || !opt.Interrupt()) {
+	end := opt.Trials
+	if opt.stop > st.Done {
+		end = min(end, opt.stop)
+	}
+	for st.Done < end && (opt.Interrupt == nil || !opt.Interrupt()) {
 		trial := st.Done + 1
 		rng := root.Derive(uint64(trial))
 		possible.SampleInto(world, g, rng) // line 4
@@ -91,9 +94,6 @@ func MCVP(g *bigraph.Graph, opt MCVPOptions) (*Result, error) {
 			st.acc.addMaxSet(&sMB) // lines 18–19
 		}
 		st.Done = trial
-		if opt.OnTrial != nil {
-			opt.OnTrial(trial, &sMB)
-		}
 		if meter.observe(trial, 0, hit) {
 			probeEstimate(opt.Probe, 0, int64(st.acc.leadCount), trial, st.acc.leadB, st.acc.leadW)
 		}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"github.com/uncertain-graphs/mpmb/internal/butterfly"
-)
+import "testing"
 
 // TestMCVPInterrupt verifies the interrupt hook: an immediate interrupt
 // returns a partial result with zero completed trials; a counting
@@ -47,25 +43,5 @@ func TestMCVPInterrupt(t *testing.T) {
 	}
 	if res.TrialsDone != 50 || res.Trials != 50 {
 		t.Fatalf("TrialsDone = %d, res.Trials = %d, want 50", res.TrialsDone, res.Trials)
-	}
-}
-
-// TestMCVPTrialHookSeesEmptyTrials ensures OnTrial fires even for worlds
-// with no butterfly.
-func TestMCVPTrialHookSeesEmptyTrials(t *testing.T) {
-	// Single uncertain edge: no world has a butterfly.
-	b := bigraphBuilder1()
-	fired := 0
-	_, err := MCVP(b, MCVPOptions{Trials: 20, Seed: 2, OnTrial: func(trial int, sMB *butterfly.MaxSet) {
-		fired++
-		if !sMB.Empty() {
-			t.Fatal("butterfly reported on a butterfly-free graph")
-		}
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fired != 20 {
-		t.Fatalf("OnTrial fired %d times, want 20", fired)
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
 	"github.com/uncertain-graphs/mpmb/internal/telemetry"
 )
@@ -27,8 +25,8 @@ type OLSOptions struct {
 	// Interrupt, Probe and Executor are overwritten likewise.
 	Optimized OptimizedOptions
 	// OS configures the preparing phase's Ordering Sampling pruning
-	// behaviour (its Trials, Seed, OnTrial and Interrupt fields are
-	// ignored; cancellation uses the top-level Interrupt).
+	// behaviour (its Trials, Seed and Interrupt fields are ignored;
+	// cancellation uses the top-level Interrupt).
 	OS OSOptions
 	// Interrupt, if non-nil, is polled between preparing trials and inside
 	// the sampling phase; when it returns true the run stops and returns a
@@ -54,6 +52,10 @@ type OLSOptions struct {
 	// one local worker: it is short, and its candidate set is what remote
 	// workers rebuild deterministically from the seed).
 	Executor TrialExecutor
+
+	// stop, when past the resumed prefix, ends the sampling phase after
+	// that unit with a partial Result: a supervised segment.
+	stop int
 }
 
 // DefaultOLSOptions mirrors the paper's experimental defaults (Section
@@ -152,9 +154,6 @@ func OLSSamplingPhaseParallel(cands *Candidates, opt OLSOptions, workers int) (*
 	if opt.UseKarpLuby {
 		kl := opt.KL
 		kl.BaseTrials, kl.Seed = opt.Trials, sampleSeed
-		if kl.OnlyCandidate != nil && resume != nil {
-			return nil, fmt.Errorf("core: Karp-Luby resume is incompatible with OnlyCandidate")
-		}
 		job, err = kl.job(cands)
 	} else {
 		op := opt.Optimized
@@ -164,7 +163,8 @@ func OLSSamplingPhaseParallel(cands *Candidates, opt OLSOptions, workers int) (*
 	if err != nil {
 		return nil, err
 	}
-	job.Interrupt, job.Probe = opt.Interrupt, opt.Probe
+	job.Interrupt, job.Probe, job.stop = opt.Interrupt, opt.Probe, opt.stop
+	units := job.Units // execute lowers job.Units to opt.stop
 	// The run-level identity an explicit executor may need to rebuild the
 	// candidate set remotely: the RUN seed (the phase seed is derived from
 	// it) plus the trial targets and Mu the checkpoint layer validates.
@@ -176,9 +176,9 @@ func OLSSamplingPhaseParallel(cands *Candidates, opt OLSOptions, workers int) (*
 	if opt.UseKarpLuby {
 		opt.KL.report(r)
 	}
-	res := cands.result(method, r.probs(), opt.Trials, opt.PrepTrials)
+	res := cands.result(method, r.Probs(), opt.Trials, opt.PrepTrials)
 	res.TrialsDone = opt.Trials
-	if r.Done < job.Units {
+	if r.Done < units {
 		res.Partial, res.TrialsDone = true, r.Done
 		if !cands.anchored {
 			res.Checkpoint = r.checkpoint(run, g)

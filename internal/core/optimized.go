@@ -22,10 +22,6 @@ type OptimizedOptions struct {
 	// results are unchanged because such candidates can never join S_MB;
 	// they are simply tested and discarded). Ablation only.
 	DisableEarlyBreak bool
-	// OnTrial, if non-nil, receives after each trial the 1-based trial
-	// index and the candidate indices credited in that trial (the trial's
-	// S_MB restricted to C_MB). The slice is reused; copy to retain.
-	OnTrial func(trial int, hits []int)
 	// Interrupt, if non-nil, is polled between trials; when it returns
 	// true the run stops and the returned probabilities are normalized
 	// over the completed trials (OLS reports how many, and checkpoints
@@ -58,8 +54,7 @@ type OptimizedOptions struct {
 // randx.Bernoulli, and the steady-state trial allocates nothing.
 //
 // Trials run on opt.Executor, or on one local worker when it is nil; the
-// estimates are bit-identical either way. The OnTrial hook and the
-// EagerSampling/DisableEarlyBreak ablations need a one-worker run.
+// estimates are bit-identical either way.
 func EstimateOptimized(c *Candidates, opt OptimizedOptions) ([]float64, error) {
 	job, err := opt.job(c)
 	if err != nil {
@@ -69,7 +64,7 @@ func EstimateOptimized(c *Candidates, opt OptimizedOptions) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.probs(), nil
+	return r.Probs(), nil
 }
 
 // job returns the estimator's run over c as an ExecJob.
@@ -86,7 +81,6 @@ func (o OptimizedOptions) job(c *Candidates) (*ExecJob, error) {
 		Optimized: OptimizedOptions{
 			EagerSampling:     o.EagerSampling,
 			DisableEarlyBreak: o.DisableEarlyBreak,
-			OnTrial:           o.OnTrial,
 		},
 		Interrupt: o.Interrupt,
 		Probe:     o.Probe,
@@ -109,10 +103,10 @@ func probeOptimizedLeader(p *telemetry.Probe, c *Candidates, counts []int64, tri
 	probeEstimate(p, 0, counts[lead], trial, c.List[lead].B, c.List[lead].Weight)
 }
 
-// probs returns the per-candidate estimates of a sampling-phase state:
+// Probs returns the per-candidate estimates of a sampling-phase state:
 // the optimized estimator's hit counts normalized over the completed
 // trials (lines 11–12), or the Karp-Luby estimates as priced.
-func (r *ExecResult) probs() []float64 {
+func (r *ExecResult) Probs() []float64 {
 	if r.CandProbs != nil {
 		return r.CandProbs
 	}

@@ -33,11 +33,6 @@ type OSOptions struct {
 	// conformance harness (internal/statcheck), which must demonstrably
 	// fail when an estimator is biased. Never set it elsewhere.
 	DropA2 bool
-	// OnTrial, if non-nil, is invoked after every trial with the 1-based
-	// trial index and that trial's maximum butterfly set. The MaxSet is
-	// reused between trials; copy what must be retained. It needs a
-	// one-worker run.
-	OnTrial func(trial int, sMB *butterfly.MaxSet)
 	// Interrupt, if non-nil, is polled between trials; when it returns
 	// true the run stops and returns a partial Result over the completed
 	// trials with a resumable Checkpoint attached. OS trials are short, so
@@ -62,6 +57,10 @@ type OSOptions struct {
 	// Per-trial streams derive from (Seed, trial index), so any
 	// conforming executor returns bit-identical results.
 	Executor TrialExecutor
+
+	// stop, when past the resumed prefix, ends the run after that trial
+	// with a partial Result: a supervised segment.
+	stop int
 }
 
 // kernel returns the options' kernel knobs alone — the pruning and
@@ -106,8 +105,7 @@ func OS(g *bigraph.Graph, opt OSOptions) (*Result, error) {
 // (Seed, trial index), so the estimates are bit-identical for every
 // worker count and executor — parallelism changes wall-clock time, never
 // results. Cancellation (opt.Interrupt) yields a partial Result with a
-// resumable Checkpoint, and opt.Resume continues such a checkpoint. The
-// OnTrial hook needs a one-worker run.
+// resumable Checkpoint, and opt.Resume continues such a checkpoint.
 func OSParallel(g *bigraph.Graph, opt OSOptions, workers int) (*Result, error) {
 	return osRun(g, Anchor{}, opt, workers)
 }
@@ -124,18 +122,17 @@ func osRun(g *bigraph.Graph, a Anchor, opt OSOptions, workers int) (*Result, err
 	if err := opt.Resume.resumeCheck(run, g); err != nil {
 		return nil, err
 	}
-	kern := opt.kernel()
-	kern.OnTrial = opt.OnTrial
 	r, err := execute(opt.Executor, workers, &ExecJob{
 		Kind:      ExecOS,
 		Graph:     g,
 		Seed:      opt.Seed,
 		Units:     opt.Trials,
 		Anchor:    a,
-		OS:        kern,
+		OS:        opt.kernel(),
 		Interrupt: opt.Interrupt,
 		Probe:     opt.Probe,
 		Spec:      ExecSpec{Method: "os", Seed: opt.Seed, Trials: opt.Trials},
+		stop:      opt.stop,
 	}, opt.Resume)
 	if err != nil {
 		return nil, err
@@ -275,7 +272,7 @@ func (s *edgeSnapshot) kernel(g *bigraph.Graph, opt OSOptions) *osIndex {
 
 // releaseKernel returns a kernel obtained from edgeSnapshot.kernel to its
 // snapshot's pool. The options are cleared so a pooled kernel does not
-// retain caller hooks (OnTrial/Interrupt/Probe closures) beyond its run.
+// retain a caller's Interrupt or Probe beyond its run.
 func releaseKernel(x *osIndex) {
 	x.opt = OSOptions{}
 	x.snap.kernels.Put(x)

@@ -232,25 +232,6 @@ func TestOSAgreesWithMCVPOnRandomGraphs(t *testing.T) {
 	}
 }
 
-// TestOSTrialHook verifies the OnTrial callback fires once per trial with
-// increasing indices.
-func TestOSTrialHook(t *testing.T) {
-	g := figure1Graph()
-	last := 0
-	_, err := OS(g, OSOptions{Trials: 50, Seed: 1, OnTrial: func(trial int, _ *butterfly.MaxSet) {
-		if trial != last+1 {
-			t.Fatalf("trial indices not consecutive: %d after %d", trial, last)
-		}
-		last = trial
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last != 50 {
-		t.Fatalf("OnTrial fired %d times, want 50", last)
-	}
-}
-
 // TestOSRejectsBadOptions covers option validation.
 func TestOSRejectsBadOptions(t *testing.T) {
 	g := figure1Graph()

@@ -16,7 +16,7 @@ import (
 // what the seed was.
 
 // OSReference is the frozen seed implementation of Ordering Sampling. It
-// supports only plain complete runs (no Interrupt/Resume/OnTrial); its
+// supports only plain complete runs (no Interrupt/Resume); its
 // Result must be bit-identical to OS with the same graph and options.
 func OSReference(g *bigraph.Graph, opt OSOptions) (*Result, error) {
 	if opt.Trials <= 0 {

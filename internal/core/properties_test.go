@@ -142,9 +142,9 @@ func TestDeterministicGraphDegeneratesToMaxSearch(t *testing.T) {
 	}
 }
 
-// TestKLOnlyCandidateMatchesFullRun: restricting the Karp-Luby estimator
-// to one candidate returns exactly the same value as the full run does
-// for that candidate (identical per-candidate streams).
+// TestKLOnlyCandidateMatchesFullRun: pricing one Karp-Luby candidate
+// alone, as a one-unit job, returns exactly the same value as the full
+// run does for that candidate (identical per-candidate streams).
 func TestKLOnlyCandidateMatchesFullRun(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 10; trial++ {
@@ -162,19 +162,17 @@ func TestKLOnlyCandidateMatchesFullRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		idx := cands.Len() - 1 // the most constrained candidate
-		only := opt
-		only.OnlyCandidate = &idx
-		restricted, err := EstimateKarpLuby(cands, only)
+		job, err := opt.job(cands)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if restricted[idx] != full[idx] {
-			t.Fatalf("trial %d: restricted %v != full %v", trial, restricted[idx], full[idx])
+		job.Start, job.Units = idx, idx+1
+		only, err := (&LocalExecutor{Workers: 1}).ExecuteTrials(job)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, p := range restricted {
-			if i != idx && p != 0 {
-				t.Fatalf("trial %d: candidate %d priced despite OnlyCandidate", trial, i)
-			}
+		if len(only.CandProbs) != 1 || only.CandProbs[0] != full[idx] {
+			t.Fatalf("trial %d: one-unit job priced %v, full run %v", trial, only.CandProbs, full[idx])
 		}
 	}
 }

@@ -85,7 +85,7 @@ var ErrStalled = errors.New("core: supervised run stalled")
 // StallError is the typed error behind ErrStalled. The supervisor cannot
 // preempt a stuck goroutine, so after returning this error the stalled
 // run's goroutine is abandoned: it leaks until whatever blocked it
-// (a user OnTrial hook, a pathological trial) returns. Callers should
+// (a user Interrupt hook, a pathological trial) returns. Callers should
 // treat the search as failed.
 type StallError struct {
 	// Method is the method that was running when progress stopped.
@@ -108,9 +108,9 @@ const (
 	// defaultMaxEscalations bounds audit-triggered prep escalations when
 	// SupervisorOptions.MaxEscalations is zero.
 	defaultMaxEscalations = 2
-	// defaultCheckPolls is the segment length (in interrupt polls) between
+	// defaultCheckUnits is the segment length (in units) between
 	// ε-stopping checks when audits do not already segment the run.
-	defaultCheckPolls = 512
+	defaultCheckUnits = 512
 	// defaultEpsilonZ is the 99% two-sided normal critical value.
 	defaultEpsilonZ = 2.5758293035489004
 	// auditSeedSalt derives the audit-trial random stream from the run
@@ -146,14 +146,11 @@ type SupervisorOptions struct {
 	// 0 means defaultMaxEscalations.
 	MaxEscalations int
 
-	// Epsilon > 0 stops the run early once the leader estimate's
-	// normal-approximation half-width (interval.NormalHalfWidth at Z)
-	// drops to Epsilon or below. Proportion methods only (mc-vp, os,
-	// ols); ols-kl estimates are not per-trial proportions.
+	// Epsilon > 0 stops the run early once the leader estimate's 99%
+	// normal-approximation half-width (interval.NormalHalfWidth) drops to
+	// Epsilon or below, checked every 512 trials. Proportion methods only
+	// (mc-vp, os, ols); ols-kl estimates are not per-trial proportions.
 	Epsilon float64
-	// Z is the critical value for the Epsilon rule; 0 means
-	// defaultEpsilonZ (99%).
-	Z float64
 	// Deadline, when non-zero, stops the run at the first interrupt poll
 	// at or past it, returning the partial-but-honest prefix.
 	Deadline time.Time
@@ -176,10 +173,9 @@ type SupervisorOptions struct {
 	Interrupt func() bool
 
 	// OS carries Ordering Sampling knobs for the os method and the OLS
-	// preparing phase (its Trials/Seed/Interrupt/Resume are overwritten;
-	// OnTrial is honored only for sequential os runs). Audit trials always
-	// run the pristine, un-ablated OS configuration — they are the
-	// defense, so fault-injection knobs must not reach them.
+	// preparing phase (its Trials/Seed/Interrupt/Resume are overwritten).
+	// Audit trials always run the pristine, un-ablated OS configuration —
+	// they are the defense, so fault-injection knobs must not reach them.
 	OS OSOptions
 	// KL / Optimized carry estimator knobs for the OLS sampling phase,
 	// with the same overwrite rules as OLSOptions.
@@ -217,25 +213,20 @@ func Supervise(g *bigraph.Graph, opt SupervisorOptions) (*Result, error) {
 	if now == nil {
 		now = time.Now
 	}
-	z := opt.Z
-	if z <= 0 {
-		z = defaultEpsilonZ
-	}
 	s := &supervisor{
 		g:         g,
 		opt:       opt,
 		now:       now,
-		z:         z,
 		rep:       &AdaptiveReport{Epsilon: opt.Epsilon},
 		auditRoot: randx.New(opt.Seed ^ auditSeedSalt),
-		gate: &segGate{
+		gate: &stopGate{
 			external: opt.Interrupt,
 			deadline: opt.Deadline,
 			now:      now,
 		},
 	}
 	if opt.Epsilon > 0 {
-		s.rep.Z = z
+		s.rep.Z = defaultEpsilonZ
 	}
 	return s.run()
 }
@@ -282,9 +273,8 @@ type supervisor struct {
 	g    *bigraph.Graph
 	opt  SupervisorOptions
 	now  func() time.Time
-	z    float64
 	rep  *AdaptiveReport
-	gate *segGate
+	gate *stopGate
 
 	// Audit state: a dedicated random stream that derives per-audit from
 	// (Seed ^ auditSeedSalt, audit index), so audits are deterministic and
@@ -332,18 +322,24 @@ func (s *supervisor) maxEscalations() int {
 	return defaultMaxEscalations
 }
 
-// segmentPolls is the interrupt-poll budget of one supervised segment: the
-// audit cadence when audits are on, the ε-check cadence when only the
-// stopping rule needs boundaries, otherwise unlimited (deadline and
-// cancellation fire inside the poll hook and need no segmentation).
-func (s *supervisor) segmentPolls(audits bool) int64 {
-	if audits && s.opt.AuditEvery > 0 {
-		return int64(s.opt.AuditEvery)
+// segmentEnd is the last unit of the supervised segment that continues
+// checkpoint ck (nil: the run's first unit): AuditEvery units on when
+// audits are on, defaultCheckUnits when only the stopping rule needs
+// boundaries, otherwise 0, the whole run (deadline and cancellation fire
+// inside the gate and need no segments). A segment is a unit range, so it
+// ends at the same unit on any worker count.
+func (s *supervisor) segmentEnd(ck *Checkpoint, audits bool) int {
+	n := defaultCheckUnits
+	switch {
+	case audits && s.opt.AuditEvery > 0:
+		n = s.opt.AuditEvery
+	case s.opt.Epsilon <= 0:
+		return 0
 	}
-	if s.opt.Epsilon > 0 {
-		return defaultCheckPolls
+	if ck != nil {
+		n += ck.Done
 	}
-	return 0
+	return n
 }
 
 func (s *supervisor) transition(from, to, reason string, atTrial int) {
@@ -390,7 +386,7 @@ func (s *supervisor) leaderHalfWidth(res *Result) (float64, bool) {
 		return 0, false
 	}
 	x := int64(math.Round(res.Estimates[0].P * float64(n)))
-	return interval.NormalHalfWidth(x, n, s.z), true
+	return interval.NormalHalfWidth(x, n, defaultEpsilonZ), true
 }
 
 func (s *supervisor) epsilonMet(res *Result) bool {
@@ -406,7 +402,6 @@ func (s *supervisor) epsilonMet(res *Result) bool {
 // ε-checks, with a worker-panic rung down from os to mc-vp.
 func (s *supervisor) runCounting(method string, ck *Checkpoint) (*Result, error) {
 	for {
-		s.gate.newSegment(s.segmentPolls(false))
 		res, err := s.countingStep(method, ck)
 		if err != nil {
 			if method == "os" && errors.Is(err, ErrWorkerPanic) {
@@ -429,7 +424,9 @@ func (s *supervisor) runCounting(method string, ck *Checkpoint) (*Result, error)
 	}
 }
 
+// countingStep runs the next segment of a counting method from ck.
 func (s *supervisor) countingStep(method string, ck *Checkpoint) (*Result, error) {
+	stop := s.segmentEnd(ck, false)
 	return s.withWatchdog(method, func() (*Result, error) {
 		switch method {
 		case "mc-vp":
@@ -439,6 +436,7 @@ func (s *supervisor) countingStep(method string, ck *Checkpoint) (*Result, error
 				Interrupt: s.gate.poll,
 				Resume:    ck,
 				Probe:     s.opt.Probe,
+				stop:      stop,
 			})
 		default: // "os"
 			o := s.opt.OS
@@ -447,9 +445,7 @@ func (s *supervisor) countingStep(method string, ck *Checkpoint) (*Result, error
 			o.Interrupt = s.gate.poll
 			o.Resume = ck
 			o.Probe = s.opt.Probe
-			if s.opt.Workers > 1 {
-				o.OnTrial = nil // a one-worker feature
-			}
+			o.stop = stop
 			return OSParallel(s.g, o, s.opt.Workers)
 		}
 	})
@@ -510,7 +506,6 @@ func (s *supervisor) runOLS() (*Result, error) {
 			cands = c
 			prepCk = nil
 		}
-		s.gate.newSegment(s.segmentPolls(true))
 		res, err := s.olsStep(cands, prepTarget, samplingCk)
 		if err != nil {
 			if errors.Is(err, ErrWorkerPanic) {
@@ -571,11 +566,10 @@ func (s *supervisor) runOLS() (*Result, error) {
 
 // prepOS is the preparing phase's OS configuration from checkpoint ck
 // (nil: from the first trial): the caller's pruning knobs with the
-// supervisor's passive hook (external cancellation and deadline only —
-// prep polls must not consume the sampling segment's budget).
+// supervisor's gate. The phase runs unsegmented.
 func (s *supervisor) prepOS(ck *Checkpoint) OSOptions {
 	o := s.opt.OS.kernel()
-	o.Interrupt = s.gate.passive
+	o.Interrupt = s.gate.poll
 	o.Probe = s.opt.Probe // the preparing phase rebinds it to its phase label
 	o.Resume = ck
 	return o
@@ -596,8 +590,10 @@ func (s *supervisor) olsOpts(prepTarget int, ck *Checkpoint) OLSOptions {
 	}
 }
 
+// olsStep runs the next sampling segment over cands from ck.
 func (s *supervisor) olsStep(cands *Candidates, prepTarget int, ck *Checkpoint) (*Result, error) {
 	opt := s.olsOpts(prepTarget, ck)
+	opt.stop = s.segmentEnd(ck, true)
 	return s.withWatchdog(s.opt.Method, func() (*Result, error) {
 		return OLSSamplingPhaseParallel(cands, opt, s.opt.Workers)
 	})
@@ -674,41 +670,22 @@ func (s *supervisor) withWatchdog(method string, fn func() (*Result, error)) (*R
 	}
 }
 
-// segGate is the supervisor's interrupt hook: it multiplexes external
-// cancellation, the deadline, and a per-segment poll budget through the
-// runners' existing Interrupt seam, so the unmodified partial-Result +
-// Checkpoint machinery does the segmenting. All state is atomic — a
+// stopGate is the supervisor's interrupt hook: it multiplexes external
+// cancellation and the deadline through the runners' Interrupt seam, and
+// stamps every poll for the watchdog. All state is atomic — a
 // multi-worker run polls from every worker.
-type segGate struct {
+type stopGate struct {
 	external func() bool
 	deadline time.Time
 	now      func() time.Time
 
-	polls    atomic.Int64
-	limit    atomic.Int64
 	lastPoll atomic.Int64 // UnixNano of the most recent poll (watchdog food)
 	extFired atomic.Bool
 	ddlFired atomic.Bool
 }
 
-// poll is the full hook handed to the runners' Interrupt seam.
-func (g *segGate) poll() bool {
-	if g.passive() {
-		return true
-	}
-	if g.polls.Add(1) > g.limit.Load() {
-		// The cut poll does not consume budget, so segment boundaries
-		// do not drift: N segments of K polls execute exactly N·K
-		// counted polls.
-		g.polls.Add(-1)
-		return true
-	}
-	return false
-}
-
-// passive checks external cancellation and the deadline without touching
-// the segment budget — the preparing phase's hook.
-func (g *segGate) passive() bool {
+// poll is the hook handed to the runners' Interrupt seam.
+func (g *stopGate) poll() bool {
 	g.touch()
 	if g.external != nil && g.external() {
 		g.extFired.Store(true)
@@ -721,14 +698,4 @@ func (g *segGate) passive() bool {
 	return false
 }
 
-func (g *segGate) touch() { g.lastPoll.Store(g.now().UnixNano()) }
-
-// newSegment grants the next segment's poll budget; 0 or negative means
-// unlimited.
-func (g *segGate) newSegment(budget int64) {
-	if budget <= 0 {
-		g.limit.Store(math.MaxInt64)
-		return
-	}
-	g.limit.Store(g.polls.Load() + budget)
-}
+func (g *stopGate) touch() { g.lastPoll.Store(g.now().UnixNano()) }

@@ -3,12 +3,12 @@ package core
 import (
 	"errors"
 	"math"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
-	"github.com/uncertain-graphs/mpmb/internal/butterfly"
 	"github.com/uncertain-graphs/mpmb/internal/interval"
 )
 
@@ -417,14 +417,16 @@ func TestSuperviseWatchdogStall(t *testing.T) {
 	g := figure1Graph()
 	release := make(chan struct{})
 	defer close(release) // lets the abandoned goroutine finish
+	var polls atomic.Int64
 	_, err := Supervise(g, SupervisorOptions{
 		Method: "os", Trials: 1000, Seed: 2,
 		StallTimeout: 30 * time.Millisecond,
-		OS: OSOptions{OnTrial: func(trial int, _ *butterfly.MaxSet) {
-			if trial == 2 {
-				<-release // worker wedges mid-run
+		Interrupt: func() bool {
+			if polls.Add(1) == 2 {
+				<-release // the run wedges mid-run
 			}
-		}},
+			return false
+		},
 	})
 	if err == nil {
 		t.Fatal("expected a stall error")
@@ -479,30 +481,31 @@ func TestSuperviseValidation(t *testing.T) {
 	}
 }
 
-// segGate unit behaviour: the budget counts polls exactly, the cut poll
-// is refunded, and new segments extend from the consumed total.
-func TestSegGateBudget(t *testing.T) {
-	gate := &segGate{now: time.Now}
-	gate.newSegment(3)
-	for i := 0; i < 3; i++ {
-		if gate.poll() {
-			t.Fatalf("poll %d cut early", i)
+// Supervised segments are unit ranges, so ε-checks, audits and
+// escalations fall at the same trials, and the Result is the same, on any
+// worker count.
+func TestSuperviseWorkerCountIndependent(t *testing.T) {
+	g := angleStressGraph()
+	for _, opt := range []SupervisorOptions{
+		{Method: "os", Trials: 20000, Seed: 4, Epsilon: 0.01},
+		{Method: "ols", Trials: 2000, PrepTrials: 1, Seed: 4, AuditEvery: 50},
+		{Method: "ols", Trials: 20000, PrepTrials: 20, Seed: 4, Epsilon: 0.01},
+	} {
+		var want *Result
+		for _, workers := range []int{0, 1, 2, 4} {
+			opt.Workers = workers
+			res, err := Supervise(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = res
+				continue
+			}
+			if !reflect.DeepEqual(res, want) {
+				t.Errorf("%s: Workers=%d: %d trials, report %+v; Workers=0: %d trials, report %+v",
+					opt.Method, workers, res.TrialsDone, res.Adaptive, want.TrialsDone, want.Adaptive)
+			}
 		}
-	}
-	if !gate.poll() || !gate.poll() {
-		t.Fatal("exhausted segment must keep cutting")
-	}
-	if got := gate.polls.Load(); got != 3 {
-		t.Fatalf("consumed polls %d, want 3 (cut polls must be refunded)", got)
-	}
-	gate.newSegment(2)
-	if gate.poll() || gate.poll() {
-		t.Fatal("fresh segment cut early")
-	}
-	if !gate.poll() {
-		t.Fatal("second segment must cut at its budget")
-	}
-	if got := gate.polls.Load(); got != 5 {
-		t.Fatalf("consumed polls %d, want 5", got)
 	}
 }

@@ -108,13 +108,6 @@ func randDenseSmallGraph(r *rand.Rand, maxEdges int) *bigraph.Graph {
 	}
 }
 
-// bigraphBuilder1 returns a single-edge graph (no butterflies possible).
-func bigraphBuilder1() *bigraph.Graph {
-	b := bigraph.NewBuilder(2, 2)
-	b.MustAddEdge(0, 0, 1, 0.5)
-	return b.Build()
-}
-
 // maxSetScratch wraps a reusable MaxSet for instrumentation tests.
 type maxSetScratch struct {
 	m butterfly.MaxSet

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	mpmb "github.com/uncertain-graphs/mpmb"
-	"github.com/uncertain-graphs/mpmb/internal/butterfly"
 	"github.com/uncertain-graphs/mpmb/internal/core"
 )
 
@@ -286,20 +285,17 @@ func TestExecutorRejectsAdaptive(t *testing.T) {
 }
 
 // TestExecutorRefusesLocalOnlyJobs: the workers rebuild a job from its
-// wire spec, which carries no anchor and no process-local hook, so the
+// wire spec, which carries no anchor and no estimator ablation, so the
 // executor must refuse such a job with an error instead of running the
-// global kernel in its place.
+// global kernel or the plain estimator in its place.
 func TestExecutorRefusesLocalOnlyJobs(t *testing.T) {
 	g := meshGraph(t)
 	spec := core.ExecSpec{Method: "os", Seed: 7, Trials: 100}
-	onlyCand := 0
 	for name, job := range map[string]*core.ExecJob{
 		"anchor": {Kind: core.ExecOS, Graph: g, Seed: 7, Units: 100, Spec: spec,
 			Anchor: core.Anchor{Kind: core.AnchorLeft, U: 0}},
-		"os hook": {Kind: core.ExecOS, Graph: g, Seed: 7, Units: 100, Spec: spec,
-			OS: core.OSOptions{OnTrial: func(int, *butterfly.MaxSet) {}}},
-		"karp-luby hook": {Kind: core.ExecOS, Graph: g, Seed: 7, Units: 100, Spec: spec,
-			KL: core.KLOptions{OnlyCandidate: &onlyCand}},
+		"ablation": {Kind: core.ExecOptimized, Graph: g, Seed: 7, Units: 100, Spec: spec,
+			Optimized: core.OptimizedOptions{EagerSampling: true}},
 	} {
 		ex := &Executor{C: NewCoordinator()}
 		if _, err := ex.ExecuteTrials(job); err == nil {

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -185,5 +186,26 @@ func TestTransportBackoffDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical jitter sequences")
+	}
+}
+
+// TestWorkerTransportJitterByName: default transports of differently
+// named workers draw different jitter sequences, so a fleet does not
+// retry in lockstep, while one name repeats its own sequence.
+func TestWorkerTransportJitterByName(t *testing.T) {
+	seq := func(name string) []time.Duration {
+		w := &Worker{Name: name}
+		var out []time.Duration
+		for k := 0; k < 4; k++ {
+			out = append(out, w.transport().backoff(k))
+		}
+		return out
+	}
+	a, b := seq("host-a:1"), seq("host-b:2")
+	if reflect.DeepEqual(a, b) {
+		t.Fatalf("workers host-a:1 and host-b:2 back off in lockstep: %v", a)
+	}
+	if again := seq("host-a:1"); !reflect.DeepEqual(a, again) {
+		t.Fatalf("one name drew %v, then %v", a, again)
 	}
 }

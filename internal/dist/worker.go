@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"net/http"
 	"os"
 	"time"
@@ -403,10 +404,14 @@ func (w *Worker) client() *http.Client {
 }
 
 // transport returns the worker's exchange layer, binding the default
-// transport to the worker's client on first use.
+// transport to the worker's client on first use. The default transport
+// seeds its jitter from the worker's name, so a fleet of default workers
+// does not retry in lockstep.
 func (w *Worker) transport() *Transport {
 	if w.Transport == nil {
-		w.Transport = &Transport{}
+		h := fnv.New64a()
+		h.Write([]byte(w.Name))
+		w.Transport = &Transport{Seed: h.Sum64()}
 	}
 	if w.Transport.Client == nil {
 		w.Transport.Client = w.client()
