@@ -47,13 +47,14 @@ microbench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Brief fuzzing sessions, 10 s each, over the targets CI's fuzz smoke
-# steps run: the checkpoint decoder, butterfly tally and trial kernel
-# (against the frozen seed), the dist wire decoder and merge, and both
-# graph parsers.
+# steps run: the checkpoint decoder, butterfly tally, trial kernel and
+# optimized estimator (both against the frozen seed), the dist wire
+# decoder and merge, and both graph parsers.
 FUZZ_TARGETS := \
 	./internal/core/:FuzzCheckpointDecode \
 	./internal/core/:FuzzTally \
 	./internal/core/:FuzzKernelVsSeed \
+	./internal/core/:FuzzOptimizedVsSeed \
 	./internal/dist/:FuzzLeaseDecode \
 	./internal/dist/:FuzzCheckpointMerge \
 	./internal/bigraph/:FuzzRead \

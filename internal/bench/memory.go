@@ -113,13 +113,14 @@ func measurePeakHeap(fn func()) uint64 {
 		}
 	}()
 	fn()
-	// One final reading after fn returns, before any GC.
+	close(stop)
+	wg.Wait()
+	// One final reading after fn returns, before any GC, once the
+	// sampler has stopped writing peak.
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	if ms.HeapAlloc > base.HeapAlloc && ms.HeapAlloc-base.HeapAlloc > peak {
 		peak = ms.HeapAlloc - base.HeapAlloc
 	}
-	close(stop)
-	wg.Wait()
 	return peak
 }

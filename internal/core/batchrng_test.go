@@ -152,3 +152,54 @@ func FuzzKernelVsSeed(f *testing.F) {
 		requireSameResult(t, "fuzz kernel vs seed", ref, got)
 	})
 }
+
+// FuzzOptimizedVsSeed builds the graphs of FuzzKernelVsSeed, whose
+// half-grid weights tie often, lists every backbone butterfly as a
+// candidate, and cross-checks the optimized estimator on 1 and 3 workers
+// against the frozen seed loop: each estimate of the heaviest weight class
+// at its exact Pr[E(B)], every other estimate bit for bit.
+func FuzzOptimizedVsSeed(f *testing.F) {
+	f.Add(uint64(1), []byte{0, 17, 34, 51, 68, 85, 102, 119, 136, 153})
+	f.Add(uint64(9), []byte{255, 254, 3, 7, 11, 200, 100, 50})
+	f.Add(uint64(42), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25})
+	f.Fuzz(func(t *testing.T, seed uint64, raw []byte) {
+		if len(raw) == 0 {
+			t.Skip()
+		}
+		if len(raw) > 25 {
+			raw = raw[:25]
+		}
+		const numL, numR = 5, 5
+		b := bigraph.NewBuilder(numL, numR)
+		seen := make(map[int]bool)
+		for i, by := range raw {
+			slot := i % (numL * numR)
+			if seen[slot] {
+				continue
+			}
+			seen[slot] = true
+			w := halfGrid[int(by)%len(halfGrid)]
+			p := probGrid[int(by/16)%len(probGrid)]
+			b.MustAddEdge(bigraph.VertexID(slot%numL), bigraph.VertexID(slot/numL), w, p)
+		}
+		cands, err := AllBackboneCandidates(b.Build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := OptimizedOptions{Trials: 60, Seed: seed%1009 + 1}
+		ref, err := ReferenceEstimateOptimized(cands, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := topClassPriced(cands.result("ols", ref, opt.Trials, 0), cands)
+		for _, workers := range []int{1, 3} {
+			o := opt
+			o.Executor = &LocalExecutor{Workers: workers}
+			got, err := EstimateOptimized(cands, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, "fuzz optimized vs seed", want, cands.result("ols", got, opt.Trials, 0))
+		}
+	})
+}

@@ -34,6 +34,9 @@ type Candidates struct {
 	// anchored marks a set listed around an anchor: its partial results
 	// carry no checkpoint, since no resume path rebuilds anchored state.
 	anchored bool
+	// top is the size of the heaviest weight class: the candidates tied
+	// with List[0].Weight, whose L(i) is 0.
+	top int
 }
 
 // PrepareCandidates runs the OLS preparing phase (lines 2–4 of Algorithm
@@ -119,7 +122,8 @@ func NewCandidates(g *bigraph.Graph, hits map[butterfly.Butterfly]int) (*Candida
 		}
 		return lessButterfly(list[i].B, list[j].B)
 	})
-	return &Candidates{G: g, List: list}, nil
+	top := sort.Search(len(list), func(i int) bool { return list[i].Weight < list[0].Weight })
+	return &Candidates{G: g, List: list, top: top}, nil
 }
 
 // AllBackboneCandidates lists every backbone butterfly as a candidate set

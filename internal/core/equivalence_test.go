@@ -3,8 +3,12 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
+
+	"github.com/uncertain-graphs/mpmb/internal/bigraph"
+	"github.com/uncertain-graphs/mpmb/internal/butterfly"
 )
 
 // Cross-runner equivalence: a parallel runner is an implementation
@@ -26,6 +30,27 @@ func requireSameResult(t *testing.T, label string, seq, par *Result) {
 	if !reflect.DeepEqual(par.Estimates, seq.Estimates) {
 		t.Fatalf("%s: estimates differ:\nseq: %v\npar: %v", label, seq.Estimates, par.Estimates)
 	}
+}
+
+// topClassPriced returns the oracle's Result ref with the heaviest weight
+// class of the run's candidate set cands priced as the optimized estimator
+// prices it: every estimate of that class at its exact Pr[E(B)], the list
+// re-sorted canonically. Every other estimate is the oracle's, so
+// requireSameResult still compares each estimate bit for bit.
+func topClassPriced(ref *Result, cands *Candidates) *Result {
+	exist := make(map[butterfly.Butterfly]float64, cands.top)
+	for _, c := range cands.List[:cands.top] {
+		exist[c.B] = c.ExistProb
+	}
+	out := *ref
+	out.Estimates = slices.Clone(ref.Estimates)
+	for i, e := range out.Estimates {
+		if p, ok := exist[e.B]; ok {
+			out.Estimates[i].P = p
+		}
+	}
+	sortEstimates(out.Estimates)
+	return &out
 }
 
 func headerOf(r *Result) map[string]any {
@@ -148,6 +173,13 @@ func TestKernelMatchesSeedOLS(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if !useKL {
+				cands, err := PrepareCandidates(g, opt.PrepTrials, opt.Seed, opt.OS)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref = topClassPriced(ref, cands)
+			}
 			seq, err := OLS(g, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -215,6 +247,13 @@ func TestKernelMatchesSeedAfterResume(t *testing.T) {
 			if len(ref.Estimates) == 0 {
 				t.Skip("graph produced no candidates")
 			}
+			if !useKL {
+				cands, err := PrepareCandidates(g, opt.PrepTrials, opt.Seed, opt.OS)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref = topClassPriced(ref, cands)
+			}
 			// Let the preparing phase through, cut the sampling phase.
 			var polls atomic.Int64
 			cut := opt
@@ -239,6 +278,59 @@ func TestKernelMatchesSeedAfterResume(t *testing.T) {
 				requireSameResult(t, opt.method()+" resume "+label, ref, got)
 			}
 		})
+	}
+}
+
+// TestOptimizedTopClassMatchesKarpLuby pins the closed-form pricing of the
+// heaviest weight class over every backbone butterfly: on 1 and 4
+// workers, each estimate of that class is bit-identical to Karp-Luby's,
+// which prices L(i) = 0 exactly, and each lighter estimate to a
+// DisableEarlyBreak run's, whose trials scan the whole heaviest class.
+// The graphs are complete 4×4 graphs weighted from {1, 1.5}, so their 36
+// butterflies fall into a few weight classes and the heaviest often holds
+// several.
+func TestOptimizedTopClassMatchesKarpLuby(t *testing.T) {
+	r := rand.New(rand.NewSource(79))
+	tied := 0
+	for trial := 0; trial < 8; trial++ {
+		b := bigraph.NewBuilder(4, 4)
+		for u := 0; u < 4; u++ {
+			for v := 0; v < 4; v++ {
+				b.MustAddEdge(bigraph.VertexID(u), bigraph.VertexID(v), halfGrid[1+r.Intn(2)], probGrid[r.Intn(len(probGrid))])
+			}
+		}
+		cands, err := AllBackboneCandidates(b.Build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		top := cands.top
+		if top > 1 {
+			tied++
+		}
+		seed := uint64(trial)*43 + 7
+		kl, err := EstimateKarpLuby(cands, KLOptions{BaseTrials: 50, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := EstimateOptimized(cands, OptimizedOptions{Trials: 400, Seed: seed, DisableEarlyBreak: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			got, err := EstimateOptimized(cands, OptimizedOptions{Trials: 400, Seed: seed, Executor: &LocalExecutor{Workers: workers}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[:top], kl[:top]) {
+				t.Fatalf("graph %d, %d workers: heaviest class %v, Karp-Luby %v", trial, workers, got[:top], kl[:top])
+			}
+			if !reflect.DeepEqual(got[top:], full[top:]) {
+				t.Fatalf("graph %d, %d workers: lighter classes %v, DisableEarlyBreak %v", trial, workers, got[top:], full[top:])
+			}
+		}
+	}
+	if tied == 0 {
+		t.Fatal("no graph has a heaviest class of two or more candidates")
 	}
 }
 
@@ -296,6 +388,13 @@ func TestOneWorkerExecutorMatchesSeed(t *testing.T) {
 			ref, err := OLSReference(g, olsOpt)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !useKL {
+				cands, err := PrepareCandidates(g, olsOpt.PrepTrials, olsOpt.Seed, olsOpt.OS)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref = topClassPriced(ref, cands)
 			}
 			got, err := OLS(g, pooled(olsOpt, 1))
 			if err != nil {

@@ -182,6 +182,8 @@ type ExecResult struct {
 	// tallies into an accumulator directly, with no snapshot/rebuild
 	// round trip. Remote payloads arrive in Counts instead.
 	acc *probAccumulator
+	// cands is the job's candidate set, which Probs prices against.
+	cands *Candidates
 }
 
 // Payload is a trial range's tally in portable form: the payload section
@@ -290,7 +292,7 @@ func (r *ExecResult) Export() Payload {
 // NewExecState returns the empty state of job at its Start, ready to fold
 // executed ranges into. Its Karp-Luby vectors cover units Start+1..Units.
 func NewExecState(job *ExecJob) (*ExecResult, error) {
-	x := &ExecResult{Start: job.Start, Done: job.Start}
+	x := &ExecResult{Start: job.Start, Done: job.Start, cands: job.Cands}
 	switch job.Kind {
 	case ExecOS:
 		x.acc = newProbAccumulator()
@@ -630,7 +632,7 @@ func (x *osWorker) unit(u int) {
 		x.acc.addMaxSet(&x.sMB)
 	}
 	if x.meter.observe(u, scanned, hit) && x.lead {
-		probeEstimate(x.job.Probe, 0, int64(x.acc.leadCount), u, x.acc.leadB, x.acc.leadW)
+		probeEstimate(x.job.Probe, 0, float64(x.acc.leadCount)/float64(u), u, x.acc.leadB, x.acc.leadW)
 	}
 }
 
@@ -715,10 +717,14 @@ func newOptimizedWorker(job *ExecJob, out *ExecResult, thresh []uint64, w int, s
 // (an edge is drawn at most once per trial no matter how many candidates
 // contain it), the first existing candidate fixes w_max, candidates tied
 // at w_max keep being collected, and the scan stops at the first
-// candidate lighter than w_max.
+// candidate lighter than w_max. The trial also ends at its first existing
+// candidate of the heaviest weight class: that class is priced in closed
+// form (see ExecResult.Probs) and nothing lighter can be credited, so the
+// lighter classes are scanned only in trials where none of it exists,
+// with the same draws as a full scan.
 func (x *optimizedWorker) unit(u int) {
 	opt := &x.job.Optimized
-	list, counts := x.c.List, x.counts
+	list, counts, top := x.c.List, x.counts, x.c.top
 	stamp, val, thresh := x.stamp, x.val, x.thresh
 	rng := &x.rng
 	x.root.DeriveInto(uint64(u), rng)
@@ -755,6 +761,10 @@ func (x *optimizedWorker) unit(u int) {
 		if exists { // lines 8–10
 			counts[k]++
 			wMax = cand.Weight
+			if k < top && !opt.DisableEarlyBreak {
+				examined = k + 1
+				break
+			}
 		}
 	}
 	if x.meter.observe(u, examined, !math.IsInf(wMax, -1)) && x.lead {

@@ -95,7 +95,7 @@ func MCVP(g *bigraph.Graph, opt MCVPOptions) (*Result, error) {
 		}
 		st.Done = trial
 		if meter.observe(trial, 0, hit) {
-			probeEstimate(opt.Probe, 0, int64(st.acc.leadCount), trial, st.acc.leadB, st.acc.leadW)
+			probeEstimate(opt.Probe, 0, float64(st.acc.leadCount)/float64(trial), trial, st.acc.leadB, st.acc.leadW)
 		}
 	}
 	meter.flush(st.Done)

@@ -7,6 +7,7 @@ import (
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
 	"github.com/uncertain-graphs/mpmb/internal/butterfly"
+	"github.com/uncertain-graphs/mpmb/internal/telemetry"
 )
 
 // TestPrepareCandidatesFindsAllLikelyButterflies checks Lemma VI.1
@@ -323,5 +324,30 @@ func TestOLSNoButterflies(t *testing.T) {
 	}
 	if len(res.Estimates) != 0 {
 		t.Fatalf("expected empty result, got %+v", res.Estimates)
+	}
+}
+
+// TestOLSLeaderGaugeMatchesTopClassLeader pins the terminal leader gauge
+// of an ols run led by a member of the heaviest weight class: the gauge
+// reads the Result's P, that member's closed-form Pr[E(B)], not a count
+// over the trials.
+func TestOLSLeaderGaugeMatchesTopClassLeader(t *testing.T) {
+	g := tiesGraph()
+	reg := telemetry.NewRegistry()
+	opt := OLSOptions{PrepTrials: 20, Trials: 150, Seed: 9, Probe: &telemetry.Probe{Reg: reg, Method: "ols"}}
+	res, err := OLS(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands, err := PrepareCandidates(g, opt.PrepTrials, opt.Seed, OSOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lead, top := res.Estimates[0], cands.List[0]
+	if lead.B != top.B || lead.P != top.ExistProb {
+		t.Fatalf("leader %+v, want %v at its Pr[E(B)] %v", lead, top.B, top.ExistProb)
+	}
+	if m := reg.Snapshot(); m.LeaderP != lead.P {
+		t.Fatalf("leader gauge %v, Result leader P %v", m.LeaderP, lead.P)
 	}
 }

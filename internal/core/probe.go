@@ -106,16 +106,15 @@ func probeButterfly(b butterfly.Butterfly) [4]uint32 {
 	return [4]uint32{b.U1, b.U2, b.V1, b.V2}
 }
 
-// probeEstimate publishes the running leader estimate x/n with its
-// Agresti-Coull half-width (the same interval.NormalHalfWidth the
-// supervisor's Epsilon rule uses) as gauges plus an EstimateUpdated
-// event.
-func probeEstimate(p *telemetry.Probe, w int, x int64, n int, b butterfly.Butterfly, weight float64) {
+// probeEstimate publishes the leader estimate pe after n trials with the
+// Agresti-Coull half-width of the count round(pe·n) (the same
+// interval.NormalHalfWidth the supervisor's Epsilon rule uses) as gauges
+// plus an EstimateUpdated event. A proportion c/n recovers c exactly.
+func probeEstimate(p *telemetry.Probe, w int, pe float64, n int, b butterfly.Butterfly, weight float64) {
 	if p == nil || n <= 0 {
 		return
 	}
-	pe := float64(x) / float64(n)
-	hw := interval.NormalHalfWidth(x, n, defaultEpsilonZ)
+	hw := interval.NormalHalfWidth(int64(math.Round(pe*float64(n))), n, defaultEpsilonZ)
 	p.SetLeader(pe, hw)
 	p.Emit(telemetry.Event{
 		Kind: telemetry.EventEstimateUpdated, Worker: w, Trial: n,
@@ -125,9 +124,12 @@ func probeEstimate(p *telemetry.Probe, w int, x int64, n int, b butterfly.Butter
 
 // probeFinish publishes the final leader estimate of a finished (or
 // partial) Result, so the terminal gauges match the Result exactly. The
-// proportion methods recover the leader count by rounding (P = c/n is
-// exact in float64 for any feasible c); ols-kl estimates are not
-// per-trial proportions, so their half-width gauge is reported as 0.
+// half-width comes from the leader count round(P·n), as the supervisor's
+// Epsilon rule reads it. For os and mc-vp, P = c/n, which the rounding
+// recovers exactly (c/n is exact in float64 for any feasible c). An ols
+// leader's P is c/n too unless it is in the heaviest weight class, which
+// ols prices at Pr[E(B)]. ols-kl estimates are not per-trial proportions,
+// so their half-width gauge is reported as 0.
 func probeFinish(p *telemetry.Probe, res *Result) {
 	if p == nil || res == nil || len(res.Estimates) == 0 {
 		return
@@ -145,5 +147,5 @@ func probeFinish(p *telemetry.Probe, res *Result) {
 		})
 		return
 	}
-	probeEstimate(p, 0, int64(math.Round(e.P*float64(n))), n, e.B, e.Weight)
+	probeEstimate(p, 0, e.P, n, e.B, e.Weight)
 }
