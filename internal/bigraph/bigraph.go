@@ -122,19 +122,48 @@ func (b *Builder) Build() *Graph {
 	return newGraph(b.numL, b.numR, edges)
 }
 
+// build finalizes the graph with the Builder's own edge slice, for
+// callers that discard the Builder afterwards: it saves Build's copy of
+// the edge table.
+func (b *Builder) build() *Graph { return newGraph(b.numL, b.numR, b.edges) }
+
+// reserve makes room for one more edge when the edge slice is full and
+// holds fewer than limit edges: it starts at 1<<16 edges and doubles, but
+// never past limit. A parser that knows a vetted declared count grows its
+// builder this way instead of through append, so an honest count leaves
+// no spare capacity for the Graph to keep, and a count that overstates
+// the input costs at most twice the edges actually read, or 2 MiB.
+func (b *Builder) reserve(limit int) {
+	if n := len(b.edges); n == cap(b.edges) && n < limit {
+		edges := make([]Edge, n, min(max(2*n, 1<<16), limit))
+		copy(edges, b.edges)
+		b.edges = edges
+	}
+}
+
 // FromEdges constructs a graph directly from an edge slice, applying the
 // same validation as Builder.AddEdge. The slice is copied.
 func FromEdges(numL, numR int, edges []Edge) (*Graph, error) {
 	b := NewBuilder(numL, numR)
+	b.edges = make([]Edge, 0, len(edges))
 	for _, e := range edges {
 		if err := b.AddEdge(e.U, e.V, e.W, e.P); err != nil {
 			return nil, err
 		}
 	}
-	return b.Build(), nil
+	return b.build(), nil
 }
 
-// newGraph builds the CSR indexes. edges is owned by the new Graph.
+// newGraph builds the CSR indexes. edges is owned by the new Graph and
+// holds no pair twice.
+//
+// Each adjacency row comes out sorted by opposite endpoint, so FindEdge
+// can binary search and iteration order is deterministic regardless of
+// insertion order, without a sort: the edges are first bucketed into
+// right rows in id order; walking the right rows in vertex order then
+// fills every left row in ascending right endpoint, and walking the left
+// rows in vertex order refills every right row in ascending left
+// endpoint.
 func newGraph(numL, numR int, edges []Edge) *Graph {
 	g := &Graph{
 		numL:  numL,
@@ -155,28 +184,30 @@ func newGraph(numL, numR int, edges []Edge) *Graph {
 	}
 	g.lAdj = make([]Half, len(edges))
 	g.rAdj = make([]Half, len(edges))
-	lNext := make([]int32, numL)
-	rNext := make([]int32, numR)
-	copy(lNext, g.lOff[:numL])
-	copy(rNext, g.rOff[:numR])
+	next := make([]int32, max(numL, numR))
+	copy(next, g.rOff[:numR])
 	for id, e := range edges {
-		g.lAdj[lNext[e.U]] = Half{To: e.V, E: EdgeID(id)}
-		lNext[e.U]++
-		g.rAdj[rNext[e.V]] = Half{To: e.U, E: EdgeID(id)}
-		rNext[e.V]++
+		g.rAdj[next[e.V]] = Half{To: e.U, E: EdgeID(id)}
+		next[e.V]++
 	}
-	// Sort each adjacency row by opposite endpoint so FindEdge can binary
-	// search and iteration order is deterministic regardless of insertion
-	// order.
-	for u := 0; u < numL; u++ {
-		row := g.lAdj[g.lOff[u]:g.lOff[u+1]]
-		sort.Slice(row, func(a, b int) bool { return row[a].To < row[b].To })
-	}
-	for v := 0; v < numR; v++ {
-		row := g.rAdj[g.rOff[v]:g.rOff[v+1]]
-		sort.Slice(row, func(a, b int) bool { return row[a].To < row[b].To })
-	}
+	transposeRows(g.lAdj, g.lOff, g.rAdj, g.rOff, next)
+	transposeRows(g.rAdj, g.rOff, g.lAdj, g.lOff, next)
 	return g
+}
+
+// transposeRows fills the CSR rows dst/dstOff from the rows src/srcOff
+// of the other side: walking the source vertices in order, it appends
+// (source vertex, edge) to the row of each neighbour, so every
+// destination row comes out sorted by To. next is scratch of at least
+// len(dstOff)-1 entries.
+func transposeRows(dst []Half, dstOff []int32, src []Half, srcOff []int32, next []int32) {
+	copy(next, dstOff[:len(dstOff)-1])
+	for x := 0; x+1 < len(srcOff); x++ {
+		for _, h := range src[srcOff[x]:srcOff[x+1]] {
+			dst[next[h.To]] = Half{To: VertexID(x), E: h.E}
+			next[h.To]++
+		}
+	}
 }
 
 // FindEdge returns the id of the edge (u, v) if it exists in the backbone
@@ -286,20 +317,58 @@ func (g *Graph) ExpectedSquaredDegreeR(v VertexID) float64 {
 
 // EdgesByWeightDesc returns edge ids sorted by descending weight, breaking
 // ties by ascending id so the order is deterministic. This is the edge
-// ordering of Algorithm 2 line 1.
+// ordering of Algorithm 2 line 1. −0 and +0 tie, as they compare equal.
+//
+// The order comes from a stable LSD radix sort, one byte per pass, over
+// order-preserving uint64 keys (weightKey): the passes start from id
+// order and keep ties in their previous order, so equal weights end in
+// ascending id. A pass is skipped when every key shares its byte.
+// AddEdge rejects NaN and ±Inf, so every key is that of a finite weight.
 func (g *Graph) EdgesByWeightDesc() []EdgeID {
-	ids := make([]EdgeID, len(g.edges))
-	for i := range ids {
-		ids[i] = EdgeID(i)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		wa, wb := g.edges[ids[a]].W, g.edges[ids[b]].W
-		if wa != wb {
-			return wa > wb
+	n := len(g.edges)
+	keys, ids := make([]uint64, n), make([]EdgeID, n)
+	var count [8][256]int
+	for i, e := range g.edges {
+		k := weightKey(e.W)
+		keys[i], ids[i] = k, EdgeID(i)
+		for d := range count {
+			count[d][byte(k>>(8*d))]++
 		}
-		return ids[a] < ids[b]
-	})
+	}
+	keys2, ids2 := make([]uint64, n), make([]EdgeID, n)
+	for d := range count {
+		shift := 8 * d
+		if n == 0 || count[d][byte(keys[0]>>shift)] == n {
+			continue
+		}
+		var next [256]int
+		for b, sum := 0, 0; b < 256; b++ {
+			next[b], sum = sum, sum+count[d][b]
+		}
+		for i, k := range keys {
+			j := &next[byte(k>>shift)]
+			keys2[*j], ids2[*j] = k, ids[i]
+			*j++
+		}
+		keys, keys2 = keys2, keys
+		ids, ids2 = ids2, ids
+	}
 	return ids
+}
+
+// weightKey maps a finite weight to a uint64 that sorts ascending as the
+// weight descends: the bits of a negative weight already grow with its
+// magnitude, and a non-negative weight's bits are inverted below the sign
+// bit. −0 is canonicalized to +0 first, so the two share a key.
+func weightKey(w float64) uint64 {
+	if w == 0 {
+		w = 0
+	}
+	b := math.Float64bits(w)
+	if b>>63 != 0 {
+		return b
+	}
+	return b ^ (1<<63 - 1)
 }
 
 // TopWeightSum returns the sum of the k largest edge weights, or the sum

@@ -1,8 +1,11 @@
 package bigraph
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -258,5 +261,121 @@ func TestFromEdges(t *testing.T) {
 	}
 	if _, err := FromEdges(1, 1, []Edge{{U: 5, V: 0, W: 1, P: 0.5}}); err == nil {
 		t.Fatal("FromEdges accepted an out-of-range edge")
+	}
+}
+
+// weightOrderOracle is the comparison sort EdgesByWeightDesc replaced:
+// weight descending, ties (−0 and +0 among them) by ascending id.
+func weightOrderOracle(g *Graph) []EdgeID {
+	ids := make([]EdgeID, g.NumEdges())
+	for i := range ids {
+		ids[i] = EdgeID(i)
+	}
+	sort.Slice(ids, func(a, b int) bool {
+		wa, wb := g.Edge(ids[a]).W, g.Edge(ids[b]).W
+		if wa != wb {
+			return wa > wb
+		}
+		return ids[a] < ids[b]
+	})
+	return ids
+}
+
+// checkRowsSorted fails unless every CSR row is strictly sorted by
+// opposite endpoint and FindEdge locates every edge through them.
+func checkRowsSorted(t testing.TB, g *Graph) {
+	t.Helper()
+	for u := 0; u < g.NumL(); u++ {
+		row := g.NeighborsL(VertexID(u))
+		for i := 1; i < len(row); i++ {
+			if row[i].To <= row[i-1].To {
+				t.Fatalf("left row %d not strictly sorted: %v", u, row)
+			}
+		}
+	}
+	for v := 0; v < g.NumR(); v++ {
+		row := g.NeighborsR(VertexID(v))
+		for i := 1; i < len(row); i++ {
+			if row[i].To <= row[i-1].To {
+				t.Fatalf("right row %d not strictly sorted: %v", v, row)
+			}
+		}
+	}
+	for id, e := range g.Edges() {
+		if got, ok := g.FindEdge(e.U, e.V); !ok || got != EdgeID(id) {
+			t.Fatalf("FindEdge(%d, %d) = %d, %v; want %d", e.U, e.V, got, ok, id)
+		}
+	}
+}
+
+// TestEdgesByWeightDescMatchesComparator: the radix order equals the
+// comparison sort on weights that stress the key mapping (signed zeros,
+// negatives, the smallest subnormal, huge magnitudes, heavy ties), and
+// every CSR row comes out strictly sorted.
+func TestEdgesByWeightDescMatchesComparator(t *testing.T) {
+	weights := []float64{-2, math.Copysign(0, -1), 0, 0.5, 1, 3, 5e-324, -5e-324, 1e300, -1e300, math.MaxFloat64, -math.MaxFloat64}
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 200; i++ {
+		numL, numR := 1+r.Intn(40), 1+r.Intn(40)
+		b := NewBuilder(numL, numR)
+		for u := 0; u < numL; u++ {
+			for v := 0; v < numR; v++ {
+				if r.Intn(3) == 0 {
+					w := weights[r.Intn(len(weights))]
+					if i%2 == 1 {
+						w = r.NormFloat64() * math.Pow(10, float64(r.Intn(40)-20))
+					}
+					b.MustAddEdge(VertexID(u), VertexID(v), w, 0.5)
+				}
+			}
+		}
+		g := b.Build()
+		if got, want := g.EdgesByWeightDesc(), weightOrderOracle(g); !slices.Equal(got, want) {
+			t.Fatalf("graph %d: radix order %v, comparator order %v", i, got, want)
+		}
+		checkRowsSorted(t, g)
+	}
+}
+
+// TestParsedGraphsKeepNoSpareCapacity: Read, ReadBinary and FromEdges hand
+// their edge slice to the Graph without a copy, so an honest edge count
+// must leave that slice exactly full.
+func TestParsedGraphsKeepNoSpareCapacity(t *testing.T) {
+	g := benchGraph(600, 600, 150000) // past the first doubling step
+	var text, bin bytes.Buffer
+	if err := Write(&text, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteBinary(&bin, g); err != nil {
+		t.Fatal(err)
+	}
+	fromText, err := Read(&text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromBin, err := ReadBinary(&bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromEdges, err := FromEdges(600, 600, g.Edges())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, h := range map[string]*Graph{"Read": fromText, "ReadBinary": fromBin, "FromEdges": fromEdges} {
+		if len(h.Edges()) != 150000 || cap(h.Edges()) != 150000 {
+			t.Errorf("%s: edge slice len %d cap %d, want 150000 and 150000", name, len(h.Edges()), cap(h.Edges()))
+		}
+	}
+	// A header that overstates the input grows the slice by doubling from
+	// 1<<16 edges, never past the declared count.
+	b := NewBuilder(1, 1)
+	var caps []int
+	for range 4 {
+		b.reserve(200000)
+		caps = append(caps, cap(b.edges))
+		b.edges = b.edges[:cap(b.edges)]
+	}
+	if want := []int{1 << 16, 1 << 17, 200000, 200000}; !slices.Equal(caps, want) {
+		t.Fatalf("reserve capacities %v, want %v", caps, want)
 	}
 }

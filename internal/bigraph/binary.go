@@ -99,6 +99,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		v := binary.LittleEndian.Uint32(rec[4:])
 		w := math.Float64frombits(binary.LittleEndian.Uint64(rec[8:]))
 		p := math.Float64frombits(binary.LittleEndian.Uint64(rec[16:]))
+		b.reserve(int(numE))
 		if err := b.AddEdge(u, v, w, p); err != nil {
 			return nil, fmt.Errorf("bigraph: edge %d: %w", i, err)
 		}
@@ -107,7 +108,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if _, err := io.ReadFull(br, tail[:]); err != nil {
 		return nil, fmt.Errorf("bigraph: reading checksum: %w", err)
 	}
-	g := b.Build()
+	g := b.build()
 	if got, want := binary.LittleEndian.Uint32(tail[:]), payloadCRC(g); got != want {
 		return nil, fmt.Errorf("bigraph: checksum mismatch: file %08x, payload %08x", got, want)
 	}

@@ -2,13 +2,15 @@ package bigraph
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // FuzzRead hardens the text parser: arbitrary input must either parse
 // into a graph that re-serializes losslessly or fail cleanly — never
-// panic.
+// panic. A parsed graph must also order its edges as the comparison sort
+// does and keep every CSR row strictly sorted.
 func FuzzRead(f *testing.F) {
 	f.Add("mpmb-bigraph 2 3 1\n0 1 2.5 0.5\n")
 	f.Add("mpmb-bigraph 0 0 0\n")
@@ -40,6 +42,10 @@ func FuzzRead(f *testing.F) {
 		if g2.NumL() != g.NumL() || g2.NumR() != g.NumR() || g2.NumEdges() != g.NumEdges() {
 			t.Fatal("round trip changed dimensions")
 		}
+		if got, want := g.EdgesByWeightDesc(), weightOrderOracle(g); !slices.Equal(got, want) {
+			t.Fatalf("weight order %v, comparator order %v", got, want)
+		}
+		checkRowsSorted(t, g)
 	})
 }
 

@@ -100,16 +100,6 @@ func Read(r io.Reader) (*Graph, error) {
 					lineNo, declared, numL, numR, int64(numL)*int64(numR))
 			}
 			b = NewBuilder(numL, numR)
-			// Preallocate from the vetted declared count, capped so the
-			// allocation stays bounded by actual input rather than by a
-			// header's claim — a lying header costs at most ~2 MiB before
-			// the trailing count check rejects it.
-			if prealloc := declared; prealloc > 0 {
-				if prealloc > 1<<16 {
-					prealloc = 1 << 16
-				}
-				b.edges = make([]Edge, 0, prealloc)
-			}
 			continue
 		}
 		if len(fields) != 4 {
@@ -131,6 +121,9 @@ func Read(r io.Reader) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bigraph: line %d: bad probability %q: %v", lineNo, fields[3], err)
 		}
+		// Grow toward the vetted declared count, so the allocation stays
+		// bounded by actual input rather than by a header's claim.
+		b.reserve(declared)
 		if err := b.AddEdge(VertexID(u), VertexID(v), w, p); err != nil {
 			return nil, fmt.Errorf("bigraph: line %d: %w", lineNo, err)
 		}
@@ -144,7 +137,7 @@ func Read(r io.Reader) (*Graph, error) {
 	if b.NumEdges() != declared {
 		return nil, fmt.Errorf("bigraph: header declares %d edges but file contains %d", declared, b.NumEdges())
 	}
-	return b.Build(), nil
+	return b.build(), nil
 }
 
 // Load reads a graph from the named file, auto-detecting the text or

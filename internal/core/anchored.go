@@ -121,6 +121,7 @@ func anchoredEdges(g *bigraph.Graph, a Anchor) []bigraph.EdgeID {
 	}
 	cnt := make([]int32, n)
 	wedgeCount(x, nbr, opp, cnt)
+	cnt[x] = 0 // x is no partner of its own
 	if a.Kind == AnchorEdge {
 		adj := make([]int32, n)
 		for _, h := range g.NeighborsR(a.V) {

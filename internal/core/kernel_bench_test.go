@@ -31,6 +31,35 @@ func benchGraph() *bigraph.Graph {
 	return b.Build()
 }
 
+// BenchmarkSnapshotBuild times one global snapshot build
+// (newEdgeSnapshot: the weight order, the layout, the butterfly-membership
+// pass and the kernel tables), the set-up a new graph pays once. "bench"
+// is the kernel corpus above; "dense" is a 400×400 graph at 40% density
+// with continuous weights, where the membership pass's Σd² wedge work
+// dominates.
+func BenchmarkSnapshotBuild(b *testing.B) {
+	r := rand.New(rand.NewSource(1013))
+	dense := bigraph.NewBuilder(400, 400)
+	for u := 0; u < 400; u++ {
+		for v := 0; v < 400; v++ {
+			if r.Float64() < 0.4 {
+				dense.MustAddEdge(bigraph.VertexID(u), bigraph.VertexID(v), r.Float64()*10, 0.05+0.9*r.Float64())
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		g    *bigraph.Graph
+	}{{"bench", benchGraph()}, {"dense", dense.Build()}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				newEdgeSnapshot(c.g)
+			}
+		})
+	}
+}
+
 // BenchmarkOSKernelTrial times one flat-kernel Ordering Sampling trial.
 // This is the headline number of the benchmark trajectory; compare it
 // against BenchmarkOSReferenceTrial for the kernel-vs-seed speedup.

@@ -1,8 +1,9 @@
 package core
 
 import (
-	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
 	"github.com/uncertain-graphs/mpmb/internal/randx"
@@ -36,9 +37,10 @@ const (
 //
 // The snapshot is immutable after snapshotFor returns and is shared by
 // every kernel over the same graph (see snapshotFor): it additionally
-// precomputes, from per-edge butterfly support counts, the
-// batched-RNG draw schedule (admitTh, wordOf, ndraws) and the
-// support-sharpened prune budgets (wBarS, wBar2S).
+// precomputes, from one butterfly-membership bit per edge (does the edge
+// lie on any backbone butterfly?), the batched-RNG draw schedule
+// (admitTh, wordOf, ndraws) and the support-sharpened prune budgets
+// (wBarS, wBar2S).
 type edgeSnapshot struct {
 	w      []float64          // edge weight, descending
 	prt    []bigraph.VertexID // pairing endpoint (outer side of the angle)
@@ -87,14 +89,13 @@ type edgeSnapshot struct {
 	// p >= 1 maps to 2^53 (word>>11 <= 2^53-1 < 2^53 is always true),
 	// and p in (0, 1) keeps its BernoulliThreshold in [1, 2^53].
 	//
-	// An edge's support is the exact number of backbone butterflies
-	// (4-cycles) containing it, counted once at build in the
-	// wing-decomposition style (edgeSupport: wedge counts from the cheaper
-	// side; cf. ParButterfly's wing ordering). An edge with support 0 lies
-	// on no backbone butterfly, so no possible world can materialize a
-	// butterfly through it: the kernel never admits it, though the edge
-	// still consumes its Bernoulli draw so the word schedule of every later
-	// edge is unchanged.
+	// An edge has support when it lies on at least one backbone butterfly
+	// (4-cycle), decided once at build from wedge counts on the cheaper
+	// side (butterflyEdges; cf. ParButterfly's wing ordering). A
+	// support-0 edge lies on no backbone butterfly, so no possible world
+	// can materialize a butterfly through it: the kernel never admits it,
+	// though the edge still consumes its Bernoulli draw so the word
+	// schedule of every later edge is unchanged.
 	admitTh []uint64
 
 	// wordOf[i] is the index, within position i's rngBlock-wide block, of
@@ -160,10 +161,10 @@ func newEdgeSnapshot(g *bigraph.Graph) *edgeSnapshot {
 	s := layoutSnapshot(g, g.EdgesByWeightDesc(), workL < workR)
 	n := s.numEdges()
 
-	// Per-edge butterfly support, then the support-dependent kernel
+	// Per-edge butterfly membership, then the support-dependent kernel
 	// tables: normalized admission thresholds, the block draw schedule,
 	// and the sharpened prune budgets.
-	sup := edgeSupport(g)
+	on := butterflyEdges(g, runtime.GOMAXPROCS(0))
 	s.admitTh = make([]uint64, n)
 	s.wordOf = make([]uint8, n)
 	s.ndraws = make([]uint8, (n+rngBlock-1)/rngBlock)
@@ -179,7 +180,7 @@ func newEdgeSnapshot(g *bigraph.Graph) *edgeSnapshot {
 		}
 		s.ndraws[i>>rngBlockShift] = draws
 		switch {
-		case sup[s.id[i]] == 0 || th == randx.BernoulliNever:
+		case !on[s.id[i]] || th == randx.BernoulliNever:
 			s.admitTh[i] = 0
 		case th == randx.BernoulliAlways:
 			s.admitTh[i] = 1 << 53
@@ -193,7 +194,7 @@ func newEdgeSnapshot(g *bigraph.Graph) *edgeSnapshot {
 	var top [3]float64
 	found := 0
 	for i := 0; i < n && found < 3; i++ {
-		if sup[s.id[i]] > 0 {
+		if on[s.id[i]] {
 			top[found] = s.w[i]
 			found++
 		}
@@ -259,19 +260,32 @@ func layoutSnapshot(g *bigraph.Graph, ids []bigraph.EdgeID, flip bool) *edgeSnap
 // numEdges returns the snapshot length.
 func (s *edgeSnapshot) numEdges() int { return len(s.id) }
 
-// edgeSupport counts, for every backbone edge, the backbone butterflies
-// (4-cycles) containing it. The count is exact; values saturate at
-// MaxInt32.
+// butterflyEdges reports, for every backbone edge, whether it lies on at
+// least one backbone butterfly (4-cycle).
 //
-// The algorithm is the wedge-counting discipline of wing decomposition
-// (ParButterfly): fix a center vertex x on one side; wedgeCount tallies
-// cnt[y] = |N(x) ∩ N(y)| for every same-side vertex y; a second pass then
-// charges each edge (x, m) with Σ_{y ∈ N(m), y ≠ x} (cnt[y] − 1) — the
-// number of butterflies {x, y, m, m'} through (x, m). Total work is Σ over
-// the opposite side's degrees squared, so the center side is chosen to
+// It follows the wedge-counting discipline of wing decomposition
+// (ParButterfly), but needs no count: fix a center vertex x on one side;
+// wedgeCount tallies cnt[y] = |N(x) ∩ N(y)| for every same-side vertex y;
+// the edge (x, m) then lies on a butterfly {x, y, m, m'} exactly when some
+// y ∈ N(m), y ≠ x, shares a second middle m' with x, so the scan of N(m)
+// stops at the first y with cnt[y] ≥ 2. Total work is at most Σ over the
+// opposite side's degrees squared, so the center side is chosen to
 // minimize it (the same side-selection rule wing decomposition uses).
-func edgeSupport(g *bigraph.Graph) []int32 {
-	sup := make([]int32, g.NumEdges())
+//
+// The counts are then re-zeroed for the next center, at no more than the
+// cost of counting: a center with at least n/8 wedges clears the whole
+// array (a memclr of n counts), a lighter one walks its wedges again to
+// zero just the counts they touched. Tracking the touched vertices inside
+// the count loop instead made it about twice as slow on the protein
+// analogue.
+//
+// Centers are split over at most workers goroutines, and over no more
+// than |E| / |center side|, so their count arrays together stay within the
+// graph's own size. Every edge has exactly one endpoint on the center side
+// and is written only by the goroutine that owns that center, so the
+// result does not depend on the worker count.
+func butterflyEdges(g *bigraph.Graph, workers int) []bool {
+	on := make([]bool, g.NumEdges())
 	var sumL2, sumR2 int64
 	for u := 0; u < g.NumL(); u++ {
 		d := int64(g.DegreeL(bigraph.VertexID(u)))
@@ -287,54 +301,68 @@ func edgeSupport(g *bigraph.Graph) []int32 {
 	if sumR2 > sumL2 {
 		nbr, opp, n = g.NeighborsR, g.NeighborsL, g.NumR()
 	}
-	cnt := make([]int32, n)
-	for c := 0; c < n; c++ {
-		x := bigraph.VertexID(c)
-		wedgeCount(x, nbr, opp, cnt)
-		for _, h := range nbr(x) {
-			var k int64
-			for _, h2 := range opp(h.To) {
-				if h2.To != x {
-					k += int64(cnt[h2.To] - 1)
+	workers = max(1, min(workers, g.NumEdges()/max(n, 1)))
+	const chunk = 64 // centers claimed at a time
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cnt := make([]int32, n)
+			for lo := int(next.Add(chunk)) - chunk; lo < n; lo = int(next.Add(chunk)) - chunk {
+				for c := lo; c < min(lo+chunk, n); c++ {
+					x := bigraph.VertexID(c)
+					if len(nbr(x)) < 2 {
+						continue // a butterfly needs two middles
+					}
+					wedgeCount(x, nbr, opp, cnt)
+					wedges := 0
+					for _, h := range nbr(x) {
+						row := opp(h.To)
+						wedges += len(row)
+						for _, h2 := range row {
+							if cnt[h2.To] >= 2 && h2.To != x {
+								on[h.E] = true
+								break
+							}
+						}
+					}
+					if wedges >= n/8 {
+						clear(cnt)
+						continue
+					}
+					for _, h := range nbr(x) {
+						for _, h2 := range opp(h.To) {
+							cnt[h2.To] = 0
+						}
+					}
 				}
 			}
-			sup[h.E] = satInt32(k)
-		}
-		for _, h := range nbr(x) {
-			for _, h2 := range opp(h.To) {
-				cnt[h2.To] = 0
-			}
-		}
+		}()
 	}
-	return sup
+	wg.Wait()
+	return on
 }
 
-// wedgeCount adds one to cnt[y] per wedge (x, m, y) with y ≠ x, which on
-// zeroed counts leaves cnt[y] = |N(x) ∩ N(y)|. nbr lists the adjacency
-// of x's side and opp that of the other side.
+// wedgeCount adds one to cnt[y] per wedge (x, m, y), which on zeroed
+// counts leaves cnt[y] = |N(x) ∩ N(y)| for every y ≠ x; cnt[x] gains
+// deg(x), since skipping x would cost a branch per wedge. nbr lists the
+// adjacency of x's side and opp that of the other side.
 func wedgeCount(x bigraph.VertexID, nbr, opp func(bigraph.VertexID) []bigraph.Half, cnt []int32) {
 	for _, h := range nbr(x) {
 		for _, h2 := range opp(h.To) {
-			if h2.To != x {
-				cnt[h2.To]++
-			}
+			cnt[h2.To]++
 		}
 	}
-}
-
-func satInt32(v int64) int32 {
-	if v > math.MaxInt32 {
-		return math.MaxInt32
-	}
-	return int32(v)
 }
 
 // snapCache memoizes snapshots per graph, keyed by graph identity
 // (graphs are immutable). Capacity is small — the cache exists so
 // repeated runs, parallel workers and pooled service jobs over the same
-// few graphs stop rebuilding ~1MB of SoA tables plus the support counts
-// per kernel — and old entries fall off the MRU tail, so at most
-// snapCacheCap graphs are kept alive by it.
+// few graphs stop rebuilding ~1MB of SoA tables plus the butterfly
+// membership pass per kernel — and old entries fall off the MRU tail, so
+// at most snapCacheCap graphs are kept alive by it.
 const snapCacheCap = 4
 
 var snapCache struct {
@@ -348,7 +376,7 @@ type snapCacheEntry struct {
 }
 
 // snapshotFor returns the snapshot for g, building it on the first
-// request. Building (layout and support counting) happens outside the
+// request. Building (layout and the membership pass) happens outside the
 // cache lock, so concurrent first requests for the same graph may build
 // duplicates — each interchangeable; one of them wins the cache slot.
 func snapshotFor(g *bigraph.Graph) *edgeSnapshot {

@@ -1,18 +1,21 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
 	"github.com/uncertain-graphs/mpmb/internal/butterfly"
 )
 
-// TestEdgeSupportMatchesBruteForce: edgeSupport must equal, for every
-// edge, the number of backbone butterflies listed by butterfly.AllBackbone
-// that contain it. Every other graph is transposed, so the cheaper wedge
-// side — the one the count centers on — is the left side in some graphs
-// and the right side in others.
+// TestEdgeSupportMatchesBruteForce: butterflyEdges must mark, for every
+// edge, whether any backbone butterfly listed by butterfly.AllBackbone
+// contains it, at every worker count. Every other graph is transposed, so
+// the cheaper wedge side — the one the pass centers on — is the left side
+// in some graphs and the right side in others.
 func TestEdgeSupportMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	var leftCenters, rightCenters int
@@ -50,14 +53,123 @@ func TestEdgeSupportMatchesBruteForce(t *testing.T) {
 				want[id]++
 			}
 		}
-		got := edgeSupport(g)
-		for id := range want {
-			if got[id] != want[id] {
-				t.Fatalf("graph %d (%dx%d) edge %d: support %d, want %d", i, numL, numR, id, got[id], want[id])
+		for _, workers := range []int{1, 2, 3, 8} {
+			got := butterflyEdges(g, workers)
+			for id := range want {
+				if got[id] != (want[id] > 0) {
+					t.Fatalf("graph %d (%dx%d) edge %d, %d workers: on a butterfly = %v, want support %d > 0",
+						i, numL, numR, id, workers, got[id], want[id])
+				}
 			}
 		}
 	}
 	if leftCenters == 0 || rightCenters == 0 {
 		t.Fatalf("centers: %d graphs on the left, %d on the right; want both sides", leftCenters, rightCenters)
 	}
+}
+
+// TestButterflyEdgesSparseCenters covers the other reset path of
+// butterflyEdges: on a graph of 150 small disjoint blocks, every center's
+// few wedges touch far fewer than n/8 counts, so each center re-zeroes
+// its counts by walking its wedges again instead of clearing the array.
+// A count left behind would mark edges of later centers wrongly.
+func TestButterflyEdgesSparseCenters(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	const blocks, side = 150, 3
+	b := bigraph.NewBuilder(blocks*side, blocks*side)
+	for k := 0; k < blocks; k++ {
+		for u := 0; u < side; u++ {
+			for v := 0; v < side; v++ {
+				if r.Intn(2) == 0 {
+					b.MustAddEdge(bigraph.VertexID(k*side+u), bigraph.VertexID(k*side+v), 1, 0.5)
+				}
+			}
+		}
+	}
+	g := b.Build()
+	want := make([]bool, g.NumEdges())
+	for _, bw := range butterfly.AllBackbone(g) {
+		ids, _ := bw.B.EdgeIDs(g)
+		for _, id := range ids {
+			want[id] = true
+		}
+	}
+	for _, workers := range []int{1, 3} {
+		if got := butterflyEdges(g, workers); !slices.Equal(got, want) {
+			t.Fatalf("%d workers: membership differs from butterfly.AllBackbone", workers)
+		}
+	}
+}
+
+// FuzzButterflyEdges decodes a graph of at most 6×6 from the fuzz bytes —
+// weights from a set that stresses the weight order (signed zeros,
+// negatives, the smallest subnormal, a huge value), probabilities from
+// probGrid — and checks the set-up tables against brute force:
+// butterflyEdges on 1 and 3 workers against butterfly.AllBackbone, and
+// the snapshot's order, admission and support-sharpened budgets against
+// the comparison sort and the listed butterflies.
+func FuzzButterflyEdges(f *testing.F) {
+	f.Add([]byte{5, 5, 1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31})
+	f.Add([]byte{2, 5, 255, 254, 253, 252, 251, 250, 249, 248, 247, 246, 245, 244})
+	f.Add([]byte{0, 0, 1, 1})
+	weights := []float64{-2, math.Copysign(0, -1), 0, 0.5, 1, 3, 5e-324, 1e300}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) < 2 {
+			t.Skip()
+		}
+		numL, numR := 1+int(raw[0])%6, 1+int(raw[1])%6
+		b := bigraph.NewBuilder(numL, numR)
+		for slot, by := range raw[2:min(len(raw), 2+numL*numR)] {
+			if by&1 == 0 {
+				continue
+			}
+			b.MustAddEdge(bigraph.VertexID(slot%numL), bigraph.VertexID(slot/numL),
+				weights[by>>1&7], probGrid[int(by>>4)%len(probGrid)])
+		}
+		g := b.Build()
+
+		want := make([]bool, g.NumEdges())
+		for _, bw := range butterfly.AllBackbone(g) {
+			ids, _ := bw.B.EdgeIDs(g)
+			for _, id := range ids {
+				want[id] = true
+			}
+		}
+		for _, workers := range []int{1, 3} {
+			if got := butterflyEdges(g, workers); !slices.Equal(got, want) {
+				t.Fatalf("%d workers: membership %v, want %v", workers, got, want)
+			}
+		}
+
+		order := make([]bigraph.EdgeID, g.NumEdges())
+		for i := range order {
+			order[i] = bigraph.EdgeID(i)
+		}
+		sort.Slice(order, func(a, b int) bool {
+			wa, wb := g.Edge(order[a]).W, g.Edge(order[b]).W
+			if wa != wb {
+				return wa > wb
+			}
+			return order[a] < order[b]
+		})
+		s := newEdgeSnapshot(g)
+		if !slices.Equal(s.id, order) {
+			t.Fatalf("snapshot order %v, comparator order %v", s.id, order)
+		}
+		var top [3]float64
+		found := 0
+		for i, id := range order {
+			if !want[id] && s.admitTh[i] != 0 {
+				t.Fatalf("edge %d lies on no butterfly but admits at threshold %d", id, s.admitTh[i])
+			}
+			if want[id] && found < 3 {
+				top[found] = g.Edge(id).W
+				found++
+			}
+		}
+		if s.barren != (found == 0) || s.wBarS != top[0]+top[1]+top[2] || s.wBar2S != top[0]+top[1] {
+			t.Fatalf("barren %v, budgets %v/%v; want %v, %v/%v",
+				s.barren, s.wBarS, s.wBar2S, found == 0, top[0]+top[1]+top[2], top[0]+top[1])
+		}
+	})
 }
