@@ -49,14 +49,16 @@ microbench:
 # Brief fuzzing sessions, 10 s each, over the targets CI's fuzz smoke
 # steps run: the checkpoint decoder, butterfly tally, trial kernel and
 # optimized estimator (both against the frozen seed), the snapshot's
-# set-up tables (against brute force), the dist wire decoder and merge,
-# and both graph parsers.
+# set-up tables (against brute force), the pair-credited tally (against
+# listing every maximum set), the dist wire decoder and merge, and both
+# graph parsers.
 FUZZ_TARGETS := \
 	./internal/core/:FuzzCheckpointDecode \
 	./internal/core/:FuzzTally \
 	./internal/core/:FuzzKernelVsSeed \
 	./internal/core/:FuzzOptimizedVsSeed \
 	./internal/core/:FuzzButterflyEdges \
+	./internal/core/:FuzzPairCredit \
 	./internal/dist/:FuzzLeaseDecode \
 	./internal/dist/:FuzzCheckpointMerge \
 	./internal/bigraph/:FuzzRead \

@@ -117,6 +117,30 @@ func TestOSParallelLowAllocs(t *testing.T) {
 	}
 }
 
+// TestOSTieParallelLowAllocs is TestOSParallelLowAllocs on the
+// tie-heavy fixture, where most of a trial's maximum set is credited by
+// endpoint pair: the pair tally's scratch is pooled with the kernel, so a
+// warm run allocates its orchestration and the second worker's butterfly
+// tally, not per trial (about 0.03 per trial). The run is long because
+// the race detector makes sync.Pool drop a share of released kernels, and
+// a rebuilt kernel re-warms its angle pool on this graph with a few
+// hundred allocations.
+func TestOSTieParallelLowAllocs(t *testing.T) {
+	g := tieGraph()
+	const trials, workers = 2048, 2
+	run := func() {
+		if _, err := OSParallel(g, OSOptions{Trials: trials, Seed: 35}, workers); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm: build the snapshot, pool the kernels and their pair tallies
+	allocs := testing.AllocsPerRun(10, run)
+	if perTrial := allocs / trials; perTrial >= 0.5 {
+		t.Fatalf("parallel OS on a tie-heavy graph allocates %.0f per run of %d trials (%.3f per trial), want under 0.5 per trial",
+			allocs, trials, perTrial)
+	}
+}
+
 // TestOptimizedEstimatorTrialZeroAllocs measures the optimized
 // estimator's marginal cost per trial: two runs differing by exactly
 // extraTrials trials must allocate the same amount, i.e. everything the

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
@@ -116,11 +118,11 @@ func NewCandidates(g *bigraph.Graph, hits map[butterfly.Butterfly]int) (*Candida
 		}
 		list = append(list, Candidate{B: b, Weight: w, ExistProb: pr, Edges: ids, Hits: h})
 	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].Weight != list[j].Weight {
-			return list[i].Weight > list[j].Weight
+	slices.SortFunc(list, func(a, b Candidate) int {
+		if c := cmp.Compare(b.Weight, a.Weight); c != 0 {
+			return c
 		}
-		return lessButterfly(list[i].B, list[j].B)
+		return cmpButterfly(a.B, b.B)
 	})
 	top := sort.Search(len(list), func(i int) bool { return list[i].Weight < list[0].Weight })
 	return &Candidates{G: g, List: list, top: top}, nil
@@ -149,7 +151,7 @@ func (c *Candidates) prepCheckpoint(run Checkpoint) *Checkpoint {
 	for _, cand := range c.List {
 		counts = append(counts, ButterflyCount{B: cand.B, Count: int64(cand.Hits), Weight: cand.Weight})
 	}
-	sort.Slice(counts, func(i, j int) bool { return lessButterfly(counts[i].B, counts[j].B) })
+	slices.SortFunc(counts, func(a, b ButterflyCount) int { return cmpButterfly(a.B, b.B) })
 	run.Prepare = true
 	return (&ExecResult{Done: c.PrepDone, Payload: Payload{Counts: counts}}).checkpoint(run, c.G)
 }

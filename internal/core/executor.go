@@ -588,6 +588,15 @@ func osSnapshot(job *ExecJob) (*edgeSnapshot, error) {
 // osWorker runs ExecOS units: Ordering Sampling world trials on a pooled
 // snapshot kernel. Each worker reuses one kernel for every trial it
 // claims, so the steady-state per-trial cost is the kernel scan alone.
+//
+// Worker 0 tallies into the job state; the others keep private tallies
+// that finish merges into it once the workers join. Unless it announces
+// promotions, a worker credits the large top classes of its trials by
+// endpoint pair (pairTally), every pairWindow of its trials and at
+// finish: a claimed chunk always runs to its end, so the job state holds
+// the exact completed prefix once every worker has finished. A
+// one-worker run flushes the pair tally before it publishes the running
+// leader, so every published leader count is exact.
 type osWorker struct {
 	job   *ExecJob
 	out   *ExecResult
@@ -611,7 +620,7 @@ func newOSWorker(job *ExecJob, out *ExecResult, snap *edgeSnapshot, w int, singl
 	// same graph the ~1MB per-kernel scratch is reused instead of
 	// reallocated.
 	x := &osWorker{job: job, out: out, root: randx.New(job.Seed), idx: snap.kernel(job.Graph, job.OS), acc: out.acc}
-	if !single {
+	if w > 0 {
 		x.acc = newProbAccumulator()
 	}
 	x.meter = newTrialMeter(job.Probe, w, snap.numEdges(), false)
@@ -619,6 +628,7 @@ func newOSWorker(job *ExecJob, out *ExecResult, snap *edgeSnapshot, w int, singl
 		x.lead = job.Probe.Phase != telemetry.PhasePrep
 		x.promote = !x.lead
 	}
+	x.idx.pairs.on = !x.promote
 	return x
 }
 
@@ -630,6 +640,9 @@ func (x *osWorker) unit(u int) {
 		x.creditPromoting(u)
 	case hit:
 		x.acc.addMaxSet(&x.sMB)
+	}
+	if x.idx.pairs.endTrial(x.acc) {
+		hit = true
 	}
 	if x.meter.observe(u, scanned, hit) && x.lead {
 		probeEstimate(x.job.Probe, 0, float64(x.acc.leadCount)/float64(u), u, x.acc.leadB, x.acc.leadW)
@@ -655,6 +668,7 @@ func (x *osWorker) flush(hi int) { x.meter.flush(hi) }
 
 func (x *osWorker) finish(done int) {
 	x.meter.flush(done)
+	x.idx.pairs.flush(x.acc)
 	if x.acc != x.out.acc {
 		x.out.acc.merge(x.acc)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -130,6 +131,24 @@ func BenchmarkOSParallelRun(b *testing.B) {
 		if _, err := OSParallel(g, OSOptions{Trials: 200, Seed: 42}, 0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkOSTieJob times a 256-trial ExecOS job on the tie-heavy
+// fixture, on one and two workers: the kernel scan plus crediting each
+// trial's maximum set, most of it by endpoint pair, and the join. The
+// corpus above has few ties, so no other benchmark times the credit path.
+func BenchmarkOSTieJob(b *testing.B) {
+	g := tieGraph()
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := execute(nil, workers, &ExecJob{Kind: ExecOS, Graph: g, Seed: 42, Units: 256}, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -211,6 +211,13 @@ type osIndex struct {
 	// alias a later generation.
 	maxList []int32
 	maxGen  uint64
+
+	// pairs, when on, takes the top angle classes of at least pairMinMids
+	// middles that reach w_max on their own: materializeList records them
+	// there instead of listing their butterflies into S_MB. Only osWorker
+	// turns it on; OSOnWorld, supervisor audits and the bench harness read
+	// the whole S_MB.
+	pairs pairTally
 }
 
 // angleEntry is one endpoint pair's angle bookkeeping: the largest (w1,
@@ -252,6 +259,7 @@ func newOSIndexFromSnapshot(g *bigraph.Graph, opt OSOptions, snap *edgeSnapshot)
 		live:     make([]liveMeta, len(snap.liveOff)-1),
 		liveCur:  1,
 		tab:      newAngleTable(minAngleTableCap),
+		pairs:    pairTally{flip: snap.flip},
 	}
 	x.tab.tok = snap.tok // Zobrist pair hashing, shared with the inlined probe
 	return x
@@ -272,9 +280,11 @@ func (s *edgeSnapshot) kernel(g *bigraph.Graph, opt OSOptions) *osIndex {
 
 // releaseKernel returns a kernel obtained from edgeSnapshot.kernel to its
 // snapshot's pool. The options are cleared so a pooled kernel does not
-// retain a caller's Interrupt or Probe beyond its run.
+// retain a caller's Interrupt or Probe beyond its run, and the pair tally
+// is turned off so the next user reads whole maximum sets.
 func releaseKernel(x *osIndex) {
 	x.opt = OSOptions{}
+	x.pairs.on = false
 	x.snap.kernels.Put(x)
 }
 
@@ -724,17 +734,21 @@ func (x *osIndex) admitEdge(i int, wMax float64) float64 {
 	return wMax
 }
 
-// emit adds one maximum butterfly, mapping the kernel's pair/middle roles
-// back to the graph's left/right sides: the pair vertices are left and
-// the middles right unless the snapshot flipped the center side.
-// butterfly.New canonicalizes within each side, so the emitted butterfly
-// is identical to the unflipped (seed/oracle) orientation.
-func (x *osIndex) emit(sMB *butterfly.MaxSet, ent *angleEntry, m1, m2 bigraph.VertexID, w float64) {
-	if x.snap.flip {
-		sMB.Add(butterfly.New(m1, m2, ent.u1, ent.u2), w)
-		return
+// orient maps the kernel's pair/middle roles back to the graph's
+// left/right sides: the pair vertices are left and the middles right
+// unless the snapshot flipped the center side. butterfly.New canonicalizes
+// within each side, so the butterfly is identical to the unflipped
+// (seed/oracle) orientation.
+func orient(flip bool, u1, u2, m1, m2 bigraph.VertexID) butterfly.Butterfly {
+	if flip {
+		return butterfly.New(m1, m2, u1, u2)
 	}
-	sMB.Add(butterfly.New(ent.u1, ent.u2, m1, m2), w)
+	return butterfly.New(u1, u2, m1, m2)
+}
+
+// emit adds one maximum butterfly of ent's endpoint pair.
+func (x *osIndex) emit(sMB *butterfly.MaxSet, ent *angleEntry, m1, m2 bigraph.VertexID, w float64) {
+	sMB.Add(orient(x.snap.flip, ent.u1, ent.u2, m1, m2), w)
 }
 
 // materializeList emits the butterflies of weight w_max from the
@@ -744,7 +758,9 @@ func (x *osIndex) emit(sMB *butterfly.MaxSet, ent *angleEntry, m1, m2 bigraph.Ve
 // the running maximum; the list is cleared whenever the maximum rises, so
 // no stale entry survives). Emission per entry is identical to
 // materialize, so the butterflies come out in the same order as the
-// seed's pool walk.
+// seed's pool walk. With the pair tally on, a top class of at least
+// pairMinMids middles that reaches w_max on its own is recorded there
+// instead, and S_MB holds the rest.
 func (x *osIndex) materializeList(sMB *butterfly.MaxSet, wMax float64) {
 	if math.IsInf(wMax, -1) {
 		return // no butterfly in this world
@@ -753,6 +769,10 @@ func (x *osIndex) materializeList(sMB *butterfly.MaxSet, wMax float64) {
 		ent := &x.pool[ei]
 		switch {
 		case len(ent.mids1) >= 2 && 2*ent.w1 == wMax: // line 16
+			if x.pairs.on && len(ent.mids1) >= pairMinMids {
+				x.pairs.record(ent)
+				continue
+			}
 			for a := 0; a < len(ent.mids1); a++ {
 				for b := a + 1; b < len(ent.mids1); b++ {
 					x.emit(sMB, ent, ent.mids1[a], ent.mids1[b], wMax)

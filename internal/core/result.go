@@ -7,8 +7,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/uncertain-graphs/mpmb/internal/butterfly"
 	"github.com/uncertain-graphs/mpmb/internal/telemetry"
@@ -74,30 +75,26 @@ type Result struct {
 
 // sortEstimates establishes the canonical result order.
 func sortEstimates(es []Estimate) {
-	sort.Slice(es, func(i, j int) bool {
-		a, b := es[i], es[j]
-		if a.P != b.P {
-			return a.P > b.P
+	slices.SortFunc(es, func(a, b Estimate) int {
+		if c := cmp.Compare(b.P, a.P); c != 0 {
+			return c
 		}
-		if a.Weight != b.Weight {
-			return a.Weight > b.Weight
+		if c := cmp.Compare(b.Weight, a.Weight); c != 0 {
+			return c
 		}
-		return lessButterfly(a.B, b.B)
+		return cmpButterfly(a.B, b.B)
 	})
 }
 
-func lessButterfly(a, b butterfly.Butterfly) bool {
-	if a.U1 != b.U1 {
-		return a.U1 < b.U1
+// cmpButterfly orders butterflies canonically: by U1, U2, V1, then V2.
+func cmpButterfly(a, b butterfly.Butterfly) int {
+	if c := cmp.Compare(uint64(a.U1)<<32|uint64(a.U2), uint64(b.U1)<<32|uint64(b.U2)); c != 0 {
+		return c
 	}
-	if a.U2 != b.U2 {
-		return a.U2 < b.U2
-	}
-	if a.V1 != b.V1 {
-		return a.V1 < b.V1
-	}
-	return a.V2 < b.V2
+	return cmp.Compare(uint64(a.V1)<<32|uint64(a.V2), uint64(b.V1)<<32|uint64(b.V2))
 }
+
+func lessButterfly(a, b butterfly.Butterfly) bool { return cmpButterfly(a, b) < 0 }
 
 // Best returns the most probable maximum weighted butterfly, i.e. the
 // MPMB answer (Definition 5). ok is false when the graph admitted no
@@ -213,8 +210,10 @@ func (r *Result) Lookup(b butterfly.Butterfly) (Estimate, bool) {
 // power-of-two capacity, linear probing, growth at 3/4 load, and each
 // butterfly's count and weight inline in its slot, so a credit is one
 // probe walk and no allocation. On tie-heavy graphs S_MB holds thousands
-// of butterflies per trial, and crediting them is the hot path beside
-// the trial kernel (docs/ALGORITHMS.md, "The butterfly tally").
+// of butterflies per trial, so an OS worker credits the large top classes
+// by endpoint pair instead (pairTally): one credit per butterfly for
+// every 64 worker trials, carrying the count of those that listed it
+// (docs/ALGORITHMS.md, "The butterfly tally").
 type probAccumulator struct {
 	slots []tallySlot // nil until the first credit
 	mask  uint64
@@ -344,7 +343,7 @@ func (a *probAccumulator) snapshot() []ButterflyCount {
 			out = append(out, ButterflyCount{B: s.b, Count: int64(s.count()), Weight: s.w})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return lessButterfly(out[i].B, out[j].B) })
+	slices.SortFunc(out, func(x, y ButterflyCount) int { return cmpButterfly(x.B, y.B) })
 	return out
 }
 
