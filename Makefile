@@ -50,8 +50,9 @@ microbench:
 # steps run: the checkpoint decoder, butterfly tally, trial kernel and
 # optimized estimator (both against the frozen seed), the snapshot's
 # set-up tables (against brute force), the pair-credited tally (against
-# listing every maximum set), the dist wire decoder and merge, and both
-# graph parsers.
+# listing every maximum set), the gathered anchored snapshot (against a
+# brute-force layout), the dist wire decoder and merge, and both graph
+# parsers.
 FUZZ_TARGETS := \
 	./internal/core/:FuzzCheckpointDecode \
 	./internal/core/:FuzzTally \
@@ -59,6 +60,7 @@ FUZZ_TARGETS := \
 	./internal/core/:FuzzOptimizedVsSeed \
 	./internal/core/:FuzzButterflyEdges \
 	./internal/core/:FuzzPairCredit \
+	./internal/core/:FuzzAnchoredSnapshot \
 	./internal/dist/:FuzzLeaseDecode \
 	./internal/dist/:FuzzCheckpointMerge \
 	./internal/bigraph/:FuzzRead \

@@ -288,11 +288,13 @@ func RunPerfCorpusAnchor(corpus PerfCorpus, rounds int, anchor *core.Anchor) (*P
 	rep.Entries = append(rep.Entries,
 		entryFromResult("optimized_estimator", optRes, perfEstimatorTrials))
 
-	// anchored_os: a whole anchored run, amortized per trial. It builds
+	// anchored_os: a whole anchored run, amortized per trial. It gathers
 	// the anchor's snapshot — only the edges of the butterflies through
-	// the anchor — and runs the OS kernel's per-position loop over it, so
-	// its ns/trial against os_kernel quantifies the locality win of the
-	// anchored query path.
+	// the anchor — from the corpus's cached global snapshot and runs the
+	// OS kernel's per-position loop over it on pooled kernels, so its
+	// ns/trial against os_kernel quantifies the locality win of the
+	// anchored query path, and its allocations are the job's own: the
+	// gathered snapshot, no kernel.
 	a := core.Anchor{}
 	if anchor != nil {
 		a = *anchor

@@ -2,7 +2,9 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"github.com/uncertain-graphs/mpmb/internal/butterfly"
 	"github.com/uncertain-graphs/mpmb/internal/randx"
@@ -138,6 +140,42 @@ func TestOSTieParallelLowAllocs(t *testing.T) {
 	if perTrial := allocs / trials; perTrial >= 0.5 {
 		t.Fatalf("parallel OS on a tie-heavy graph allocates %.0f per run of %d trials (%.3f per trial), want under 0.5 per trial",
 			allocs, trials, perTrial)
+	}
+}
+
+// TestAnchoredJobLowAllocs pins what an anchored job allocates on a
+// graph whose global snapshot is cached: it gathers its own snapshot from
+// the global one and borrows its kernels from the global snapshot's pool,
+// so after one warm-up job a 2-worker job builds no kernel. A job then
+// allocates less than one kernel's liveFlat (one liveEdge per graph
+// edge), in a bounded number of allocations. The race detector makes
+// sync.Pool drop released kernels at random, so it skips there.
+func TestAnchoredJobLowAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop released kernels")
+	}
+	g := benchGraph()
+	a := Anchor{Kind: AnchorLeft, U: g.Edge(g.EdgesByWeightDesc()[0]).U}
+	const jobs, maxAllocs = 10, 100
+	run := func() {
+		if _, err := AnchoredOSParallel(g, a, OSOptions{Trials: 256, Seed: 29}, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm: build the global snapshot and its rank, pool the kernels
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range jobs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / jobs
+	allocs := (after.Mallocs - before.Mallocs) / jobs
+	liveFlat := uint64(unsafe.Sizeof(liveEdge{})) * uint64(g.NumEdges())
+	t.Logf("anchored job: %d B in %d allocations", bytes, allocs)
+	if bytes >= liveFlat || allocs > maxAllocs {
+		t.Fatalf("anchored job allocates %d B in %d allocations, want under %d B (one liveFlat) and at most %d",
+			bytes, allocs, liveFlat, maxAllocs)
 	}
 }
 

@@ -1,9 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
 	"github.com/uncertain-graphs/mpmb/internal/butterfly"
@@ -88,33 +87,74 @@ func (a Anchor) contains(b butterfly.Butterfly) bool {
 	return false
 }
 
-// newAnchoredSnapshot lays out the snapshot an anchored job's kernels
-// scan, built once per job with the global snapshot's layout code: only
-// the edges of the backbone butterflies through a, in the global
-// weight-descending order, paired on the anchor's side (an edge anchor
-// pairs on the left, so its right endpoint is the pinned center). Every
-// world's anchored S_MB is made of these edges alone, so a trial over the
-// snapshot with the anchored admission rule (see admitEdge) is Algorithm
-// 2 with S_MB restricted to butterflies through the anchor.
+// newAnchoredSnapshot gathers the snapshot an anchored job's kernels
+// scan from g's global snapshot (snapshotFor, which builds it on a
+// graph's first job if none is cached): only the edges of the backbone
+// butterflies through a, in the global weight-descending order, paired on
+// the anchor's side (an edge anchor pairs on the left, so its right
+// endpoint is the pinned center). Every world's anchored S_MB is made of
+// these edges alone, so a trial over the snapshot with the anchored
+// admission rule (see admitEdge) is Algorithm 2 with S_MB restricted to
+// butterflies through the anchor.
+//
+// The edges are marked in a bitset over global positions and copied in
+// ascending position order, so the build reads only the anchor's edges
+// from the global arrays and never sorts or recomputes a threshold. The
+// snapshot shares the global token table, and its kernels come from the
+// global snapshot's pool (edgeSnapshot.kernel).
 func newAnchoredSnapshot(g *bigraph.Graph, a Anchor) *edgeSnapshot {
-	s := layoutSnapshot(g, anchoredEdges(g, a), a.Kind == AnchorRight)
-	s.anchor, s.pin = a, a.U
-	if a.Kind == AnchorRight {
-		s.pin = a.V
+	base := snapshotFor(g)
+	in := anchoredPositions(g, a, base.positions())
+	n := 0
+	for _, word := range in {
+		n += bits.OnesCount64(word)
 	}
+	flip := a.Kind == AnchorRight
+	s := &edgeSnapshot{
+		w:      make([]float64, n),
+		prt:    make([]bigraph.VertexID, n),
+		ctr:    make([]bigraph.VertexID, n),
+		id:     make([]bigraph.EdgeID, n),
+		thresh: make([]uint64, n),
+		flip:   flip,
+		anchor: a,
+		pin:    a.U,
+		global: base,
+		tok:    base.tok,
+	}
+	numCtr := g.NumR()
+	if flip {
+		s.pin, numCtr = a.V, g.NumL()
+	}
+	s.liveOff = make([]int32, numCtr+1)
+	prt, ctr := base.prt, base.ctr
+	if flip != base.flip {
+		prt, ctr = ctr, prt
+	}
+	k := 0
+	for wi, word := range in {
+		for ; word != 0; word &= word - 1 {
+			p := wi<<6 | bits.TrailingZeros64(word)
+			s.w[k], s.thresh[k], s.id[k] = base.w[p], base.thresh[p], base.id[p]
+			s.prt[k], s.ctr[k] = prt[p], ctr[p]
+			s.liveOff[ctr[p]+1]++
+			k++
+		}
+	}
+	s.settle()
 	return s
 }
 
-// anchoredEdges lists the edges of the backbone butterflies through a in
-// the global weight-descending order. A butterfly through the anchor's
-// vertex x on the pairing side joins x and a partner y over two middles
-// in N(x) ∩ N(y), so the wedge count from x — |N(x) ∩ N(y)| for every y,
-// as in vertex-priority butterfly counting — names the partners: y is
-// one exactly when its count is at least 2 (and, for an edge anchor,
-// when y is adjacent to the pinned center too). The butterfly edges are
-// then each partner's edges to middles of x, and x's edges to middles
-// that have a partner.
-func anchoredEdges(g *bigraph.Graph, a Anchor) []bigraph.EdgeID {
+// anchoredPositions marks the edges of the backbone butterflies through a
+// in a bitset over the global snapshot's positions, which rank maps edge
+// ids to. A butterfly through the anchor's vertex x on the pairing side
+// joins x and a partner y over two middles in N(x) ∩ N(y), so the wedge
+// count from x — |N(x) ∩ N(y)| for every y, as in vertex-priority
+// butterfly counting — names the partners: y is one exactly when its
+// count is at least 2 (and, for an edge anchor, when y is adjacent to the
+// pinned center too). The butterfly edges are then each partner's edges
+// to middles of x, and x's edges to middles that have a partner.
+func anchoredPositions(g *bigraph.Graph, a Anchor, rank []int32) []uint64 {
 	x, nbr, opp, n := a.U, g.NeighborsL, g.NeighborsR, g.NumL()
 	if a.Kind == AnchorRight {
 		x, nbr, opp, n = a.V, g.NeighborsR, g.NeighborsL, g.NumR()
@@ -129,59 +169,35 @@ func anchoredEdges(g *bigraph.Graph, a Anchor) []bigraph.EdgeID {
 		}
 		cnt = adj
 	}
-	var ids []bigraph.EdgeID
+	in := make([]uint64, (len(rank)+63)/64)
 	for _, h := range nbr(x) {
-		k := len(ids)
+		partnered := false
 		for _, h2 := range opp(h.To) {
 			if cnt[h2.To] >= 2 {
-				ids = append(ids, h2.E)
+				p := rank[h2.E]
+				in[p>>6] |= 1 << (p & 63)
+				partnered = true
 			}
 		}
-		if len(ids) > k {
-			ids = append(ids, h.E)
+		if partnered {
+			p := rank[h.E]
+			in[p>>6] |= 1 << (p & 63)
 		}
 	}
-	return byWeightDesc(g, ids)
-}
-
-// byWeightDesc puts ids in the order of g.EdgesByWeightDesc (weight
-// descending, then id). When g's snapshot is cached the order is read
-// off it in one pass over |E| edges; otherwise ids are sorted. A sort
-// comparison reads two edges at random and costs several pass steps,
-// so on a cached graph the pass is the cheaper way for all but anchors
-// of a few thousand edges, where the sort would save about a
-// millisecond per million edges of the graph.
-func byWeightDesc(g *bigraph.Graph, ids []bigraph.EdgeID) []bigraph.EdgeID {
-	if s := cachedSnapshot(g); s != nil {
-		in := make([]uint64, (s.numEdges()+63)/64)
-		for _, id := range ids {
-			in[id>>6] |= 1 << (id & 63)
-		}
-		ids = ids[:0]
-		for _, id := range s.id {
-			if in[id>>6]>>(id&63)&1 != 0 {
-				ids = append(ids, id)
-			}
-		}
-		return ids
-	}
-	slices.SortFunc(ids, func(a, b bigraph.EdgeID) int {
-		if c := cmp.Compare(g.Edge(b).W, g.Edge(a).W); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	return ids
+	return in
 }
 
 // AnchoredOS runs anchor-restricted Ordering Sampling: OS's trial kernel
-// over the anchor's own snapshot (see newAnchoredSnapshot), so each of
-// opt.Trials worlds credits its maximum set among the butterflies through
-// the anchor. An anchor with zero butterfly support yields an empty
-// Result. Resume is not supported for anchored runs; Interrupt yields a
-// partial Result without a checkpoint. An edge anchor rejects the
-// KeepAllAngles and DropA2 knobs, which its angle entries have no room
-// for; every other knob applies as in OS.
+// over the anchor's own snapshot, gathered from g's cached global one (see
+// newAnchoredSnapshot), so each of opt.Trials worlds credits its maximum
+// set among the butterflies through the anchor. Its kernels come from the
+// pool that global runs on g use, so a warm graph's anchored job builds
+// none; a graph's first job, anchored or not, builds the global snapshot.
+// An anchor with zero butterfly support yields an empty Result. Resume is
+// not supported for anchored runs; Interrupt yields a partial Result
+// without a checkpoint. An edge anchor rejects the KeepAllAngles and
+// DropA2 knobs, which its angle entries have no room for; every other
+// knob applies as in OS.
 //
 // AnchoredOS is AnchoredOSParallel with one worker.
 func AnchoredOS(g *bigraph.Graph, a Anchor, opt OSOptions) (*Result, error) {

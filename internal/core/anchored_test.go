@@ -5,11 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
 	"github.com/uncertain-graphs/mpmb/internal/butterfly"
 	"github.com/uncertain-graphs/mpmb/internal/possible"
+	"github.com/uncertain-graphs/mpmb/internal/randx"
 	"github.com/uncertain-graphs/mpmb/internal/telemetry"
 )
 
@@ -94,33 +96,190 @@ func TestAnchoredTrialMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestAnchoredSnapshotOrder: an anchored snapshot lists its edges in
-// g.EdgesByWeightDesc order whether it sorts them (no global snapshot
-// cached) or reads the order off the cached global snapshot.
-func TestAnchoredSnapshotOrder(t *testing.T) {
+// anchoredReference lays out the snapshot newAnchoredSnapshot must gather
+// for a, without the global snapshot: the edges of the backbone
+// butterflies through a, listed by brute force, in g.EdgesByWeightDesc
+// order, with endpoints paired on the anchor's side, live offsets
+// prefix-summed from the per-center counts, and w̄ added lightest first.
+func anchoredReference(g *bigraph.Graph, a Anchor) *edgeSnapshot {
+	in := make([]bool, g.NumEdges())
+	for _, bw := range butterfly.AllBackbone(g) {
+		if a.contains(bw.B) {
+			ids, _ := bw.B.EdgeIDs(g)
+			for _, id := range ids {
+				in[id] = true
+			}
+		}
+	}
+	flip := a.Kind == AnchorRight
+	numCtr := g.NumR()
+	if flip {
+		numCtr = g.NumL()
+	}
+	s := &edgeSnapshot{flip: flip, liveOff: make([]int32, numCtr+1)}
+	for _, id := range g.EdgesByWeightDesc() {
+		if !in[id] {
+			continue
+		}
+		e := g.Edge(id)
+		prt, ctr := e.U, e.V
+		if flip {
+			prt, ctr = e.V, e.U
+		}
+		s.id = append(s.id, id)
+		s.w = append(s.w, e.W)
+		s.thresh = append(s.thresh, randx.BernoulliThreshold(e.P))
+		s.prt = append(s.prt, prt)
+		s.ctr = append(s.ctr, ctr)
+		s.liveOff[ctr+1]++
+	}
+	for c := 1; c <= numCtr; c++ {
+		s.liveOff[c] += s.liveOff[c-1]
+	}
+	for i := min(len(s.w), 3) - 1; i >= 0; i-- {
+		s.wBar += s.w[i]
+	}
+	return s
+}
+
+// checkAnchoredLayout compares the snapshot gathered for a with
+// anchoredReference field by field, w̄ as the same float.
+func checkAnchoredLayout(t *testing.T, g *bigraph.Graph, a Anchor, label string) {
+	t.Helper()
+	got, want := newAnchoredSnapshot(g, a), anchoredReference(g, a)
+	switch {
+	case !slices.Equal(got.id, want.id):
+		t.Fatalf("%s: ids %v, want %v", label, got.id, want.id)
+	case !slices.Equal(got.w, want.w):
+		t.Fatalf("%s: weights %v, want %v", label, got.w, want.w)
+	case !slices.Equal(got.thresh, want.thresh):
+		t.Fatalf("%s: thresholds %v, want %v", label, got.thresh, want.thresh)
+	case !slices.Equal(got.prt, want.prt) || !slices.Equal(got.ctr, want.ctr) || got.flip != want.flip:
+		t.Fatalf("%s: endpoints %v/%v flip %v, want %v/%v flip %v", label, got.prt, got.ctr, got.flip, want.prt, want.ctr, want.flip)
+	case !slices.Equal(got.liveOff, want.liveOff):
+		t.Fatalf("%s: live offsets %v, want %v", label, got.liveOff, want.liveOff)
+	case math.Float64bits(got.wBar) != math.Float64bits(want.wBar):
+		t.Fatalf("%s: w̄ %v, want %v", label, got.wBar, want.wBar)
+	case got.anchor != a:
+		t.Fatalf("%s: anchor %v", label, got.anchor)
+	}
+}
+
+// TestAnchoredSnapshotLayout: for every anchor of random graphs, the
+// snapshot gathered from the global one equals the reference laid out
+// from a brute-force butterfly listing. The graphs include global
+// snapshots centered on either side, so the gather both keeps and swaps
+// the global endpoints, and a zero-support anchor gets an empty snapshot.
+func TestAnchoredSnapshotLayout(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
-	for i := 0; i < 10; i++ {
-		g := randGraph(r, 6, 6, 30)
-		pos := make(map[bigraph.EdgeID]int)
-		for p, id := range g.EdgesByWeightDesc() {
-			pos[id] = p
+	graphs := []*bigraph.Graph{figure1Graph(), pendantGraph()}
+	for i := 0; i < 6; i++ {
+		graphs = append(graphs, randGraph(r, 6, 6, 30), randGraph(r, 8, 3, 20), randGraph(r, 3, 8, 20))
+	}
+	var centers [2]bool // global snapshots seen centered on the right, on the left
+	for gi, g := range graphs {
+		if snapshotFor(g).flip {
+			centers[1] = true
+		} else {
+			centers[0] = true
 		}
-		anchors := allAnchors(g)
-		sorted := make([][]bigraph.EdgeID, len(anchors))
-		for ai, a := range anchors {
-			sorted[ai] = newAnchoredSnapshot(g, a).id
-			for k := 1; k < len(sorted[ai]); k++ {
-				if pos[sorted[ai][k-1]] > pos[sorted[ai][k]] {
-					t.Fatalf("graph %d anchor %v: edges %v out of weight order", i, a, sorted[ai])
-				}
+		for _, a := range allAnchors(g) {
+			checkAnchoredLayout(t, g, a, fmt.Sprintf("graph %d anchor %v", gi, a))
+		}
+	}
+	if !centers[0] || !centers[1] {
+		t.Fatalf("global snapshots centered right/left: %v, want both", centers)
+	}
+	g := pendantGraph()
+	for _, a := range []Anchor{{Kind: AnchorLeft, U: 0}, {Kind: AnchorRight, V: 0}, {Kind: AnchorEdge, U: 0, V: 0}} {
+		if s := newAnchoredSnapshot(g, a); s.numEdges() != 0 || s.wBar != 0 {
+			t.Fatalf("zero-support anchor %v: %d edges, w̄ %v", a, s.numEdges(), s.wBar)
+		}
+	}
+}
+
+// FuzzAnchoredSnapshot checks the gathered snapshot against
+// anchoredReference on small random graphs with half-step weights, for a
+// left, a right and an edge anchor picked by the input, and requires
+// AnchoredOSParallel to return the same Result on 1 and 3 workers.
+func FuzzAnchoredSnapshot(f *testing.F) {
+	f.Add([]byte{3, 3, 0, 1, 2, 1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23})
+	f.Add([]byte{4, 1, 7, 2, 9, 255, 254, 253, 252, 251, 250, 249, 248, 247, 246, 245, 244})
+	f.Add([]byte{0, 0, 0, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) < 5 {
+			t.Skip()
+		}
+		numL, numR := 1+int(raw[0])%5, 1+int(raw[1])%5
+		b := bigraph.NewBuilder(numL, numR)
+		for slot, by := range raw[5:min(len(raw), 5+numL*numR)] {
+			if by&1 == 0 {
+				continue
 			}
+			b.MustAddEdge(bigraph.VertexID(slot%numL), bigraph.VertexID(slot/numL),
+				halfGrid[by>>1&7], probGrid[int(by>>4)%len(probGrid)])
 		}
-		snapshotFor(g)
-		for ai, a := range anchors {
-			if got := newAnchoredSnapshot(g, a).id; !slices.Equal(got, sorted[ai]) {
-				t.Fatalf("graph %d anchor %v: cached order %v, sorted %v", i, a, got, sorted[ai])
+		g := b.Build()
+		anchors := []Anchor{
+			{Kind: AnchorLeft, U: bigraph.VertexID(int(raw[2]) % numL)},
+			{Kind: AnchorRight, V: bigraph.VertexID(int(raw[3]) % numR)},
+		}
+		if g.NumEdges() > 0 {
+			e := g.Edge(bigraph.EdgeID(int(raw[4]) % g.NumEdges()))
+			anchors = append(anchors, Anchor{Kind: AnchorEdge, U: e.U, V: e.V})
+		}
+		for _, a := range anchors {
+			checkAnchoredLayout(t, g, a, fmt.Sprintf("anchor %v", a))
+			opt := OSOptions{Trials: 64, Seed: uint64(raw[4])}
+			one, err := AnchoredOSParallel(g, a, opt, 1)
+			if err != nil {
+				t.Fatal(err)
 			}
+			three, err := AnchoredOSParallel(g, a, opt, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, fmt.Sprintf("anchor %v, 1 vs 3 workers", a), one, three)
 		}
+	})
+}
+
+// TestAnchoredJobsConcurrent runs anchored jobs of every kind, and a
+// global job, from several goroutines at once on a graph with no cached
+// snapshot, so they race to build the global snapshot and its rank and
+// share its kernel pool. Each Result must equal the same job run alone.
+func TestAnchoredJobsConcurrent(t *testing.T) {
+	g := benchGraph()
+	e := g.Edge(g.EdgesByWeightDesc()[0])
+	anchors := []Anchor{{}, {Kind: AnchorLeft, U: e.U}, {Kind: AnchorRight, V: e.V},
+		{Kind: AnchorEdge, U: e.U, V: e.V}, {Kind: AnchorLeft, U: 1}, {Kind: AnchorRight, V: 1}}
+	opt := OSOptions{Trials: 200, Seed: 13}
+	run := func(a Anchor) (*Result, error) {
+		if a.Kind == 0 {
+			return OSParallel(g, opt, 2)
+		}
+		return AnchoredOSParallel(g, a, opt, 2)
+	}
+	got := make([]*Result, len(anchors))
+	errs := make([]error, len(anchors))
+	var wg sync.WaitGroup
+	for i, a := range anchors {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = run(a)
+		}()
+	}
+	wg.Wait()
+	for i, a := range anchors {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		want, err := run(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, fmt.Sprintf("anchor %v", a), want, got[i])
 	}
 }
 

@@ -113,9 +113,9 @@ type ExecJob struct {
 	Units int
 	Start int
 	// Anchor, when set, restricts an ExecOS job to butterflies containing
-	// it: the job builds a snapshot of the anchor's butterfly edges, and
-	// its units run the snapshot kernel over it with the anchored
-	// admission rule.
+	// it: the job gathers a snapshot of the anchor's butterfly edges from
+	// the global one, and its units run pooled kernels over it with the
+	// anchored admission rule.
 	Anchor Anchor
 	// OS carries the Ordering Sampling kernel knobs for ExecOS: the
 	// pruning/ablation flags. Trial counts, seeds, Interrupt and Probe
@@ -573,7 +573,8 @@ func parLoop(start, end, workers int, interrupt func() bool, newBody func(w int)
 
 // osSnapshot returns the snapshot an ExecOS job's kernels scan: the
 // graph's cached global snapshot, or the anchored job's own snapshot of
-// the anchor's butterflies, which is dropped with the job.
+// the anchor's butterflies, gathered from the global one and dropped with
+// the job.
 func osSnapshot(job *ExecJob) (*edgeSnapshot, error) {
 	a := job.Anchor
 	switch {
@@ -616,12 +617,13 @@ type osWorker struct {
 }
 
 func newOSWorker(job *ExecJob, out *ExecResult, snap *edgeSnapshot, w int, single bool) *osWorker {
-	// Worker kernels come from the snapshot's pool: across runs over the
-	// same graph the ~1MB per-kernel scratch is reused instead of
-	// reallocated.
+	// Worker kernels come from the global snapshot's pool: across runs
+	// over the same graph, global or anchored, the ~1MB per-kernel scratch
+	// and a pool member's tally are reused instead of reallocated.
 	x := &osWorker{job: job, out: out, root: randx.New(job.Seed), idx: snap.kernel(job.Graph, job.OS), acc: out.acc}
 	if w > 0 {
-		x.acc = newProbAccumulator()
+		x.acc = &x.idx.tally
+		x.acc.reset()
 	}
 	x.meter = newTrialMeter(job.Probe, w, snap.numEdges(), false)
 	if single && job.Probe != nil {

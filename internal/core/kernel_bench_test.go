@@ -85,9 +85,10 @@ func BenchmarkOSKernelTrial(b *testing.B) {
 // BenchmarkAnchoredOSTrial times one anchored trial on the same corpus,
 // anchored where `mpmb-bench perf` anchors its anchored_os row by
 // default: the left endpoint of the heaviest edge. The kernel scans the
-// anchor's own snapshot, built once here as an anchored job builds it;
-// compare it against BenchmarkOSKernelTrial for the cost of the
-// restricted query against the global one.
+// anchor's own snapshot, gathered once here from the cached global
+// snapshot as an anchored job gathers it; compare it against
+// BenchmarkOSKernelTrial for the cost of the restricted query against the
+// global one.
 func BenchmarkAnchoredOSTrial(b *testing.B) {
 	g := benchGraph()
 	a := Anchor{Kind: AnchorLeft, U: g.Edge(g.EdgesByWeightDesc()[0]).U}
@@ -101,6 +102,26 @@ func BenchmarkAnchoredOSTrial(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx.runTrialSeeded(root, uint64(i)+1, &sMB)
+	}
+}
+
+// BenchmarkAnchoredOSJob times a whole 256-trial anchored job on the same
+// corpus and anchor, on one and two workers: gathering the anchor's
+// snapshot, the trials on kernels borrowed from the global snapshot's
+// pool, and the join. Its B/op is what an anchored job allocates on a
+// cached graph.
+func BenchmarkAnchoredOSJob(b *testing.B) {
+	g := benchGraph()
+	a := Anchor{Kind: AnchorLeft, U: g.Edge(g.EdgesByWeightDesc()[0]).U}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := AnchoredOSParallel(g, a, OSOptions{Trials: 256, Seed: 42}, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

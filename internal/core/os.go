@@ -175,6 +175,10 @@ func OSOnWorld(g *bigraph.Graph, w *possible.World, opt OSOptions) butterfly.Max
 //   - The angle tables A1/A2 are pool entries indexed through a
 //     generation-stamped open-addressing table, so per-trial reset is a
 //     generation bump.
+//
+// A kernel is sized for its graph's global snapshot and pooled there; an
+// anchored job borrows one and points it at the job's snapshot (see
+// edgeSnapshot.kernel).
 type osIndex struct {
 	g    *bigraph.Graph
 	opt  OSOptions
@@ -218,6 +222,11 @@ type osIndex struct {
 	// turns it on; OSOnWorld, supervisor audits and the bench harness read
 	// the whole S_MB.
 	pairs pairTally
+
+	// tally is the private butterfly tally of an osWorker other than
+	// worker 0, pooled with the kernel so its table keeps the capacity it
+	// grew to; the worker empties it before its first trial.
+	tally probAccumulator
 }
 
 // angleEntry is one endpoint pair's angle bookkeeping: the largest (w1,
@@ -250,41 +259,56 @@ type liveMeta struct {
 	gen uint32
 }
 
+// newOSIndexFromSnapshot builds a kernel over snap sized for snap's
+// home, the global snapshot: liveFlat holds every edge of the graph and
+// live every vertex of its larger side, so the kernel fits the global
+// snapshot and each anchored one gathered from it.
 func newOSIndexFromSnapshot(g *bigraph.Graph, opt OSOptions, snap *edgeSnapshot) *osIndex {
+	home := snap.home()
 	x := &osIndex{
 		g:        g,
 		opt:      opt,
-		snap:     snap,
-		liveFlat: make([]liveEdge, snap.numEdges()),
-		live:     make([]liveMeta, len(snap.liveOff)-1),
+		liveFlat: make([]liveEdge, home.numEdges()),
+		live:     make([]liveMeta, max(g.NumL(), g.NumR())),
 		liveCur:  1,
 		tab:      newAngleTable(minAngleTableCap),
-		pairs:    pairTally{flip: snap.flip},
 	}
-	x.tab.tok = snap.tok // Zobrist pair hashing, shared with the inlined probe
+	x.tab.tok = home.tok // Zobrist pair hashing, shared with the inlined probe
+	x.point(snap)
 	return x
 }
 
+// point aims the kernel at snapshot s of its graph. Every trial starts
+// with resetTrial, whose generation bumps drop whatever the previous
+// snapshot left in the live lists and the angle table.
+func (x *osIndex) point(s *edgeSnapshot) {
+	x.snap, x.pairs.flip = s, s.flip
+}
+
 // kernel returns a trial kernel over s, reusing a previously released
-// kernel when s's pool has one. This is how every LocalExecutor OS worker
-// and the bench harness obtain their kernel: repeat runs and parallel
-// chunks over the same graph stop paying the ~1MB per-kernel build, which
-// is what held the parallel path at ~40 allocs per trial.
+// kernel when the global snapshot's pool has one. This is how every
+// LocalExecutor OS worker, global or anchored, and the bench harness
+// obtain their kernel: repeat runs and parallel chunks over the same
+// graph stop paying the ~1MB per-kernel build, which is what held the
+// parallel path at ~40 allocs per trial, and an anchored job builds none.
 func (s *edgeSnapshot) kernel(g *bigraph.Graph, opt OSOptions) *osIndex {
-	if k, ok := s.kernels.Get().(*osIndex); ok && k != nil {
+	if k, ok := s.home().kernels.Get().(*osIndex); ok && k != nil {
 		k.opt = opt
+		k.point(s)
 		return k
 	}
 	return newOSIndexFromSnapshot(g, opt, s)
 }
 
-// releaseKernel returns a kernel obtained from edgeSnapshot.kernel to its
-// snapshot's pool. The options are cleared so a pooled kernel does not
-// retain a caller's Interrupt or Probe beyond its run, and the pair tally
-// is turned off so the next user reads whole maximum sets.
+// releaseKernel returns a kernel obtained from edgeSnapshot.kernel to the
+// global snapshot's pool, pointed back at it: an anchored job's snapshot
+// is dropped with the job. The options are cleared so a pooled kernel
+// does not retain a caller's Interrupt or Probe beyond its run, and the
+// pair tally is turned off so the next user reads whole maximum sets.
 func releaseKernel(x *osIndex) {
 	x.opt = OSOptions{}
 	x.pairs.on = false
+	x.point(x.snap.home())
 	x.snap.kernels.Put(x)
 }
 

@@ -246,6 +246,12 @@ const minTallyCap = 16
 
 func newProbAccumulator() *probAccumulator { return &probAccumulator{} }
 
+// reset empties the tally and keeps its table's capacity.
+func (a *probAccumulator) reset() {
+	clear(a.slots)
+	*a = probAccumulator{slots: a.slots, mask: a.mask}
+}
+
 // tallyHash maps a butterfly to a home-slot hash: its two packed 64-bit
 // halves folded into one word and finished with mix64.
 func tallyHash(b butterfly.Butterfly) uint64 {

@@ -68,13 +68,18 @@ type edgeSnapshot struct {
 	// holds only the edges of the backbone butterflies through the anchor,
 	// its pairing side is the anchor's side, and pin is the anchor's
 	// vertex on that side. Its kernels run the per-position loop with the
-	// anchored admission rule (see admitEdge).
+	// anchored admission rule (see admitEdge), which reads neither pc nor
+	// the support tables below, so an anchored snapshot leaves them nil.
+	// global is the snapshot it was gathered from, whose token table it
+	// shares and whose pool lends its kernels.
 	anchor Anchor
 	pin    bigraph.VertexID
+	global *edgeSnapshot
 
 	liveOff []int32 // per center vertex offset into liveFlat, len numCenter+1
 
-	// tok holds one fixed random 64-bit token per pairing-side vertex.
+	// tok holds one fixed random 64-bit token per vertex index, enough
+	// for either side.
 	// The angle table hashes an endpoint pair as tok[a]^tok[b] (Zobrist
 	// hashing): two L1 loads and an XOR, symmetric in the pair so the
 	// kernel needs no canonical ordering before hashing, and cheaper than
@@ -126,12 +131,19 @@ type edgeSnapshot struct {
 	// kernel returns immediately.
 	barren bool
 
-	// kernels recycles osIndex instances built over this snapshot, so a
-	// run (or a parallel worker) that needs a kernel for an already-seen
-	// graph reuses the previous run's allocations instead of rebuilding
-	// ~1MB of per-kernel scratch. Kernels are only ever pooled with their
-	// own snapshot, so a pooled kernel always matches the graph.
+	// kernels recycles osIndex instances built over this global snapshot,
+	// so a run (or a parallel worker) that needs a kernel for an
+	// already-seen graph reuses the previous run's allocations instead of
+	// rebuilding ~1MB of per-kernel scratch. Anchored jobs borrow from the
+	// same pool: a kernel sized for every edge and for the larger side
+	// fits each anchored snapshot of the graph, and it is pooled pointed
+	// back at this snapshot, so a pooled kernel always matches the graph.
 	kernels sync.Pool
+
+	// rank maps an edge id to its position here, for gathering anchored
+	// snapshots; positions builds it once, on the first anchored job.
+	rankOnce sync.Once
+	rank     []int32
 }
 
 // liveEdge is one flat N̂_E entry: a live, already-processed edge incident
@@ -158,8 +170,46 @@ func newEdgeSnapshot(g *bigraph.Graph) *edgeSnapshot {
 		d := g.ExpectedDegreeR(bigraph.VertexID(v))
 		workR += d * d
 	}
-	s := layoutSnapshot(g, g.EdgesByWeightDesc(), workL < workR)
-	n := s.numEdges()
+	flip := workL < workR
+	ids := g.EdgesByWeightDesc()
+	n := len(ids)
+	s := &edgeSnapshot{
+		w:      make([]float64, n),
+		prt:    make([]bigraph.VertexID, n),
+		ctr:    make([]bigraph.VertexID, n),
+		pc:     make([]uint64, n),
+		id:     ids,
+		thresh: make([]uint64, n),
+		flip:   flip,
+	}
+	numCtr := g.NumR()
+	if flip {
+		numCtr = g.NumL()
+	}
+	// A center's live region holds at most its snapshot degree; count
+	// those into liveOff[c+1], then prefix-sum them into offsets.
+	s.liveOff = make([]int32, numCtr+1)
+	for i, eid := range ids {
+		e := g.Edge(eid)
+		s.w[i] = e.W
+		if flip {
+			s.prt[i], s.ctr[i] = e.V, e.U
+		} else {
+			s.prt[i], s.ctr[i] = e.U, e.V
+		}
+		s.pc[i] = uint64(s.prt[i])<<32 | uint64(s.ctr[i])
+		s.thresh[i] = randx.BernoulliThreshold(e.P)
+		s.liveOff[s.ctr[i]+1]++
+	}
+	s.settle()
+	// One token per vertex index of the larger side: a token depends on
+	// the index alone, so an anchored snapshot, which may pair on the other
+	// side, hashes through this same table.
+	s.tok = make([]uint64, max(g.NumL(), g.NumR()))
+	for u := range s.tok {
+		sm := uint64(u) ^ 0x6a09e667f3bcc908 // fixed salt; any constant works
+		s.tok[u] = randx.SplitMix64(&sm)
+	}
 
 	// Per-edge butterfly membership, then the support-dependent kernel
 	// tables: normalized admission thresholds, the block draw schedule,
@@ -205,54 +255,37 @@ func newEdgeSnapshot(g *bigraph.Graph) *edgeSnapshot {
 	return s
 }
 
-// layoutSnapshot lays out the edges ids, given in the global
-// weight-descending order, as a snapshot centered on the left side when
-// flip is set: the per-position fields, the Section V-B budget w̄ of its
-// three heaviest edges, the per-center live regions and the pairing
-// tokens. The global snapshot adds its support tables on top; an
-// anchored snapshot (newAnchoredSnapshot) is this layout alone.
-func layoutSnapshot(g *bigraph.Graph, ids []bigraph.EdgeID, flip bool) *edgeSnapshot {
-	n := len(ids)
-	s := &edgeSnapshot{
-		w:      make([]float64, n),
-		prt:    make([]bigraph.VertexID, n),
-		ctr:    make([]bigraph.VertexID, n),
-		pc:     make([]uint64, n),
-		id:     ids,
-		thresh: make([]uint64, n),
-		flip:   flip,
+// settle finishes a laid-out snapshot whose liveOff[c+1] holds center
+// c's snapshot degree: it prefix-sums those degrees into region offsets
+// and sets w̄ from the three heaviest weights, added lightest first, as
+// bigraph's TopWeightSum(3) adds them, so the budget is the same float.
+func (s *edgeSnapshot) settle() {
+	for c := 1; c < len(s.liveOff); c++ {
+		s.liveOff[c] += s.liveOff[c-1]
 	}
-	numCtr, numPrt := g.NumR(), g.NumL()
-	if flip {
-		numCtr, numPrt = g.NumL(), g.NumR()
-	}
-	// A center's live region holds at most its snapshot degree; count
-	// those into liveOff[c+1], then prefix-sum them into offsets.
-	s.liveOff = make([]int32, numCtr+1)
-	for i, eid := range ids {
-		e := g.Edge(eid)
-		s.w[i] = e.W
-		if flip {
-			s.prt[i], s.ctr[i] = e.V, e.U
-		} else {
-			s.prt[i], s.ctr[i] = e.U, e.V
-		}
-		s.pc[i] = uint64(s.prt[i])<<32 | uint64(s.ctr[i])
-		s.thresh[i] = randx.BernoulliThreshold(e.P)
-		s.liveOff[s.ctr[i]+1]++
-	}
-	for c := 0; c < numCtr; c++ {
-		s.liveOff[c+1] += s.liveOff[c]
-	}
-	// w̄ adds the three heaviest weights lightest first, exactly as
-	// bigraph's TopWeightSum(3) does, so the budget is the same float.
-	for i := min(n, 3) - 1; i >= 0; i-- {
+	for i := min(s.numEdges(), 3) - 1; i >= 0; i-- {
 		s.wBar += s.w[i]
 	}
-	s.tok = make([]uint64, numPrt)
-	for u := range s.tok {
-		sm := uint64(u) ^ 0x6a09e667f3bcc908 // fixed salt; any constant works
-		s.tok[u] = randx.SplitMix64(&sm)
+}
+
+// positions returns the id → position rank of the global snapshot s,
+// built on its first anchored job (newAnchoredSnapshot) rather than with
+// the snapshot, since global jobs never read it.
+func (s *edgeSnapshot) positions() []int32 {
+	s.rankOnce.Do(func() {
+		s.rank = make([]int32, len(s.id))
+		for p, id := range s.id {
+			s.rank[id] = int32(p)
+		}
+	})
+	return s.rank
+}
+
+// home returns the global snapshot whose kernel pool serves s: s itself,
+// or the snapshot an anchored s was gathered from.
+func (s *edgeSnapshot) home() *edgeSnapshot {
+	if s.global != nil {
+		return s.global
 	}
 	return s
 }
