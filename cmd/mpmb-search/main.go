@@ -43,10 +43,10 @@
 // Scaling out: -dist-listen turns the run into a distributed
 // coordinator that leases trial ranges to worker processes over HTTP,
 // and -join turns an mpmb-search process into such a worker (no -graph
-// needed: workers fetch the graph from the coordinator and rebuild
-// candidate sets deterministically from the run seed). The fan-out is
-// exact — the distributed Result is bit-identical to the sequential
-// run with the same seed, even when workers die mid-run:
+// needed: workers fetch the graph and the candidate set from the
+// coordinator). The fan-out is exact — the distributed Result is
+// bit-identical to the sequential run with the same seed, even when
+// workers die mid-run:
 //
 //	mpmb-search -graph big.graph -trials 10000000 -dist-listen :9191
 //	mpmb-search -join http://coordinator:9191     # on each worker box
@@ -318,10 +318,9 @@ func run(args []string, out io.Writer) (retErr error) {
 
 // runWorker joins a coordinator and executes leased trial ranges until
 // the coordinator exits (the normal end of a run) or a shutdown signal
-// arrives. Workers carry no run state of their own: the graph is
-// fetched and checksum-verified from the coordinator, candidate sets
-// are rebuilt deterministically from the run seed, and an abandoned
-// lease is simply reissued to another worker.
+// arrives. Workers carry no run state of their own: the graph and the
+// candidate set are fetched and checksum-verified from the coordinator,
+// and an abandoned lease is simply reissued to another worker.
 func runWorker(base string, pool int, reconnect time.Duration, out io.Writer) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

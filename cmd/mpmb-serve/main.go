@@ -186,9 +186,9 @@ func run(args []string, out io.Writer) error {
 
 // runWorker joins a -dist daemon's coordinator and executes leased
 // trial ranges until the daemon exits or a shutdown signal arrives.
-// Workers are stateless: graphs are fetched and checksum-verified from
-// the coordinator, candidate sets rebuilt deterministically from the
-// run seed, and abandoned leases reissued to surviving workers.
+// Workers are stateless: graphs and candidate sets are fetched and
+// checksum-verified from the coordinator, and abandoned leases reissued
+// to surviving workers.
 func runWorker(base string, pool int, reconnect time.Duration, out io.Writer) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -88,7 +88,7 @@ func TestEdgePruneActuallyCuts(t *testing.T) {
 }
 
 // TestKLMaxTrialsCap: a candidate whose Equation 8 allocation explodes is
-// clamped to MaxTrials.
+// clamped to klTrialCap × BaseTrials.
 func TestKLMaxTrialsCap(t *testing.T) {
 	// Heaviest candidate nearly certain; second candidate also nearly
 	// certain → huge Pr[E]/μ ratio at small μ.
@@ -110,19 +110,19 @@ func TestKLMaxTrialsCap(t *testing.T) {
 	_, err = EstimateKarpLuby(cands, KLOptions{
 		BaseTrials: 1000,
 		Mu:         0.001, // forces an enormous Eq. 8 ratio
-		MaxTrials:  1500,
 		Seed:       3,
 		TrialsUsed: &used,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	limit := klTrialCap * 1000
 	capped := false
 	for i, u := range used {
-		if u > 1500 {
+		if u > limit {
 			t.Fatalf("candidate %d ran %d trials beyond the cap", i, u)
 		}
-		if u == 1500 {
+		if u == limit {
 			capped = true
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"io"
 	"slices"
 	"sort"
 
@@ -142,6 +143,31 @@ func AllBackboneCandidates(g *bigraph.Graph) (*Candidates, error) {
 
 // Len returns |C_MB|.
 func (c *Candidates) Len() int { return len(c.List) }
+
+// Encode writes the set in the checkpoint codec, as the prepare-phase
+// checkpoint of its hit tallies; DecodeCandidates reads it back.
+func (c *Candidates) Encode(w io.Writer) error {
+	return c.prepCheckpoint(Checkpoint{Method: "ols", PrepTrials: c.PrepDone}).Encode(w)
+}
+
+// DecodeCandidates rebuilds a set Encode wrote against g, the graph it
+// was listed on.
+func DecodeCandidates(g *bigraph.Graph, r io.Reader) (*Candidates, error) {
+	ck, err := DecodeCheckpoint(r)
+	switch {
+	case err != nil:
+		return nil, err
+	case !ck.Prepare:
+		return nil, fmt.Errorf("core: %s sampling checkpoint is not a candidate set", ck.Method)
+	case ck.GraphCRC != g.Checksum():
+		return nil, fmt.Errorf("core: candidate set of graph %08x does not match graph %08x", ck.GraphCRC, g.Checksum())
+	}
+	c, err := NewCandidates(g, accumulatorFromCounts(ck.Counts).hits())
+	if err == nil {
+		c.PrepDone = ck.Done
+	}
+	return c, err
+}
 
 // prepCheckpoint cuts the preparing phase's checkpoint from the listing,
 // for the run whose header is run: the candidates' hit tallies over the

@@ -48,18 +48,11 @@ type Checkpoint struct {
 	// for ols-kl.
 	Done int
 
-	// Counts is the trial-hit accumulator of mc-vp, os, and the OLS
-	// preparing phase: how many completed trials reported each butterfly
-	// as a maximum, in canonical butterfly order.
-	Counts []ButterflyCount
-	// CandCounts is the optimized estimator's accumulator: per-candidate
-	// hit counts indexed like the (deterministic) candidate list.
-	CandCounts []int64
-	// CandProbs / CandTrials are the Karp-Luby accumulator: estimates and
-	// executed trial counts for the first Done candidates (later entries
-	// are zero until priced).
-	CandProbs  []float64
-	CandTrials []int64
+	// Payload is the completed prefix's tally: Counts for mc-vp, os and
+	// the OLS preparing phase; CandCounts, indexed like the deterministic
+	// candidate list, for ols; and for ols-kl CandProbs and CandTrials,
+	// whose entries past the first Done candidates are zero until priced.
+	Payload
 }
 
 // ButterflyCount is one accumulator entry: a butterfly, the number of
@@ -111,11 +104,6 @@ func (c *Checkpoint) payloadKind() ExecKind {
 		return ExecKarpLuby
 	}
 	return 0
-}
-
-// payload views the checkpoint's payload section as a Payload.
-func (c *Checkpoint) payload() Payload {
-	return Payload{Counts: c.Counts, CandCounts: c.CandCounts, CandProbs: c.CandProbs, CandTrials: c.CandTrials}
 }
 
 // Encode writes the checkpoint in its versioned, checksummed binary form.
@@ -405,7 +393,7 @@ func (c *Checkpoint) validate() error {
 	if kind != ExecKarpLuby && c.Done > limit {
 		return fmt.Errorf("Done=%d exceeds target %d", c.Done, limit)
 	}
-	return c.payload().Check(kind, c.Done, -1, false)
+	return c.Payload.Check(kind, c.Done, -1, false)
 }
 
 // resumeCheck verifies the checkpoint belongs to the run whose header is
@@ -448,11 +436,10 @@ func resumeState(job *ExecJob, ck *Checkpoint) (*ExecResult, error) {
 	if err != nil || ck == nil {
 		return x, err
 	}
-	p := ck.payload()
-	if got, want := len(p.CandCounts)+len(p.CandProbs), len(x.CandCounts)+len(x.CandProbs); got != want {
+	if got, want := len(ck.CandCounts)+len(ck.CandProbs), len(x.CandCounts)+len(x.CandProbs); got != want {
 		return nil, fmt.Errorf("core: checkpoint has %d candidates, the run has %d (options mismatch?)", got, want)
 	}
-	x.Fold(job.Kind, &ExecResult{Done: ck.Done, Payload: p})
+	x.Fold(job.Kind, &ExecResult{Done: ck.Done, Payload: ck.Payload})
 	return x, nil
 }
 
@@ -460,9 +447,7 @@ func resumeState(job *ExecJob, ck *Checkpoint) (*ExecResult, error) {
 // whose header is run, on graph g: the run's identity over x's payload in
 // portable form.
 func (x *ExecResult) checkpoint(run Checkpoint, g *bigraph.Graph) *Checkpoint {
-	p := x.Export()
-	run.GraphCRC, run.Done = g.Checksum(), x.Done
-	run.Counts, run.CandCounts, run.CandProbs, run.CandTrials = p.Counts, p.CandCounts, p.CandProbs, p.CandTrials
+	run.GraphCRC, run.Done, run.Payload = g.Checksum(), x.Done, x.Export()
 	return &run
 }
 

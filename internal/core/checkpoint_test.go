@@ -23,25 +23,27 @@ func sampleCheckpoints() map[string]*Checkpoint {
 	return map[string]*Checkpoint{
 		"mc-vp": {
 			Method: "mc-vp", Seed: 42, Trials: 100, Done: 12,
-			GraphCRC: 0xdeadbeef, Counts: counts,
+			GraphCRC: 0xdeadbeef, Payload: Payload{Counts: counts},
 		},
 		"os": {
 			Method: "os", Seed: 7, Trials: 5000, Done: 4999,
-			GraphCRC: 1, Counts: counts[:1],
+			GraphCRC: 1, Payload: Payload{Counts: counts[:1]},
 		},
 		"ols-prepare": {
 			Method: "ols", Seed: 9, Trials: 20000, PrepTrials: 100,
-			Prepare: true, Done: 55, GraphCRC: 3, Counts: counts,
+			Prepare: true, Done: 55, GraphCRC: 3, Payload: Payload{Counts: counts},
 		},
 		"ols": {
 			Method: "ols", Seed: 9, Trials: 200, PrepTrials: 100,
-			Done: 150, GraphCRC: 3, CandCounts: []int64{150, 0, 75},
+			Done: 150, GraphCRC: 3, Payload: Payload{CandCounts: []int64{150, 0, 75}},
 		},
 		"ols-kl": {
 			Method: "ols-kl", Seed: 9, Trials: 200, PrepTrials: 100, Mu: 0.05,
 			Done: 2, GraphCRC: 3,
-			CandProbs:  []float64{0.25, 0.125, 0},
-			CandTrials: []int64{200, 400, 0},
+			Payload: Payload{
+				CandProbs:  []float64{0.25, 0.125, 0},
+				CandTrials: []int64{200, 400, 0},
+			},
 		},
 	}
 }
@@ -146,12 +148,12 @@ func restampCRC(raw []byte) {
 func TestCheckpointEncodeRejectsInvalid(t *testing.T) {
 	bad := []*Checkpoint{
 		{Method: "bogus", Trials: 10, Done: 1},
-		{Method: "os", Trials: 10, Done: 11},                                                                    // done past target
-		{Method: "os", Trials: 10, Done: -1},                                                                    // negative prefix
-		{Method: "os", Trials: 10, Done: 2, Counts: []ButterflyCount{{Count: 5}}},                               // count > done
-		{Method: "ols", Trials: 10, PrepTrials: 5, Done: 2, CandCounts: []int64{-1}},                            // negative count
-		{Method: "ols-kl", Trials: 10, PrepTrials: 5, Done: 1, CandProbs: []float64{2}, CandTrials: []int64{1}}, // prob > 1
-		{Method: "os", Trials: 10, Done: 2, CandCounts: []int64{1}},                                             // wrong payload for method
+		{Method: "os", Trials: 10, Done: 11},                                                                                      // done past target
+		{Method: "os", Trials: 10, Done: -1},                                                                                      // negative prefix
+		{Method: "os", Trials: 10, Done: 2, Payload: Payload{Counts: []ButterflyCount{{Count: 5}}}},                               // count > done
+		{Method: "ols", Trials: 10, PrepTrials: 5, Done: 2, Payload: Payload{CandCounts: []int64{-1}}},                            // negative count
+		{Method: "ols-kl", Trials: 10, PrepTrials: 5, Done: 1, Payload: Payload{CandProbs: []float64{2}, CandTrials: []int64{1}}}, // prob > 1
+		{Method: "os", Trials: 10, Done: 2, Payload: Payload{CandCounts: []int64{1}}},                                             // wrong payload for method
 	}
 	for i, ck := range bad {
 		var buf bytes.Buffer

@@ -245,11 +245,11 @@ func NewCheckpointStoreFS(policy RetryPolicy, fs CheckpointFS) *CheckpointStore 
 // Save writes the checkpoint to path with the same atomic
 // temp-file-then-rename protocol as SaveCheckpoint, retrying transient
 // failures per the store's policy. Every attempt starts from a fresh temp
-// file and the destination is only ever replaced by a complete, fsynced
-// rename — an interrupted or failing save never tears an existing
-// checkpoint at path. After the attempt budget the typed
-// *RetryExhaustedError (errors.Is ErrRetriesExhausted) reports the last
-// cause.
+// file renamed over path only once written and closed: after a failed
+// save or a process crash, path holds no torn checkpoint. Nothing is
+// fsynced, so a machine crash may still lose or tear the latest save.
+// After the attempt budget the typed *RetryExhaustedError (errors.Is
+// ErrRetriesExhausted) reports the last cause.
 func (s *CheckpointStore) Save(path string, c *Checkpoint) error {
 	// Validation errors are deterministic: retrying cannot fix an invalid
 	// checkpoint, so surface them immediately.

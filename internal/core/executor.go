@@ -75,26 +75,6 @@ func (k ExecKind) String() string {
 	return fmt.Sprintf("ExecKind(%d)", uint8(k))
 }
 
-// ExecSpec is the run-level identity of the job, carried for executors
-// that ship work to other processes: everything a remote worker needs to
-// rebuild the job state it cannot receive by pointer (the candidate set
-// is re-derived from Seed + PrepTrials, the sampling phase's seed offset
-// from Method). Local execution ignores it.
-type ExecSpec struct {
-	// Method is the run's method ("os", "ols", "ols-kl"). Empty means
-	// the job was built by a core-level caller without run context;
-	// distributed executors reject it.
-	Method string
-	// Seed is the RUN seed (ExecJob.Seed is the PHASE seed — for the
-	// OLS sampling phase they differ by the deterministic offset).
-	Seed uint64
-	// Trials / PrepTrials / Mu mirror the run targets, for remote-side
-	// rebuild validation and checkpoint compatibility.
-	Trials     int
-	PrepTrials int
-	Mu         float64
-}
-
 // ExecJob is one executable range request. Exported fields are read-only
 // to the executor; Graph and Cands are shared, immutable structures.
 type ExecJob struct {
@@ -124,8 +104,7 @@ type ExecJob struct {
 	// Optimized carries the ExecOptimized per-trial knobs: the
 	// EagerSampling/DisableEarlyBreak ablations.
 	Optimized OptimizedOptions
-	// KL carries the Karp-Luby knobs for ExecKarpLuby: BaseTrials, Mu and
-	// MaxTrials.
+	// KL carries the Karp-Luby knobs for ExecKarpLuby: BaseTrials and Mu.
 	KL KLOptions
 	// Interrupt, if non-nil, is polled during execution; when it
 	// returns true the executor stops at a unit boundary and returns
@@ -139,9 +118,6 @@ type ExecJob struct {
 	// Workers is the parallelism hint for pool-style executors (0 =
 	// executor default).
 	Workers int
-	// Spec is the run-level identity for remote execution (see
-	// ExecSpec).
-	Spec ExecSpec
 
 	// into is the package runner's state of units 1..Start. LocalExecutor
 	// folds the run straight into it and returns it, so a one-worker run's

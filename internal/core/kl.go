@@ -5,7 +5,6 @@ import (
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
 	"github.com/uncertain-graphs/mpmb/internal/randx"
-	"github.com/uncertain-graphs/mpmb/internal/telemetry"
 )
 
 // KLOptions configures the Karp-Luby probability estimator (Algorithm 4),
@@ -20,13 +19,10 @@ type KLOptions struct {
 	// (Section VIII-B, Table IV): candidate B_i runs
 	// ceil(KLOpRatio(Pr[E(B_i)], S_i, Mu) · BaseTrials) trials, the count
 	// that matches the optimized estimator's ε-δ guarantee at target
-	// probability Mu per Lemma VI.4. The true P(B_i) is unknown a priori,
-	// so — like the paper — a global target (default experiments use
-	// 0.05 or 0.1) stands in for μ.
+	// probability Mu per Lemma VI.4, capped at klTrialCap × BaseTrials.
+	// The true P(B_i) is unknown a priori, so — like the paper — a global
+	// target (default experiments use 0.05 or 0.1) stands in for μ.
 	Mu float64
-	// MaxTrials caps the per-candidate dynamic count (the ratio diverges
-	// as Pr[E(B_i)]/μ grows). 0 means 50× BaseTrials.
-	MaxTrials int
 	// Seed makes the run reproducible.
 	Seed uint64
 	// TrialsUsed, if non-nil, receives the per-candidate trial counts
@@ -39,18 +35,17 @@ type KLOptions struct {
 	// executor polls the hook concurrently from every worker; it must be
 	// safe for concurrent use there.
 	Interrupt func() bool
-	// Probe, if non-nil, receives run telemetry: the per-candidate trial
-	// counts actually executed, flushed once per priced candidate. Nil
-	// costs one predictable branch per candidate.
-	Probe *telemetry.Probe
 	// Executor, if non-nil, replaces the default one-worker LocalExecutor
-	// with an explicit TrialExecutor: a multi-worker pool, or — through
-	// OLS, which supplies the run identity remote workers need — a
-	// distributed fan-out. Candidates are the unit axis: each one's stream
-	// derives from (Seed, candidate index), so per-candidate results are
-	// bit-identical on any executor.
+	// with an explicit TrialExecutor: a multi-worker pool or a distributed
+	// fan-out. Candidates are the unit axis: each one's stream derives from
+	// (Seed, candidate index), so per-candidate results are bit-identical
+	// on any executor.
 	Executor TrialExecutor
 }
+
+// klTrialCap caps a candidate's dynamic trial count at klTrialCap ×
+// BaseTrials: the Equation 8 ratio diverges as Pr[E(B_i)]/μ grows.
+const klTrialCap = 50
 
 // klScratch is the reusable lazy edge-sampling state shared by all trials
 // of all candidates priced by one goroutine: stamp/val lazy sampling
@@ -111,18 +106,13 @@ func (o KLOptions) job(c *Candidates) (*ExecJob, error) {
 		return nil, err
 	}
 	return &ExecJob{
-		Kind:  ExecKarpLuby,
-		Graph: c.G,
-		Cands: c,
-		Seed:  o.Seed,
-		Units: len(c.List),
-		KL: KLOptions{
-			BaseTrials: o.BaseTrials,
-			Mu:         o.Mu,
-			MaxTrials:  o.MaxTrials,
-		},
+		Kind:      ExecKarpLuby,
+		Graph:     c.G,
+		Cands:     c,
+		Seed:      o.Seed,
+		Units:     len(c.List),
+		KL:        KLOptions{BaseTrials: o.BaseTrials, Mu: o.Mu},
 		Interrupt: o.Interrupt,
-		Probe:     o.Probe,
 	}, nil
 }
 
@@ -155,10 +145,6 @@ func validateKL(opt KLOptions) error {
 // candidates can be priced in any order — or on any goroutine — with
 // bit-identical results.
 func klPrice(c *Candidates, i int, opt KLOptions, root *randx.RNG, scratch *klScratch) (prob float64, nTrials int) {
-	maxTrials := opt.MaxTrials
-	if maxTrials <= 0 {
-		maxTrials = 50 * opt.BaseTrials
-	}
 	g := c.G
 	cand := &c.List[i]
 	li := c.LargerCount(i) // line 3: L(i)
@@ -187,10 +173,7 @@ func klPrice(c *Candidates, i int, opt KLOptions, root *randx.RNG, scratch *klSc
 	nTrials = opt.BaseTrials
 	if opt.Mu > 0 {
 		ratio := KLOpRatio(cand.ExistProb, sI, opt.Mu)
-		nTrials = int(ratio*float64(opt.BaseTrials)) + 1
-		if nTrials > maxTrials {
-			nTrials = maxTrials
-		}
+		nTrials = min(int(ratio*float64(opt.BaseTrials))+1, klTrialCap*opt.BaseTrials)
 	}
 
 	stamp, val := scratch.stamp, scratch.val

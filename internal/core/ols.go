@@ -18,11 +18,11 @@ type OLSOptions struct {
 	// UseKarpLuby selects Algorithm 4 for the sampling phase instead of
 	// the paper's optimized Algorithm 5, i.e. the OLS-KL configuration.
 	UseKarpLuby bool
-	// KL carries Karp-Luby-specific knobs. BaseTrials, Seed, Interrupt,
-	// Probe and Executor are overwritten from this struct's fields.
+	// KL carries Karp-Luby-specific knobs. BaseTrials, Seed, Interrupt
+	// and Executor are overwritten from this struct's fields.
 	KL KLOptions
 	// Optimized carries optimized-estimator knobs. Trials, Seed,
-	// Interrupt, Probe and Executor are overwritten likewise.
+	// Interrupt and Executor are overwritten likewise.
 	Optimized OptimizedOptions
 	// OS configures the preparing phase's Ordering Sampling pruning
 	// behaviour (its Trials, Seed and Interrupt fields are ignored;
@@ -39,8 +39,8 @@ type OLSOptions struct {
 	// Resume continues a cancelled run from its checkpoint. The options
 	// must match the checkpointed run (method, seed, trial targets, Mu,
 	// graph); the finished Result is bit-identical to an uninterrupted
-	// run. Note the checkpoint does not record ablation knobs (the OS
-	// pruning flags, KL.MaxTrials): resume them with the same values.
+	// run. Note the checkpoint does not record the OS pruning flags:
+	// resume them with the same values.
 	Resume *Checkpoint
 	// Probe, if non-nil, receives run telemetry from both phases: the
 	// preparing phase flushes under the "prep" phase label (with candidate
@@ -48,9 +48,9 @@ type OLSOptions struct {
 	Probe *telemetry.Probe
 	// Executor, if non-nil, runs the SAMPLING phase through an explicit
 	// TrialExecutor — a multi-worker LocalExecutor, a distributed fan-out
-	// — instead of one local worker (the preparing phase always runs on
-	// one local worker: it is short, and its candidate set is what remote
-	// workers rebuild deterministically from the seed).
+	// — instead of one local worker. The preparing phase always runs once,
+	// on one local worker in the caller's process; a distributed executor
+	// ships the candidate set it lists to the workers.
 	Executor TrialExecutor
 
 	// stop, when past the resumed prefix, ends the sampling phase after
@@ -72,17 +72,14 @@ func (o OLSOptions) method() string {
 	return "ols"
 }
 
-func (o OLSOptions) mu() float64 {
-	if o.UseKarpLuby {
-		return o.KL.Mu
-	}
-	return 0
-}
-
 // header returns the run's identity as a checkpoint header: method,
-// seed, trial targets and Karp-Luby sizing.
+// seed, trial targets and, for ols-kl, the Karp-Luby sizing.
 func (o OLSOptions) header() Checkpoint {
-	return Checkpoint{Method: o.method(), Seed: o.Seed, Trials: o.Trials, PrepTrials: o.PrepTrials, Mu: o.mu()}
+	h := Checkpoint{Method: o.method(), Seed: o.Seed, Trials: o.Trials, PrepTrials: o.PrepTrials}
+	if o.UseKarpLuby {
+		h.Mu = o.KL.Mu
+	}
+	return h
 }
 
 // OLS is Ordering-Listing Sampling (Section VI, Algorithm 3). The
@@ -165,10 +162,6 @@ func OLSSamplingPhaseParallel(cands *Candidates, opt OLSOptions, workers int) (*
 	}
 	job.Interrupt, job.Probe, job.stop = opt.Interrupt, opt.Probe, opt.stop
 	units := job.Units // execute lowers job.Units to opt.stop
-	// The run-level identity an explicit executor may need to rebuild the
-	// candidate set remotely: the RUN seed (the phase seed is derived from
-	// it) plus the trial targets and Mu the checkpoint layer validates.
-	job.Spec = ExecSpec{Method: method, Seed: opt.Seed, Trials: opt.Trials, PrepTrials: opt.PrepTrials, Mu: opt.mu()}
 	r, err := execute(opt.Executor, workers, job, resume)
 	if err != nil {
 		return nil, err

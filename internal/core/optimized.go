@@ -30,15 +30,9 @@ type OptimizedOptions struct {
 	// them). A multi-worker executor polls the hook concurrently from
 	// every worker; it must be safe for concurrent use there.
 	Interrupt func() bool
-	// Probe, if non-nil, receives run telemetry: trial counts, the
-	// candidate scanned/pruned split of the early break (Algorithm 3
-	// lines 5-6), and running leader estimates. Nil costs one predictable
-	// branch per trial.
-	Probe *telemetry.Probe
 	// Executor, if non-nil, replaces the default one-worker LocalExecutor
-	// with an explicit TrialExecutor: a multi-worker pool, or — through
-	// OLS, which supplies the run identity remote workers need — a
-	// distributed fan-out.
+	// with an explicit TrialExecutor: a multi-worker pool or a distributed
+	// fan-out.
 	Executor TrialExecutor
 }
 
@@ -95,7 +89,6 @@ func (o OptimizedOptions) job(c *Candidates) (*ExecJob, error) {
 			DisableEarlyBreak: o.DisableEarlyBreak,
 		},
 		Interrupt: o.Interrupt,
-		Probe:     o.Probe,
 	}, nil
 }
 

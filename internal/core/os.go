@@ -131,7 +131,6 @@ func osRun(g *bigraph.Graph, a Anchor, opt OSOptions, workers int) (*Result, err
 		OS:        opt.kernel(),
 		Interrupt: opt.Interrupt,
 		Probe:     opt.Probe,
-		Spec:      ExecSpec{Method: "os", Seed: opt.Seed, Trials: opt.Trials},
 		stop:      opt.stop,
 	}, opt.Resume)
 	if err != nil {

@@ -148,10 +148,7 @@ func ReferenceEstimateKarpLuby(c *Candidates, opt KLOptions) ([]float64, error) 
 	stamp := make([]int32, numE)
 	val := make([]bool, numE)
 	var cur int32
-	maxTrials := opt.MaxTrials
-	if maxTrials <= 0 {
-		maxTrials = 50 * opt.BaseTrials
-	}
+	maxTrials := 50 * opt.BaseTrials
 	root := randx.New(opt.Seed)
 	for i := 0; i < n; i++ {
 		cand := &c.List[i]

@@ -133,7 +133,6 @@ func TestChaosJobCollectedBeforeGraphFetch(t *testing.T) {
 
 	gone, _, err := coord.register(&core.ExecJob{
 		Kind: core.ExecOS, Graph: g, Seed: 7, Units: 128,
-		Spec: core.ExecSpec{Method: "os", Seed: 7, Trials: 128},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +204,7 @@ func executeRange(t *testing.T, job *core.ExecJob, lo, hi int) *LeaseComplete {
 		Start:   lo - 1,
 		OS:      job.OS,
 		KL:      job.KL,
-		Probe:   &telemetry.Probe{Reg: reg, Method: job.Spec.Method},
+		Probe:   &telemetry.Probe{Reg: reg},
 		Workers: 1,
 	}
 	res, err := (&core.LocalExecutor{Workers: 1}).ExecuteTrials(sub)
@@ -245,7 +244,6 @@ func TestChaosReorderedAndDuplicatedCompletes(t *testing.T) {
 	mk := func() *core.ExecJob {
 		return &core.ExecJob{
 			Kind: core.ExecOS, Graph: g, Seed: 7, Units: units, Start: 0,
-			Spec: core.ExecSpec{Method: "os", Seed: 7, Trials: units},
 		}
 	}
 	want, err := (&core.LocalExecutor{Workers: 1}).ExecuteTrials(mk())
@@ -328,7 +326,6 @@ func TestChaosLateCompletionOfReissuedLease(t *testing.T) {
 	const units = 64
 	job := &core.ExecJob{
 		Kind: core.ExecOS, Graph: g, Seed: 3, Units: units, Start: 0,
-		Spec: core.ExecSpec{Method: "os", Seed: 3, Trials: units},
 	}
 	coord := NewCoordinator()
 	coord.LeaseUnits = 32
@@ -378,7 +375,6 @@ func TestChaosMalformedCompletesRejected(t *testing.T) {
 	g := meshGraph(t)
 	job := &core.ExecJob{
 		Kind: core.ExecOS, Graph: g, Seed: 3, Units: 100, Start: 0,
-		Spec: core.ExecSpec{Method: "os", Seed: 3, Trials: 100},
 	}
 	coord := NewCoordinator()
 	coord.LeaseUnits = 32

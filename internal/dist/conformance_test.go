@@ -290,11 +290,10 @@ func TestExecutorRejectsAdaptive(t *testing.T) {
 // global kernel or the plain estimator in its place.
 func TestExecutorRefusesLocalOnlyJobs(t *testing.T) {
 	g := meshGraph(t)
-	spec := core.ExecSpec{Method: "os", Seed: 7, Trials: 100}
 	for name, job := range map[string]*core.ExecJob{
-		"anchor": {Kind: core.ExecOS, Graph: g, Seed: 7, Units: 100, Spec: spec,
+		"anchor": {Kind: core.ExecOS, Graph: g, Seed: 7, Units: 100,
 			Anchor: core.Anchor{Kind: core.AnchorLeft, U: 0}},
-		"ablation": {Kind: core.ExecOptimized, Graph: g, Seed: 7, Units: 100, Spec: spec,
+		"ablation": {Kind: core.ExecOptimized, Graph: g, Seed: 7, Units: 100,
 			Optimized: core.OptimizedOptions{EagerSampling: true}},
 	} {
 		ex := &Executor{C: NewCoordinator()}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"sort"
 	"strconv"
@@ -100,6 +101,7 @@ type distJob struct {
 	spec  JobSpec
 	job   *core.ExecJob
 	graph []byte // binary graph served to workers
+	cands []byte // encoded candidate set served to workers (nil for ExecOS)
 
 	nextLo    int               // next fresh range start
 	freed     []span            // expired ranges awaiting regrant, sorted by lo
@@ -126,9 +128,6 @@ type distJob struct {
 
 // register installs a job and returns its id and completion signal.
 func (c *Coordinator) register(job *core.ExecJob) (uint64, chan struct{}, error) {
-	if job.Spec.Method == "" {
-		return 0, nil, fmt.Errorf("dist: job carries no ExecSpec run identity; distributed execution requires one")
-	}
 	if err := job.LocalOnly(); err != nil {
 		return 0, nil, fmt.Errorf("dist: workers cannot reproduce the job: %w", err)
 	}
@@ -136,9 +135,16 @@ func (c *Coordinator) register(job *core.ExecJob) (uint64, chan struct{}, error)
 	if err != nil {
 		return 0, nil, fmt.Errorf("dist: %w", err)
 	}
-	var buf bytes.Buffer
-	if err := bigraph.WriteBinary(&buf, job.Graph); err != nil {
+	var graph, cands bytes.Buffer
+	if err := bigraph.WriteBinary(&graph, job.Graph); err != nil {
 		return 0, nil, fmt.Errorf("dist: encoding graph: %w", err)
+	}
+	var candCRC uint32
+	if job.Kind != core.ExecOS {
+		if err := job.Cands.Encode(&cands); err != nil {
+			return 0, nil, fmt.Errorf("dist: encoding candidates: %w", err)
+		}
+		candCRC = crc32.ChecksumIEEE(cands.Bytes())
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -151,24 +157,20 @@ func (c *Coordinator) register(job *core.ExecJob) (uint64, chan struct{}, error)
 			V:                Version,
 			Job:              id,
 			Kind:             uint8(job.Kind),
-			Method:           job.Spec.Method,
-			RunSeed:          job.Spec.Seed,
 			PhaseSeed:        job.Seed,
 			Units:            job.Units,
-			Trials:           job.Spec.Trials,
-			PrepTrials:       job.Spec.PrepTrials,
-			Mu:               job.Spec.Mu,
 			Start:            job.Start,
 			KLBaseTrials:     job.KL.BaseTrials,
 			KLMu:             job.KL.Mu,
-			KLMaxTrials:      job.KL.MaxTrials,
 			DisableEdgePrune: job.OS.DisableEdgePrune,
 			KeepAllAngles:    job.OS.KeepAllAngles,
 			DropA2:           job.OS.DropA2,
 			GraphCRC:         job.Graph.Checksum(),
+			CandCRC:          candCRC,
 			LeaseUnits:       c.leaseUnits(),
 		},
-		graph:     buf.Bytes(),
+		graph:     graph.Bytes(),
+		cands:     cands.Bytes(),
 		nextLo:    job.Start + 1,
 		leases:    make(map[uint64]*lease),
 		completed: make(map[int]int),
@@ -514,7 +516,8 @@ func (j *distJob) advanceLocked() {
 func (c *Coordinator) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /dist/v1/lease", c.handleLease)
 	mux.HandleFunc("POST /dist/v1/complete", c.handleComplete)
-	mux.HandleFunc("GET /dist/v1/graph", c.handleGraph)
+	mux.HandleFunc("GET /dist/v1/graph", c.serveJob(func(j *distJob) []byte { return j.graph }))
+	mux.HandleFunc("GET /dist/v1/candidates", c.serveJob(func(j *distJob) []byte { return j.cands }))
 }
 
 // Handler returns a standalone handler serving the protocol routes.
@@ -594,20 +597,27 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, rep)
 }
 
-func (c *Coordinator) handleGraph(w http.ResponseWriter, r *http.Request) {
-	c.touchWorker()
-	id, err := strconv.ParseUint(r.URL.Query().Get("job"), 10, 64)
-	if err != nil {
-		http.Error(w, "bad job id", http.StatusBadRequest)
-		return
+// serveJob returns the handler of the job input part picks from the job
+// the query names; a collected job, or one without that input, is a 404.
+func (c *Coordinator) serveJob(part func(*distJob) []byte) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		c.touchWorker()
+		id, err := strconv.ParseUint(r.URL.Query().Get("job"), 10, 64)
+		if err != nil {
+			http.Error(w, "bad job id", http.StatusBadRequest)
+			return
+		}
+		var data []byte
+		c.mu.Lock()
+		if j := c.jobs[id]; j != nil {
+			data = part(j)
+		}
+		c.mu.Unlock()
+		if len(data) == 0 {
+			http.Error(w, "no such job", http.StatusNotFound)
+			return
+		}
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Write(data)
 	}
-	c.mu.Lock()
-	j, ok := c.jobs[id]
-	c.mu.Unlock()
-	if !ok {
-		http.Error(w, "no such job", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(j.graph)
 }

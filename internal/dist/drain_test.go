@@ -56,7 +56,6 @@ func TestDrainCommitsInFlightLease(t *testing.T) {
 	const units = 96
 	job := &core.ExecJob{
 		Kind: core.ExecOS, Graph: g, Seed: 7, Units: units, Start: 0,
-		Spec: core.ExecSpec{Method: "os", Seed: 7, Trials: units},
 	}
 	var interrupted atomic.Bool
 	job.Interrupt = func() bool { return interrupted.Load() }
@@ -101,7 +100,6 @@ func TestDrainCommitsInFlightLease(t *testing.T) {
 	}
 	want, err := (&core.LocalExecutor{Workers: 1}).ExecuteTrials(&core.ExecJob{
 		Kind: core.ExecOS, Graph: g, Seed: 7, Units: rep.Hi, Start: 0,
-		Spec: core.ExecSpec{Method: "os", Seed: 7, Trials: units},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +117,6 @@ func TestDrainDeadlineBoundsDeadHolder(t *testing.T) {
 	g := meshGraph(t)
 	job := &core.ExecJob{
 		Kind: core.ExecOS, Graph: g, Seed: 7, Units: 64, Start: 0,
-		Spec: core.ExecSpec{Method: "os", Seed: 7, Trials: 64},
 	}
 	var interrupted atomic.Bool
 	job.Interrupt = func() bool { return interrupted.Load() }

@@ -192,7 +192,7 @@ func executeSpan(job *core.ExecJob, pool, lo, hi int) (*LeaseComplete, error) {
 		Start: lo - 1, // units Start+1..Units = lo..hi
 		OS:    job.OS,
 		KL:    job.KL,
-		Probe: &telemetry.Probe{Reg: reg, Method: job.Spec.Method},
+		Probe: &telemetry.Probe{Reg: reg, Method: job.Kind.String()},
 	})
 	if err != nil {
 		return nil, err

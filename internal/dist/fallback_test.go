@@ -129,7 +129,6 @@ func TestExecutorNoFallbackWhileLeaseHeld(t *testing.T) {
 			}
 			msg := executeRange(t, &core.ExecJob{
 				Kind: core.ExecKind(rep.Job.Kind), Graph: g, Seed: rep.Job.PhaseSeed,
-				Spec: core.ExecSpec{Method: rep.Job.Method},
 			}, rep.Lo, rep.Hi)
 			msg.Job, msg.Lease = rep.Job.Job, rep.Lease
 			var ack CompleteReply

@@ -131,7 +131,6 @@ func FuzzCheckpointMerge(f *testing.F) {
 	baseJob := func() *core.ExecJob {
 		return &core.ExecJob{
 			Kind: core.ExecOS, Graph: g, Seed: 11, Units: units, Start: 0,
-			Spec: core.ExecSpec{Method: "os", Seed: 11, Trials: units},
 		}
 	}
 	for lo := 1; lo <= units; lo += leaseUnits {

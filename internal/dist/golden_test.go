@@ -26,16 +26,13 @@ func goldenJobs(t *testing.T) map[string]*core.ExecJob {
 	return map[string]*core.ExecJob{
 		"os": {
 			Kind: core.ExecOS, Graph: g, Seed: 7, Units: 1500,
-			Spec: core.ExecSpec{Method: "os", Seed: 7, Trials: 1500},
 		},
 		"optimized": {
 			Kind: core.ExecOptimized, Graph: g, Cands: cands, Seed: sampleSeed, Units: 1500,
-			Spec: core.ExecSpec{Method: "ols", Seed: 7, Trials: 1500, PrepTrials: 40},
 		},
 		"karp-luby": {
 			Kind: core.ExecKarpLuby, Graph: g, Cands: cands, Seed: sampleSeed, Units: cands.Len(),
-			KL:   core.KLOptions{BaseTrials: 1500, Mu: 0.05},
-			Spec: core.ExecSpec{Method: "ols-kl", Seed: 7, Trials: 1500, PrepTrials: 40, Mu: 0.05},
+			KL: core.KLOptions{BaseTrials: 1500, Mu: 0.05},
 		},
 	}
 }

@@ -69,7 +69,8 @@ func (jl *Journal) retry() core.RetryPolicy {
 	return p
 }
 
-// jobKey hashes a job's identity: everything in the spec except the
+// jobKey hashes a job's identity: what its spec says it computes (kind,
+// phase seed, range, knobs, graph and candidate checksums), not the
 // ephemeral per-process job id. Two registrations of the same logical
 // run — a crashed coordinator's and its successor's — land on the same
 // key and therefore the same journal directory.

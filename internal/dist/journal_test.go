@@ -18,7 +18,6 @@ func journalTestJob(t *testing.T) *core.ExecJob {
 	g := meshGraph(t)
 	return &core.ExecJob{
 		Kind: core.ExecOS, Graph: g, Seed: 7, Units: 160, Start: 0,
-		Spec: core.ExecSpec{Method: "os", Seed: 7, Trials: 160},
 	}
 }
 

@@ -33,7 +33,6 @@ func TestMalformedOSPayloadRejected(t *testing.T) {
 			coord.LeaseUnits = 16
 			id, _, err := coord.register(&core.ExecJob{
 				Kind: core.ExecOS, Graph: g, Seed: 7, Units: 16,
-				Spec: core.ExecSpec{Method: "os", Seed: 7, Trials: 16},
 			})
 			if err != nil {
 				t.Fatal(err)

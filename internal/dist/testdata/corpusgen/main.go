@@ -39,19 +39,19 @@ func main() {
 		panic(err)
 	}
 	decSeeds := map[string]string{
-		"valid-os":             `{"v":1,"worker":"w0","job":1,"lease":1,"lo":1,"hi":16,"payload":{"counts":[{"b":{"u1":0,"v1":1,"u2":2,"v2":3},"count":3,"weight":1.5}]},"counters":{"trials":16,"trial_hits":3,"edges_scanned":64,"edges_pruned":0,"cand_scanned":0,"cand_pruned":0}}`,
-		"valid-optimized":      `{"v":1,"job":2,"lease":9,"lo":17,"hi":32,"payload":{"cand_counts":[0,16,7]}}`,
-		"valid-kl":             `{"v":1,"job":3,"lease":2,"lo":1,"hi":4,"payload":{"cand_probs":[0,0.5,1,0.25],"cand_trials":[4,4,4,4]}}`,
-		"version-skew":         `{"v":2,"lo":1,"hi":16}`,
-		"lo-zero":              `{"v":1,"lo":0,"hi":16}`,
-		"inverted-range":       `{"v":1,"lo":17,"hi":16}`,
-		"kl-width-skew":        `{"v":1,"lo":1,"hi":2,"payload":{"cand_probs":[0.5],"cand_trials":[1]}}`,
-		"mixed-kinds":          `{"v":1,"lo":1,"hi":16,"payload":{"counts":[{"count":1}],"cand_counts":[1]}}`,
-		"negative-counter":     `{"v":1,"lo":1,"hi":16,"counters":{"trials":-1}}`,
-		"negative-count":       `{"v":1,"lo":1,"hi":16,"payload":{"counts":[{"count":-2}]}}`,
-		"duplicate-butterfly":  `{"v":1,"lo":1,"hi":16,"payload":{"counts":[{"b":{"u1":0,"v1":0,"u2":1,"v2":1},"count":16,"weight":4},{"b":{"u1":0,"v1":0,"u2":1,"v2":1},"count":16,"weight":4}]}}`,
-		"degenerate-butterfly": `{"v":1,"lo":1,"hi":16,"payload":{"counts":[{"b":{"u1":1,"v1":2,"u2":1,"v2":0},"count":3,"weight":4}]}}`,
-		"truncated-json":       `{"v":1,"lo":1,"hi":16,"payload":{"cand_probs":`,
+		"valid-os":             `{"v":2,"worker":"w0","job":1,"lease":1,"lo":1,"hi":16,"payload":{"counts":[{"b":{"u1":0,"v1":1,"u2":2,"v2":3},"count":3,"weight":1.5}]},"counters":{"trials":16,"trial_hits":3,"edges_scanned":64,"edges_pruned":0,"cand_scanned":0,"cand_pruned":0}}`,
+		"valid-optimized":      `{"v":2,"job":2,"lease":9,"lo":17,"hi":32,"payload":{"cand_counts":[0,16,7]}}`,
+		"valid-kl":             `{"v":2,"job":3,"lease":2,"lo":1,"hi":4,"payload":{"cand_probs":[0,0.5,1,0.25],"cand_trials":[4,4,4,4]}}`,
+		"version-skew":         `{"v":3,"lo":1,"hi":16}`,
+		"lo-zero":              `{"v":2,"lo":0,"hi":16}`,
+		"inverted-range":       `{"v":2,"lo":17,"hi":16}`,
+		"kl-width-skew":        `{"v":2,"lo":1,"hi":2,"payload":{"cand_probs":[0.5],"cand_trials":[1]}}`,
+		"mixed-kinds":          `{"v":2,"lo":1,"hi":16,"payload":{"counts":[{"count":1}],"cand_counts":[1]}}`,
+		"negative-counter":     `{"v":2,"lo":1,"hi":16,"counters":{"trials":-1}}`,
+		"negative-count":       `{"v":2,"lo":1,"hi":16,"payload":{"counts":[{"count":-2}]}}`,
+		"duplicate-butterfly":  `{"v":2,"lo":1,"hi":16,"payload":{"counts":[{"b":{"u1":0,"v1":0,"u2":1,"v2":1},"count":16,"weight":4},{"b":{"u1":0,"v1":0,"u2":1,"v2":1},"count":16,"weight":4}]}}`,
+		"degenerate-butterfly": `{"v":2,"lo":1,"hi":16,"payload":{"counts":[{"b":{"u1":1,"v1":2,"u2":1,"v2":0},"count":3,"weight":4}]}}`,
+		"truncated-json":       `{"v":2,"lo":1,"hi":16,"payload":{"cand_probs":`,
 		"not-json":             `not json at all`,
 		"huge-version":         `{"v":1e309}`,
 	}
@@ -64,12 +64,12 @@ func main() {
 		panic(err)
 	}
 	mrgSeeds := map[string][]byte{
-		"in-order":        triples(1, 8, 1, 9, 16, 1, 17, 24, 1, 25, 32, 1, 33, 40, 1),
-		"reversed":        triples(33, 40, 1, 25, 32, 1, 17, 24, 1, 9, 16, 1, 1, 8, 1),
-		"duplicated-head": triples(1, 8, 1, 1, 8, 1, 1, 8, 1),
-		"version-skew":    triples(1, 8, 2, 1, 8, 1),
-		"misaligned":      triples(2, 9, 1, 0, 7, 1, 1, 40, 1, 9, 8, 1),
-		"overlapping":     triples(1, 8, 1, 5, 12, 1, 9, 16, 1),
+		"in-order":        triples(1, 8, 2, 9, 16, 2, 17, 24, 2, 25, 32, 2, 33, 40, 2),
+		"reversed":        triples(33, 40, 2, 25, 32, 2, 17, 24, 2, 9, 16, 2, 1, 8, 2),
+		"duplicated-head": triples(1, 8, 2, 1, 8, 2, 1, 8, 2),
+		"version-skew":    triples(1, 8, 3, 1, 8, 2),
+		"misaligned":      triples(2, 9, 2, 0, 7, 2, 1, 40, 2, 9, 8, 2),
+		"overlapping":     triples(1, 8, 2, 5, 12, 2, 9, 16, 2),
 		"empty":           triples(),
 	}
 	for name, body := range mrgSeeds {

@@ -40,7 +40,7 @@ import (
 
 // Version is the wire protocol version. Every message carries it; a
 // mismatch is rejected with ErrVersionSkew before anything is trusted.
-const Version = 1
+const Version = 2
 
 // maxMessageBytes bounds a decoded protocol message. Payload sizes are
 // bounded by candidate-set width and distinct-butterfly counts, both of
@@ -63,25 +63,20 @@ var (
 	ErrBadPayload = errors.New("dist: bad range payload")
 )
 
-// JobSpec is the run identity the coordinator hands to workers: every
-// input a worker needs to rebuild the job state locally (graph by
-// checksum, candidate set by deterministic re-preparation) and execute
-// any leased range bit-identically.
+// JobSpec is what the coordinator hands to workers: every input a worker
+// needs to rebuild the job locally and execute any leased range
+// bit-identically. The graph and, for the estimator kinds, the candidate
+// set are fetched from the coordinator and checked against the
+// checksums named here.
 type JobSpec struct {
 	V    int    `json:"v"`
 	Job  uint64 `json:"job"`
 	Kind uint8  `json:"kind"` // core.ExecKind
 
-	// Method / RunSeed / Trials / PrepTrials / Mu mirror core.ExecSpec —
-	// the run-level identity (RunSeed drives candidate re-preparation;
-	// PhaseSeed drives the leased units themselves).
-	Method     string  `json:"method"`
-	RunSeed    uint64  `json:"run_seed"`
-	PhaseSeed  uint64  `json:"phase_seed"`
-	Units      int     `json:"units"`
-	Trials     int     `json:"trials"`
-	PrepTrials int     `json:"prep_trials,omitempty"`
-	Mu         float64 `json:"mu,omitempty"`
+	// PhaseSeed is the seed the leased units' streams derive from; Units
+	// is the job's last unit.
+	PhaseSeed uint64 `json:"phase_seed"`
+	Units     int    `json:"units"`
 
 	// Start is the job's completed prefix at registration (a resumed
 	// run); leases cover Start+1..Units and are aligned to Start.
@@ -90,10 +85,8 @@ type JobSpec struct {
 	// Karp-Luby sizing knobs (ExecKarpLuby only).
 	KLBaseTrials int     `json:"kl_base_trials,omitempty"`
 	KLMu         float64 `json:"kl_mu,omitempty"`
-	KLMaxTrials  int     `json:"kl_max_trials,omitempty"`
 
-	// Ordering Sampling kernel knobs (ExecOS execution and candidate
-	// re-preparation both).
+	// Ordering Sampling kernel knobs (ExecOS only).
 	DisableEdgePrune bool `json:"disable_edge_prune,omitempty"`
 	KeepAllAngles    bool `json:"keep_all_angles,omitempty"`
 	DropA2           bool `json:"drop_a2,omitempty"`
@@ -101,6 +94,10 @@ type JobSpec struct {
 	// GraphCRC fingerprints the graph; workers verify the fetched bytes
 	// against it before executing anything.
 	GraphCRC uint32 `json:"graph_crc"`
+	// CandCRC is the CRC-32 of the encoded candidate set of an
+	// ExecOptimized or ExecKarpLuby job (core.Candidates.Encode); workers
+	// verify the fetched bytes against it and cache sets by it.
+	CandCRC uint32 `json:"cand_crc,omitempty"`
 	// LeaseUnits is the job's fixed lease width; all range validation is
 	// arithmetic over it.
 	LeaseUnits int `json:"lease_units"`

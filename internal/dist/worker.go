@@ -1,9 +1,11 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
 	"net/http"
 	"os"
@@ -21,10 +23,10 @@ import (
 var defaultWorkerClient = &http.Client{Timeout: 30 * time.Second}
 
 // Worker executes leased ranges for a coordinator. It is stateless from
-// the coordinator's point of view — everything it needs arrives in the
-// JobSpec (graph by fetch-and-verify, candidate set by deterministic
-// re-preparation from the run seed), so workers can join, die and
-// rejoin at any point of a run without coordination.
+// the coordinator's point of view — everything it needs arrives with the
+// JobSpec (the graph and the candidate set are fetched from the
+// coordinator and verified against the spec's checksums), so workers can
+// join, die and rejoin at any point of a run without coordination.
 //
 // All coordinator exchanges go through a retrying Transport; when a
 // coordinator the worker has already talked to becomes unreachable past
@@ -62,8 +64,13 @@ type Worker struct {
 	parked    bool
 	parkedAt  time.Time
 	leases    int
-	graphs    map[uint32]*workerGraph
+	graphs    map[uint32]*bigraph.Graph   // by GraphCRC
+	cands     map[uint32]*core.Candidates // by CandCRC, at most maxWorkerCands
 }
+
+// maxWorkerCands bounds the candidate sets a worker keeps across leases:
+// a query's sampling phase is one job, so jobs that interleave are few.
+const maxWorkerCands = 4
 
 // workerFaults is the injectable fault seam used by chaos tests.
 type workerFaults struct {
@@ -78,20 +85,6 @@ type workerFaults struct {
 	// granted, when non-nil, sees every granted lease before the worker
 	// executes it (and so before any graph fetch the lease triggers).
 	granted func(*LeaseReply)
-}
-
-// workerGraph is one verified graph plus its derived candidate sets,
-// cached across leases by graph fingerprint.
-type workerGraph struct {
-	g     *bigraph.Graph
-	cands map[candKey]*core.Candidates
-}
-
-// candKey identifies a deterministic candidate preparation.
-type candKey struct {
-	prep  int
-	seed  uint64
-	flags uint8
 }
 
 // Run leases and executes ranges until ctx is cancelled or the
@@ -109,7 +102,8 @@ func (w *Worker) Run(ctx context.Context) error {
 		w.Name = fmt.Sprintf("%s:%d", host, os.Getpid())
 	}
 	if w.graphs == nil {
-		w.graphs = make(map[uint32]*workerGraph)
+		w.graphs = make(map[uint32]*bigraph.Graph)
+		w.cands = make(map[uint32]*core.Candidates)
 	}
 	for {
 		if ctx.Err() != nil {
@@ -161,8 +155,9 @@ func (w *Worker) Run(ctx context.Context) error {
 				}
 				switch {
 				case errors.Is(err, ErrTransportExhausted):
-					// The graph fetch died with the coordinator: abandon
-					// the lease (the TTL reissues it) and park.
+					// A graph or candidate-set fetch died with the
+					// coordinator: abandon the lease (the TTL reissues it)
+					// and park.
 					w.count(telemetry.CounterDistGraphErrors)
 					if !w.park(ctx) {
 						return nil
@@ -287,35 +282,28 @@ func (w *Worker) execute(ctx context.Context, rep *LeaseReply) (*LeaseComplete, 
 	if spec.V != Version {
 		return nil, fmt.Errorf("%w: job spec v%d", ErrVersionSkew, spec.V)
 	}
-	wg, err := w.graph(ctx, spec)
+	g, err := w.graph(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
 	kind := core.ExecKind(spec.Kind)
-	osOpt := core.OSOptions{
-		DisableEdgePrune: spec.DisableEdgePrune,
-		KeepAllAngles:    spec.KeepAllAngles,
-		DropA2:           spec.DropA2,
-	}
 	var cands *core.Candidates
 	if kind != core.ExecOS {
-		cands, err = w.candidates(wg, spec, osOpt)
-		if err != nil {
+		if cands, err = w.candidateSet(ctx, spec, g); err != nil {
 			return nil, err
 		}
 	}
 	msg, err := executeSpan(&core.ExecJob{
 		Kind:  kind,
-		Graph: wg.g,
+		Graph: g,
 		Cands: cands,
 		Seed:  spec.PhaseSeed,
-		OS:    osOpt,
-		KL: core.KLOptions{
-			BaseTrials: spec.KLBaseTrials,
-			Mu:         spec.KLMu,
-			MaxTrials:  spec.KLMaxTrials,
+		OS: core.OSOptions{
+			DisableEdgePrune: spec.DisableEdgePrune,
+			KeepAllAngles:    spec.KeepAllAngles,
+			DropA2:           spec.DropA2,
 		},
-		Spec: core.ExecSpec{Method: spec.Method},
+		KL: core.KLOptions{BaseTrials: spec.KLBaseTrials, Mu: spec.KLMu},
 	}, w.Pool, rep.Lo, rep.Hi)
 	if err != nil {
 		return nil, err
@@ -327,9 +315,9 @@ func (w *Worker) execute(ctx context.Context, rep *LeaseReply) (*LeaseComplete, 
 // graph returns the verified graph for a spec, fetching it once per
 // fingerprint. A torn response body (the fetch died mid-stream) is
 // retried by the transport like any other transient fault.
-func (w *Worker) graph(ctx context.Context, spec *JobSpec) (*workerGraph, error) {
-	if wg, ok := w.graphs[spec.GraphCRC]; ok {
-		return wg, nil
+func (w *Worker) graph(ctx context.Context, spec *JobSpec) (*bigraph.Graph, error) {
+	if g, ok := w.graphs[spec.GraphCRC]; ok {
+		return g, nil
 	}
 	var g *bigraph.Graph
 	url := fmt.Sprintf("%s/dist/v1/graph?job=%d", w.Base, spec.Job)
@@ -347,44 +335,45 @@ func (w *Worker) graph(ctx context.Context, spec *JobSpec) (*workerGraph, error)
 	if crc := g.Checksum(); crc != spec.GraphCRC {
 		return nil, fmt.Errorf("dist: graph checksum %08x does not match job spec %08x", crc, spec.GraphCRC)
 	}
-	wg := &workerGraph{g: g, cands: make(map[candKey]*core.Candidates)}
-	w.graphs[spec.GraphCRC] = wg
-	return wg, nil
+	w.graphs[spec.GraphCRC] = g
+	return g, nil
 }
 
-// jobGone reports whether err is the coordinator's 404 to a graph fetch:
-// the job was collected (it finished or was interrupted) after the lease
-// was granted. The coordinator likewise acknowledges and drops late
-// completions of a collected job.
+// jobGone reports whether err is the coordinator's 404 to a graph or
+// candidate-set fetch: the job was collected (it finished or was
+// interrupted) after the lease was granted. The coordinator likewise
+// acknowledges and drops late completions of a collected job.
 func jobGone(err error) bool {
 	var se *statusError
-	return errors.As(err, &se) && se.op == "graph" && se.code == http.StatusNotFound
+	return errors.As(err, &se) && (se.op == "graph" || se.op == "candidates") && se.code == http.StatusNotFound
 }
 
-// candidates rebuilds (or returns the cached) candidate set for a spec.
-// Re-preparation is deterministic in (run seed, prep trials, kernel
-// flags), so every worker derives the exact candidate list the
-// coordinator's own preparing phase produced.
-func (w *Worker) candidates(wg *workerGraph, spec *JobSpec, osOpt core.OSOptions) (*core.Candidates, error) {
-	var flags uint8
-	if spec.DisableEdgePrune {
-		flags |= 1
-	}
-	if spec.KeepAllAngles {
-		flags |= 2
-	}
-	if spec.DropA2 {
-		flags |= 4
-	}
-	key := candKey{prep: spec.PrepTrials, seed: spec.RunSeed, flags: flags}
-	if c, ok := wg.cands[key]; ok {
+// candidateSet returns the candidate set of an estimator job on graph g,
+// fetching it once per CandCRC while the cache holds it.
+func (w *Worker) candidateSet(ctx context.Context, spec *JobSpec, g *bigraph.Graph) (*core.Candidates, error) {
+	if c, ok := w.cands[spec.CandCRC]; ok {
 		return c, nil
 	}
-	c, err := core.PrepareCandidates(wg.g, spec.PrepTrials, spec.RunSeed, osOpt)
+	var data []byte
+	url := fmt.Sprintf("%s/dist/v1/candidates?job=%d", w.Base, spec.Job)
+	err := w.transport().get(ctx, "candidates", url, func(resp *http.Response) (err error) {
+		data, err = readAll(resp.Body)
+		return err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("dist: re-preparing candidates: %w", err)
+		return nil, err
 	}
-	wg.cands[key] = c
+	if crc := crc32.ChecksumIEEE(data); crc != spec.CandCRC {
+		return nil, fmt.Errorf("dist: candidate set checksum %08x does not match job spec %08x", crc, spec.CandCRC)
+	}
+	c, err := core.DecodeCandidates(g, bytes.NewReader(data))
+	if err != nil {
+		return nil, fmt.Errorf("dist: decoding candidates for job %d: %w", spec.Job, err)
+	}
+	if len(w.cands) == maxWorkerCands {
+		clear(w.cands)
+	}
+	w.cands[spec.CandCRC] = c
 	return c, nil
 }
 

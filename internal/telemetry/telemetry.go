@@ -68,8 +68,9 @@ const (
 	// CounterDistLeaseErrors / CounterDistCompleteErrors /
 	// CounterDistGraphErrors / CounterDistExecErrors split a distributed
 	// worker's lease-loop failures by kind (transport faults on the
-	// lease, complete and graph exchanges vs local execution faults), so
-	// fleet dashboards can tell a sick network from a sick kernel.
+	// lease, complete, graph and candidate-set exchanges vs local
+	// execution faults), so fleet dashboards can tell a sick network from
+	// a sick kernel.
 	CounterDistLeaseErrors
 	CounterDistCompleteErrors
 	CounterDistGraphErrors

@@ -21,13 +21,56 @@ import (
 // same (PrepTrials, Seed) candidate set are single-flighted: one caller
 // runs the preparing phase while the others wait for its result, so a
 // burst of identical queries — the multi-tenant daemon's steady state —
-// pays for candidate listing exactly once.
+// pays for candidate listing exactly once. The caches keep the sets
+// used most recently, maxCachedSets at most.
 type Searcher struct {
 	g *Graph
 
 	mu    sync.Mutex
+	clock uint64 // orders cache entries by last use
 	cands map[candKey]*candEntry
 	comms map[uint64]*commEntry
+}
+
+// maxCachedSets caps each cache's completed entries: past it the least
+// recently used goes, never an in-flight one. A daemon runs two jobs at
+// once by default and each reuses its set every checkpoint slice, so a
+// job loses its set only if eight others were used since its last slice.
+const maxCachedSets = 8
+
+// cacheSlot is a cache entry's single-flight signal (ready closes once
+// the entry is complete) and the clock at its last use.
+type cacheSlot struct {
+	ready chan struct{}
+	used  uint64
+}
+
+func (c *cacheSlot) slot() *cacheSlot { return c }
+
+// touch stamps c as the most recent use, then drops the least recently
+// used completed entries of m past maxCachedSets. Called with s.mu held.
+func touch[K comparable, E interface{ slot() *cacheSlot }](s *Searcher, m map[K]E, c *cacheSlot) {
+	s.clock++
+	c.used = s.clock
+	for {
+		var lru K
+		var oldest *cacheSlot
+		done := 0
+		for k, e := range m {
+			select {
+			case <-e.slot().ready:
+			default:
+				continue // in flight
+			}
+			if done++; oldest == nil || e.slot().used < oldest.used {
+				lru, oldest = k, e.slot()
+			}
+		}
+		if done <= maxCachedSets {
+			return
+		}
+		delete(m, lru)
+	}
 }
 
 // candKey identifies one preparing-phase run. The zero anchor is the
@@ -42,7 +85,7 @@ type candKey struct {
 // candEntry is one single-flight slot: ready closes when the preparing
 // phase finishes, after which cands/err are immutable.
 type candEntry struct {
-	ready chan struct{}
+	cacheSlot
 	cands *core.Candidates
 	err   error
 }
@@ -53,7 +96,7 @@ type candEntry struct {
 // the label slices; specL/specR keep the exact labels to rule out
 // collisions.
 type commEntry struct {
-	ready chan struct{}
+	cacheSlot
 	specL []int
 	specR []int
 	subs  []core.CommunityGraph
@@ -241,6 +284,7 @@ func (s *Searcher) communityEntry(c *Communities) ([]core.CommunityGraph, []*Sea
 	s.mu.Lock()
 	e, ok := s.comms[key]
 	if ok {
+		touch(s, s.comms, &e.cacheSlot)
 		s.mu.Unlock()
 		<-e.ready
 		if e.err == nil && slices.Equal(e.specL, c.L) && slices.Equal(e.specR, c.R) {
@@ -256,21 +300,21 @@ func (s *Searcher) communityEntry(c *Communities) ([]core.CommunityGraph, []*Sea
 		}
 		return subs, communityKids(subs), nil
 	}
-	e = &commEntry{ready: make(chan struct{}), specL: append([]int(nil), c.L...), specR: append([]int(nil), c.R...)}
+	e = &commEntry{cacheSlot: cacheSlot{ready: make(chan struct{})}, specL: append([]int(nil), c.L...), specR: append([]int(nil), c.R...)}
 	s.comms[key] = e
 	s.mu.Unlock()
 
 	e.subs, e.err = communitySubgraphs(s.g, c)
 	if e.err == nil {
 		e.kids = communityKids(e.subs)
-	} else {
-		s.mu.Lock()
-		if s.comms[key] == e {
-			delete(s.comms, key)
-		}
-		s.mu.Unlock()
+	}
+	s.mu.Lock()
+	if e.err != nil && s.comms[key] == e {
+		delete(s.comms, key)
 	}
 	close(e.ready)
+	touch(s, s.comms, &e.cacheSlot)
+	s.mu.Unlock()
 	return e.subs, e.kids, e.err
 }
 
@@ -324,6 +368,7 @@ func (s *Searcher) candidates(key candKey, prepare func() (*core.Candidates, err
 		if !ok {
 			break // s.mu stays held: this caller claims the key below
 		}
+		touch(s, s.cands, &e.cacheSlot)
 		s.mu.Unlock()
 		// Either a completed prep (ready already closed) or one in
 		// flight; wait rather than duplicating the work. The follower's
@@ -334,20 +379,19 @@ func (s *Searcher) candidates(key candKey, prepare func() (*core.Candidates, err
 			return e.cands, e.err
 		}
 	}
-	e := &candEntry{ready: make(chan struct{})}
+	e := &candEntry{cacheSlot: cacheSlot{ready: make(chan struct{})}}
 	s.cands[key] = e
 	s.mu.Unlock()
 
 	// Prepare outside the lock: the phase is expensive and the slot
 	// already claims the key, so concurrent identical preps run once.
 	e.cands, e.err = prepare()
-	if e.err != nil || e.cands.PrepDone < key.prepTrials {
-		s.mu.Lock()
-		if s.cands[key] == e {
-			delete(s.cands, key)
-		}
-		s.mu.Unlock()
+	s.mu.Lock()
+	if (e.err != nil || e.cands.PrepDone < key.prepTrials) && s.cands[key] == e {
+		delete(s.cands, key)
 	}
 	close(e.ready)
+	touch(s, s.cands, &e.cacheSlot)
+	s.mu.Unlock()
 	return e.cands, e.err
 }

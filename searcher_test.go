@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"github.com/uncertain-graphs/mpmb/internal/core"
 )
 
 // TestSearcherMatchesOneShot: Searcher results must be bit-identical to
@@ -196,5 +198,76 @@ func TestSearcherSearchContextPrepCheckpoint(t *testing.T) {
 	}
 	if n, err := s.CandidateCount(opt.PrepTrials, opt.Seed); err != nil || n != len(want.Estimates) {
 		t.Fatalf("cached candidate set has %d candidates (err %v), want %d", n, err, len(want.Estimates))
+	}
+}
+
+// TestSearcherCacheBounded: a Searcher that sees a stream of fresh seeds
+// and community label sets keeps at most maxCachedSets completed entries
+// in each cache. Two keys that come back between the fresh ones, like a
+// daemon's two concurrent jobs across checkpoint slices, keep hitting
+// their own sets, and an in-flight preparing phase is never dropped.
+func TestSearcherCacheBounded(t *testing.T) {
+	s := NewSearcher(figure1(t))
+	preps := map[uint64]int{}
+	get := func(seed uint64) {
+		t.Helper()
+		_, err := s.candidates(candKey{prepTrials: 1, seed: seed}, func() (*core.Candidates, error) {
+			preps[seed]++
+			return &core.Candidates{PrepDone: 1}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	cached := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.cands)
+	}
+	inFlight := candKey{prepTrials: 1, seed: 0}
+	started, release := make(chan struct{}), make(chan struct{})
+	flight := make(chan error, 1)
+	go func() {
+		_, err := s.candidates(inFlight, func() (*core.Candidates, error) {
+			close(started)
+			<-release
+			return &core.Candidates{PrepDone: 1}, nil
+		})
+		flight <- err
+	}()
+	<-started
+	const jobA, jobB = 1, 2
+	for i := uint64(0); i < 100; i++ {
+		get(jobA)
+		get(jobB)
+		get(1000 + i)
+	}
+	s.mu.Lock()
+	_, held := s.cands[inFlight]
+	s.mu.Unlock()
+	n := cached()
+	close(release)
+	if err := <-flight; err != nil {
+		t.Fatal(err)
+	}
+	if !held {
+		t.Fatal("an in-flight preparing phase was dropped")
+	}
+	if n > maxCachedSets+1 {
+		t.Fatalf("%d candidate sets cached beside the in-flight one, want at most %d", n-1, maxCachedSets)
+	}
+	if n := cached(); n > maxCachedSets {
+		t.Fatalf("%d candidate sets cached, want at most %d", n, maxCachedSets)
+	}
+	if preps[jobA] != 1 || preps[jobB] != 1 {
+		t.Fatalf("recurring keys prepared %d and %d times, want once each", preps[jobA], preps[jobB])
+	}
+	for i := 0; i < 3*maxCachedSets; i++ {
+		if _, _, err := s.communityEntry(&Communities{L: []int{i, i}, R: []int{i, i, i}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(s.comms); n > maxCachedSets {
+		t.Fatalf("%d community splits cached, want at most %d", n, maxCachedSets)
 	}
 }
