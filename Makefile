@@ -52,7 +52,7 @@ microbench:
 # set-up tables (against brute force), the pair-credited tally (against
 # listing every maximum set), the gathered anchored snapshot (against a
 # brute-force layout), the dist wire decoder and merge, and both graph
-# parsers.
+# parsers, alone and against their frozen pre-rewrite copies.
 FUZZ_TARGETS := \
 	./internal/core/:FuzzCheckpointDecode \
 	./internal/core/:FuzzTally \
@@ -64,7 +64,9 @@ FUZZ_TARGETS := \
 	./internal/dist/:FuzzLeaseDecode \
 	./internal/dist/:FuzzCheckpointMerge \
 	./internal/bigraph/:FuzzRead \
-	./internal/bigraph/:FuzzReadBinary
+	./internal/bigraph/:FuzzReadBinary \
+	./internal/bigraph/:FuzzReadVsReference \
+	./internal/bigraph/:FuzzReadBinaryVsReference
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; name=$${t#*:}; \

@@ -52,8 +52,10 @@
 //	mpmb-search -join http://coordinator:9191     # on each worker box
 //
 // The fan-out is fault-tolerant on both sides: workers retry coordinator
-// exchanges with backoff and park in a reconnect loop (bounded by
-// -reconnect) when the coordinator goes unreachable, and with
+// exchanges with backoff and park in a reconnect loop when the
+// coordinator goes unreachable. -reconnect bounds that loop, and also how
+// long a worker waits for a coordinator it has not reached yet, so a
+// worker whose coordinator finished before its first poll exits. With
 // -dist-journal the coordinator write-ahead journals its lease book so a
 // killed coordinator restarted with the same flags replays the merged
 // prefix and finishes the run bit-identically:
@@ -109,7 +111,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		distListen  = fs.String("dist-listen", "", "coordinate a distributed run: lease trial ranges to workers joining on this address")
 		distJournal = fs.String("dist-journal", "", "journal the coordinator's lease book under this directory; a killed coordinator restarted with the same flags resumes from the merged prefix")
 		join        = fs.String("join", "", "run as a distributed worker for the coordinator at this base URL (no -graph needed)")
-		reconnect   = fs.Duration("reconnect", 0, "how long a worker keeps trying to reach an unreachable coordinator before giving up (0 = 30s default)")
+		reconnect   = fs.Duration("reconnect", 0, "how long a worker keeps trying to reach an unreachable coordinator, before its first exchange or after losing it, before giving up (0 = 30s default)")
 
 		auditEvery = fs.Int("audit-every", 0, "interleave a coverage audit every N OLS sampling trials (0 = off)")
 		maxEsc     = fs.Int("max-escalations", 0, "audit escalations before falling back to os (0 = default)")

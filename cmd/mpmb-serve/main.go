@@ -50,7 +50,8 @@
 // distributed job's merged prefix on restart; -dist-fallback degrades a
 // job to the in-process pool when the fleet stays silent that long
 // (recorded as a dist→local transition in the result); and -reconnect
-// bounds how long a worker keeps retrying an unreachable daemon.
+// bounds how long a worker keeps retrying an unreachable daemon, both
+// before its first exchange and after losing it.
 //
 // Retention: -retain-ttl and -retain-max garbage-collect finished jobs
 // (result, manifest, event journal) on a background sweep; queued,
@@ -107,7 +108,7 @@ func run(args []string, out io.Writer) error {
 		worker       = fs.Bool("worker", false, "run as a distributed worker instead of a daemon (requires -join)")
 		join         = fs.String("join", "", "coordinator base URL a -worker leases trial ranges from")
 		pool         = fs.Int("pool", 0, "worker-mode local pool size per leased range (0 = GOMAXPROCS)")
-		reconnect    = fs.Duration("reconnect", 0, "how long a worker keeps trying to reach an unreachable coordinator before giving up (0 = 30s default)")
+		reconnect    = fs.Duration("reconnect", 0, "how long a worker keeps trying to reach an unreachable coordinator, before its first exchange or after losing it, before giving up (0 = 30s default)")
 
 		retainTTL = fs.Duration("retain-ttl", 0, "evict finished jobs (result, manifest, events) this long after they end (0 = keep forever)")
 		retainMax = fs.Int("retain-max", 0, "keep at most this many finished jobs, evicting oldest first (0 = unlimited)")

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 )
 
 // VertexID indexes a vertex within its own partition (L or R).
@@ -57,6 +58,9 @@ type Graph struct {
 	lAdj []Half
 	rOff []int32 // CSR offsets for the R side, len numR+1
 	rAdj []Half
+
+	// crc memoizes Checksum: 1<<32 | the CRC once known, 0 before.
+	crc atomic.Uint64
 }
 
 // Builder accumulates edges and produces a Graph. The zero value is not
@@ -82,6 +86,21 @@ func pairKey(u, v VertexID) uint64 { return uint64(u)<<32 | uint64(v) }
 // It returns an error if either endpoint is out of range, p is outside
 // [0, 1], w is NaN or infinite, or the pair (u, v) was already added.
 func (b *Builder) AddEdge(u, v VertexID, w, p float64) error {
+	if err := b.check(u, v, w, p); err != nil {
+		return err
+	}
+	k := pairKey(u, v)
+	if _, dup := b.seen[k]; dup {
+		return duplicateError(u, v)
+	}
+	b.seen[k] = struct{}{}
+	b.edges = append(b.edges, Edge{U: u, V: v, W: w, P: p})
+	return nil
+}
+
+// check applies every rule of AddEdge but the duplicate-pair rule, which
+// the parsers apply to the finished graph instead (Graph.repeated).
+func (b *Builder) check(u, v VertexID, w, p float64) error {
 	if int(u) >= b.numL {
 		return fmt.Errorf("bigraph: left vertex %d out of range [0,%d)", u, b.numL)
 	}
@@ -94,13 +113,36 @@ func (b *Builder) AddEdge(u, v VertexID, w, p float64) error {
 	if math.IsNaN(p) || p < 0 || p > 1 {
 		return fmt.Errorf("bigraph: edge (%d,%d) has probability %v outside [0,1]", u, v, p)
 	}
-	k := pairKey(u, v)
-	if _, dup := b.seen[k]; dup {
-		return fmt.Errorf("bigraph: duplicate edge (%d,%d)", u, v)
-	}
-	b.seen[k] = struct{}{}
-	b.edges = append(b.edges, Edge{U: u, V: v, W: w, P: p})
 	return nil
+}
+
+func duplicateError(u, v VertexID) error {
+	return fmt.Errorf("bigraph: duplicate edge (%d,%d)", u, v)
+}
+
+// parsed ends a parse whose edges passed check. With err nil it builds
+// the graph and returns it, unless an edge repeats an earlier pair. With
+// err, a fault met after every edge read, it returns err unless an edge
+// read so far repeats a pair; it finds that edge by replaying the edges
+// through AddEdge, not by a build, whose tables a malformed header can
+// make far larger than the edges read. A repeat is the first fault in
+// input order either way, reported as "bigraph: <at(id)>: …".
+func (b *Builder) parsed(err error, at func(EdgeID) string) (*Graph, error) {
+	if err != nil {
+		replay := NewBuilder(b.numL, b.numR)
+		for i, e := range b.edges {
+			if dup := replay.AddEdge(e.U, e.V, e.W, e.P); dup != nil {
+				return nil, fmt.Errorf("bigraph: %s: %w", at(EdgeID(i)), dup)
+			}
+		}
+		return nil, err
+	}
+	g := b.build()
+	if id, ok := g.repeated(); ok {
+		e := g.edges[id]
+		return nil, fmt.Errorf("bigraph: %s: %w", at(id), duplicateError(e.U, e.V))
+	}
+	return g, nil
 }
 
 // MustAddEdge is AddEdge that panics on error; intended for tests and
@@ -155,7 +197,8 @@ func FromEdges(numL, numR int, edges []Edge) (*Graph, error) {
 }
 
 // newGraph builds the CSR indexes. edges is owned by the new Graph and
-// holds no pair twice.
+// holds no pair twice, unless the caller checks the Graph with repeated
+// before handing it out.
 //
 // Each adjacency row comes out sorted by opposite endpoint, so FindEdge
 // can binary search and iteration order is deterministic regardless of
@@ -208,6 +251,24 @@ func transposeRows(dst []Half, dstOff []int32, src []Half, srcOff []int32, next 
 			next[h.To]++
 		}
 	}
+}
+
+// repeated returns the first edge, in id order, whose pair an earlier
+// edge already holds, as Builder.AddEdge would have refused it. newGraph
+// sorts each left row by right endpoint and keeps equal endpoints in id
+// order, so the copies of a pair sit side by side and the second copy is
+// the later of the first two.
+func (g *Graph) repeated() (EdgeID, bool) {
+	first, found := EdgeID(0), false
+	for u := 0; u < g.numL; u++ {
+		row := g.lAdj[g.lOff[u]:g.lOff[u+1]]
+		for k := 1; k < len(row); k++ {
+			if row[k].To == row[k-1].To && (!found || row[k].E < first) {
+				first, found = row[k].E, true
+			}
+		}
+	}
+	return first, found
 }
 
 // FindEdge returns the id of the edge (u, v) if it exists in the backbone

@@ -63,8 +63,12 @@ func WriteBinary(w io.Writer, g *Graph) error {
 }
 
 // ReadBinary parses a graph from the binary interchange format,
-// validating every edge and the trailing checksum (recomputed from the
-// parsed content, which is byte-equivalent to the canonical payload).
+// validating every edge and the trailing checksum. The CRC runs over the
+// bytes as read, which are the canonical payload of the parsed content,
+// and is checked before the graph is built; the graph keeps it as its
+// Checksum. A repeated pair is found on the built graph
+// (Builder.parsed), and a fault met after it still reports the repeat
+// first, at its index.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 
@@ -89,29 +93,38 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if numL > maxVerticesPerSide || numR > maxVerticesPerSide {
 		return nil, fmt.Errorf("bigraph: binary header declares %d×%d vertices (limit %d per side)", numL, numR, maxVerticesPerSide)
 	}
+	sum := crc32.Update(crc32.ChecksumIEEE(magic[:]), crc32.IEEETable, hdr[:])
 	b := NewBuilder(int(numL), int(numR))
+	at := func(id EdgeID) string { return fmt.Sprintf("edge %d", id) }
 	var rec [edgeRecordSize]byte
 	for i := uint64(0); i < numE; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, fmt.Errorf("bigraph: reading edge %d: %w", i, err)
+			return b.parsed(fmt.Errorf("bigraph: reading edge %d: %w", i, err), at)
 		}
+		sum = crc32.Update(sum, crc32.IEEETable, rec[:])
 		u := binary.LittleEndian.Uint32(rec[0:])
 		v := binary.LittleEndian.Uint32(rec[4:])
 		w := math.Float64frombits(binary.LittleEndian.Uint64(rec[8:]))
 		p := math.Float64frombits(binary.LittleEndian.Uint64(rec[16:]))
-		b.reserve(int(numE))
-		if err := b.AddEdge(u, v, w, p); err != nil {
-			return nil, fmt.Errorf("bigraph: edge %d: %w", i, err)
+		if err := b.check(u, v, w, p); err != nil {
+			return b.parsed(fmt.Errorf("bigraph: edge %d: %w", i, err), at)
 		}
+		b.reserve(int(numE))
+		b.edges = append(b.edges, Edge{U: u, V: v, W: w, P: p})
 	}
 	var tail [4]byte
 	if _, err := io.ReadFull(br, tail[:]); err != nil {
-		return nil, fmt.Errorf("bigraph: reading checksum: %w", err)
+		return b.parsed(fmt.Errorf("bigraph: reading checksum: %w", err), at)
 	}
-	g := b.build()
-	if got, want := binary.LittleEndian.Uint32(tail[:]), payloadCRC(g); got != want {
-		return nil, fmt.Errorf("bigraph: checksum mismatch: file %08x, payload %08x", got, want)
+	var err error
+	if got := binary.LittleEndian.Uint32(tail[:]); got != sum {
+		err = fmt.Errorf("bigraph: checksum mismatch: file %08x, payload %08x", got, sum)
 	}
+	g, err := b.parsed(err, at)
+	if err != nil {
+		return nil, err
+	}
+	g.crc.Store(1<<32 | uint64(sum))
 	return g, nil
 }
 
@@ -141,7 +154,18 @@ func payloadCRC(g *Graph) uint32 {
 // edges, weights, probabilities). Run checkpoints embed it so that a
 // resume against a different graph is refused instead of silently
 // producing garbage.
-func (g *Graph) Checksum() uint32 { return payloadCRC(g) }
+//
+// A graph never changes, so the first call computes the CRC and later
+// calls return it; concurrent first calls each compute the same value.
+// ReadBinary stores the CRC it has verified.
+func (g *Graph) Checksum() uint32 {
+	if c := g.crc.Load(); c != 0 {
+		return uint32(c)
+	}
+	c := payloadCRC(g)
+	g.crc.Store(1<<32 | uint64(c))
+	return c
+}
 
 // SaveBinary writes g to the named file in the binary format.
 func SaveBinary(path string, g *Graph) error {

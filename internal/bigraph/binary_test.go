@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"path/filepath"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -120,5 +121,56 @@ func TestSaveBinaryBadPath(t *testing.T) {
 	g := buildFigure1(t)
 	if err := SaveBinary(filepath.Join(t.TempDir(), "no", "dir", "x.bgraph"), g); err == nil {
 		t.Fatal("SaveBinary succeeded on an invalid path")
+	}
+}
+
+// TestChecksumMemoized: Checksum computes a graph's CRC once. The memo
+// must equal a fresh payloadCRC, on graphs built by hand and on graphs
+// ReadBinary stored the CRC of; concurrent first calls must agree (run
+// under -race); and a repeat call must not allocate.
+func TestChecksumMemoized(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 50; i++ {
+		numL, numR := 1+r.Intn(12), 1+r.Intn(12)
+		b := NewBuilder(numL, numR)
+		for j := 0; j < r.Intn(60); j++ {
+			_ = b.AddEdge(VertexID(r.Intn(numL)), VertexID(r.Intn(numR)), r.NormFloat64(), r.Float64())
+		}
+		g := b.Build()
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		read, err := ReadBinary(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := payloadCRC(g)
+		for _, h := range []*Graph{g, g, read, read} {
+			if got := h.Checksum(); got != want {
+				t.Fatalf("graph %d: Checksum %08x, payload CRC %08x", i, got, want)
+			}
+		}
+	}
+
+	g := benchGraph(300, 300, 5000)
+	want := payloadCRC(g)
+	var wg sync.WaitGroup
+	got := make([]uint32, 8)
+	for k := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[k] = g.Checksum()
+		}()
+	}
+	wg.Wait()
+	for k, c := range got {
+		if c != want {
+			t.Fatalf("concurrent call %d: Checksum %08x, payload CRC %08x", k, c, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { g.Checksum() }); allocs != 0 {
+		t.Fatalf("a repeat Checksum call allocates %v times", allocs)
 	}
 }

@@ -2,6 +2,9 @@ package bigraph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -79,4 +82,106 @@ func FuzzReadBinary(f *testing.F) {
 			t.Fatal("binary round trip not canonical")
 		}
 	})
+}
+
+// FuzzReadVsReference holds Read to readRef, the parser it replaced: on
+// every input both fail with the same message, or both yield the same
+// sides, edges, offsets and rows. The seeds aim at what the byte-level
+// parser changed: comment and blank lines between edges (the line a
+// repeat is reported at), the first of two repeats in file order, a
+// repeat before a later fault, every white space byte and two Unicode
+// spaces, invalid UTF-8, ids past the 9-digit fast path, and a line past
+// the scanner's 1 MiB limit.
+func FuzzReadVsReference(f *testing.F) {
+	for _, s := range []string{
+		"mpmb-bigraph 3 3 3\n0 0 1 0.5\n# note\n\n1 1 2 0.5\n  \t\n# more\n2 2 3 0.5\n",
+		"mpmb-bigraph 3 3 4\n1 1 1 0.5\n# note\n2 2 1 0.5\n2 2 1 0.5\n1 1 2 0.5\n",
+		"mpmb-bigraph 3 3 4\n0 0 1 0.5\n# note\n0 0 2 0.5\n1 x 1 0.5\n",
+		"mpmb-bigraph 3 3 5\n0 0 1 0.5\n\n1 1 1 0.5\n0 0 2 0.5\n",
+		"mpmb-bigraph 3 3 4\n1 1 1 0.5\n0 0 1 0.5\n\n0 0 1 0.5\n1 1 1 0.5\n0 0 1 0.5\n",
+		"mpmb-bigraph 2 2 2\n0 0 1 0.5\n0 0 1 0.5\n0 0 1 1.5\n",
+		"mpmb-bigraph\t2\v2\f2\r\n0\t1\v2.5\f0.5\r\n1\r0 1 \t\v\f0.25\n",
+		"\v# note\nmpmb-bigraph 2 2 1\n\f\n0 1 2 0.5\n",
+		"mpmb-bigraph 2 2 2\n0 1 2 0.5\n1\u00850 2 0.5\n",
+		" # note\nmpmb-bigraph 2 2 1\n0 1 2 0.5 \n",
+		"mpmb-bigraph 2 2 1\n0 1 2 0.5\xff\n",
+		"mpmb-bigraph 2 2 1\n\xc2 0 1 2 0.5\n",
+		"mpmb-bigraph 2 2 2\n0000000001 1 2 0.5\n1 000000000 2 0.5\n",
+		"mpmb-bigraph 2 2 1\n4294967296 0 1 0.5\n",
+		"mpmb-bigraph 2 2 1\n0 99999999999999999999 1 0.5\n",
+		"mpmb-bigraph 2 2 1\n999999999 0 1 0.5\n",
+		"mpmb-bigraph 2 2 1\n+1 0 1 0.5\n",
+		"mpmb-bigraph 2 2 1\n0 -1 1 0.5\n",
+		"mpmb-bigraph 2 2 2\n0 0 0x1p-2 0x1p-1\n1 1 0X1.8P+1 1\n",
+		"mpmb-bigraph 2 2 2\n0 0 1 0.5\n0 0 1 0.5\n# " + strings.Repeat("x", 1<<20) + "\n",
+		"mpmb-bigraph 2 2 1\n0 0 1 0.5\n" + strings.Repeat(" ", 1<<20) + "\n",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		got, err := Read(strings.NewReader(in))
+		want, wantErr := readRef(strings.NewReader(in))
+		sameParse(t, got, err, want, wantErr)
+	})
+}
+
+// FuzzReadBinaryVsReference holds ReadBinary to readBinaryRef the same
+// way. Its seeds repeat a pair before each later fault the format has: a
+// bad record, a short record, a missing or wrong checksum.
+func FuzzReadBinaryVsReference(f *testing.F) {
+	edges := []Edge{{0, 1, 2.5, 0.75}, {1, 0, 1.5, 0.25}, {1, 1, -1, 1}}
+	repeat := []Edge{{0, 1, 2.5, 0.75}, {1, 1, -1, 1}, {0, 1, 3, 0.5}, {1, 1, 0, 0}}
+	valid := binaryFile(2, 2, edges)
+	f.Add(valid)
+	f.Add(valid[:len(valid)-1])
+	f.Add(binaryFile(2, 2, repeat))
+	f.Add(binaryFile(2, 2, append(slices.Clone(repeat), Edge{0, 0, 1, 1.5})))
+	withRepeat := binaryFile(2, 2, repeat)
+	f.Add(withRepeat[:len(withRepeat)-4])
+	f.Add(withRepeat[:len(withRepeat)-10])
+	withRepeat[len(withRepeat)-1] ^= 1
+	f.Add(withRepeat)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		got, err := ReadBinary(bytes.NewReader(in))
+		want, wantErr := readBinaryRef(bytes.NewReader(in))
+		sameParse(t, got, err, want, wantErr)
+	})
+}
+
+// binaryFile encodes a binary graph file with a valid checksum, without
+// the Builder's checks, so its edges may repeat a pair.
+func binaryFile(numL, numR uint32, edges []Edge) []byte {
+	buf := append([]byte(nil), binaryMagic[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, numL)
+	buf = binary.LittleEndian.AppendUint32(buf, numR)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(edges)))
+	for _, e := range edges {
+		buf = binary.LittleEndian.AppendUint32(buf, e.U)
+		buf = binary.LittleEndian.AppendUint32(buf, e.V)
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.W))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.P))
+	}
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+}
+
+// sameParse fails t unless two parses of one input agree: the same error
+// message, or graphs with the same sides, edges, offsets and rows.
+func sameParse(t *testing.T, got *Graph, err error, want *Graph, wantErr error) {
+	t.Helper()
+	if err != nil || wantErr != nil {
+		if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("error %v, reference error %v", err, wantErr)
+		}
+		return
+	}
+	if got.numL != want.numL || got.numR != want.numR {
+		t.Fatalf("sides %d×%d, reference %d×%d", got.numL, got.numR, want.numL, want.numR)
+	}
+	if !slices.Equal(got.edges, want.edges) {
+		t.Fatalf("edges %v, reference %v", got.edges, want.edges)
+	}
+	if !slices.Equal(got.lOff, want.lOff) || !slices.Equal(got.rOff, want.rOff) ||
+		!slices.Equal(got.lAdj, want.lAdj) || !slices.Equal(got.rAdj, want.rAdj) {
+		t.Fatal("CSR offsets or rows differ from the reference")
+	}
 }

@@ -62,29 +62,40 @@ func TestLoadMissingFile(t *testing.T) {
 	}
 }
 
+// TestReadRejectsMalformedInput pins each rejection's exact message, as
+// the parser gave it before it split lines by hand and found repeated
+// pairs on the built graph. The "duplicate edge" and "edge count too
+// big" cases stop at the header's capacity check; the cases after them
+// reach the duplicate rule and the edge count check.
 func TestReadRejectsMalformedInput(t *testing.T) {
-	cases := map[string]string{
-		"empty":              "",
-		"comments only":      "# hello\n\n",
-		"bad magic":          "wrong 1 1 0\n",
-		"missing header":     "0 0 1 0.5\n",
-		"negative counts":    "mpmb-bigraph -1 2 0\n",
-		"bad numR":           "mpmb-bigraph 1 x 0\n",
-		"bad edge count":     "mpmb-bigraph 1 1 zz\n",
-		"short edge line":    "mpmb-bigraph 1 1 1\n0 0 1\n",
-		"bad left vertex":    "mpmb-bigraph 1 1 1\nx 0 1 0.5\n",
-		"bad right vertex":   "mpmb-bigraph 1 1 1\n0 x 1 0.5\n",
-		"bad weight":         "mpmb-bigraph 1 1 1\n0 0 x 0.5\n",
-		"bad probability":    "mpmb-bigraph 1 1 1\n0 0 1 x\n",
-		"probability > 1":    "mpmb-bigraph 1 1 1\n0 0 1 1.5\n",
-		"vertex overflow":    "mpmb-bigraph 1 1 1\n5 0 1 0.5\n",
-		"edge count too low": "mpmb-bigraph 1 1 0\n0 0 1 0.5\n",
-		"edge count too big": "mpmb-bigraph 1 1 3\n0 0 1 0.5\n",
-		"duplicate edge":     "mpmb-bigraph 1 1 2\n0 0 1 0.5\n0 0 2 0.6\n",
+	cases := map[string]struct{ in, want string }{
+		"empty":              {"", "bigraph: missing header line"},
+		"comments only":      {"# hello\n\n", "bigraph: missing header line"},
+		"bad magic":          {"wrong 1 1 0\n", `bigraph: line 1: expected header "mpmb-bigraph" <numL> <numR> <numEdges>`},
+		"missing header":     {"0 0 1 0.5\n", `bigraph: line 1: expected header "mpmb-bigraph" <numL> <numR> <numEdges>`},
+		"negative counts":    {"mpmb-bigraph -1 2 0\n", `bigraph: line 1: bad numL "-1" (limit 16777216)`},
+		"bad numR":           {"mpmb-bigraph 1 x 0\n", `bigraph: line 1: bad numR "x" (limit 16777216)`},
+		"bad edge count":     {"mpmb-bigraph 1 1 zz\n", `bigraph: line 1: bad edge count "zz" (limit 8589934592)`},
+		"short edge line":    {"mpmb-bigraph 1 1 1\n0 0 1\n", "bigraph: line 2: expected '<u> <v> <w> <p>', got 3 fields"},
+		"bad left vertex":    {"mpmb-bigraph 1 1 1\nx 0 1 0.5\n", `bigraph: line 2: bad left vertex "x": strconv.ParseUint: parsing "x": invalid syntax`},
+		"bad right vertex":   {"mpmb-bigraph 1 1 1\n0 x 1 0.5\n", `bigraph: line 2: bad right vertex "x": strconv.ParseUint: parsing "x": invalid syntax`},
+		"bad weight":         {"mpmb-bigraph 1 1 1\n0 0 x 0.5\n", `bigraph: line 2: bad weight "x": strconv.ParseFloat: parsing "x": invalid syntax`},
+		"bad probability":    {"mpmb-bigraph 1 1 1\n0 0 1 x\n", `bigraph: line 2: bad probability "x": strconv.ParseFloat: parsing "x": invalid syntax`},
+		"probability > 1":    {"mpmb-bigraph 1 1 1\n0 0 1 1.5\n", "bigraph: line 2: bigraph: edge (0,0) has probability 1.5 outside [0,1]"},
+		"vertex overflow":    {"mpmb-bigraph 1 1 1\n5 0 1 0.5\n", "bigraph: line 2: bigraph: left vertex 5 out of range [0,1)"},
+		"edge count too low": {"mpmb-bigraph 1 1 0\n0 0 1 0.5\n", "bigraph: header declares 0 edges but file contains 1"},
+		"edge count too big": {"mpmb-bigraph 1 1 3\n0 0 1 0.5\n", "bigraph: line 1: header declares 3 edges but a 1 x 1 graph holds at most 1"},
+		"duplicate edge":     {"mpmb-bigraph 1 1 2\n0 0 1 0.5\n0 0 2 0.6\n", "bigraph: line 1: header declares 2 edges but a 1 x 1 graph holds at most 1"},
+		"repeated pair":      {"mpmb-bigraph 2 2 2\n0 0 1 0.5\n0 0 2 0.6\n", "bigraph: line 3: bigraph: duplicate edge (0,0)"},
+		"repeat, then fault": {"mpmb-bigraph 2 2 3\n0 0 1 0.5\n# note\n\n0 0 2 0.6\n0 x 1 0.5\n", "bigraph: line 5: bigraph: duplicate edge (0,0)"},
+		"edges missing":      {"mpmb-bigraph 2 2 3\n0 0 1 0.5\n", "bigraph: header declares 3 edges but file contains 1"},
 	}
-	for name, in := range cases {
-		if _, err := Read(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: Read accepted %q", name, in)
+	for name, c := range cases {
+		_, err := Read(strings.NewReader(c.in))
+		if err == nil {
+			t.Errorf("%s: Read accepted %q", name, c.in)
+		} else if err.Error() != c.want {
+			t.Errorf("%s: Read(%q) = %q, want %q", name, c.in, err, c.want)
 		}
 	}
 }

@@ -296,21 +296,25 @@ func (s *edgeSnapshot) numEdges() int { return len(s.id) }
 // butterflyEdges reports, for every backbone edge, whether it lies on at
 // least one backbone butterfly (4-cycle).
 //
-// It follows the wedge-counting discipline of wing decomposition
-// (ParButterfly), but needs no count: fix a center vertex x on one side;
-// wedgeCount tallies cnt[y] = |N(x) ∩ N(y)| for every same-side vertex y;
-// the edge (x, m) then lies on a butterfly {x, y, m, m'} exactly when some
-// y ∈ N(m), y ≠ x, shares a second middle m' with x, so the scan of N(m)
-// stops at the first y with cnt[y] ≥ 2. Total work is at most Σ over the
-// opposite side's degrees squared, so the center side is chosen to
-// minimize it (the same side-selection rule wing decomposition uses).
+// It fixes a center vertex x on one side and decides the edges (x, m) to
+// its middles m. A witness pass (witnessEdges) first marks the edges it
+// finds on a butterfly from one shared second vertex each, which settles
+// nearly every center. A center it leaves open runs the exact pass, the
+// wedge-counting discipline of wing decomposition (ParButterfly) without
+// the count: wedgeCount tallies cnt[y] = |N(x) ∩ N(y)| for every
+// same-side vertex y; the edge (x, m) then lies on a butterfly
+// {x, y, m, m'} exactly when some y ∈ N(m), y ≠ x, shares a second
+// middle m' with x, so the scan of N(m) stops at the first y with
+// cnt[y] ≥ 2. Either pass costs at most Σ over the opposite side's
+// degrees squared, so the center side is chosen to minimize it (the same
+// side-selection rule wing decomposition uses).
 //
-// The counts are then re-zeroed for the next center, at no more than the
-// cost of counting: a center with at least n/8 wedges clears the whole
-// array (a memclr of n counts), a lighter one walks its wedges again to
-// zero just the counts they touched. Tracking the touched vertices inside
-// the count loop instead made it about twice as slow on the protein
-// analogue.
+// The exact pass then re-zeroes the counts for the next center, at no
+// more than the cost of counting: a center with at least n/8 wedges
+// clears the whole array (a memclr of n counts), a lighter one walks its
+// wedges again to zero just the counts they touched. Tracking the
+// touched vertices inside the count loop instead made it about twice as
+// slow on the protein analogue.
 //
 // Centers are split over at most workers goroutines, and over no more
 // than |E| / |center side|, so their count arrays together stay within the
@@ -342,19 +346,23 @@ func butterflyEdges(g *bigraph.Graph, workers int) []bool {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cnt := make([]int32, n)
+			via := make([]uint64, n)
+			var cnt []int32 // the exact pass's counts, made on first use
 			for lo := int(next.Add(chunk)) - chunk; lo < n; lo = int(next.Add(chunk)) - chunk {
 				for c := lo; c < min(lo+chunk, n); c++ {
 					x := bigraph.VertexID(c)
-					if len(nbr(x)) < 2 {
-						continue // a butterfly needs two middles
+					if len(nbr(x)) < 2 || witnessEdges(x, nbr, opp, via, on) {
+						continue // no butterfly without two middles, or settled
 					}
-					wedgeCount(x, nbr, opp, cnt)
-					wedges := 0
+					if cnt == nil {
+						cnt = make([]int32, n)
+					}
+					wedges := wedgeCount(x, nbr, opp, cnt)
 					for _, h := range nbr(x) {
-						row := opp(h.To)
-						wedges += len(row)
-						for _, h2 := range row {
+						if on[h.E] {
+							continue
+						}
+						for _, h2 := range opp(h.To) {
 							if cnt[h2.To] >= 2 && h2.To != x {
 								on[h.E] = true
 								break
@@ -378,16 +386,73 @@ func butterflyEdges(g *bigraph.Graph, workers int) []bool {
 	return on
 }
 
+// witnessEdges marks the edges of center x that one shared second vertex
+// puts on a butterfly, and reports whether that decides every edge of x.
+// It walks the middles m of x in order and scans N(m) only until it meets
+// a vertex y ≠ x already seen through an earlier middle m′: then
+// {x, y} × {m, m′} is a butterfly, so it marks (x, m) and (x, m′). via[y]
+// holds x+1 in its high half and the edge (x, m′) in its low half, so no
+// reset is needed between centers.
+//
+// x is decided once every edge whose middle has degree ≥ 2 is marked (a
+// middle of degree 1 has no second vertex), or when no scan stopped
+// before the end of its row. In that case every y was seen, so each
+// butterfly {x, y} × {m, m′} with m before m′ was found: the scan of m
+// met y, seen through m or earlier, and so did the scan of m′, marking
+// m′ with y's first middle and m through y or an earlier witness. Only
+// a row left short can hide the y that puts an unmarked edge on a
+// butterfly, so such a center returns false for the exact pass.
+func witnessEdges(x bigraph.VertexID, nbr, opp func(bigraph.VertexID) []bigraph.Half, via []uint64, on []bool) bool {
+	stamp := uint64(x+1) << 32
+	open := 0 // unmarked edges whose middle has degree >= 2
+	for _, h := range nbr(x) {
+		if len(opp(h.To)) >= 2 {
+			open++
+		}
+	}
+	short := false
+	for _, h := range nbr(x) {
+		row := opp(h.To)
+		for k, h2 := range row {
+			y := h2.To
+			if y == x {
+				continue
+			}
+			if via[y]&^(1<<32-1) != stamp {
+				via[y] = stamp | uint64(h.E)
+				continue
+			}
+			for _, e := range [2]bigraph.EdgeID{h.E, bigraph.EdgeID(via[y])} {
+				if !on[e] {
+					on[e] = true
+					open--
+				}
+			}
+			if open == 0 {
+				return true
+			}
+			short = short || k < len(row)-1
+			break
+		}
+	}
+	return open == 0 || !short
+}
+
 // wedgeCount adds one to cnt[y] per wedge (x, m, y), which on zeroed
 // counts leaves cnt[y] = |N(x) ∩ N(y)| for every y ≠ x; cnt[x] gains
 // deg(x), since skipping x would cost a branch per wedge. nbr lists the
-// adjacency of x's side and opp that of the other side.
-func wedgeCount(x bigraph.VertexID, nbr, opp func(bigraph.VertexID) []bigraph.Half, cnt []int32) {
+// adjacency of x's side and opp that of the other side. It returns the
+// number of wedges counted.
+func wedgeCount(x bigraph.VertexID, nbr, opp func(bigraph.VertexID) []bigraph.Half, cnt []int32) int {
+	wedges := 0
 	for _, h := range nbr(x) {
-		for _, h2 := range opp(h.To) {
+		row := opp(h.To)
+		wedges += len(row)
+		for _, h2 := range row {
 			cnt[h2.To]++
 		}
 	}
+	return wedges
 }
 
 // snapCache memoizes snapshots per graph, keyed by graph identity

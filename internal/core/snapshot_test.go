@@ -173,3 +173,55 @@ func FuzzButterflyEdges(f *testing.F) {
 		}
 	})
 }
+
+// TestButterflyEdgesExactFallback covers the center the witness pass
+// cannot settle. Center x has middles m1 < m2 < m3 with N(m1) = {x, a, b},
+// N(m2) = {x, a, c} and N(m3) = {x, c}; a star of degree-1 middles on z
+// makes x's side the center side. The scan of m2 stops at a, seen
+// through m1, before it records c, so (x, m3) is left unmarked though
+// it lies on {x, c} × {m2, m3}: x, alone of all centers, needs the
+// exact pass.
+func TestButterflyEdgesExactFallback(t *testing.T) {
+	const x, a, b, c, z = 0, 1, 2, 3, 4
+	const m1, m2, m3 = 0, 1, 2
+	g := bigraph.NewBuilder(5, 6)
+	for _, e := range [][2]bigraph.VertexID{
+		{x, m1}, {a, m1}, {b, m1}, {x, m2}, {a, m2}, {c, m2}, {x, m3}, {c, m3}, {z, 3}, {z, 4}, {z, 5},
+	} {
+		g.MustAddEdge(e[0], e[1], 1, 0.5)
+	}
+	gr := g.Build()
+	nbr, opp := gr.NeighborsL, gr.NeighborsR
+
+	on := make([]bool, gr.NumEdges())
+	via := make([]uint64, gr.NumL())
+	var open []bigraph.VertexID
+	for u := 0; u < gr.NumL(); u++ {
+		if !witnessEdges(bigraph.VertexID(u), nbr, opp, via, on) {
+			open = append(open, bigraph.VertexID(u))
+		}
+	}
+	if !slices.Equal(open, []bigraph.VertexID{x}) {
+		t.Fatalf("centers left to the exact pass: %v, want [%d]", open, x)
+	}
+	xm3, _ := gr.FindEdge(x, m3)
+	if on[xm3] {
+		t.Fatal("the witness pass marked (x, m3); the graph no longer needs the exact pass")
+	}
+
+	want := make([]bool, gr.NumEdges())
+	for _, bw := range butterfly.AllBackbone(gr) {
+		ids, _ := bw.B.EdgeIDs(gr)
+		for _, id := range ids {
+			want[id] = true
+		}
+	}
+	if !want[xm3] {
+		t.Fatal("(x, m3) lies on no butterfly; the fixture is wrong")
+	}
+	for _, workers := range []int{1, 2} {
+		if got := butterflyEdges(gr, workers); !slices.Equal(got, want) {
+			t.Fatalf("%d workers: membership %v, want %v", workers, got, want)
+		}
+	}
+}

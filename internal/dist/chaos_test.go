@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"net"
 	"net/http/httptest"
 	"reflect"
 	"sync"
@@ -412,4 +413,78 @@ func TestChaosMalformedCompletesRejected(t *testing.T) {
 		t.Fatalf("prefix moved to %d on an out-of-order tail; want 0", res.Done)
 	}
 	_ = fmt.Sprintf
+}
+
+// closedAddr returns a loopback address nothing listens on: a port the
+// kernel handed out and that was closed again at once.
+func closedAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	return addr
+}
+
+// TestWorkerGivesUpOnUnreachedCoordinator: a worker whose coordinator
+// never answers — it finished before the worker's first poll — waits for
+// it no longer than ReconnectMax and ends its run with nil, as it does
+// after losing a coordinator it had reached.
+func TestWorkerGivesUpOnUnreachedCoordinator(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	w := &Worker{Base: "http://" + closedAddr(t), Name: "stray", Pool: 1, ReconnectMax: 300 * time.Millisecond}
+	start := time.Now()
+	if err := w.Run(ctx); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if took := time.Since(start); ctx.Err() != nil || took > 5*time.Second {
+		t.Fatalf("worker gave up after %v (context: %v), want within 5s", took, ctx.Err())
+	}
+}
+
+// TestWorkerWaitsForLateCoordinator: a worker started ~200ms before its
+// coordinator listens keeps polling until it does, then serves the job
+// to a bit-identical Result.
+func TestWorkerWaitsForLateCoordinator(t *testing.T) {
+	g := meshGraph(t)
+	seq, err := mpmb.Search(g, baseOptions(mpmb.MethodOS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	addr := closedAddr(t)
+	w := &Worker{Base: "http://" + addr, Name: "early", Pool: 1}
+	errc := make(chan error, 1)
+	go func() { errc <- w.Run(ctx) }()
+	defer func() { cancel(); <-errc }()
+
+	time.Sleep(200 * time.Millisecond)
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Skipf("port %s was taken meanwhile: %v", addr, err)
+	}
+	coord := NewCoordinator()
+	coord.LeaseUnits = 256
+	hs := httptest.NewUnstartedServer(coord.Handler())
+	hs.Listener.Close()
+	hs.Listener = ln
+	hs.Start()
+	defer hs.Close()
+
+	opt := baseOptions(mpmb.MethodOS)
+	opt.Executor = &Executor{C: coord}
+	got, err := mpmb.SearchContext(ctx, g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Partial {
+		t.Fatalf("the early worker served %d of %d trials before the deadline", got.TrialsDone, opt.Trials)
+	}
+	if !reflect.DeepEqual(got, seq) {
+		t.Fatalf("Result served by the early worker diverges\n got: %+v\nwant: %+v", got, seq)
+	}
 }

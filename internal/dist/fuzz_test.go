@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -44,8 +45,8 @@ func FuzzLeaseDecode(f *testing.F) {
 		Payload: RangePayload{Counts: []core.ButterflyCount{{B: dup, Count: 16, Weight: 4}, {B: dup, Count: 16, Weight: 4}}}}))
 	f.Add(valid(LeaseComplete{V: Version, Lo: 1, Hi: 16, // degenerate butterfly
 		Payload: RangePayload{Counts: []core.ButterflyCount{{B: butterfly.Butterfly{U1: 1, U2: 1, V1: 2, V2: 0}, Count: 3, Weight: 4}}}}))
-	f.Add([]byte(`{"v":1,"lo":1,"hi":16,"payload":{"counts":[{"count":-2}]}}`))
-	f.Add([]byte(`{"v":1,"lo":1,"hi":16,"payload":{"cand_probs":`))
+	f.Add(fmt.Appendf(nil, `{"v":%d,"lo":1,"hi":16,"payload":{"counts":[{"count":-2}]}}`, Version))
+	f.Add(fmt.Appendf(nil, `{"v":%d,"lo":1,"hi":16,"payload":{"cand_probs":`, Version))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(`{"v":1e309}`))
 
@@ -114,13 +115,15 @@ func FuzzCheckpointMerge(f *testing.F) {
 		return buf
 	}
 	// Legal lease shape for Units=40, LeaseUnits=8: lo ∈ {1,9,17,25,33},
-	// hi = lo+7. Triples are (lo, hi, v).
-	f.Add(triples(1, 8, 1, 9, 16, 1, 17, 24, 1, 25, 32, 1, 33, 40, 1)) // clean in-order run
-	f.Add(triples(33, 40, 1, 25, 32, 1, 17, 24, 1, 9, 16, 1, 1, 8, 1)) // fully reversed
-	f.Add(triples(1, 8, 1, 1, 8, 1, 1, 8, 1))                          // duplicated head
-	f.Add(triples(1, 8, 2, 1, 8, 1))                                   // version skew then legal
-	f.Add(triples(2, 9, 1, 0, 7, 1, 1, 40, 1, 9, 8, 1))                // misaligned, inverted
-	f.Add(triples(1, 8, 1, 5, 12, 1, 9, 16, 1))                        // overlapping lease
+	// hi = lo+7. Triples are (lo, hi, v); v is the wire version, or the
+	// next one for a skewed message.
+	const v, skew = Version, Version + 1
+	f.Add(triples(1, 8, v, 9, 16, v, 17, 24, v, 25, 32, v, 33, 40, v)) // clean in-order run
+	f.Add(triples(33, 40, v, 25, 32, v, 17, 24, v, 9, 16, v, 1, 8, v)) // fully reversed
+	f.Add(triples(1, 8, v, 1, 8, v, 1, 8, v))                          // duplicated head
+	f.Add(triples(1, 8, skew, 1, 8, v))                                // version skew then legal
+	f.Add(triples(2, 9, v, 0, 7, v, 1, 40, v, 9, 8, v))                // misaligned, inverted
+	f.Add(triples(1, 8, v, 5, 12, v, 9, 16, v))                        // overlapping lease
 	f.Add(triples())
 
 	g := fuzzMergeGraph(f)

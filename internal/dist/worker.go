@@ -28,11 +28,13 @@ var defaultWorkerClient = &http.Client{Timeout: 30 * time.Second}
 // coordinator and verified against the spec's checksums), so workers can
 // join, die and rejoin at any point of a run without coordination.
 //
-// All coordinator exchanges go through a retrying Transport; when a
-// coordinator the worker has already talked to becomes unreachable past
-// the transport's budget, the worker parks in a reconnect loop for up
-// to ReconnectMax instead of exiting, so a coordinator restart (crash
-// recovery) or a healed partition resumes the run with the same fleet.
+// All coordinator exchanges go through a retrying Transport; when the
+// coordinator is unreachable past the transport's budget, the worker
+// parks in a reconnect loop for up to ReconnectMax instead of exiting, so
+// a coordinator restart (crash recovery) or a healed partition resumes
+// the run with the same fleet. The same bound holds before the first
+// exchange, so a worker whose coordinator is not up yet waits for it,
+// and one whose coordinator finished before its first poll exits.
 type Worker struct {
 	// Base is the coordinator's base URL (e.g. "http://host:port").
 	Base string
@@ -48,9 +50,9 @@ type Worker struct {
 	// (timeouts, attempt budget, backoff). Nil applies the defaults.
 	Transport *Transport
 	// ReconnectMax bounds how long the worker keeps trying to reach an
-	// unreachable coordinator it had already exchanged with before
-	// giving up and ending the run (default 30s; negative gives up on
-	// the first exhausted exchange).
+	// unreachable coordinator, whether it has not reached it yet or has
+	// lost it, before giving up and ending the run (default 30s;
+	// negative gives up on the first failed exchange).
 	ReconnectMax time.Duration
 	// Reg, when non-nil, receives the worker's telemetry: lease-loop
 	// errors by kind and reconnect counts.
@@ -88,14 +90,15 @@ type workerFaults struct {
 }
 
 // Run leases and executes ranges until ctx is cancelled or the
-// coordinator stays away longer than ReconnectMax. A connection failure
-// before the first successful exchange is retried indefinitely (the
-// worker may start before the coordinator listens); after one, the
-// worker parks in its reconnect loop — completions in hand are
+// coordinator stays away longer than ReconnectMax. Any failure before
+// the first successful exchange is retried every 100ms (the worker may
+// start before the coordinator listens); a transport failure after one
+// parks the worker in its reconnect loop — completions in hand are
 // retransmitted verbatim once the coordinator returns, which is safe
-// because the merge is idempotent by span. Only when the coordinator
-// stays unreachable past ReconnectMax does Run conclude the run is over
-// and return nil.
+// because the merge is idempotent by span. Both waits count against
+// ReconnectMax: when the coordinator stays unreachable past it, Run
+// concludes the run is over (or was over before the worker's first
+// poll) and returns nil.
 func (w *Worker) Run(ctx context.Context) error {
 	if w.Name == "" {
 		host, _ := os.Hostname()
@@ -116,8 +119,9 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 			w.count(telemetry.CounterDistLeaseErrors)
 			if !w.connected {
-				// The coordinator may not be listening yet.
-				if !w.pause(ctx, 100*time.Millisecond) {
+				// The coordinator may not be listening yet, or may have
+				// finished before this first poll.
+				if !w.park(ctx) {
 					return nil
 				}
 				continue
@@ -211,9 +215,10 @@ func (w *Worker) deliver(ctx context.Context, msg *LeaseComplete) error {
 }
 
 // park records an unreachable-coordinator beat: it starts (or extends)
-// the current parking spell and sleeps one reconnect interval. It
-// returns false when the spell has outlived ReconnectMax or ctx ended —
-// the worker should stop trying.
+// the current parking spell and sleeps one reconnect interval, 100ms
+// before the first successful exchange and 500ms after. It returns false
+// when the spell has outlived ReconnectMax or ctx ended — the worker
+// should stop trying.
 func (w *Worker) park(ctx context.Context) bool {
 	now := time.Now()
 	if !w.parked {
@@ -224,15 +229,19 @@ func (w *Worker) park(ctx context.Context) bool {
 	if maxWait <= 0 || now.Sub(w.parkedAt) >= maxWait {
 		return false
 	}
+	if !w.connected {
+		return w.pause(ctx, 100*time.Millisecond)
+	}
 	return w.pause(ctx, 500*time.Millisecond)
 }
 
-// arrived records a successful exchange, ending any parking spell.
+// arrived records a successful exchange, ending any parking spell; a
+// spell after an earlier exchange counts as a reconnect.
 func (w *Worker) arrived() {
-	if w.parked {
-		w.parked = false
+	if w.parked && w.connected {
 		w.count(telemetry.CounterDistReconnects)
 	}
+	w.parked = false
 	w.connected = true
 }
 
