@@ -50,9 +50,11 @@ microbench:
 # steps run: the checkpoint decoder, butterfly tally, trial kernel and
 # optimized estimator (both against the frozen seed), the snapshot's
 # set-up tables (against brute force), the pair-credited tally (against
-# listing every maximum set), the gathered anchored snapshot (against a
-# brute-force layout), the dist wire decoder and merge, and both graph
-# parsers, alone and against their frozen pre-rewrite copies.
+# listing every maximum set), the anchored view (against a brute-force
+# listing) and the anchored trial (against the frozen gathered one), the
+# dist wire decoder and merge, both graph parsers, alone and against
+# their frozen pre-rewrite copies, and the edge-anchor and community
+# flag parsers.
 FUZZ_TARGETS := \
 	./internal/core/:FuzzCheckpointDecode \
 	./internal/core/:FuzzTally \
@@ -61,12 +63,15 @@ FUZZ_TARGETS := \
 	./internal/core/:FuzzButterflyEdges \
 	./internal/core/:FuzzPairCredit \
 	./internal/core/:FuzzAnchoredSnapshot \
+	./internal/core/:FuzzAnchoredVsReference \
 	./internal/dist/:FuzzLeaseDecode \
 	./internal/dist/:FuzzCheckpointMerge \
 	./internal/bigraph/:FuzzRead \
 	./internal/bigraph/:FuzzReadBinary \
 	./internal/bigraph/:FuzzReadVsReference \
-	./internal/bigraph/:FuzzReadBinaryVsReference
+	./internal/bigraph/:FuzzReadBinaryVsReference \
+	./internal/cliflags/:FuzzParseEdgeAnchor \
+	./internal/cliflags/:FuzzParseCommunities
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; name=$${t#*:}; \

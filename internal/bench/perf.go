@@ -176,8 +176,8 @@ func RunPerfCorpus(corpus PerfCorpus, rounds int) (*PerfReport, error) {
 // RunPerfCorpusAnchor is RunPerfCorpus with the anchored_os row's anchor
 // pinned (`mpmb-bench perf -anchor-l/...`). nil picks the default: the
 // heaviest edge's left endpoint — a popular vertex in the skewed
-// corpus, so its anchored snapshot (the edges of its butterflies) is a
-// real workload rather than an empty scan.
+// corpus, so its anchored view (the edges of its butterflies) is a real
+// workload rather than an empty scan.
 func RunPerfCorpusAnchor(corpus PerfCorpus, rounds int, anchor *core.Anchor) (*PerfReport, error) {
 	if rounds <= 0 {
 		rounds = DefaultPerfRounds
@@ -288,13 +288,12 @@ func RunPerfCorpusAnchor(corpus PerfCorpus, rounds int, anchor *core.Anchor) (*P
 	rep.Entries = append(rep.Entries,
 		entryFromResult("optimized_estimator", optRes, perfEstimatorTrials))
 
-	// anchored_os: a whole anchored run, amortized per trial. It gathers
-	// the anchor's snapshot — only the edges of the butterflies through
-	// the anchor — from the corpus's cached global snapshot and runs the
-	// OS kernel's per-position loop over it on pooled kernels, so its
-	// ns/trial against os_kernel quantifies the locality win of the
-	// anchored query path, and its allocations are the job's own: the
-	// gathered snapshot, no kernel.
+	// anchored_os: a whole anchored run, amortized per trial. It builds
+	// the anchor's view of the corpus's cached global snapshot — which
+	// positions hold the edges of the butterflies through the anchor —
+	// and runs the anchored trial over it on pooled kernels, so its
+	// ns/trial against os_kernel quantifies what the restricted query
+	// costs, and its allocations are the job's own: the view, no kernel.
 	a := core.Anchor{}
 	if anchor != nil {
 		a = *anchor

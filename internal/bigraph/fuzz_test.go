@@ -3,6 +3,7 @@ package bigraph
 import (
 	"bytes"
 	"encoding/binary"
+	"flag"
 	"hash/crc32"
 	"math"
 	"slices"
@@ -91,9 +92,12 @@ func FuzzReadBinary(f *testing.F) {
 // repeat is reported at), the first of two repeats in file order, a
 // repeat before a later fault, every white space byte and two Unicode
 // spaces, invalid UTF-8, ids past the 9-digit fast path, and a line past
-// the scanner's 1 MiB limit.
+// the scanner's 1 MiB limit. The 1 MiB seeds run only without -fuzz:
+// once a mutant of one finds new coverage, the engine minimizes it for up
+// to -fuzzminimizetime while no other input runs. Their cases, and the
+// lines either side of the limit, are TestReadVsReferenceLongLines's.
 func FuzzReadVsReference(f *testing.F) {
-	for _, s := range []string{
+	seeds := []string{
 		"mpmb-bigraph 3 3 3\n0 0 1 0.5\n# note\n\n1 1 2 0.5\n  \t\n# more\n2 2 3 0.5\n",
 		"mpmb-bigraph 3 3 4\n1 1 1 0.5\n# note\n2 2 1 0.5\n2 2 1 0.5\n1 1 2 0.5\n",
 		"mpmb-bigraph 3 3 4\n0 0 1 0.5\n# note\n0 0 2 0.5\n1 x 1 0.5\n",
@@ -113,9 +117,13 @@ func FuzzReadVsReference(f *testing.F) {
 		"mpmb-bigraph 2 2 1\n+1 0 1 0.5\n",
 		"mpmb-bigraph 2 2 1\n0 -1 1 0.5\n",
 		"mpmb-bigraph 2 2 2\n0 0 0x1p-2 0x1p-1\n1 1 0X1.8P+1 1\n",
-		"mpmb-bigraph 2 2 2\n0 0 1 0.5\n0 0 1 0.5\n# " + strings.Repeat("x", 1<<20) + "\n",
-		"mpmb-bigraph 2 2 1\n0 0 1 0.5\n" + strings.Repeat(" ", 1<<20) + "\n",
-	} {
+	}
+	if flag.Lookup("test.fuzz").Value.String() == "" {
+		seeds = append(seeds,
+			"mpmb-bigraph 2 2 2\n0 0 1 0.5\n0 0 1 0.5\n# "+strings.Repeat("x", 1<<20)+"\n",
+			"mpmb-bigraph 2 2 1\n0 0 1 0.5\n"+strings.Repeat(" ", 1<<20)+"\n")
+	}
+	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, in string) {
@@ -123,6 +131,34 @@ func FuzzReadVsReference(f *testing.F) {
 		want, wantErr := readRef(strings.NewReader(in))
 		sameParse(t, got, err, want, wantErr)
 	})
+}
+
+// TestReadVsReferenceLongLines holds Read to readRef on lines at the
+// scanner's limit: a line of 1 MiB − 1 bytes before its newline still
+// parses, and one a byte longer fails with the scanner's error, whether
+// it is a comment, white space, or an edge padded with spaces; a repeated
+// pair before an overlong comment still reports the repeat.
+func TestReadVsReferenceLongLines(t *testing.T) {
+	const limit = 1<<20 - 1 // the longest line the scanner takes
+	for _, tc := range []struct {
+		in string
+		ok bool
+	}{
+		{"mpmb-bigraph 2 2 1\n0 0 1 0.5\n#" + strings.Repeat("x", limit-1) + "\n", true},
+		{"mpmb-bigraph 2 2 1\n0 0 1 0.5\n#" + strings.Repeat("x", limit) + "\n", false},
+		{"mpmb-bigraph 2 2 1\n0 0 1 0.5\n" + strings.Repeat(" ", limit) + "\n", true},
+		{"mpmb-bigraph 2 2 1\n0 0 1 0.5\n" + strings.Repeat(" ", 1<<20) + "\n", false},
+		{"mpmb-bigraph 2 2 1\n0 0 1 0.5" + strings.Repeat(" ", limit-9) + "\n", true},
+		{"mpmb-bigraph 2 2 1\n0 0 1 0.5" + strings.Repeat(" ", limit-8) + "\n", false},
+		{"mpmb-bigraph 2 2 2\n0 0 1 0.5\n0 0 1 0.5\n# " + strings.Repeat("x", 1<<20) + "\n", false},
+	} {
+		got, err := Read(strings.NewReader(tc.in))
+		want, wantErr := readRef(strings.NewReader(tc.in))
+		if (err == nil) != tc.ok {
+			t.Fatalf("input of %d bytes: error %v, want success %v", len(tc.in), err, tc.ok)
+		}
+		sameParse(t, got, err, want, wantErr)
+	}
 }
 
 // FuzzReadBinaryVsReference holds ReadBinary to readBinaryRef the same

@@ -2,6 +2,7 @@ package cliflags
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -53,18 +54,18 @@ func (q *QueryValues) Build() (*mpmb.Query, error) {
 	out := &mpmb.Query{}
 	set := false
 	if *q.AnchorL != -1 {
-		if *q.AnchorL < 0 {
-			return nil, fmt.Errorf("flag -anchor-l: vertex id %d cannot be negative", *q.AnchorL)
+		v, err := vertexID(*q.AnchorL)
+		if err != nil {
+			return nil, fmt.Errorf("flag -anchor-l: %w", err)
 		}
-		v := mpmb.VertexID(*q.AnchorL)
 		out.AnchorL = &v
 		set = true
 	}
 	if *q.AnchorR != -1 {
-		if *q.AnchorR < 0 {
-			return nil, fmt.Errorf("flag -anchor-r: vertex id %d cannot be negative", *q.AnchorR)
+		v, err := vertexID(*q.AnchorR)
+		if err != nil {
+			return nil, fmt.Errorf("flag -anchor-r: %w", err)
 		}
-		v := mpmb.VertexID(*q.AnchorR)
 		out.AnchorR = &v
 		set = true
 	}
@@ -97,6 +98,15 @@ func (q *QueryValues) Build() (*mpmb.Query, error) {
 	return out, nil
 }
 
+// vertexID converts a vertex id given on the command line, which must
+// fit a VertexID rather than wrap around 2³².
+func vertexID(id int) (mpmb.VertexID, error) {
+	if id < 0 || id > math.MaxUint32 {
+		return 0, fmt.Errorf("vertex id %d outside [0,%d]", id, uint32(math.MaxUint32))
+	}
+	return mpmb.VertexID(id), nil
+}
+
 // ParseEdgeAnchor parses the "u:v" spelling of an edge anchor.
 func ParseEdgeAnchor(s string) (*mpmb.EdgeAnchor, error) {
 	u, v, ok := strings.Cut(s, ":")
@@ -104,14 +114,16 @@ func ParseEdgeAnchor(s string) (*mpmb.EdgeAnchor, error) {
 		return nil, fmt.Errorf("%q is not of the form u:v", s)
 	}
 	ui, err := strconv.Atoi(strings.TrimSpace(u))
-	if err != nil || ui < 0 {
+	uv, errU := vertexID(ui)
+	if err != nil || errU != nil {
 		return nil, fmt.Errorf("left endpoint %q is not a vertex id", u)
 	}
 	vi, err := strconv.Atoi(strings.TrimSpace(v))
-	if err != nil || vi < 0 {
+	vv, errV := vertexID(vi)
+	if err != nil || errV != nil {
 		return nil, fmt.Errorf("right endpoint %q is not a vertex id", v)
 	}
-	return &mpmb.EdgeAnchor{U: mpmb.VertexID(ui), V: mpmb.VertexID(vi)}, nil
+	return &mpmb.EdgeAnchor{U: uv, V: vv}, nil
 }
 
 // ParseCommunities parses the "l0,l1,.../r0,r1,..." label spec.

@@ -1,6 +1,9 @@
 package cliflags
 
 import (
+	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -59,6 +62,10 @@ func TestQueryFlagsBuildErrors(t *testing.T) {
 		want string
 	}{
 		{[]string{"-anchor-l", "-7"}, "-anchor-l"},
+		{[]string{"-anchor-l", "4294967299"}, "-anchor-l"},
+		{[]string{"-anchor-r", "4294967296"}, "-anchor-r"},
+		{[]string{"-anchor-edge", "4294967296:4294967297"}, "left endpoint"},
+		{[]string{"-anchor-edge", "0:4294967297"}, "right endpoint"},
 		{[]string{"-anchor-edge", "12"}, "u:v"},
 		{[]string{"-anchor-edge", "a:2"}, "left endpoint"},
 		{[]string{"-anchor-edge", "2:-1"}, "right endpoint"},
@@ -127,4 +134,64 @@ func TestQueryFlagAttribution(t *testing.T) {
 	} else if dec := grp.DecorateError(err); !strings.Contains(dec.Error(), "flag -adaptive-prep:") {
 		t.Errorf("DecorateError = %q, want -adaptive-prep attribution", dec)
 	}
+}
+
+// FuzzParseEdgeAnchor: an accepted "u:v" names exactly the ids written in
+// it, with no wrap around 2³², and its canonical spelling parses back to
+// the same anchor.
+func FuzzParseEdgeAnchor(f *testing.F) {
+	for _, s := range []string{"2:5", " 0 : 4294967295 ", "4294967296:4294967297", "+3:7", "-1:2", "1:2:3", "x", ":"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		e, err := ParseEdgeAnchor(s)
+		if err != nil {
+			return
+		}
+		u, v, _ := strings.Cut(s, ":")
+		for _, side := range []struct {
+			text string
+			id   mpmb.VertexID
+		}{{u, e.U}, {v, e.V}} {
+			n, err := strconv.ParseInt(strings.TrimSpace(side.text), 10, 64)
+			if err != nil || n != int64(side.id) {
+				t.Fatalf("ParseEdgeAnchor(%q) = %d:%d, but the input reads %q", s, e.U, e.V, side.text)
+			}
+		}
+		again, err := ParseEdgeAnchor(fmt.Sprintf("%d:%d", e.U, e.V))
+		if err != nil || *again != *e {
+			t.Fatalf("ParseEdgeAnchor(%q) = %+v, which re-parses to %+v, %v", s, *e, again, err)
+		}
+	})
+}
+
+// FuzzParseCommunities: every accepted label is at least -1, and the
+// labels joined back into a spec parse to the same labels.
+func FuzzParseCommunities(f *testing.F) {
+	for _, s := range []string{"0,0,1/0,-1,1", "/", " 1 , ,2/ 3", "0,-2/1", "0,x/1", "0,0,1", "9223372036854775807/-1"} {
+		f.Add(s)
+	}
+	join := func(labels []int) string {
+		parts := make([]string, len(labels))
+		for i, l := range labels {
+			parts[i] = strconv.Itoa(l)
+		}
+		return strings.Join(parts, ",")
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		c, err := ParseCommunities(s)
+		if err != nil {
+			return
+		}
+		for _, l := range slices.Concat(c.L, c.R) {
+			if l < -1 {
+				t.Fatalf("ParseCommunities(%q) accepted label %d", s, l)
+			}
+		}
+		spec := join(c.L) + "/" + join(c.R)
+		again, err := ParseCommunities(spec)
+		if err != nil || !slices.Equal(again.L, c.L) || !slices.Equal(again.R, c.R) {
+			t.Fatalf("ParseCommunities(%q) = %v/%v, which re-joins to %q and parses to %+v, %v", s, c.L, c.R, spec, again, err)
+		}
+	})
 }

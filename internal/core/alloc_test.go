@@ -77,7 +77,7 @@ func TestAnchoredTrialZeroAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(98))
 	g := randGraph(r, 8, 8, 50) // 5x6, 25 edges
 	for _, a := range allAnchors(g) {
-		idx := newOSIndexFromSnapshot(g, OSOptions{}, newAnchoredSnapshot(g, a))
+		idx := anchoredKernel(g, a, OSOptions{})
 		root := randx.New(61)
 		var sMB butterfly.MaxSet
 		const window = 128

@@ -68,7 +68,7 @@ func TestAnchoredTrialMatchesBruteForce(t *testing.T) {
 		anchors := allAnchors(g)
 		kernels := make([]*osIndex, len(anchors))
 		for i, a := range anchors {
-			kernels[i] = newOSIndexFromSnapshot(g, OSOptions{}, newAnchoredSnapshot(g, a))
+			kernels[i] = anchoredKernel(g, a, OSOptions{})
 		}
 		var world []butterfly.WithWeight
 		var got butterfly.MaxSet
@@ -96,86 +96,123 @@ func TestAnchoredTrialMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// anchoredReference lays out the snapshot newAnchoredSnapshot must gather
-// for a, without the global snapshot: the edges of the backbone
-// butterflies through a, listed by brute force, in g.EdgesByWeightDesc
-// order, with endpoints paired on the anchor's side, live offsets
-// prefix-summed from the per-center counts, and w̄ added lightest first.
-func anchoredReference(g *bigraph.Graph, a Anchor) *edgeSnapshot {
-	in := make([]bool, g.NumEdges())
+// anchoredKernel returns a fresh kernel over g's global snapshot,
+// restricted to a's view of it.
+func anchoredKernel(g *bigraph.Graph, a Anchor, opt OSOptions) *osIndex {
+	x := newOSIndexFromSnapshot(g, opt, snapshotFor(g))
+	x.restrict(newAnchoredView(g, a))
+	return x
+}
+
+// checkAnchoredView compares a's view of g's global snapshot with what a
+// brute-force listing of the backbone butterflies through a gives, at the
+// positions g.EdgesByWeightDesc lists the edges in: the member blocks with
+// their members, the members whose p ∈ (0,1), the members before their
+// center's pin edge and the first member's weight; the pin's edge
+// position at each center with members, and the members before it there
+// in ascending position with their partners and weights; the member
+// count, and w̄ (the first three members' weights added lightest first)
+// as the same float.
+func checkAnchoredView(t *testing.T, g *bigraph.Graph, a Anchor, label string) {
+	t.Helper()
+	v := newAnchoredView(g, a)
+	order := g.EdgesByWeightDesc()
+	pos := make([]int32, len(order))
+	for p, id := range order {
+		pos[id] = int32(p)
+	}
+	member := make([]bool, len(order))
 	for _, bw := range butterfly.AllBackbone(g) {
 		if a.contains(bw.B) {
 			ids, _ := bw.B.EdgeIDs(g)
 			for _, id := range ids {
-				in[id] = true
+				member[pos[id]] = true
 			}
 		}
 	}
 	flip := a.Kind == AnchorRight
-	numCtr := g.NumR()
+	pin, numCtr := a.U, g.NumR()
 	if flip {
-		numCtr = g.NumL()
+		pin, numCtr = a.V, g.NumL()
 	}
-	s := &edgeSnapshot{flip: flip, liveOff: make([]int32, numCtr+1)}
-	for _, id := range g.EdgesByWeightDesc() {
-		if !in[id] {
+	ends := func(p int) (prt, ctr bigraph.VertexID) {
+		e := g.Edge(order[p])
+		if flip {
+			return e.V, e.U
+		}
+		return e.U, e.V
+	}
+	pinAt := make([]int32, numCtr) // the pin's member edge at each center, or -1
+	for c := range pinAt {
+		pinAt[c] = -1
+	}
+	for p := range order {
+		if prt, ctr := ends(p); member[p] && prt == pin {
+			pinAt[ctr] = int32(p)
+		}
+	}
+	rows := make([][]earlyEdge, numCtr)
+	var blocks []memberBlock
+	var weights []float64
+	for p, id := range order {
+		if !member[p] {
 			continue
 		}
 		e := g.Edge(id)
-		prt, ctr := e.U, e.V
-		if flip {
-			prt, ctr = e.V, e.U
+		prt, ctr := ends(p)
+		if len(blocks) == 0 || int(blocks[len(blocks)-1].wi) != p/64 {
+			blocks = append(blocks, memberBlock{first: e.W, wi: int32(p / 64)})
 		}
-		s.id = append(s.id, id)
-		s.w = append(s.w, e.W)
-		s.thresh = append(s.thresh, randx.BernoulliThreshold(e.P))
-		s.prt = append(s.prt, prt)
-		s.ctr = append(s.ctr, ctr)
-		s.liveOff[ctr+1]++
+		b := &blocks[len(blocks)-1]
+		b.in |= 1 << (p % 64)
+		if e.P > 0 && e.P < 1 {
+			b.drawn |= 1 << (p % 64)
+		}
+		if prt != pin && int32(p) < pinAt[ctr] {
+			b.early |= 1 << (p % 64)
+			rows[ctr] = append(rows[ctr], earlyEdge{pos: int32(p), to: prt, w: e.W})
+		}
+		weights = append(weights, e.W)
 	}
-	for c := 1; c <= numCtr; c++ {
-		s.liveOff[c] += s.liveOff[c-1]
+	var wBar float64
+	for i := min(len(weights), 3) - 1; i >= 0; i-- {
+		wBar += weights[i]
 	}
-	for i := min(len(s.w), 3) - 1; i >= 0; i-- {
-		s.wBar += s.w[i]
-	}
-	return s
-}
-
-// checkAnchoredLayout compares the snapshot gathered for a with
-// anchoredReference field by field, w̄ as the same float.
-func checkAnchoredLayout(t *testing.T, g *bigraph.Graph, a Anchor, label string) {
-	t.Helper()
-	got, want := newAnchoredSnapshot(g, a), anchoredReference(g, a)
 	switch {
-	case !slices.Equal(got.id, want.id):
-		t.Fatalf("%s: ids %v, want %v", label, got.id, want.id)
-	case !slices.Equal(got.w, want.w):
-		t.Fatalf("%s: weights %v, want %v", label, got.w, want.w)
-	case !slices.Equal(got.thresh, want.thresh):
-		t.Fatalf("%s: thresholds %v, want %v", label, got.thresh, want.thresh)
-	case !slices.Equal(got.prt, want.prt) || !slices.Equal(got.ctr, want.ctr) || got.flip != want.flip:
-		t.Fatalf("%s: endpoints %v/%v flip %v, want %v/%v flip %v", label, got.prt, got.ctr, got.flip, want.prt, want.ctr, want.flip)
-	case !slices.Equal(got.liveOff, want.liveOff):
-		t.Fatalf("%s: live offsets %v, want %v", label, got.liveOff, want.liveOff)
-	case math.Float64bits(got.wBar) != math.Float64bits(want.wBar):
-		t.Fatalf("%s: w̄ %v, want %v", label, got.wBar, want.wBar)
-	case got.anchor != a:
-		t.Fatalf("%s: anchor %v", label, got.anchor)
+	case v.a != a || v.pin != pin || v.flip != flip:
+		t.Fatalf("%s: anchor %v pin %d flip %v, want %v, %d, %v", label, v.a, v.pin, v.flip, a, pin, flip)
+	case !slices.Equal(v.blocks, blocks):
+		t.Fatalf("%s: blocks %+v, want %+v", label, v.blocks, blocks)
+	case v.n != len(weights):
+		t.Fatalf("%s: %d members, want %d", label, v.n, len(weights))
+	case math.Float64bits(v.wBar) != math.Float64bits(wBar):
+		t.Fatalf("%s: w̄ %v, want %v", label, v.wBar, wBar)
+	}
+	for c, want := range rows {
+		ctr := v.ctrs[c]
+		if got := v.rows[ctr.lo:ctr.hi]; !slices.Equal(got, want) {
+			t.Fatalf("%s: center %d members before the pin edge %v, want %v", label, c, got, want)
+		}
+	}
+	for c, p := range pinAt {
+		if p >= 0 && v.ctrs[c].pin != p {
+			t.Fatalf("%s: center %d pin edge at %d, want %d", label, c, v.ctrs[c].pin, p)
+		}
 	}
 }
 
 // TestAnchoredSnapshotLayout: for every anchor of random graphs, the
-// snapshot gathered from the global one equals the reference laid out
-// from a brute-force butterfly listing. The graphs include global
-// snapshots centered on either side, so the gather both keeps and swaps
-// the global endpoints, and a zero-support anchor gets an empty snapshot.
+// anchor's view of the global snapshot equals what a brute-force
+// butterfly listing gives. The graphs include global snapshots centered
+// on either side, so views both keep and swap the global endpoints, and a
+// zero-support anchor gets an empty view.
 func TestAnchoredSnapshotLayout(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	graphs := []*bigraph.Graph{figure1Graph(), pendantGraph()}
 	for i := 0; i < 6; i++ {
 		graphs = append(graphs, randGraph(r, 6, 6, 30), randGraph(r, 8, 3, 20), randGraph(r, 3, 8, 20))
 	}
+	graphs = append(graphs, sparseGraph(r, 40, 30, 200), sparseGraph(r, 25, 50, 200))
 	var centers [2]bool // global snapshots seen centered on the right, on the left
 	for gi, g := range graphs {
 		if snapshotFor(g).flip {
@@ -184,7 +221,7 @@ func TestAnchoredSnapshotLayout(t *testing.T) {
 			centers[0] = true
 		}
 		for _, a := range allAnchors(g) {
-			checkAnchoredLayout(t, g, a, fmt.Sprintf("graph %d anchor %v", gi, a))
+			checkAnchoredView(t, g, a, fmt.Sprintf("graph %d anchor %v", gi, a))
 		}
 	}
 	if !centers[0] || !centers[1] {
@@ -192,16 +229,48 @@ func TestAnchoredSnapshotLayout(t *testing.T) {
 	}
 	g := pendantGraph()
 	for _, a := range []Anchor{{Kind: AnchorLeft, U: 0}, {Kind: AnchorRight, V: 0}, {Kind: AnchorEdge, U: 0, V: 0}} {
-		if s := newAnchoredSnapshot(g, a); s.numEdges() != 0 || s.wBar != 0 {
-			t.Fatalf("zero-support anchor %v: %d edges, w̄ %v", a, s.numEdges(), s.wBar)
+		if v := newAnchoredView(g, a); v.n != 0 || len(v.blocks) != 0 || v.wBar != 0 {
+			t.Fatalf("zero-support anchor %v: %d members in %d blocks, w̄ %v", a, v.n, len(v.blocks), v.wBar)
 		}
 	}
 }
 
-// FuzzAnchoredSnapshot checks the gathered snapshot against
-// anchoredReference on small random graphs with half-step weights, for a
-// left, a right and an edge anchor picked by the input, and requires
-// AnchoredOSParallel to return the same Result on 1 and 3 workers.
+// fuzzGraph builds a graph of up to 12 vertices a side from raw: raw[0]
+// and raw[1] size the sides, and each byte from raw[5] on decides one
+// vertex pair in turn, an edge when its low bit is set, with a weight from
+// halfGrid and a probability from probGrid.
+func fuzzGraph(raw []byte) *bigraph.Graph {
+	numL, numR := 1+int(raw[0])%12, 1+int(raw[1])%12
+	b := bigraph.NewBuilder(numL, numR)
+	for slot, by := range raw[5:min(len(raw), 5+numL*numR)] {
+		if by&1 == 0 {
+			continue
+		}
+		b.MustAddEdge(bigraph.VertexID(slot%numL), bigraph.VertexID(slot/numL),
+			halfGrid[by>>1&7], probGrid[int(by>>4)%len(probGrid)])
+	}
+	return b.Build()
+}
+
+// fuzzAnchors picks a left, a right and, when g has edges, an edge anchor
+// by raw[2..4].
+func fuzzAnchors(g *bigraph.Graph, raw []byte) []Anchor {
+	anchors := []Anchor{
+		{Kind: AnchorLeft, U: bigraph.VertexID(int(raw[2]) % g.NumL())},
+		{Kind: AnchorRight, V: bigraph.VertexID(int(raw[3]) % g.NumR())},
+	}
+	if g.NumEdges() > 0 {
+		e := g.Edge(bigraph.EdgeID(int(raw[4]) % g.NumEdges()))
+		anchors = append(anchors, Anchor{Kind: AnchorEdge, U: e.U, V: e.V})
+	}
+	return anchors
+}
+
+// FuzzAnchoredSnapshot checks the anchor's view against a brute-force
+// listing (checkAnchoredView) on small random graphs with half-step
+// weights, for a left, a right and an edge anchor picked by the input,
+// and requires AnchoredOSParallel to return the same Result on 1 and 3
+// workers.
 func FuzzAnchoredSnapshot(f *testing.F) {
 	f.Add([]byte{3, 3, 0, 1, 2, 1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23})
 	f.Add([]byte{4, 1, 7, 2, 9, 255, 254, 253, 252, 251, 250, 249, 248, 247, 246, 245, 244})
@@ -210,26 +279,9 @@ func FuzzAnchoredSnapshot(f *testing.F) {
 		if len(raw) < 5 {
 			t.Skip()
 		}
-		numL, numR := 1+int(raw[0])%5, 1+int(raw[1])%5
-		b := bigraph.NewBuilder(numL, numR)
-		for slot, by := range raw[5:min(len(raw), 5+numL*numR)] {
-			if by&1 == 0 {
-				continue
-			}
-			b.MustAddEdge(bigraph.VertexID(slot%numL), bigraph.VertexID(slot/numL),
-				halfGrid[by>>1&7], probGrid[int(by>>4)%len(probGrid)])
-		}
-		g := b.Build()
-		anchors := []Anchor{
-			{Kind: AnchorLeft, U: bigraph.VertexID(int(raw[2]) % numL)},
-			{Kind: AnchorRight, V: bigraph.VertexID(int(raw[3]) % numR)},
-		}
-		if g.NumEdges() > 0 {
-			e := g.Edge(bigraph.EdgeID(int(raw[4]) % g.NumEdges()))
-			anchors = append(anchors, Anchor{Kind: AnchorEdge, U: e.U, V: e.V})
-		}
-		for _, a := range anchors {
-			checkAnchoredLayout(t, g, a, fmt.Sprintf("anchor %v", a))
+		g := fuzzGraph(raw)
+		for _, a := range fuzzAnchors(g, raw) {
+			checkAnchoredView(t, g, a, fmt.Sprintf("anchor %v", a))
 			opt := OSOptions{Trials: 64, Seed: uint64(raw[4])}
 			one, err := AnchoredOSParallel(g, a, opt, 1)
 			if err != nil {
@@ -242,6 +294,127 @@ func FuzzAnchoredSnapshot(f *testing.F) {
 			requireSameResult(t, fmt.Sprintf("anchor %v, 1 vs 3 workers", a), one, three)
 		}
 	})
+}
+
+// anchoredKnobs lists the kernel knobs an anchored trial runs under: none
+// and DisableEdgePrune for every anchor, and KeepAllAngles and DropA2 for
+// a vertex anchor, which an edge anchor rejects.
+func anchoredKnobs(a Anchor) []OSOptions {
+	knobs := []OSOptions{{}, {DisableEdgePrune: true}}
+	if a.Kind != AnchorEdge {
+		knobs = append(knobs, OSOptions{KeepAllAngles: true}, OSOptions{DropA2: true})
+	}
+	return knobs
+}
+
+// matchAnchoredReference runs trials 1..trials of a's view-restricted
+// kernel and of the frozen gathered trial (anchoredRef) on the same
+// streams, for every knob of anchoredKnobs, and requires each trial to
+// give the same S_MB in the same order, the same weight and the same scan
+// position. With worlds set, each trial also runs both on the world its
+// stream draws edge by edge, presence from an oracle. It returns the
+// number of trials compared.
+func matchAnchoredReference(t *testing.T, g *bigraph.Graph, a Anchor, seed uint64, trials int, worlds bool) int {
+	t.Helper()
+	compared := 0
+	var got, want butterfly.MaxSet
+	var rng randx.RNG
+	present := make([]bool, g.NumEdges())
+	has := func(id bigraph.EdgeID) bool { return present[id] }
+	same := func(label string, gotScan, wantScan int) {
+		t.Helper()
+		if gotScan != wantScan || math.Float64bits(got.W) != math.Float64bits(want.W) || !slices.Equal(got.Set, want.Set) {
+			t.Fatalf("%s: scan %d, W %v, S_MB %v; reference scan %d, W %v, S_MB %v",
+				label, gotScan, got.W, got.Set, wantScan, want.W, want.Set)
+		}
+	}
+	for _, opt := range anchoredKnobs(a) {
+		x, ref := anchoredKernel(g, a, opt), newAnchoredRef(g, a, opt)
+		root := randx.New(seed)
+		for trial := uint64(1); trial <= uint64(trials); trial++ {
+			label := fmt.Sprintf("anchor %v knobs %+v trial %d", a, opt, trial)
+			gotScan := x.runTrialSeeded(root, trial, &got)
+			root.DeriveInto(trial, &rng)
+			same(label, gotScan, ref.trialRNG(&want, &rng))
+			compared++
+			if !worlds {
+				continue
+			}
+			root.DeriveInto(trial, &rng)
+			for id := range present {
+				present[id] = rng.Bernoulli(g.Edge(bigraph.EdgeID(id)).P)
+			}
+			gotScan = x.runTrial(&got, has)
+			same(label+" (world)", gotScan, ref.trial(&want, has))
+		}
+	}
+	return compared
+}
+
+// FuzzAnchoredVsReference holds the anchored trial to the frozen gathered
+// one (anchoredRef) on graphs of up to 12 vertices a side: for a left, a
+// right and an edge anchor picked by the input, under every knob, 64
+// trials must match draw for draw (matchAnchoredReference).
+func FuzzAnchoredVsReference(f *testing.F) {
+	f.Add([]byte{3, 3, 0, 1, 2, 1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23})
+	f.Add([]byte{4, 1, 7, 2, 9, 255, 254, 253, 252, 251, 250, 249, 248, 247, 246, 245, 244})
+	dense := []byte{11, 11, 5, 6, 7}
+	for i := range 144 {
+		dense = append(dense, byte(i*37+1)|1)
+	}
+	f.Add(dense)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) < 5 {
+			t.Skip()
+		}
+		g := fuzzGraph(raw)
+		for _, a := range fuzzAnchors(g, raw) {
+			matchAnchoredReference(t, g, a, uint64(raw[4])<<8|uint64(raw[2]), 64, false)
+		}
+	})
+}
+
+// sparseGraph draws a graph of numL × numR vertices with about numE
+// random edges (repeats skipped) on the exact-tie-friendly grids, so an
+// anchor's members spread over several blocks of 64 positions with gaps
+// between them.
+func sparseGraph(r *rand.Rand, numL, numR, numE int) *bigraph.Graph {
+	b := bigraph.NewBuilder(numL, numR)
+	seen := make(map[[2]int]bool)
+	for range numE {
+		u, v := r.Intn(numL), r.Intn(numR)
+		if !seen[[2]int{u, v}] {
+			seen[[2]int{u, v}] = true
+			b.MustAddEdge(bigraph.VertexID(u), bigraph.VertexID(v), halfGrid[r.Intn(len(halfGrid))], probGrid[r.Intn(len(probGrid))])
+		}
+	}
+	return b.Build()
+}
+
+// TestAnchoredMatchesReference runs matchAnchoredReference, with worlds,
+// for every anchor of sparse graphs of 20 to 50 vertices a side, whose
+// members spread over several blocks, so the scan's walk back to the
+// stopping member crosses blocks; and for every anchor of small dense
+// graphs, whose weight ties are the rule.
+func TestAnchoredMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(101))
+	var graphs []*bigraph.Graph
+	for i := 0; i < 6; i++ {
+		numL, numR := 20+r.Intn(31), 20+r.Intn(31)
+		graphs = append(graphs, sparseGraph(r, numL, numR, 3*(numL+numR)))
+		graphs = append(graphs, denseGraph(r, 12, halfGrid[:3]))
+	}
+	trials := 64
+	if testing.Short() {
+		trials = 16
+	}
+	compared := 0
+	for gi, g := range graphs {
+		for _, a := range allAnchors(g) {
+			compared += matchAnchoredReference(t, g, a, uint64(gi)*1000+7, trials, true)
+		}
+	}
+	t.Logf("%d trials matched", compared)
 }
 
 // TestAnchoredJobsConcurrent runs anchored jobs of every kind, and a
@@ -324,11 +497,11 @@ func TestAnchoredAblationsAgree(t *testing.T) {
 
 // TestAnchoredProbeMetersScan: an anchored run meters its ordered scan
 // like a global one — edges scanned > 0, and scanned + pruned is every
-// trial's pass over the anchored snapshot — on one worker and on two.
+// trial's pass over the anchor's members — on one worker and on two.
 func TestAnchoredProbeMetersScan(t *testing.T) {
 	g := benchGraph()
 	a := Anchor{Kind: AnchorLeft, U: g.Edge(g.EdgesByWeightDesc()[0]).U}
-	n := int64(newAnchoredSnapshot(g, a).numEdges())
+	n := int64(newAnchoredView(g, a).n)
 	const trials = 200
 	for _, workers := range []int{1, 2} {
 		reg := telemetry.NewRegistry()

@@ -93,9 +93,8 @@ type ExecJob struct {
 	Units int
 	Start int
 	// Anchor, when set, restricts an ExecOS job to butterflies containing
-	// it: the job gathers a snapshot of the anchor's butterfly edges from
-	// the global one, and its units run pooled kernels over it with the
-	// anchored admission rule.
+	// it: the job builds the anchor's view of the global snapshot, and its
+	// units run pooled kernels restricted to that view.
 	Anchor Anchor
 	// OS carries the Ordering Sampling kernel knobs for ExecOS: the
 	// pruning/ablation flags. Trial counts, seeds, Interrupt and Probe
@@ -393,11 +392,11 @@ func (e *LocalExecutor) ExecuteTrials(job *ExecJob) (*ExecResult, error) {
 	var newWorker func(w int) unitWorker
 	switch job.Kind {
 	case ExecOS:
-		snap, err := osSnapshot(job)
+		snap, view, err := osSnapshot(job)
 		if err != nil {
 			return nil, err
 		}
-		newWorker = func(w int) unitWorker { return newOSWorker(job, out, snap, w, workers == 1) }
+		newWorker = func(w int) unitWorker { return newOSWorker(job, out, snap, view, w, workers == 1) }
 	case ExecOptimized:
 		thresh := edgeThresholds(job.Graph) // shared read-only by all workers
 		newWorker = func(w int) unitWorker { return newOptimizedWorker(job, out, thresh, w, workers == 1) }
@@ -547,19 +546,19 @@ func parLoop(start, end, workers int, interrupt func() bool, newBody func(w int)
 	return min(start+handed*chunk, end), nil
 }
 
-// osSnapshot returns the snapshot an ExecOS job's kernels scan: the
-// graph's cached global snapshot, or the anchored job's own snapshot of
-// the anchor's butterflies, gathered from the global one and dropped with
-// the job.
-func osSnapshot(job *ExecJob) (*edgeSnapshot, error) {
+// osSnapshot returns the snapshot an ExecOS job's kernels scan, the
+// graph's cached global snapshot, and for an anchored job the view that
+// restricts them to the anchor's butterflies, dropped with the job.
+func osSnapshot(job *ExecJob) (*edgeSnapshot, *anchoredView, error) {
 	a := job.Anchor
 	switch {
 	case a.Kind == 0:
-		return snapshotFor(job.Graph), nil
+		return snapshotFor(job.Graph), nil, nil
 	case a.Kind == AnchorEdge && (job.OS.KeepAllAngles || job.OS.DropA2):
-		return nil, fmt.Errorf("core: edge anchor %v does not support KeepAllAngles or DropA2", a)
+		return nil, nil, fmt.Errorf("core: edge anchor %v does not support KeepAllAngles or DropA2", a)
 	}
-	return newAnchoredSnapshot(job.Graph, a), nil
+	v := newAnchoredView(job.Graph, a)
+	return snapshotFor(job.Graph), v, nil
 }
 
 // osWorker runs ExecOS units: Ordering Sampling world trials on a pooled
@@ -592,16 +591,21 @@ type osWorker struct {
 	promote bool
 }
 
-func newOSWorker(job *ExecJob, out *ExecResult, snap *edgeSnapshot, w int, single bool) *osWorker {
+func newOSWorker(job *ExecJob, out *ExecResult, snap *edgeSnapshot, view *anchoredView, w int, single bool) *osWorker {
 	// Worker kernels come from the global snapshot's pool: across runs
 	// over the same graph, global or anchored, the ~1MB per-kernel scratch
 	// and a pool member's tally are reused instead of reallocated.
 	x := &osWorker{job: job, out: out, root: randx.New(job.Seed), idx: snap.kernel(job.Graph, job.OS), acc: out.acc}
+	x.idx.restrict(view)
 	if w > 0 {
 		x.acc = &x.idx.tally
 		x.acc.reset()
 	}
-	x.meter = newTrialMeter(job.Probe, w, snap.numEdges(), false)
+	n := snap.numEdges()
+	if view != nil {
+		n = view.n
+	}
+	x.meter = newTrialMeter(job.Probe, w, n, false)
 	if single && job.Probe != nil {
 		x.lead = job.Probe.Phase != telemetry.PhasePrep
 		x.promote = !x.lead

@@ -92,7 +92,7 @@ func BenchmarkOSKernelTrial(b *testing.B) {
 func BenchmarkAnchoredOSTrial(b *testing.B) {
 	g := benchGraph()
 	a := Anchor{Kind: AnchorLeft, U: g.Edge(g.EdgesByWeightDesc()[0]).U}
-	idx := newOSIndexFromSnapshot(g, OSOptions{}, newAnchoredSnapshot(g, a))
+	idx := anchoredKernel(g, a, OSOptions{})
 	root := randx.New(42)
 	var sMB butterfly.MaxSet
 	for t := 1; t <= 128; t++ {

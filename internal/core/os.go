@@ -176,12 +176,21 @@ func OSOnWorld(g *bigraph.Graph, w *possible.World, opt OSOptions) butterfly.Max
 //     generation bump.
 //
 // A kernel is sized for its graph's global snapshot and pooled there; an
-// anchored job borrows one and points it at the job's snapshot (see
-// edgeSnapshot.kernel).
+// anchored job borrows one and restricts its trials to the job's view of
+// that snapshot (see restrict and runAnchored).
 type osIndex struct {
 	g    *bigraph.Graph
 	opt  OSOptions
 	snap *edgeSnapshot
+
+	// view, when set, restricts every trial to an anchored job's members
+	// (runAnchored). present holds such a trial's presence bits, one word
+	// per block of positions; a trial writes a block's word before it
+	// reads any bit of it, so the words are never cleared. words is its
+	// block draw buffer, kept here so that a trial does not zero it.
+	view    *anchoredView
+	present []uint64
+	words   [rngBlock]uint64
 
 	// Flat N̂_E: center vertex v's live processed edges are
 	// liveFlat[snap.liveOff[v] : snap.liveOff[v]+n] where n is live[v].n if
@@ -258,56 +267,58 @@ type liveMeta struct {
 	gen uint32
 }
 
-// newOSIndexFromSnapshot builds a kernel over snap sized for snap's
-// home, the global snapshot: liveFlat holds every edge of the graph and
-// live every vertex of its larger side, so the kernel fits the global
-// snapshot and each anchored one gathered from it.
+// newOSIndexFromSnapshot builds a kernel over the global snapshot snap:
+// liveFlat holds every edge of the graph and live every vertex of its
+// larger side.
 func newOSIndexFromSnapshot(g *bigraph.Graph, opt OSOptions, snap *edgeSnapshot) *osIndex {
-	home := snap.home()
 	x := &osIndex{
 		g:        g,
 		opt:      opt,
-		liveFlat: make([]liveEdge, home.numEdges()),
+		snap:     snap,
+		liveFlat: make([]liveEdge, snap.numEdges()),
 		live:     make([]liveMeta, max(g.NumL(), g.NumR())),
 		liveCur:  1,
 		tab:      newAngleTable(minAngleTableCap),
 	}
-	x.tab.tok = home.tok // Zobrist pair hashing, shared with the inlined probe
-	x.point(snap)
+	x.tab.tok = snap.tok // Zobrist pair hashing, shared with the inlined probe
+	x.pairs.flip = snap.flip
 	return x
 }
 
-// point aims the kernel at snapshot s of its graph. Every trial starts
-// with resetTrial, whose generation bumps drop whatever the previous
-// snapshot left in the live lists and the angle table.
-func (x *osIndex) point(s *edgeSnapshot) {
-	x.snap, x.pairs.flip = s, s.flip
-}
-
 // kernel returns a trial kernel over s, reusing a previously released
-// kernel when the global snapshot's pool has one. This is how every
-// LocalExecutor OS worker, global or anchored, and the bench harness
-// obtain their kernel: repeat runs and parallel chunks over the same
-// graph stop paying the ~1MB per-kernel build, which is what held the
-// parallel path at ~40 allocs per trial, and an anchored job builds none.
+// kernel when s's pool has one. This is how every LocalExecutor OS
+// worker, global or anchored, and the bench harness obtain their kernel:
+// repeat runs and parallel chunks over the same graph stop paying the
+// ~1MB per-kernel build, which is what held the parallel path at ~40
+// allocs per trial, and an anchored job builds none.
 func (s *edgeSnapshot) kernel(g *bigraph.Graph, opt OSOptions) *osIndex {
-	if k, ok := s.home().kernels.Get().(*osIndex); ok && k != nil {
+	if k, ok := s.kernels.Get().(*osIndex); ok && k != nil {
 		k.opt = opt
-		k.point(s)
 		return k
 	}
 	return newOSIndexFromSnapshot(g, opt, s)
 }
 
-// releaseKernel returns a kernel obtained from edgeSnapshot.kernel to the
-// global snapshot's pool, pointed back at it: an anchored job's snapshot
-// is dropped with the job. The options are cleared so a pooled kernel
-// does not retain a caller's Interrupt or Probe beyond its run, and the
-// pair tally is turned off so the next user reads whole maximum sets.
+// restrict limits the kernel's trials to an anchored job's view of its
+// snapshot, or lifts the limit when v is nil. Every trial starts with
+// resetTrial, whose generation bumps drop whatever an earlier trial left
+// in the live lists and the angle table.
+func (x *osIndex) restrict(v *anchoredView) {
+	x.view = v
+	if v != nil && x.present == nil {
+		x.present = make([]uint64, len(x.snap.ndraws))
+	}
+}
+
+// releaseKernel returns a kernel obtained from edgeSnapshot.kernel to its
+// snapshot's pool, its anchored view dropped with the job. The options
+// are cleared so a pooled kernel does not retain a caller's Interrupt or
+// Probe beyond its run, and the pair tally is turned off so the next user
+// reads whole maximum sets.
 func releaseKernel(x *osIndex) {
 	x.opt = OSOptions{}
 	x.pairs.on = false
-	x.point(x.snap.home())
+	x.restrict(nil)
 	x.snap.kernels.Put(x)
 }
 
@@ -334,21 +345,26 @@ func (x *osIndex) entryFor(a, b bigraph.VertexID) int32 {
 		a, b = b, a
 	}
 	key := uint64(a)<<32 | uint64(b)
-	i, found := x.tab.getOrPut(key, int32(x.poolN))
-	if found {
+	if i, found := x.tab.getOrPut(key, int32(x.poolN)); found {
 		return i
 	}
+	return x.newEntry(a, b)
+}
+
+// newEntry claims the next pool entry for the endpoint pair a < b, with
+// no angle yet, and returns its index.
+func (x *osIndex) newEntry(a, b bigraph.VertexID) int32 {
 	if x.poolN == len(x.pool) {
 		x.pool = append(x.pool, angleEntry{})
 	}
-	e := &x.pool[i]
+	e := &x.pool[x.poolN]
 	e.mids1 = e.mids1[:0]
 	e.mids2 = e.mids2[:0]
 	e.all = e.all[:0]
 	e.u1, e.u2 = a, b
 	e.w1, e.w2 = math.Inf(-1), math.Inf(-1)
 	x.poolN++
-	return i
+	return int32(x.poolN - 1)
 }
 
 // update applies the Table II cases for a new angle of weight w with
@@ -460,10 +476,13 @@ func (x *osIndex) runTrialSeeded(root *randx.RNG, id uint64, sMB *butterfly.MaxS
 //     docs/ALGORITHMS.md), so Results stay bit-identical.
 //
 // The ablation paths share the generic admitEdge walk instead —
-// identical Results; only the instruction stream differs — and so do
-// anchored snapshots, whose admission rule lives there.
+// identical Results; only the instruction stream differs. A kernel
+// restricted to an anchored view runs runAnchored.
 func (x *osIndex) runTrialRNG(sMB *butterfly.MaxSet, rng *randx.RNG) (scanned int) {
-	if x.opt.KeepAllAngles || x.opt.DropA2 || x.snap.anchor.Kind != 0 {
+	switch {
+	case x.view != nil:
+		return x.runAnchored(sMB, rng, nil)
+	case x.opt.KeepAllAngles || x.opt.DropA2:
 		return x.runTrialRNGGeneric(sMB, rng)
 	}
 	snap := x.snap
@@ -645,12 +664,9 @@ scan:
 	return scanned
 }
 
-// runTrialRNGGeneric is the unspecialized threshold trial: same
-// algorithm, same Results, with angle admission routed through admitEdge
-// so the ablation branches and the anchored admission rule stay in one
-// place. It is the trial of every anchored snapshot: the Section V-B
-// prune runs against the anchored running maximum with w̄ taken over the
-// anchor's butterfly edges.
+// runTrialRNGGeneric is the unspecialized threshold trial of the global
+// ablations (KeepAllAngles, DropA2): same algorithm, with angle admission
+// routed through admitEdge so the ablation branches stay in one place.
 func (x *osIndex) runTrialRNGGeneric(sMB *butterfly.MaxSet, rng *randx.RNG) (scanned int) {
 	x.resetTrial()
 	sMB.Reset()
@@ -678,7 +694,12 @@ func (x *osIndex) runTrialRNGGeneric(sMB *butterfly.MaxSet, rng *randx.RNG) (sca
 
 // runTrial executes the same trial against an arbitrary edge presence
 // oracle — World.Has for the deterministic per-world variant (OSOnWorld).
+// A kernel restricted to an anchored view runs the same joins as its
+// sampled trial (runAnchored) with presence from the oracle.
 func (x *osIndex) runTrial(sMB *butterfly.MaxSet, present func(bigraph.EdgeID) bool) (scanned int) {
+	if x.view != nil {
+		return x.runAnchored(sMB, nil, present)
+	}
 	x.resetTrial()
 	sMB.Reset()
 	snap := x.snap
@@ -699,17 +720,10 @@ func (x *osIndex) runTrial(sMB *butterfly.MaxSet, present func(bigraph.EdgeID) b
 	return i
 }
 
-// admitEdge processes the live edge at snapshot position i (lines 10–14):
-// form an angle with every live edge already recorded at its center
-// endpoint, push each through the Table II update, lift w_max, and append
-// the edge to its center vertex's flat N̂_E region.
-//
-// On an anchored snapshot an angle forms only when one of its two edges
-// is the pin's edge at that center, so every pair holds the pin. Once the
-// pin's edge at a center is live it is that region's last entry, since a
-// later edge there can pair with it alone and is not recorded; any other
-// edge pairs with that last entry or, while the pin's edge is not yet
-// live, waits in the region for it.
+// admitEdge processes the live edge at snapshot position i (lines 10–14)
+// for the global ablations: form an angle with every live edge already
+// recorded at its center endpoint, push each through the update, lift
+// w_max, and append the edge to its center vertex's flat N̂_E region.
 func (x *osIndex) admitEdge(i int, wMax float64) float64 {
 	snap := x.snap
 	ui, vj, w := snap.prt[i], snap.ctr[i], snap.w[i]
@@ -719,40 +733,37 @@ func (x *osIndex) admitEdge(i int, wMax float64) float64 {
 	if lm.gen != x.liveCur {
 		n = 0
 	}
-	live, record := x.liveFlat[base:base+n], true
-	if snap.anchor.Kind != 0 && ui != snap.pin {
-		if n > 0 && live[n-1].to == snap.pin {
-			live, record = live[n-1:], false
-		} else {
-			live = nil
-		}
-	}
-	for _, hb := range live { // line 10: e_b = (v_j, u_k)
-		uk := hb.to
-		if uk == ui {
+	for _, hb := range x.liveFlat[base : base+n] { // line 10: e_b = (v_j, u_k)
+		if hb.to == ui {
 			continue // cannot happen for simple graphs, but be safe
 		}
-		angleW := w + hb.w // line 11: ∠_new = e_a ⊕ e_b
-		ei := x.entryFor(ui, uk)
-		ent := &x.pool[ei] // taken AFTER entryFor: the pool may have grown
-		if x.opt.KeepAllAngles {
-			ent.all = append(ent.all, midW{mid: vj, w: angleW})
-		}
-		switch {
-		case snap.anchor.Kind == AnchorEdge:
-			ent.updatePinned(angleW, vj, vj == snap.anchor.V)
-		case x.opt.DropA2:
-			ent.updateDropA2(angleW, vj) // fault injection: A2 lost
-		default:
-			ent.update(angleW, vj) // line 12, Table II
-		}
-		if bw := ent.bestWeight(); bw > wMax {
-			wMax = bw // line 13
-		}
+		wMax = x.addAngle(x.entryFor(ui, hb.to), w+hb.w, vj, wMax) // line 11: ∠_new = e_a ⊕ e_b
 	}
-	if record {
-		x.liveFlat[base+n] = liveEdge{to: ui, w: w, tok: snap.tok[ui]} // line 14
-		x.live[vj] = liveMeta{n: n + 1, gen: x.liveCur}
+	x.liveFlat[base+n] = liveEdge{to: ui, w: w, tok: snap.tok[ui]} // line 14
+	x.live[vj] = liveMeta{n: n + 1, gen: x.liveCur}
+	return wMax
+}
+
+// addAngle pushes an angle of weight w with middle mid through pool entry
+// ei's classes (line 12) and returns w_max lifted by the entry's best
+// butterfly (line 13). An edge anchor's entries take updatePinned, the
+// DropA2 fault injection its broken update, and every other entry Table
+// II.
+func (x *osIndex) addAngle(ei int32, w float64, mid bigraph.VertexID, wMax float64) float64 {
+	ent := &x.pool[ei]
+	if x.opt.KeepAllAngles {
+		ent.all = append(ent.all, midW{mid: mid, w: w})
+	}
+	switch {
+	case x.view != nil && x.view.a.Kind == AnchorEdge:
+		ent.updatePinned(w, mid, mid == x.view.a.V)
+	case x.opt.DropA2:
+		ent.updateDropA2(w, mid) // fault injection: A2 lost
+	default:
+		ent.update(w, mid) // line 12, Table II
+	}
+	if bw := ent.bestWeight(); bw > wMax {
+		wMax = bw // line 13
 	}
 	return wMax
 }
@@ -769,9 +780,14 @@ func orient(flip bool, u1, u2, m1, m2 bigraph.VertexID) butterfly.Butterfly {
 	return butterfly.New(u1, u2, m1, m2)
 }
 
-// emit adds one maximum butterfly of ent's endpoint pair.
+// emit adds one maximum butterfly of ent's endpoint pair, whose sides are
+// those of the anchored view when the kernel is restricted to one.
 func (x *osIndex) emit(sMB *butterfly.MaxSet, ent *angleEntry, m1, m2 bigraph.VertexID, w float64) {
-	sMB.Add(orient(x.snap.flip, ent.u1, ent.u2, m1, m2), w)
+	flip := x.snap.flip
+	if x.view != nil {
+		flip = x.view.flip
+	}
+	sMB.Add(orient(flip, ent.u1, ent.u2, m1, m2), w)
 }
 
 // materializeList emits the butterflies of weight w_max from the

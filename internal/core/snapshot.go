@@ -64,18 +64,6 @@ type edgeSnapshot struct {
 	// implementation's fixed choice); flip=true centers on the left.
 	flip bool
 
-	// anchor is set on an anchored snapshot (see newAnchoredSnapshot): it
-	// holds only the edges of the backbone butterflies through the anchor,
-	// its pairing side is the anchor's side, and pin is the anchor's
-	// vertex on that side. Its kernels run the per-position loop with the
-	// anchored admission rule (see admitEdge), which reads neither pc nor
-	// the support tables below, so an anchored snapshot leaves them nil.
-	// global is the snapshot it was gathered from, whose token table it
-	// shares and whose pool lends its kernels.
-	anchor Anchor
-	pin    bigraph.VertexID
-	global *edgeSnapshot
-
 	liveOff []int32 // per center vertex offset into liveFlat, len numCenter+1
 
 	// tok holds one fixed random 64-bit token per vertex index, enough
@@ -131,19 +119,20 @@ type edgeSnapshot struct {
 	// kernel returns immediately.
 	barren bool
 
-	// kernels recycles osIndex instances built over this global snapshot,
-	// so a run (or a parallel worker) that needs a kernel for an
-	// already-seen graph reuses the previous run's allocations instead of
-	// rebuilding ~1MB of per-kernel scratch. Anchored jobs borrow from the
-	// same pool: a kernel sized for every edge and for the larger side
-	// fits each anchored snapshot of the graph, and it is pooled pointed
-	// back at this snapshot, so a pooled kernel always matches the graph.
+	// kernels recycles osIndex instances built over this snapshot, so a
+	// run (or a parallel worker) that needs a kernel for an already-seen
+	// graph reuses the previous run's allocations instead of rebuilding
+	// ~1MB of per-kernel scratch. Anchored jobs borrow from the same pool:
+	// their kernels scan this snapshot through the job's view
+	// (anchoredView), so every pooled kernel fits every job on the graph.
 	kernels sync.Pool
 
-	// rank maps an edge id to its position here, for gathering anchored
-	// snapshots; positions builds it once, on the first anchored job.
+	// rank maps an edge id to its position here, and random marks the
+	// positions whose p ∈ (0,1), one bit each, for anchored views and
+	// their trials; positions builds both once, on the first anchored job.
 	rankOnce sync.Once
 	rank     []int32
+	random   []uint64
 }
 
 // liveEdge is one flat N̂_E entry: a live, already-processed edge incident
@@ -201,10 +190,16 @@ func newEdgeSnapshot(g *bigraph.Graph) *edgeSnapshot {
 		s.thresh[i] = randx.BernoulliThreshold(e.P)
 		s.liveOff[s.ctr[i]+1]++
 	}
-	s.settle()
+	for c := 1; c < len(s.liveOff); c++ {
+		s.liveOff[c] += s.liveOff[c-1]
+	}
+	// w̄: the three heaviest weights, added lightest first, as bigraph's
+	// TopWeightSum(3) adds them, so the budget is the same float.
+	for i := min(n, 3) - 1; i >= 0; i-- {
+		s.wBar += s.w[i]
+	}
 	// One token per vertex index of the larger side: a token depends on
-	// the index alone, so an anchored snapshot, which may pair on the other
-	// side, hashes through this same table.
+	// the index alone, so either side may hash through this same table.
 	s.tok = make([]uint64, max(g.NumL(), g.NumR()))
 	for u := range s.tok {
 		sm := uint64(u) ^ 0x6a09e667f3bcc908 // fixed salt; any constant works
@@ -255,39 +250,22 @@ func newEdgeSnapshot(g *bigraph.Graph) *edgeSnapshot {
 	return s
 }
 
-// settle finishes a laid-out snapshot whose liveOff[c+1] holds center
-// c's snapshot degree: it prefix-sums those degrees into region offsets
-// and sets w̄ from the three heaviest weights, added lightest first, as
-// bigraph's TopWeightSum(3) adds them, so the budget is the same float.
-func (s *edgeSnapshot) settle() {
-	for c := 1; c < len(s.liveOff); c++ {
-		s.liveOff[c] += s.liveOff[c-1]
-	}
-	for i := min(s.numEdges(), 3) - 1; i >= 0; i-- {
-		s.wBar += s.w[i]
-	}
-}
-
 // positions returns the id → position rank of the global snapshot s,
-// built on its first anchored job (newAnchoredSnapshot) rather than with
-// the snapshot, since global jobs never read it.
+// and builds s.random with it. Both are built on the graph's first
+// anchored job (newAnchoredView) rather than with the snapshot, since
+// global jobs never read them.
 func (s *edgeSnapshot) positions() []int32 {
 	s.rankOnce.Do(func() {
 		s.rank = make([]int32, len(s.id))
+		s.random = make([]uint64, len(s.ndraws))
 		for p, id := range s.id {
 			s.rank[id] = int32(p)
+			if th := s.thresh[p]; th != randx.BernoulliNever && th != randx.BernoulliAlways {
+				s.random[p>>rngBlockShift] |= 1 << (p & (rngBlock - 1))
+			}
 		}
 	})
 	return s.rank
-}
-
-// home returns the global snapshot whose kernel pool serves s: s itself,
-// or the snapshot an anchored s was gathered from.
-func (s *edgeSnapshot) home() *edgeSnapshot {
-	if s.global != nil {
-		return s.global
-	}
-	return s
 }
 
 // numEdges returns the snapshot length.

@@ -12,7 +12,7 @@ import (
 
 // This file extends the conformance harness to the query variants: the
 // anchored runs (vertex- and edge-anchored OS and OLS, the OS kernel over
-// an anchored snapshot) and the per-community split. Each variant is
+// an anchor's view) and the per-community split. Each variant is
 // checked against its own exact brute-force oracle — core.ExactAnchored
 // for the anchored runs (Exact's world loop keeping only the butterflies
 // through the anchor, so it shares no code with the kernel) and
