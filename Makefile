@@ -46,15 +46,15 @@ bench-compare:
 microbench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Brief fuzzing sessions, 10 s each, over the targets CI's fuzz smoke
-# steps run: the checkpoint decoder, butterfly tally, trial kernel and
-# optimized estimator (both against the frozen seed), the snapshot's
-# set-up tables (against brute force), the pair-credited tally (against
-# listing every maximum set), the anchored view (against a brute-force
-# listing) and the anchored trial (against the frozen gathered one), the
-# dist wire decoder and merge, both graph parsers, alone and against
-# their frozen pre-rewrite copies, and the edge-anchor and community
-# flag parsers.
+# Brief fuzzing sessions, 10 s each; CI's fuzz smoke step runs this, so
+# FUZZ_TARGETS is the one list of targets: the checkpoint decoder,
+# butterfly tally, trial kernel and optimized estimator (both against the
+# frozen seed), the snapshot's set-up tables (against brute force), the
+# pair-credited tally (against listing every maximum set), the anchored
+# view (against a brute-force listing) and the anchored trial (against
+# the frozen gathered one), the dist wire decoder and merge, both graph
+# parsers, alone and against their frozen pre-rewrite copies, and the
+# edge-anchor and community flag parsers.
 FUZZ_TARGETS := \
 	./internal/core/:FuzzCheckpointDecode \
 	./internal/core/:FuzzTally \

@@ -149,6 +149,40 @@ func run(args []string, out io.Writer) (retErr error) {
 		fs.Usage()
 		return fmt.Errorf("-graph is required")
 	}
+	opt := mpmb.Options{
+		Method:         mpmb.Method(*method),
+		Trials:         *trials,
+		PrepTrials:     *prep,
+		Seed:           *seed,
+		Mu:             *mu,
+		Workers:        *workers,
+		AuditEvery:     *auditEvery,
+		MaxEscalations: *maxEsc,
+		Epsilon:        *epsilon,
+		StallTimeout:   *stall,
+	}
+	if *deadline > 0 {
+		opt.Deadline = time.Now().Add(*deadline) // restarted once the graph is loaded
+	}
+	var coord *dist.Coordinator
+	if *distListen != "" {
+		coord = dist.NewCoordinator()
+		if *distJournal != "" {
+			coord.Journal = &dist.Journal{Dir: *distJournal}
+		}
+		opt.Executor = &dist.Executor{C: coord}
+	} else if *distJournal != "" {
+		return fmt.Errorf("-dist-journal requires -dist-listen")
+	}
+	var err error
+	if opt.Query, err = query.Build(); err != nil {
+		return err
+	}
+	// A bad flag fails here, before the graph is read.
+	if err := opt.Validate(); err != nil {
+		return fs.DecorateError(err)
+	}
+
 	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		return err
@@ -177,39 +211,17 @@ func run(args []string, out io.Writer) (retErr error) {
 			mpmb.CountButterflies(g), mpmb.ExpectedButterflies(g))
 	}
 
-	opt := mpmb.Options{
-		Method:         mpmb.Method(*method),
-		Trials:         *trials,
-		PrepTrials:     *prep,
-		Seed:           *seed,
-		Mu:             *mu,
-		Workers:        *workers,
-		AuditEvery:     *auditEvery,
-		MaxEscalations: *maxEsc,
-		Epsilon:        *epsilon,
-		StallTimeout:   *stall,
-		Observer:       tr.Observer(),
-	}
+	opt.Observer = tr.Observer()
 	if *deadline > 0 {
 		opt.Deadline = time.Now().Add(*deadline)
 	}
-	if opt.Query, err = query.Build(); err != nil {
-		return err
-	}
-	if *distListen != "" {
-		coord := dist.NewCoordinator()
-		if *distJournal != "" {
-			coord.Journal = &dist.Journal{Dir: *distJournal}
-		}
+	if coord != nil {
 		hs, err := telemetry.ListenAndServe(*distListen, coord.Handler())
 		if err != nil {
 			return err
 		}
 		defer hs.Close()
 		fmt.Fprintf(out, "dist: coordinating on %s\n", hs.Addr())
-		opt.Executor = &dist.Executor{C: coord}
-	} else if *distJournal != "" {
-		return fmt.Errorf("-dist-journal requires -dist-listen")
 	}
 	// Checkpoint I/O goes through the retrying store: transient failures
 	// on flaky volumes back off and retry instead of losing the run.

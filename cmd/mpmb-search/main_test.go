@@ -89,6 +89,26 @@ func TestRunSearchErrors(t *testing.T) {
 	}
 }
 
+// TestRunFlagErrorsBeforeLoad: a flag that the query or the options
+// reject fails before the graph is read, so no "loaded" line is printed.
+func TestRunFlagErrorsBeforeLoad(t *testing.T) {
+	path := writeFigure1(t)
+	for _, args := range [][]string{
+		{"-method", "os", "-anchor-l", "4294967299"},
+		{"-method", "os", "-trials", "-5"},
+		{"-method", "exact", "-workers", "2"},
+	} {
+		var sb strings.Builder
+		err := run(append([]string{"-graph", path}, args...), &sb)
+		if err == nil {
+			t.Fatalf("%v accepted", args)
+		}
+		if strings.Contains(sb.String(), "loaded") {
+			t.Errorf("%v: %q reported after the graph load:\n%s", args, err, sb.String())
+		}
+	}
+}
+
 // TestRunTimeoutCheckpointResume exercises the graceful-degradation flow
 // end to end through the CLI: a -timeout cancels the run, -checkpoint
 // persists its state, and -resume finishes it with JSON output

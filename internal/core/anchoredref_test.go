@@ -73,17 +73,17 @@ func newAnchoredRef(g *bigraph.Graph, a Anchor, opt OSOptions) *anchoredRef {
 		s.pin, numCtr = a.V, g.NumL()
 	}
 	s.liveOff = make([]int32, numCtr+1)
-	prt, ctr := base.prt, base.ctr
-	if flip != base.flip {
-		prt, ctr = ctr, prt
-	}
 	k := 0
 	for wi, word := range in {
 		for ; word != 0; word &= word - 1 {
 			p := wi<<6 | bits.TrailingZeros64(word)
 			s.w[k], s.thresh[k], s.id[k] = base.w[p], base.thresh[p], base.id[p]
-			s.prt[k], s.ctr[k] = prt[p], ctr[p]
-			s.liveOff[ctr[p]+1]++
+			prt, ctr := bigraph.VertexID(base.pc[p]>>32), bigraph.VertexID(base.pc[p])
+			if flip != base.flip {
+				prt, ctr = ctr, prt
+			}
+			s.prt[k], s.ctr[k] = prt, ctr
+			s.liveOff[ctr+1]++
 			k++
 		}
 	}

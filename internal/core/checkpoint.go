@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -80,6 +81,9 @@ type ButterflyCount struct {
 //	                 (ExecKarpLuby)
 //	n       uint64   entry count, then n records (layout per kind)
 //	crc     uint32   IEEE CRC-32 over everything above
+//
+// kind, n and the records are the payload section, which EncodePayload
+// writes with a CRC-32 of its own.
 const (
 	ckptVersion = 1
 
@@ -89,6 +93,9 @@ const (
 )
 
 var ckptMagic = [8]byte{'M', 'P', 'M', 'B', 'C', 'K', 'P', '1'}
+
+// recordSize is the byte size of a payload record of each kind.
+var recordSize = map[ExecKind]int{ExecOS: 32, ExecOptimized: 8, ExecKarpLuby: 16}
 
 // payloadKind returns the kind of state a method's checkpoint carries.
 func (c *Checkpoint) payloadKind() ExecKind {
@@ -106,101 +113,148 @@ func (c *Checkpoint) payloadKind() ExecKind {
 	return 0
 }
 
+// EncodePayload returns kind's fields of p as a checkpoint's payload
+// section followed by its CRC-32: the byte form of a trial range's tally.
+// kind must be one of the three ExecKinds.
+func EncodePayload(kind ExecKind, p Payload) []byte {
+	var buf bytes.Buffer
+	if err := writePayload(&buf, kind, &p); err != nil {
+		panic(err) // a bytes.Buffer does not fail, so kind is unknown
+	}
+	return binary.LittleEndian.AppendUint32(buf.Bytes(), crc32.ChecksumIEEE(buf.Bytes()))
+}
+
+// DecodePayload reads back what EncodePayload wrote, checking its CRC-32
+// and layout; Payload.Check judges the entries. It allocates no more
+// entries than b holds records.
+func DecodePayload(b []byte) (ExecKind, Payload, error) {
+	if len(b) < 9+4 { // kind, count and CRC
+		return 0, Payload{}, fmt.Errorf("core: payload of %d bytes is shorter than its header", len(b))
+	}
+	body := b[:len(b)-4]
+	if got, want := binary.LittleEndian.Uint32(b[len(body):]), crc32.ChecksumIEEE(body); got != want {
+		return 0, Payload{}, fmt.Errorf("core: payload checksum mismatch: trailer %08x, payload %08x", got, want)
+	}
+	r := bytes.NewReader(body)
+	kind, p, err := readPayload(r, (len(body)-9)/max(recordSize[ExecKind(body[0])], 1))
+	if err == nil && r.Len() > 0 {
+		err = fmt.Errorf("%d bytes after the payload's last record", r.Len())
+	}
+	if err != nil {
+		return 0, Payload{}, fmt.Errorf("core: %w", err)
+	}
+	return kind, p, nil
+}
+
+// writePayload writes kind's fields of p to w as a payload section.
+func writePayload(w io.Writer, kind ExecKind, p *Payload) error {
+	var n int
+	switch kind {
+	case ExecOS:
+		n = len(p.Counts)
+	case ExecOptimized:
+		n = len(p.CandCounts)
+	case ExecKarpLuby:
+		n = len(p.CandProbs)
+	default:
+		return fmt.Errorf("core: payload of unknown kind %v", kind)
+	}
+	le := binary.LittleEndian
+	rec := le.AppendUint64(append(make([]byte, 0, 32), byte(kind)), uint64(n))
+	if _, err := w.Write(rec); err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		switch rec = rec[:0]; kind {
+		case ExecOS:
+			e := &p.Counts[i]
+			rec = le.AppendUint32(le.AppendUint32(le.AppendUint32(le.AppendUint32(rec, e.B.U1), e.B.U2), e.B.V1), e.B.V2)
+			rec = le.AppendUint64(le.AppendUint64(rec, uint64(e.Count)), math.Float64bits(e.Weight))
+		case ExecOptimized:
+			rec = le.AppendUint64(rec, uint64(p.CandCounts[i]))
+		case ExecKarpLuby:
+			rec = le.AppendUint64(le.AppendUint64(rec, math.Float64bits(p.CandProbs[i])), uint64(p.CandTrials[i]))
+		}
+		if _, err := w.Write(rec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readPayload reads a payload section from r, refusing one that declares
+// more than limit records.
+func readPayload(r io.Reader, limit int) (ExecKind, Payload, error) {
+	var rec [32]byte
+	if _, err := io.ReadFull(r, rec[:9]); err != nil {
+		return 0, Payload{}, fmt.Errorf("truncated payload: %w", err)
+	}
+	kind, n := ExecKind(rec[0]), binary.LittleEndian.Uint64(rec[1:9])
+	size := recordSize[kind]
+	switch {
+	case size == 0:
+		return 0, Payload{}, fmt.Errorf("payload of unknown kind %d", kind)
+	case n > uint64(limit):
+		return 0, Payload{}, fmt.Errorf("payload declares %d records (limit %d)", n, limit)
+	}
+	var p Payload
+	switch kind {
+	case ExecOS:
+		p.Counts = make([]ButterflyCount, n)
+	case ExecOptimized:
+		p.CandCounts = make([]int64, n)
+	case ExecKarpLuby:
+		p.CandProbs, p.CandTrials = make([]float64, n), make([]int64, n)
+	}
+	le := binary.LittleEndian
+	for i := 0; i < int(n); i++ {
+		b := rec[:size]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return 0, Payload{}, fmt.Errorf("truncated payload: %w", err)
+		}
+		switch kind {
+		case ExecOS:
+			p.Counts[i] = ButterflyCount{
+				B:     butterfly.Butterfly{U1: le.Uint32(b), U2: le.Uint32(b[4:]), V1: le.Uint32(b[8:]), V2: le.Uint32(b[12:])},
+				Count: int64(le.Uint64(b[16:])), Weight: math.Float64frombits(le.Uint64(b[24:])),
+			}
+		case ExecOptimized:
+			p.CandCounts[i] = int64(le.Uint64(b))
+		case ExecKarpLuby:
+			p.CandProbs[i], p.CandTrials[i] = math.Float64frombits(le.Uint64(b)), int64(le.Uint64(b[8:]))
+		}
+	}
+	return kind, p, nil
+}
+
 // Encode writes the checkpoint in its versioned, checksummed binary form.
 func (c *Checkpoint) Encode(w io.Writer) error {
 	if err := c.validate(); err != nil {
 		return fmt.Errorf("core: refusing to encode invalid checkpoint: %w", err)
 	}
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<16)
-	var scratch [8]byte
-	writeU := func(v uint64, n int) error {
-		binary.LittleEndian.PutUint64(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
-	}
-	if _, err := bw.Write(ckptMagic[:]); err != nil {
-		return err
-	}
-	if err := writeU(ckptVersion, 4); err != nil {
-		return err
-	}
-	if err := writeU(uint64(len(c.Method)), 2); err != nil {
-		return err
-	}
-	if _, err := bw.Write([]byte(c.Method)); err != nil {
-		return err
-	}
+	le := binary.LittleEndian
+	head := le.AppendUint32(append([]byte(nil), ckptMagic[:]...), ckptVersion)
+	head = append(le.AppendUint16(head, uint16(len(c.Method))), c.Method...)
 	for _, v := range []uint64{c.Seed, uint64(c.Trials), uint64(c.PrepTrials), math.Float64bits(c.Mu)} {
-		if err := writeU(v, 8); err != nil {
-			return err
-		}
+		head = le.AppendUint64(head, v)
 	}
-	if err := writeU(uint64(c.GraphCRC), 4); err != nil {
-		return err
-	}
-	var flags uint64
+	var flags byte
 	if c.Prepare {
 		flags |= 1
 	}
-	if err := writeU(flags, 1); err != nil {
+	head = le.AppendUint64(append(le.AppendUint32(head, c.GraphCRC), flags), uint64(c.Done))
+	crc := crc32.NewIEEE()
+	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<16)
+	if _, err := bw.Write(head); err != nil {
 		return err
 	}
-	if err := writeU(uint64(c.Done), 8); err != nil {
+	if err := writePayload(bw, c.payloadKind(), &c.Payload); err != nil {
 		return err
-	}
-	kind := c.payloadKind()
-	if err := writeU(uint64(kind), 1); err != nil {
-		return err
-	}
-	switch kind {
-	case ExecOS:
-		if err := writeU(uint64(len(c.Counts)), 8); err != nil {
-			return err
-		}
-		for _, e := range c.Counts {
-			for _, v := range []uint64{uint64(e.B.U1), uint64(e.B.U2), uint64(e.B.V1), uint64(e.B.V2)} {
-				if err := writeU(v, 4); err != nil {
-					return err
-				}
-			}
-			if err := writeU(uint64(e.Count), 8); err != nil {
-				return err
-			}
-			if err := writeU(math.Float64bits(e.Weight), 8); err != nil {
-				return err
-			}
-		}
-	case ExecOptimized:
-		if err := writeU(uint64(len(c.CandCounts)), 8); err != nil {
-			return err
-		}
-		for _, v := range c.CandCounts {
-			if err := writeU(uint64(v), 8); err != nil {
-				return err
-			}
-		}
-	case ExecKarpLuby:
-		if err := writeU(uint64(len(c.CandProbs)), 8); err != nil {
-			return err
-		}
-		for i, p := range c.CandProbs {
-			if err := writeU(math.Float64bits(p), 8); err != nil {
-				return err
-			}
-			if err := writeU(uint64(c.CandTrials[i]), 8); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("core: checkpoint for unknown method %q", c.Method)
 	}
 	if err := bw.Flush(); err != nil {
 		return err
 	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
-	_, err := w.Write(tail[:])
+	_, err := w.Write(le.AppendUint32(nil, crc.Sum32()))
 	return err
 }
 
@@ -213,153 +267,51 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	// Everything except the trailing checksum is read through the tee, so
 	// the digest covers exactly the consumed bytes.
 	tee := io.TeeReader(br, crc)
-	var scratch [8]byte
-	readU := func(n int) (uint64, error) {
-		if _, err := io.ReadFull(tee, scratch[:n]); err != nil {
-			return 0, fmt.Errorf("core: truncated checkpoint: %w", err)
-		}
-		var full [8]byte
-		copy(full[:], scratch[:n])
-		return binary.LittleEndian.Uint64(full[:]), nil
+	le := binary.LittleEndian
+	head := make([]byte, 14) // magic, version and method length
+	if _, err := io.ReadFull(tee, head); err != nil {
+		return nil, fmt.Errorf("core: truncated checkpoint: %w", err)
 	}
-
-	var magic [8]byte
-	if _, err := io.ReadFull(tee, magic[:]); err != nil {
-		return nil, fmt.Errorf("core: reading checkpoint magic: %w", err)
-	}
-	if magic != ckptMagic {
+	if magic := [8]byte(head); magic != ckptMagic {
 		return nil, fmt.Errorf("core: bad checkpoint magic %q", magic)
 	}
-	version, err := readU(4)
-	if err != nil {
-		return nil, err
-	}
-	if version != ckptVersion {
+	if version := le.Uint32(head[8:]); version != ckptVersion {
 		return nil, fmt.Errorf("core: unsupported checkpoint version %d (this build reads %d)", version, ckptVersion)
 	}
-	mlen, err := readU(2)
-	if err != nil {
-		return nil, err
-	}
+	mlen := int(le.Uint16(head[12:]))
 	if mlen > 32 {
 		return nil, fmt.Errorf("core: checkpoint method name of %d bytes", mlen)
 	}
-	mbuf := make([]byte, mlen)
-	if _, err := io.ReadFull(tee, mbuf); err != nil {
+	head = make([]byte, mlen+45) // the method, then seed to done
+	if _, err := io.ReadFull(tee, head); err != nil {
 		return nil, fmt.Errorf("core: truncated checkpoint: %w", err)
 	}
-	c := &Checkpoint{Method: string(mbuf)}
-	if c.Seed, err = readU(8); err != nil {
-		return nil, err
-	}
-	trials, err := readU(8)
-	if err != nil {
-		return nil, err
-	}
-	prep, err := readU(8)
-	if err != nil {
-		return nil, err
-	}
-	muBits, err := readU(8)
-	if err != nil {
-		return nil, err
-	}
-	crcG, err := readU(4)
-	if err != nil {
-		return nil, err
-	}
-	flags, err := readU(1)
-	if err != nil {
-		return nil, err
-	}
-	done, err := readU(8)
-	if err != nil {
-		return nil, err
-	}
+	c := &Checkpoint{Method: string(head[:mlen])}
+	f := head[mlen:]
+	trials, prep, done := le.Uint64(f[8:]), le.Uint64(f[16:]), le.Uint64(f[37:])
 	const maxInt = uint64(math.MaxInt64)
 	if trials > maxInt || prep > maxInt || done > maxInt {
 		return nil, fmt.Errorf("core: checkpoint counters overflow int")
 	}
-	c.Trials, c.PrepTrials, c.Done = int(trials), int(prep), int(done)
-	c.Mu = math.Float64frombits(muBits)
-	c.GraphCRC = uint32(crcG)
-	if flags&^uint64(1) != 0 {
-		return nil, fmt.Errorf("core: unknown checkpoint flags %#x", flags)
+	c.Seed, c.Trials, c.PrepTrials, c.Done = le.Uint64(f), int(trials), int(prep), int(done)
+	c.Mu, c.GraphCRC = math.Float64frombits(le.Uint64(f[24:])), le.Uint32(f[32:])
+	if f[36]&^1 != 0 {
+		return nil, fmt.Errorf("core: unknown checkpoint flags %#x", f[36])
 	}
-	c.Prepare = flags&1 != 0
-
-	kind, err := readU(1)
+	c.Prepare = f[36]&1 != 0
+	kind, p, err := readPayload(tee, maxCheckpointEntries)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: reading checkpoint: %w", err)
 	}
-	if ExecKind(kind) != c.payloadKind() {
+	if kind != c.payloadKind() {
 		return nil, fmt.Errorf("core: checkpoint payload kind %d does not match method %q", kind, c.Method)
 	}
-	n, err := readU(8)
-	if err != nil {
-		return nil, err
-	}
-	if n > maxCheckpointEntries {
-		return nil, fmt.Errorf("core: checkpoint declares %d entries (limit %d)", n, maxCheckpointEntries)
-	}
-	switch ExecKind(kind) {
-	case ExecOS:
-		c.Counts = make([]ButterflyCount, 0, n)
-		for i := uint64(0); i < n; i++ {
-			var vs [4]uint64
-			for k := range vs {
-				if vs[k], err = readU(4); err != nil {
-					return nil, err
-				}
-			}
-			cnt, err := readU(8)
-			if err != nil {
-				return nil, err
-			}
-			wBits, err := readU(8)
-			if err != nil {
-				return nil, err
-			}
-			c.Counts = append(c.Counts, ButterflyCount{
-				B: butterfly.Butterfly{
-					U1: bigraph.VertexID(vs[0]), U2: bigraph.VertexID(vs[1]),
-					V1: bigraph.VertexID(vs[2]), V2: bigraph.VertexID(vs[3]),
-				},
-				Count:  int64(cnt),
-				Weight: math.Float64frombits(wBits),
-			})
-		}
-	case ExecOptimized:
-		c.CandCounts = make([]int64, 0, n)
-		for i := uint64(0); i < n; i++ {
-			v, err := readU(8)
-			if err != nil {
-				return nil, err
-			}
-			c.CandCounts = append(c.CandCounts, int64(v))
-		}
-	case ExecKarpLuby:
-		c.CandProbs = make([]float64, 0, n)
-		c.CandTrials = make([]int64, 0, n)
-		for i := uint64(0); i < n; i++ {
-			pBits, err := readU(8)
-			if err != nil {
-				return nil, err
-			}
-			t, err := readU(8)
-			if err != nil {
-				return nil, err
-			}
-			c.CandProbs = append(c.CandProbs, math.Float64frombits(pBits))
-			c.CandTrials = append(c.CandTrials, int64(t))
-		}
-	}
-	var tail [4]byte
+	c.Payload = p
 	want := crc.Sum32() // CRC of everything consumed so far
-	if _, err := io.ReadFull(br, tail[:]); err != nil {
+	if _, err := io.ReadFull(br, head[:4]); err != nil {
 		return nil, fmt.Errorf("core: truncated checkpoint checksum: %w", err)
 	}
-	if got := binary.LittleEndian.Uint32(tail[:]); got != want {
+	if got := le.Uint32(head); got != want {
 		return nil, fmt.Errorf("core: checkpoint checksum mismatch: file %08x, payload %08x", got, want)
 	}
 	if err := c.validate(); err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -63,6 +64,40 @@ func TestCheckpointRoundtrip(t *testing.T) {
 				t.Fatalf("roundtrip mismatch:\ngot  %+v\nwant %+v", got, ck)
 			}
 		})
+	}
+}
+
+// TestPayloadCodec: EncodePayload round-trips each kind's payload through
+// DecodePayload, and the decoder refuses every truncation, a flipped bit,
+// a trailing byte, an unknown kind, and a count of more records than the
+// bytes hold, the last three under a valid CRC.
+func TestPayloadCodec(t *testing.T) {
+	resum := func(body []byte) []byte {
+		return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+	}
+	for name, ck := range sampleCheckpoints() {
+		kind := ck.payloadKind()
+		b := EncodePayload(kind, ck.Payload)
+		got, p, err := DecodePayload(b)
+		if err != nil || got != kind || !reflect.DeepEqual(p, ck.Payload) {
+			t.Fatalf("%s: round trip gave kind %v, %+v, %v", name, got, p, err)
+		}
+		body := b[:len(b)-4]
+		bad := map[string][]byte{
+			"flipped":  append([]byte(nil), b...),
+			"trailing": resum(append(append([]byte(nil), body...), 0)),
+			"kind":     resum(append([]byte{9}, body[1:]...)),
+			"count":    resum(binary.LittleEndian.AppendUint64([]byte{body[0]}, 1<<40)),
+		}
+		bad["flipped"][len(b)/2] ^= 1
+		for i := range b {
+			bad[fmt.Sprintf("cut at %d", i)] = b[:i]
+		}
+		for what, data := range bad {
+			if _, _, err := DecodePayload(data); err == nil {
+				t.Errorf("%s: %s payload accepted", name, what)
+			}
+		}
 	}
 }
 
@@ -198,6 +233,10 @@ func FuzzCheckpointDecode(f *testing.F) {
 		}
 		if !reflect.DeepEqual(back, ck) {
 			t.Fatalf("re-encode changed the checkpoint:\nfirst  %+v\nsecond %+v", ck, back)
+		}
+		kind, p, err := DecodePayload(EncodePayload(ck.payloadKind(), ck.Payload))
+		if err != nil || kind != ck.payloadKind() || !reflect.DeepEqual(p, ck.Payload) {
+			t.Fatalf("payload codec round trip: kind %v, err %v\nfirst  %+v\nsecond %+v", kind, err, ck.Payload, p)
 		}
 	})
 }

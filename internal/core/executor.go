@@ -129,13 +129,16 @@ type ExecJob struct {
 }
 
 // LocalOnly returns an error naming the part of the job that exists only
-// in this process — an anchor or an estimator ablation — or nil.
-// Executors that ship units to other processes must refuse a job for
-// which it is non-nil rather than run a different computation.
+// in this process — an anchor, a kernel ablation or an estimator
+// ablation — or nil. Executors that ship units to other processes must
+// refuse a job for which it is non-nil rather than run a different
+// computation.
 func (j *ExecJob) LocalOnly() error {
 	switch {
 	case j.Anchor.Kind != 0:
 		return fmt.Errorf("core: %v job sets the anchor %v", j.Kind, j.Anchor)
+	case j.OS.DisableEdgePrune || j.OS.KeepAllAngles || j.OS.DropA2:
+		return fmt.Errorf("core: %v job sets the kernel ablations", j.Kind)
 	case j.Optimized.EagerSampling || j.Optimized.DisableEarlyBreak:
 		return fmt.Errorf("core: %v job sets the estimator ablations", j.Kind)
 	}
@@ -161,9 +164,11 @@ type ExecResult struct {
 	cands *Candidates
 }
 
-// Payload is a trial range's tally in portable form: the payload section
-// of a checkpoint and of a distributed range. Exactly one group is
-// populated, matching the job's kind:
+// Payload is a trial range's tally in portable form, what a checkpoint
+// and a distributed range carry. ExecResult is its one in-memory form and
+// EncodePayload its one byte form: a checkpoint embeds that form's
+// section, and a distributed range travels in it whole. Exactly one group
+// is populated, matching the job's kind:
 //
 //   - ExecOS: Counts, the per-butterfly maximum tallies in canonical
 //     order (counts add across ranges).
@@ -181,24 +186,20 @@ type Payload struct {
 
 // Check validates p as the payload of n completed units of a kind job,
 // by the rules every checkpoint and every distributed range obeys. Only
-// kind's fields may be set (kind 0 stands for whichever kind's are), and
-// every entry must be in range: butterfly tallies list canonical
-// butterflies in strictly increasing canonical order, with counts of at
-// most n and finite weights; candidate hit counts lie in [0, n] and
-// number exactly cands, unless cands is negative (unknown); the
-// Karp-Luby vectors are equally long, cover at least the n units, and
-// hold probabilities in [0, 1] and no negative trial count. A span — one
-// executed range rather than a run's prefix — credits every butterfly it
-// lists at least once and holds exactly its n units' Karp-Luby entries.
+// kind's fields may be set, and every entry must be in range: butterfly
+// tallies list canonical butterflies in strictly increasing canonical
+// order, with counts of at most n and finite weights; candidate hit
+// counts lie in [0, n] and number exactly cands, unless cands is negative
+// (unknown); the Karp-Luby vectors are equally long, cover at least the n
+// units, and hold probabilities in [0, 1] and no negative trial count. A
+// span — one executed range rather than a run's prefix — credits every
+// butterfly it lists at least once and holds exactly its n units'
+// Karp-Luby entries.
 func (p Payload) Check(kind ExecKind, n, cands int, span bool) error {
 	// set[k] reports whether kind k's fields are populated.
 	set := [...]bool{ExecOS: p.Counts != nil, ExecOptimized: p.CandCounts != nil, ExecKarpLuby: p.CandProbs != nil || p.CandTrials != nil}
 	for k, on := range set {
-		switch {
-		case !on || ExecKind(k) == kind:
-		case kind == 0:
-			kind = ExecKind(k)
-		default:
+		if on && ExecKind(k) != kind {
 			return fmt.Errorf("%v payload carries %v entries", kind, ExecKind(k))
 		}
 	}

@@ -726,7 +726,7 @@ func (x *osIndex) runTrial(sMB *butterfly.MaxSet, present func(bigraph.EdgeID) b
 // w_max, and append the edge to its center vertex's flat N̂_E region.
 func (x *osIndex) admitEdge(i int, wMax float64) float64 {
 	snap := x.snap
-	ui, vj, w := snap.prt[i], snap.ctr[i], snap.w[i]
+	ui, vj, w := bigraph.VertexID(snap.pc[i]>>32), bigraph.VertexID(snap.pc[i]), snap.w[i]
 	base := snap.liveOff[vj]
 	lm := x.live[vj]
 	n := lm.n

@@ -42,12 +42,13 @@ const (
 // (admitTh, wordOf, ndraws) and the support-sharpened prune budgets
 // (wBarS, wBar2S).
 type edgeSnapshot struct {
-	w      []float64          // edge weight, descending
-	prt    []bigraph.VertexID // pairing endpoint (outer side of the angle)
-	ctr    []bigraph.VertexID // center endpoint (middle side, owns the live lists)
-	pc     []uint64           // uint64(prt)<<32 | uint64(ctr): both endpoints in one load
-	id     []bigraph.EdgeID   // original edge id (oracle path, butterflies)
-	thresh []uint64           // randx.BernoulliThreshold of the edge's p
+	w []float64 // edge weight, descending
+	// pc packs both endpoints for one load: the pairing endpoint (outer
+	// side of the angle) in the high 32 bits, the center endpoint (middle
+	// side, owns the live lists) in the low 32.
+	pc     []uint64
+	id     []bigraph.EdgeID // original edge id (oracle path, butterflies)
+	thresh []uint64         // randx.BernoulliThreshold of the edge's p
 
 	wBar float64 // w(e1)+w(e2)+w(e3), the Section V-B prune budget
 
@@ -164,8 +165,6 @@ func newEdgeSnapshot(g *bigraph.Graph) *edgeSnapshot {
 	n := len(ids)
 	s := &edgeSnapshot{
 		w:      make([]float64, n),
-		prt:    make([]bigraph.VertexID, n),
-		ctr:    make([]bigraph.VertexID, n),
 		pc:     make([]uint64, n),
 		id:     ids,
 		thresh: make([]uint64, n),
@@ -181,14 +180,13 @@ func newEdgeSnapshot(g *bigraph.Graph) *edgeSnapshot {
 	for i, eid := range ids {
 		e := g.Edge(eid)
 		s.w[i] = e.W
+		prt, ctr := e.U, e.V
 		if flip {
-			s.prt[i], s.ctr[i] = e.V, e.U
-		} else {
-			s.prt[i], s.ctr[i] = e.U, e.V
+			prt, ctr = ctr, prt
 		}
-		s.pc[i] = uint64(s.prt[i])<<32 | uint64(s.ctr[i])
+		s.pc[i] = uint64(prt)<<32 | uint64(ctr)
 		s.thresh[i] = randx.BernoulliThreshold(e.P)
-		s.liveOff[s.ctr[i]+1]++
+		s.liveOff[ctr+1]++
 	}
 	for c := 1; c < len(s.liveOff); c++ {
 		s.liveOff[c] += s.liveOff[c-1]

@@ -9,12 +9,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	mpmb "github.com/uncertain-graphs/mpmb"
+	"github.com/uncertain-graphs/mpmb/internal/bigraph"
 	"github.com/uncertain-graphs/mpmb/internal/core"
 	"github.com/uncertain-graphs/mpmb/internal/telemetry"
 )
@@ -199,15 +201,113 @@ func TestChaosJobCollectedBeforeCandidateFetch(t *testing.T) {
 	}
 }
 
-// TestGoldenV1CompleteSkews: a completion pinned from the version 1 wire,
+// TestGoldenV1CompleteSkews: completions pinned from the version 1 wire,
 // whose job specs named the run for workers to re-prepare its candidates,
-// must be refused as version skew.
+// and from the version 2 wire, whose payloads were JSON lists, must be
+// refused as version skew.
 func TestGoldenV1CompleteSkews(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "golden", "lease-complete-os-v1.json"))
-	if err != nil {
+	for _, name := range []string{"lease-complete-os-v1.json", "lease-complete-os-v2.json"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "golden", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeLeaseComplete(data); !errors.Is(err, ErrVersionSkew) {
+			t.Fatalf("%s: err = %v, want ErrVersionSkew", name, err)
+		}
+	}
+}
+
+// TestWorkerGraphCacheBounded: a worker leasing jobs on more graphs than
+// maxWorkerCache holds at most that many graphs at any lease, evicts the
+// least recently used one, so a graph leased between the others is
+// fetched once, drops the candidate sets of an evicted graph with it, and
+// still returns every job's LocalExecutor state.
+func TestWorkerGraphCacheBounded(t *testing.T) {
+	coord := NewCoordinator()
+	coord.LeaseUnits = 16
+	var fetches atomic.Int32
+	hs := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/dist/v1/graph" {
+			fetches.Add(1)
+		}
+		coord.Handler().ServeHTTP(rw, r)
+	}))
+	defer hs.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w := &Worker{Base: hs.URL, Name: "w0", Pool: 1}
+	// cached checks the cache bounds and that every cached candidate set
+	// is on a cached graph.
+	cached := func() error {
+		if n := len(w.graphs); n > maxWorkerCache {
+			return fmt.Errorf("worker holds %d graphs, cap %d", n, maxWorkerCache)
+		}
+		for _, c := range w.cands {
+			if !slices.ContainsFunc(w.graphs, func(e mruEntry[*bigraph.Graph]) bool { return e.v == c.v.G }) {
+				return fmt.Errorf("candidate set %08x is on an evicted graph", c.crc)
+			}
+		}
+		return nil
+	}
+	w.testFaults = &workerFaults{granted: func(*LeaseReply) {
+		if err := cached(); err != nil {
+			t.Error(err)
+		}
+	}}
+	stopped := make(chan error, 1)
+	go func() { stopped <- w.Run(ctx) }()
+	graphs := make([]*bigraph.Graph, maxWorkerCache+1)
+	for i := range graphs {
+		b := mpmb.NewBuilder(4, 4)
+		for u := 0; u < 4; u++ {
+			for v := 0; v < 4; v++ {
+				b.AddEdge(uint32(u), uint32(v), float64(1+u+v+i), 0.7)
+			}
+		}
+		graphs[i] = b.Build()
+	}
+	// Graph 0 comes first and is leased between the others, and graph 1
+	// comes with a candidate set, so graph 4 evicts graph 1 and its set.
+	steps := []struct {
+		graph int
+		kind  core.ExecKind
+	}{{0, core.ExecOS}, {1, core.ExecOptimized}, {0, core.ExecOS}, {2, core.ExecOS}, {0, core.ExecOS},
+		{3, core.ExecOS}, {0, core.ExecOS}, {4, core.ExecOS}, {0, core.ExecOptimized}}
+	for _, st := range steps {
+		g := graphs[st.graph]
+		var cands *core.Candidates
+		if st.kind == core.ExecOptimized {
+			var err error
+			if cands, err = core.AllBackboneCandidates(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		job := func() *core.ExecJob {
+			return &core.ExecJob{Kind: st.kind, Graph: g, Cands: cands, Seed: 3, Units: 32}
+		}
+		want, err := (&core.LocalExecutor{Workers: 1}).ExecuteTrials(job())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := (&Executor{C: coord}).ExecuteTrials(job())
+		if err != nil {
+			t.Fatalf("graph %d: %v", st.graph, err)
+		}
+		if !reflect.DeepEqual(got.Export(), want.Export()) || got.Done != want.Done {
+			t.Fatalf("graph %d: distributed state diverges from LocalExecutor", st.graph)
+		}
+	}
+	cancel()
+	if err := <-stopped; err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeLeaseComplete(data); !errors.Is(err, ErrVersionSkew) {
-		t.Fatalf("v1 completion: err = %v, want ErrVersionSkew", err)
+	if err := cached(); err != nil {
+		t.Fatal(err)
+	}
+	if n := fetches.Load(); n != int32(len(graphs)) {
+		t.Fatalf("worker fetched graphs %d times, want once for each of %d", n, len(graphs))
+	}
+	if n := len(w.cands); n != 1 {
+		t.Fatalf("worker holds %d candidate sets, want graph 0's", n)
 	}
 }

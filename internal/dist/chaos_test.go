@@ -215,7 +215,7 @@ func executeRange(t *testing.T, job *core.ExecJob, lo, hi int) *LeaseComplete {
 	m := reg.Snapshot()
 	return &LeaseComplete{
 		V: Version, Worker: "replay", Lo: lo, Hi: hi,
-		Payload: RangePayload{Counts: res.CountsSnapshot()},
+		Payload: core.EncodePayload(core.ExecOS, core.Payload{Counts: res.CountsSnapshot()}),
 		Counters: Counters{
 			Trials: m.Trials, TrialHits: m.TrialHits,
 			EdgesScanned: m.EdgesScanned, EdgesPruned: m.EdgesPruned,

@@ -285,9 +285,10 @@ func TestExecutorRejectsAdaptive(t *testing.T) {
 }
 
 // TestExecutorRefusesLocalOnlyJobs: the workers rebuild a job from its
-// wire spec, which carries no anchor and no estimator ablation, so the
-// executor must refuse such a job with an error instead of running the
-// global kernel or the plain estimator in its place.
+// wire spec, which carries no anchor, no kernel ablation and no estimator
+// ablation, so the executor must refuse such a job with an error instead
+// of running the global kernel, the plain kernel or the plain estimator
+// in its place.
 func TestExecutorRefusesLocalOnlyJobs(t *testing.T) {
 	g := meshGraph(t)
 	for name, job := range map[string]*core.ExecJob{
@@ -295,6 +296,12 @@ func TestExecutorRefusesLocalOnlyJobs(t *testing.T) {
 			Anchor: core.Anchor{Kind: core.AnchorLeft, U: 0}},
 		"ablation": {Kind: core.ExecOptimized, Graph: g, Seed: 7, Units: 100,
 			Optimized: core.OptimizedOptions{EagerSampling: true}},
+		"no edge prune": {Kind: core.ExecOS, Graph: g, Seed: 7, Units: 100,
+			OS: core.OSOptions{DisableEdgePrune: true}},
+		"all angles": {Kind: core.ExecOS, Graph: g, Seed: 7, Units: 100,
+			OS: core.OSOptions{KeepAllAngles: true}},
+		"drop A2": {Kind: core.ExecOS, Graph: g, Seed: 7, Units: 100,
+			OS: core.OSOptions{DropA2: true}},
 	} {
 		ex := &Executor{C: NewCoordinator()}
 		if _, err := ex.ExecuteTrials(job); err == nil {

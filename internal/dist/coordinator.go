@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -91,7 +92,7 @@ type lease struct {
 // to reach it.
 type pendingRange struct {
 	span     span
-	payload  RangePayload
+	payload  core.Payload
 	counters Counters
 }
 
@@ -100,7 +101,6 @@ type distJob struct {
 	id    uint64
 	spec  JobSpec
 	job   *core.ExecJob
-	graph []byte // binary graph served to workers
 	cands []byte // encoded candidate set served to workers (nil for ExecOS)
 
 	nextLo    int               // next fresh range start
@@ -135,10 +135,7 @@ func (c *Coordinator) register(job *core.ExecJob) (uint64, chan struct{}, error)
 	if err != nil {
 		return 0, nil, fmt.Errorf("dist: %w", err)
 	}
-	var graph, cands bytes.Buffer
-	if err := bigraph.WriteBinary(&graph, job.Graph); err != nil {
-		return 0, nil, fmt.Errorf("dist: encoding graph: %w", err)
-	}
+	var cands bytes.Buffer
 	var candCRC uint32
 	if job.Kind != core.ExecOS {
 		if err := job.Cands.Encode(&cands); err != nil {
@@ -154,22 +151,18 @@ func (c *Coordinator) register(job *core.ExecJob) (uint64, chan struct{}, error)
 		id:  id,
 		job: job,
 		spec: JobSpec{
-			V:                Version,
-			Job:              id,
-			Kind:             uint8(job.Kind),
-			PhaseSeed:        job.Seed,
-			Units:            job.Units,
-			Start:            job.Start,
-			KLBaseTrials:     job.KL.BaseTrials,
-			KLMu:             job.KL.Mu,
-			DisableEdgePrune: job.OS.DisableEdgePrune,
-			KeepAllAngles:    job.OS.KeepAllAngles,
-			DropA2:           job.OS.DropA2,
-			GraphCRC:         job.Graph.Checksum(),
-			CandCRC:          candCRC,
-			LeaseUnits:       c.leaseUnits(),
+			V:            Version,
+			Job:          id,
+			Kind:         uint8(job.Kind),
+			PhaseSeed:    job.Seed,
+			Units:        job.Units,
+			Start:        job.Start,
+			KLBaseTrials: job.KL.BaseTrials,
+			KLMu:         job.KL.Mu,
+			GraphCRC:     job.Graph.Checksum(),
+			CandCRC:      candCRC,
+			LeaseUnits:   c.leaseUnits(),
 		},
-		graph:     graph.Bytes(),
 		cands:     cands.Bytes(),
 		nextLo:    job.Start + 1,
 		leases:    make(map[uint64]*lease),
@@ -423,7 +416,8 @@ func (c *Coordinator) complete(msg *LeaseComplete) (*CompleteReply, error) {
 		// work is obsolete, not wrong. Tell the worker to move on.
 		return &CompleteReply{V: Version, Accepted: false, JobDone: true}, nil
 	}
-	if err := j.check(msg); err != nil {
+	p, err := j.check(msg)
+	if err != nil {
 		return nil, err
 	}
 	if _, dup := j.completed[msg.Lo]; dup {
@@ -449,7 +443,7 @@ func (c *Coordinator) complete(msg *LeaseComplete) (*CompleteReply, error) {
 		}
 	}
 	j.completed[msg.Lo] = msg.Hi
-	j.pending[msg.Lo] = &pendingRange{span: span{msg.Lo, msg.Hi}, payload: msg.Payload, counters: msg.Counters}
+	j.pending[msg.Lo] = &pendingRange{span: span{msg.Lo, msg.Hi}, payload: p, counters: msg.Counters}
 	j.advanceLocked()
 	done := j.prefix == j.spec.Units
 	if done && !j.halted {
@@ -459,33 +453,31 @@ func (c *Coordinator) complete(msg *LeaseComplete) (*CompleteReply, error) {
 	return &CompleteReply{V: Version, Accepted: true, JobDone: done}, nil
 }
 
-// check validates a completion against the job. Its range must match
-// the fixed lease arithmetic: ranges are aligned to Start on LeaseUnits
-// boundaries and clipped at Units, so exactly one shape is legal per lo.
-// Its payload must pass core's payload check as a span of the job's kind.
-func (j *distJob) check(msg *LeaseComplete) error {
+// check validates a completion against the job and returns its decoded
+// payload. Its range must match the fixed lease arithmetic: ranges are
+// aligned to Start on LeaseUnits boundaries and clipped at Units, so
+// exactly one shape is legal per lo. Its payload must decode, be of the
+// job's kind and pass core's payload check as a span.
+func (j *distJob) check(msg *LeaseComplete) (core.Payload, error) {
 	lo, hi, lu := msg.Lo, msg.Hi, j.spec.LeaseUnits
 	if lo < j.spec.Start+1 || hi > j.spec.Units || hi < lo {
-		return fmt.Errorf("%w: %d..%d outside %d..%d", ErrBadRange, lo, hi, j.spec.Start+1, j.spec.Units)
+		return core.Payload{}, fmt.Errorf("%w: %d..%d outside %d..%d", ErrBadRange, lo, hi, j.spec.Start+1, j.spec.Units)
 	}
 	if (lo-j.spec.Start-1)%lu != 0 {
-		return fmt.Errorf("%w: %d..%d not aligned to lease width %d", ErrBadRange, lo, hi, lu)
+		return core.Payload{}, fmt.Errorf("%w: %d..%d not aligned to lease width %d", ErrBadRange, lo, hi, lu)
 	}
 	want := lo + lu - 1
 	if want > j.spec.Units {
 		want = j.spec.Units
 	}
 	if hi != want {
-		return fmt.Errorf("%w: %d..%d does not match issued range %d..%d", ErrBadRange, lo, hi, lo, want)
+		return core.Payload{}, fmt.Errorf("%w: %d..%d does not match issued range %d..%d", ErrBadRange, lo, hi, lo, want)
 	}
 	cands := -1
 	if j.job.Kind == core.ExecOptimized {
 		cands = j.job.Cands.Len()
 	}
-	if err := core.Payload(msg.Payload).Check(j.job.Kind, hi-lo+1, cands, true); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadPayload, err)
-	}
-	return nil
+	return msg.payload(j.job.Kind, cands)
 }
 
 // advanceLocked merges pending ranges while they extend the prefix.
@@ -499,7 +491,7 @@ func (j *distJob) advanceLocked() {
 			return
 		}
 		delete(j.pending, j.prefix+1)
-		j.state.Fold(j.job.Kind, &core.ExecResult{Start: pr.span.lo - 1, Done: pr.span.hi, Payload: core.Payload(pr.payload)})
+		j.state.Fold(j.job.Kind, &core.ExecResult{Start: pr.span.lo - 1, Done: pr.span.hi, Payload: pr.payload})
 		p := j.job.Probe
 		ctr := pr.counters
 		p.Add(0, telemetry.CounterTrials, ctr.Trials)
@@ -516,8 +508,19 @@ func (j *distJob) advanceLocked() {
 func (c *Coordinator) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /dist/v1/lease", c.handleLease)
 	mux.HandleFunc("POST /dist/v1/complete", c.handleComplete)
-	mux.HandleFunc("GET /dist/v1/graph", c.serveJob(func(j *distJob) []byte { return j.graph }))
-	mux.HandleFunc("GET /dist/v1/candidates", c.serveJob(func(j *distJob) []byte { return j.cands }))
+	// A graph is encoded per request, straight from the job: workers cache
+	// it by GraphCRC, and refetch one whose stream broke off.
+	mux.HandleFunc("GET /dist/v1/graph", c.serveJob(func(w io.Writer, j *distJob) bool {
+		bigraph.WriteBinary(w, j.job.Graph)
+		return true
+	}))
+	mux.HandleFunc("GET /dist/v1/candidates", c.serveJob(func(w io.Writer, j *distJob) bool {
+		if len(j.cands) == 0 {
+			return false
+		}
+		w.Write(j.cands)
+		return true
+	}))
 }
 
 // Handler returns a standalone handler serving the protocol routes.
@@ -597,9 +600,10 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, rep)
 }
 
-// serveJob returns the handler of the job input part picks from the job
-// the query names; a collected job, or one without that input, is a 404.
-func (c *Coordinator) serveJob(part func(*distJob) []byte) http.HandlerFunc {
+// serveJob returns the handler that writes a job input with send, outside
+// the coordinator's lock: a job's inputs do not change once registered.
+// A collected job, or one send reports to have no such input, is a 404.
+func (c *Coordinator) serveJob(send func(io.Writer, *distJob) bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		c.touchWorker()
 		id, err := strconv.ParseUint(r.URL.Query().Get("job"), 10, 64)
@@ -607,17 +611,12 @@ func (c *Coordinator) serveJob(part func(*distJob) []byte) http.HandlerFunc {
 			http.Error(w, "bad job id", http.StatusBadRequest)
 			return
 		}
-		var data []byte
 		c.mu.Lock()
-		if j := c.jobs[id]; j != nil {
-			data = part(j)
-		}
+		j := c.jobs[id]
 		c.mu.Unlock()
-		if len(data) == 0 {
-			http.Error(w, "no such job", http.StatusNotFound)
-			return
-		}
 		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(data)
+		if j == nil || !send(w, j) {
+			http.Error(w, "no such job", http.StatusNotFound)
+		}
 	}
 }

@@ -205,7 +205,7 @@ func executeSpan(job *core.ExecJob, pool, lo, hi int) (*LeaseComplete, error) {
 		V:       Version,
 		Lo:      lo,
 		Hi:      hi,
-		Payload: RangePayload(res.Export()),
+		Payload: core.EncodePayload(job.Kind, res.Export()),
 		Counters: Counters{
 			Trials:       m.Trials,
 			TrialHits:    m.TrialHits,

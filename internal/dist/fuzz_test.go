@@ -26,27 +26,33 @@ func FuzzLeaseDecode(f *testing.F) {
 		}
 		return data
 	}
+	enc := core.EncodePayload
+	counts := func(cs ...core.ButterflyCount) []byte { return enc(core.ExecOS, core.Payload{Counts: cs}) }
 	f.Add(valid(LeaseComplete{V: Version, Worker: "w0", Job: 1, Lease: 1, Lo: 1, Hi: 16,
-		Payload: RangePayload{Counts: []core.ButterflyCount{{B: butterfly.Butterfly{U1: 0, U2: 2, V1: 1, V2: 3}, Count: 3, Weight: 1.5}}}}))
+		Payload:  counts(core.ButterflyCount{B: butterfly.Butterfly{U1: 0, U2: 2, V1: 1, V2: 3}, Count: 3, Weight: 1.5}),
+		Counters: Counters{Trials: 16, TrialHits: 3, EdgesScanned: 64}}))
 	f.Add(valid(LeaseComplete{V: Version, Job: 2, Lease: 9, Lo: 17, Hi: 32,
-		Payload: RangePayload{CandCounts: []int64{0, 16, 7}}}))
+		Payload: enc(core.ExecOptimized, core.Payload{CandCounts: []int64{0, 16, 7}})}))
 	f.Add(valid(LeaseComplete{V: Version, Job: 3, Lease: 2, Lo: 1, Hi: 4,
-		Payload: RangePayload{CandProbs: []float64{0, 0.5, 1, 0.25}, CandTrials: []int64{4, 4, 4, 4}}}))
+		Payload: enc(core.ExecKarpLuby, core.Payload{CandProbs: []float64{0, 0.5, 1, 0.25}, CandTrials: []int64{4, 4, 4, 4}})}))
 	f.Add(valid(LeaseComplete{V: Version + 1, Lo: 1, Hi: 16})) // version skew
 	f.Add(valid(LeaseComplete{V: Version, Lo: 0, Hi: 16}))     // lo below first trial
 	f.Add(valid(LeaseComplete{V: Version, Lo: 17, Hi: 16}))    // inverted range
 	f.Add(valid(LeaseComplete{V: Version, Lo: 1, Hi: 2,        // KL width mismatch
-		Payload: RangePayload{CandProbs: []float64{0.5}, CandTrials: []int64{1}}}))
-	f.Add(valid(LeaseComplete{V: Version, Lo: 1, Hi: 16, // mixed payload kinds
-		Payload: RangePayload{CandCounts: []int64{1}, Counts: []core.ButterflyCount{{Count: 1}}}}))
-	f.Add(valid(LeaseComplete{V: Version, Lo: 1, Hi: 16, Counters: Counters{Trials: -1}}))
+		Payload: enc(core.ExecKarpLuby, core.Payload{CandProbs: []float64{0.5}, CandTrials: []int64{1}})}))
+	f.Add(valid(LeaseComplete{V: Version, Lo: 1, Hi: 16, // a second kind's fields, which the codec drops
+		Payload: enc(core.ExecOptimized, core.Payload{CandCounts: []int64{1}, Counts: []core.ButterflyCount{{Count: 1}}})}))
+	f.Add(valid(LeaseComplete{V: Version, Lo: 1, Hi: 16, Payload: counts(), Counters: Counters{Trials: -1}}))
 	dup := butterfly.Butterfly{U1: 0, U2: 1, V1: 0, V2: 1}
 	f.Add(valid(LeaseComplete{V: Version, Lo: 1, Hi: 16, // one butterfly listed twice
-		Payload: RangePayload{Counts: []core.ButterflyCount{{B: dup, Count: 16, Weight: 4}, {B: dup, Count: 16, Weight: 4}}}}))
+		Payload: counts(core.ButterflyCount{B: dup, Count: 16, Weight: 4}, core.ButterflyCount{B: dup, Count: 16, Weight: 4})}))
 	f.Add(valid(LeaseComplete{V: Version, Lo: 1, Hi: 16, // degenerate butterfly
-		Payload: RangePayload{Counts: []core.ButterflyCount{{B: butterfly.Butterfly{U1: 1, U2: 1, V1: 2, V2: 0}, Count: 3, Weight: 4}}}}))
-	f.Add(fmt.Appendf(nil, `{"v":%d,"lo":1,"hi":16,"payload":{"counts":[{"count":-2}]}}`, Version))
-	f.Add(fmt.Appendf(nil, `{"v":%d,"lo":1,"hi":16,"payload":{"cand_probs":`, Version))
+		Payload: counts(core.ButterflyCount{B: butterfly.Butterfly{U1: 1, U2: 1, V1: 2, V2: 0}, Count: 3, Weight: 4})}))
+	f.Add(valid(LeaseComplete{V: Version, Lo: 1, Hi: 16, Payload: counts(core.ButterflyCount{Count: -2})}))
+	torn := counts(core.ButterflyCount{B: dup, Count: 2, Weight: 4})
+	torn[len(torn)/2] ^= 1
+	f.Add(valid(LeaseComplete{V: Version, Lo: 1, Hi: 16, Payload: torn})) // payload fails its CRC
+	f.Add(fmt.Appendf(nil, `{"v":%d,"lo":1,"hi":16,"payload":"AQ`, Version))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(`{"v":1e309}`))
 
@@ -65,10 +71,14 @@ func FuzzLeaseDecode(f *testing.F) {
 			t.Fatalf("decoded message with bad range %d..%d", msg.Lo, msg.Hi)
 		}
 		width := msg.Hi - msg.Lo + 1
-		if n := len(msg.Payload.CandProbs); n != 0 && n != width {
+		_, p, err := core.DecodePayload(msg.Payload)
+		if err != nil {
+			t.Fatalf("decoded message with an undecodable payload: %v", err)
+		}
+		if n := len(p.CandProbs); n != 0 && n != width {
 			t.Fatalf("decoded KL payload width %d for range width %d", n, width)
 		}
-		for i, e := range msg.Payload.Counts {
+		for i, e := range p.Counts {
 			b := e.B
 			if b.U1 >= b.U2 || b.V1 >= b.V2 || e.Count < 1 || e.Count > int64(width) {
 				t.Fatalf("decoded butterfly entry %+v for range width %d", e, width)
@@ -76,9 +86,9 @@ func FuzzLeaseDecode(f *testing.F) {
 			if i == 0 {
 				continue
 			}
-			p := msg.Payload.Counts[i-1].B
-			if slices.Compare([]uint32{p.U1, p.U2, p.V1, p.V2}, []uint32{b.U1, b.U2, b.V1, b.V2}) >= 0 {
-				t.Fatalf("decoded butterflies out of canonical order: %v then %v", p, b)
+			a := p.Counts[i-1].B
+			if slices.Compare([]uint32{a.U1, a.U2, a.V1, a.V2}, []uint32{b.U1, b.U2, b.V1, b.V2}) >= 0 {
+				t.Fatalf("decoded butterflies out of canonical order: %v then %v", a, b)
 			}
 		}
 		if msg.Counters.Trials < 0 || msg.Counters.TrialHits < 0 {
@@ -130,7 +140,7 @@ func FuzzCheckpointMerge(f *testing.F) {
 	const units, leaseUnits = 40, 8
 	// Precompute each legal span's payload once; the fuzz body replays
 	// from this table so a run costs merges, not trials.
-	payloads := map[int]RangePayload{}
+	payloads := map[int][]byte{}
 	baseJob := func() *core.ExecJob {
 		return &core.ExecJob{
 			Kind: core.ExecOS, Graph: g, Seed: 11, Units: units, Start: 0,
@@ -143,7 +153,7 @@ func FuzzCheckpointMerge(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		payloads[lo] = RangePayload{Counts: res.CountsSnapshot()}
+		payloads[lo] = core.EncodePayload(core.ExecOS, core.Payload{Counts: res.CountsSnapshot()})
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -192,14 +192,15 @@ func (jl *Journal) replayLocked(j *distJob, dir string) {
 	for _, msg := range completes {
 		// The record was validated when first accepted; re-validate
 		// anyway so a corrupted file cannot poison the merge.
-		if j.check(msg) != nil {
+		p, err := j.check(msg)
+		if err != nil {
 			continue
 		}
 		if _, dup := j.completed[msg.Lo]; dup {
 			continue
 		}
 		j.completed[msg.Lo] = msg.Hi
-		j.pending[msg.Lo] = &pendingRange{span: span{msg.Lo, msg.Hi}, payload: msg.Payload, counters: msg.Counters}
+		j.pending[msg.Lo] = &pendingRange{span: span{msg.Lo, msg.Hi}, payload: p, counters: msg.Counters}
 		if msg.Hi > frontier {
 			frontier = msg.Hi
 		}

@@ -38,7 +38,7 @@ func TestMalformedOSPayloadRejected(t *testing.T) {
 				t.Fatal(err)
 			}
 			msg := &LeaseComplete{V: Version, Worker: "w", Job: id, Lease: 1, Lo: 1, Hi: 16,
-				Payload: RangePayload{Counts: counts}}
+				Payload: core.EncodePayload(core.ExecOS, core.Payload{Counts: counts})}
 			raw, err := json.Marshal(msg)
 			if err != nil {
 				t.Fatal(err)
@@ -57,5 +57,26 @@ func TestMalformedOSPayloadRejected(t *testing.T) {
 				t.Fatalf("job merged the malformed span: Done=%d counts=%v", res.Done, res.CountsSnapshot())
 			}
 		})
+	}
+}
+
+// TestMergeRefusesPayloadOfOtherKind: a completion of a 16-trial OS
+// job's only span that carries a well-formed optimized-estimator payload
+// passes the job-agnostic wire decoder, but the merge must refuse it
+// rather than advance the prefix with no butterfly tallied.
+func TestMergeRefusesPayloadOfOtherKind(t *testing.T) {
+	coord := NewCoordinator()
+	coord.LeaseUnits = 16
+	id, _, err := coord.register(&core.ExecJob{Kind: core.ExecOS, Graph: meshGraph(t), Seed: 7, Units: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := &LeaseComplete{V: Version, Worker: "w", Job: id, Lease: 1, Lo: 1, Hi: 16,
+		Payload: core.EncodePayload(core.ExecOptimized, core.Payload{CandCounts: []int64{16, 3}})}
+	if _, err := coord.complete(msg); !errors.Is(err, ErrBadPayload) {
+		t.Errorf("merge: err = %v, want ErrBadPayload", err)
+	}
+	if res, err := coord.collect(id); err != nil || res.Done != 0 {
+		t.Fatalf("job merged the span of another kind: %+v, %v", res, err)
 	}
 }

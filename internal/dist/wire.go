@@ -1,9 +1,12 @@
 // Package dist fans the engine's independent trial units out across
 // processes: a coordinator leases contiguous trial ranges to workers
-// over a small HTTP/JSON protocol, workers execute the ranges with the
+// over a small HTTP protocol, workers execute the ranges with the
 // in-process LocalExecutor and report additive range payloads back, and
 // the coordinator merges accepted ranges in prefix order into exactly
-// the state the core runners expect from any TrialExecutor.
+// the state the core runners expect from any TrialExecutor. Messages are
+// JSON, and a range's payload inside one is in core's payload codec, the
+// byte form a checkpoint embeds; the graph streams from the job in
+// bigraph's binary form.
 //
 // The whole design leans on one engine property: every trial unit's
 // random stream is derived from (phase seed, unit index), so WHERE a
@@ -40,7 +43,7 @@ import (
 
 // Version is the wire protocol version. Every message carries it; a
 // mismatch is rejected with ErrVersionSkew before anything is trusted.
-const Version = 2
+const Version = 3
 
 // maxMessageBytes bounds a decoded protocol message. Payload sizes are
 // bounded by candidate-set width and distinct-butterfly counts, both of
@@ -86,11 +89,6 @@ type JobSpec struct {
 	KLBaseTrials int     `json:"kl_base_trials,omitempty"`
 	KLMu         float64 `json:"kl_mu,omitempty"`
 
-	// Ordering Sampling kernel knobs (ExecOS only).
-	DisableEdgePrune bool `json:"disable_edge_prune,omitempty"`
-	KeepAllAngles    bool `json:"keep_all_angles,omitempty"`
-	DropA2           bool `json:"drop_a2,omitempty"`
-
 	// GraphCRC fingerprints the graph; workers verify the fetched bytes
 	// against it before executing anything.
 	GraphCRC uint32 `json:"graph_crc"`
@@ -129,29 +127,6 @@ type LeaseReply struct {
 	WaitMs int      `json:"wait_ms,omitempty"`
 }
 
-// RangePayload is the additive result of one executed range: core's
-// portable core.Payload of the range's state, converted to and from it
-// as is, with the wire's field names. Exactly one group is populated,
-// matching the job's kind:
-//
-//   - ExecOS: Counts, the per-butterfly maximum tallies of the range's
-//     trials in canonical order (counts add across ranges).
-//   - ExecOptimized: CandCounts, a full-candidate-width hit vector
-//     summed over the range's trials (vectors add across ranges).
-//   - ExecKarpLuby: CandProbs and CandTrials of exactly the range's
-//     candidates, i.e. length hi-lo+1 (ranges concatenate).
-//
-// encoding/json round-trips float64 exactly (shortest-representation
-// encoding), so shipping payloads as JSON preserves bit-identity; the
-// values are finite by construction (NaN/Inf are not representable and
-// are rejected at decode).
-type RangePayload struct {
-	Counts     []core.ButterflyCount `json:"counts,omitempty"`
-	CandCounts []int64               `json:"cand_counts,omitempty"`
-	CandProbs  []float64             `json:"cand_probs,omitempty"`
-	CandTrials []int64               `json:"cand_trials,omitempty"`
-}
-
 // Counters are the deterministic telemetry deltas of one executed
 // range — exact functions of which trials ran, so summing accepted
 // ranges' counters in prefix order reproduces a local run's terminal
@@ -170,14 +145,17 @@ type Counters struct {
 // lease (and validated against the job's lease arithmetic) so that a
 // reissued lease's late original completion still merges correctly.
 type LeaseComplete struct {
-	V        int          `json:"v"`
-	Worker   string       `json:"worker"`
-	Job      uint64       `json:"job"`
-	Lease    uint64       `json:"lease"`
-	Lo       int          `json:"lo"`
-	Hi       int          `json:"hi"`
-	Payload  RangePayload `json:"payload"`
-	Counters Counters     `json:"counters"`
+	V      int    `json:"v"`
+	Worker string `json:"worker"`
+	Job    uint64 `json:"job"`
+	Lease  uint64 `json:"lease"`
+	Lo     int    `json:"lo"`
+	Hi     int    `json:"hi"`
+	// Payload is core.EncodePayload of the range's state, base64 in the
+	// JSON message: a checkpoint's payload section with its own CRC-32,
+	// which the journal's completion records store as the worker sent it.
+	Payload  []byte   `json:"payload"`
+	Counters Counters `json:"counters"`
 }
 
 // CompleteReply acknowledges a LeaseComplete. Accepted is false for
@@ -191,26 +169,30 @@ type CompleteReply struct {
 }
 
 // DecodeLeaseComplete parses and structurally validates a LeaseComplete:
-// protocol version, range sanity, and the payload by core's payload check
-// as a span of whichever kind it carries. Job-contextual validation —
-// lease-arithmetic alignment, the job's kind, candidate widths — happens
-// in the coordinator, which knows the job.
+// protocol version, range sanity, and the payload by core's payload codec
+// and check as a span of whichever kind it carries. Job-contextual
+// validation — lease-arithmetic alignment, the job's kind, candidate
+// widths — happens in the coordinator, which knows the job.
 func DecodeLeaseComplete(data []byte) (*LeaseComplete, error) {
 	if len(data) > maxMessageBytes {
 		return nil, fmt.Errorf("%w: message of %d bytes exceeds limit", ErrBadPayload, len(data))
 	}
 	var msg LeaseComplete
-	if err := json.Unmarshal(data, &msg); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-	}
-	if msg.V != Version {
+	err := json.Unmarshal(data, &msg)
+	// Unmarshal stores every field it can before it reports one of the
+	// wrong type, so an older message's version is read all the same.
+	var typeErr *json.UnmarshalTypeError
+	if (err == nil || errors.As(err, &typeErr)) && msg.V != Version {
 		return nil, fmt.Errorf("%w: got v%d, want v%d", ErrVersionSkew, msg.V, Version)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
 	}
 	if msg.Lo < 1 || msg.Hi < msg.Lo {
 		return nil, fmt.Errorf("%w: range %d..%d", ErrBadRange, msg.Lo, msg.Hi)
 	}
-	if err := core.Payload(msg.Payload).Check(0, msg.Hi-msg.Lo+1, -1, true); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
+	if _, err := msg.payload(0, -1); err != nil {
+		return nil, err
 	}
 	for _, c := range msg.Counters.slice() {
 		if c < 0 {
@@ -218,6 +200,23 @@ func DecodeLeaseComplete(data []byte) (*LeaseComplete, error) {
 		}
 	}
 	return &msg, nil
+}
+
+// payload decodes the message's payload and checks it as the tally of its
+// range in a kind job with cands candidates (kind 0: any kind; cands < 0:
+// any width).
+func (msg *LeaseComplete) payload(kind core.ExecKind, cands int) (core.Payload, error) {
+	got, p, err := core.DecodePayload(msg.Payload)
+	if err == nil && kind != 0 && got != kind {
+		err = fmt.Errorf("%v payload for a %v job", got, kind)
+	}
+	if err == nil {
+		err = p.Check(got, msg.Hi-msg.Lo+1, cands, true)
+	}
+	if err != nil {
+		return core.Payload{}, fmt.Errorf("%w: %v", ErrBadPayload, err)
+	}
+	return p, nil
 }
 
 func (c Counters) slice() [6]int64 {

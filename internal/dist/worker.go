@@ -9,6 +9,7 @@ import (
 	"hash/fnv"
 	"net/http"
 	"os"
+	"slices"
 	"time"
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
@@ -66,13 +67,50 @@ type Worker struct {
 	parked    bool
 	parkedAt  time.Time
 	leases    int
-	graphs    map[uint32]*bigraph.Graph   // by GraphCRC
-	cands     map[uint32]*core.Candidates // by CandCRC, at most maxWorkerCands
+	graphs    mru[*bigraph.Graph]   // by GraphCRC
+	cands     mru[*core.Candidates] // by CandCRC, each on a graph in graphs
 }
 
-// maxWorkerCands bounds the candidate sets a worker keeps across leases:
+// maxWorkerCache bounds the graphs and the candidate sets a worker keeps
+// across leases, so a long-lived worker holds only those of recent jobs:
 // a query's sampling phase is one job, so jobs that interleave are few.
-const maxWorkerCands = 4
+const maxWorkerCache = 4
+
+// mru is a worker cache of at most maxWorkerCache values keyed by
+// checksum, most recently used first: a full cache drops its least
+// recently used value to take a new one.
+type mru[V any] []mruEntry[V]
+
+type mruEntry[V any] struct {
+	crc uint32
+	v   V
+}
+
+// get returns the value under crc and moves it to the front.
+func (m mru[V]) get(crc uint32) (V, bool) {
+	for i, e := range m {
+		if e.crc == crc {
+			copy(m[1:i+1], m[:i])
+			m[0] = e
+			return e.v, true
+		}
+	}
+	var zero V
+	return zero, false
+}
+
+// put adds v under crc at the front and returns the value it dropped to
+// make room, if any.
+func (m *mru[V]) put(crc uint32, v V) (dropped V, ok bool) {
+	if len(*m) == maxWorkerCache {
+		dropped, ok = (*m)[len(*m)-1].v, true
+	} else {
+		*m = append(*m, mruEntry[V]{})
+	}
+	copy((*m)[1:], *m)
+	(*m)[0] = mruEntry[V]{crc, v}
+	return dropped, ok
+}
 
 // workerFaults is the injectable fault seam used by chaos tests.
 type workerFaults struct {
@@ -103,10 +141,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	if w.Name == "" {
 		host, _ := os.Hostname()
 		w.Name = fmt.Sprintf("%s:%d", host, os.Getpid())
-	}
-	if w.graphs == nil {
-		w.graphs = make(map[uint32]*bigraph.Graph)
-		w.cands = make(map[uint32]*core.Candidates)
 	}
 	for {
 		if ctx.Err() != nil {
@@ -307,12 +341,7 @@ func (w *Worker) execute(ctx context.Context, rep *LeaseReply) (*LeaseComplete, 
 		Graph: g,
 		Cands: cands,
 		Seed:  spec.PhaseSeed,
-		OS: core.OSOptions{
-			DisableEdgePrune: spec.DisableEdgePrune,
-			KeepAllAngles:    spec.KeepAllAngles,
-			DropA2:           spec.DropA2,
-		},
-		KL: core.KLOptions{BaseTrials: spec.KLBaseTrials, Mu: spec.KLMu},
+		KL:    core.KLOptions{BaseTrials: spec.KLBaseTrials, Mu: spec.KLMu},
 	}, w.Pool, rep.Lo, rep.Hi)
 	if err != nil {
 		return nil, err
@@ -322,10 +351,11 @@ func (w *Worker) execute(ctx context.Context, rep *LeaseReply) (*LeaseComplete, 
 }
 
 // graph returns the verified graph for a spec, fetching it once per
-// fingerprint. A torn response body (the fetch died mid-stream) is
-// retried by the transport like any other transient fault.
+// fingerprint while the cache holds it. A torn response body (the fetch
+// died mid-stream) is retried by the transport like any other transient
+// fault.
 func (w *Worker) graph(ctx context.Context, spec *JobSpec) (*bigraph.Graph, error) {
-	if g, ok := w.graphs[spec.GraphCRC]; ok {
+	if g, ok := w.graphs.get(spec.GraphCRC); ok {
 		return g, nil
 	}
 	var g *bigraph.Graph
@@ -344,7 +374,10 @@ func (w *Worker) graph(ctx context.Context, spec *JobSpec) (*bigraph.Graph, erro
 	if crc := g.Checksum(); crc != spec.GraphCRC {
 		return nil, fmt.Errorf("dist: graph checksum %08x does not match job spec %08x", crc, spec.GraphCRC)
 	}
-	w.graphs[spec.GraphCRC] = g
+	if old, ok := w.graphs.put(spec.GraphCRC, g); ok {
+		// A candidate set holds its graph: drop those of the evicted one.
+		w.cands = slices.DeleteFunc(w.cands, func(e mruEntry[*core.Candidates]) bool { return e.v.G == old })
+	}
 	return g, nil
 }
 
@@ -360,7 +393,7 @@ func jobGone(err error) bool {
 // candidateSet returns the candidate set of an estimator job on graph g,
 // fetching it once per CandCRC while the cache holds it.
 func (w *Worker) candidateSet(ctx context.Context, spec *JobSpec, g *bigraph.Graph) (*core.Candidates, error) {
-	if c, ok := w.cands[spec.CandCRC]; ok {
+	if c, ok := w.cands.get(spec.CandCRC); ok {
 		return c, nil
 	}
 	var data []byte
@@ -379,10 +412,7 @@ func (w *Worker) candidateSet(ctx context.Context, spec *JobSpec, g *bigraph.Gra
 	if err != nil {
 		return nil, fmt.Errorf("dist: decoding candidates for job %d: %w", spec.Job, err)
 	}
-	if len(w.cands) == maxWorkerCands {
-		clear(w.cands)
-	}
-	w.cands[spec.CandCRC] = c
+	w.cands.put(spec.CandCRC, c)
 	return c, nil
 }
 
