@@ -23,8 +23,11 @@ package bigraph
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync/atomic"
+
+	"github.com/uncertain-graphs/mpmb/internal/parallel"
 )
 
 // VertexID indexes a vertex within its own partition (L or R).
@@ -385,34 +388,78 @@ func (g *Graph) ExpectedSquaredDegreeR(v VertexID) float64 {
 // order and keep ties in their previous order, so equal weights end in
 // ascending id. A pass is skipped when every key shares its byte.
 // AddEdge rejects NaN and ±Inf, so every key is that of a finite weight.
+// The passes run on GOMAXPROCS goroutines (edgesByWeightDesc).
 func (g *Graph) EdgesByWeightDesc() []EdgeID {
+	return g.edgesByWeightDesc(runtime.GOMAXPROCS(0))
+}
+
+// edgesByWeightDesc is EdgesByWeightDesc on up to workers goroutines. The
+// keys are cut into the same contiguous segments in every pass: each
+// segment counts its keys' bytes, and then all segments scatter at once,
+// each from offsets past every key of a smaller byte and past the keys
+// of the same byte in earlier segments. So every key lands where a
+// sequential pass puts it, whatever the number of segments.
+func (g *Graph) edgesByWeightDesc(workers int) []EdgeID {
 	n := len(g.edges)
+	segs := parallel.Parts(n, workers)
 	keys, ids := make([]uint64, n), make([]EdgeID, n)
-	var count [8][256]int
-	for i, e := range g.edges {
-		k := weightKey(e.W)
-		keys[i], ids[i] = k, EdgeID(i)
-		for d := range count {
-			count[d][byte(k>>(8*d))]++
+	// count[s][d][b] counts the keys of segment s whose byte d is b. The
+	// first counts are taken in id order; they stay valid for a single
+	// segment and for the totals, which no pass changes.
+	count := make([][8][256]int, segs)
+	parallel.Do(segs, func(s int) {
+		lo, hi := parallel.Range(n, segs, s)
+		c := &count[s]
+		for i := lo; i < hi; i++ {
+			k := weightKey(g.edges[i].W)
+			keys[i], ids[i] = k, EdgeID(i)
+			for d := range c {
+				c[d][byte(k>>(8*d))]++
+			}
 		}
-	}
+	})
 	keys2, ids2 := make([]uint64, n), make([]EdgeID, n)
-	for d := range count {
+	next := make([][256]int, segs)
+	moved := false // a pass has reordered the keys since count was taken
+	for d := range 8 {
 		shift := 8 * d
-		if n == 0 || count[d][byte(keys[0]>>shift)] == n {
+		var total [256]int
+		for s := range count {
+			for b, c := range count[s][d] {
+				total[b] += c
+			}
+		}
+		if n == 0 || total[byte(keys[0]>>shift)] == n {
 			continue
 		}
-		var next [256]int
+		if moved && segs > 1 {
+			parallel.Do(segs, func(s int) {
+				lo, hi := parallel.Range(n, segs, s)
+				c := &count[s][d]
+				clear(c[:])
+				for _, k := range keys[lo:hi] {
+					c[byte(k>>shift)]++
+				}
+			})
+		}
 		for b, sum := 0, 0; b < 256; b++ {
-			next[b], sum = sum, sum+count[d][b]
+			for s := range next {
+				next[s][b], sum = sum, sum+count[s][d][b]
+			}
 		}
-		for i, k := range keys {
-			j := &next[byte(k>>shift)]
-			keys2[*j], ids2[*j] = k, ids[i]
-			*j++
-		}
+		parallel.Do(segs, func(s int) {
+			lo, hi := parallel.Range(n, segs, s)
+			nx := &next[s]
+			for i := lo; i < hi; i++ {
+				k := keys[i]
+				j := &nx[byte(k>>shift)]
+				keys2[*j], ids2[*j] = k, ids[i]
+				*j++
+			}
+		})
 		keys, keys2 = keys2, keys
 		ids, ids2 = ids2, ids
+		moved = true
 	}
 	return ids
 }

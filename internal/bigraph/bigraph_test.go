@@ -379,3 +379,46 @@ func TestParsedGraphsKeepNoSpareCapacity(t *testing.T) {
 		t.Fatalf("reserve capacities %v, want %v", caps, want)
 	}
 }
+
+// TestEdgesByWeightDescWorkers: the radix order on 1, 2, 3 and 8 workers
+// equals the comparison sort on graphs of 70,001 edges, enough for every
+// worker to get a segment of its own: weights from a few values (ties
+// straddle every segment boundary, ±0 among them), continuous weights,
+// and small integers, whose keys share their low bytes, so those passes
+// are skipped.
+func TestEdgesByWeightDescWorkers(t *testing.T) {
+	const n = 70001 // 8 segments of at least parallel.Grain, not a multiple of 64
+	r := rand.New(rand.NewSource(29))
+	few := []float64{-1, math.Copysign(0, -1), 0, 0.5, 2}
+	for name, weight := range map[string]func() float64{
+		"ties":       func() float64 { return few[r.Intn(len(few))] },
+		"continuous": func() float64 { return r.NormFloat64() },
+		"integers":   func() float64 { return float64(r.Intn(50)) },
+	} {
+		b := NewBuilder(n, 1)
+		for u := range n {
+			b.MustAddEdge(VertexID(u), 0, weight(), 0.5)
+		}
+		g := b.Build()
+		skipped := 0
+		for d := 0; d < 8; d++ {
+			first := byte(weightKey(g.edges[0].W) >> (8 * d))
+			shared := true
+			for _, e := range g.edges {
+				shared = shared && byte(weightKey(e.W)>>(8*d)) == first
+			}
+			if shared {
+				skipped++
+			}
+		}
+		if name == "integers" && skipped == 0 {
+			t.Fatal("integers: no radix pass is skipped")
+		}
+		want := weightOrderOracle(g)
+		for _, workers := range []int{1, 2, 3, 8} {
+			if got := g.edgesByWeightDesc(workers); !slices.Equal(got, want) {
+				t.Fatalf("%s, %d workers: radix order differs from the comparison sort", name, workers)
+			}
+		}
+	}
+}

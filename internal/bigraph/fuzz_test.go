@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"flag"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"slices"
@@ -96,6 +97,16 @@ func FuzzReadBinary(f *testing.F) {
 // once a mutant of one finds new coverage, the engine minimizes it for up
 // to -fuzzminimizetime while no other input runs. Their cases, and the
 // lines either side of the limit, are TestReadVsReferenceLongLines's.
+//
+// The block parser is held to readRef too, at block sizes of 1 to 64
+// bytes on 1 to 3 workers, so small inputs cross block boundaries at
+// every offset and reach the worker pipeline: without -fuzz every seed
+// parses at each of those splits (the 1 MiB seeds at a few block sizes),
+// and a fuzzed input at one picked from its bytes. The later seeds aim at the blocks: a fault in a later block
+// after a repeat in an earlier one, a CR LF that a block size cuts
+// between the two bytes, more edges than the header declares, a last
+// line without its newline, comment lines before the header, and a
+// comment line of 1 MiB − 1 bytes that spans many blocks.
 func FuzzReadVsReference(f *testing.F) {
 	seeds := []string{
 		"mpmb-bigraph 3 3 3\n0 0 1 0.5\n# note\n\n1 1 2 0.5\n  \t\n# more\n2 2 3 0.5\n",
@@ -117,11 +128,19 @@ func FuzzReadVsReference(f *testing.F) {
 		"mpmb-bigraph 2 2 1\n+1 0 1 0.5\n",
 		"mpmb-bigraph 2 2 1\n0 -1 1 0.5\n",
 		"mpmb-bigraph 2 2 2\n0 0 0x1p-2 0x1p-1\n1 1 0X1.8P+1 1\n",
+		"mpmb-bigraph 3 3 6\n0 0 1 0.5\n1 1 1 0.5\n0 0 2 0.5\n# a comment to pad the blocks\n2 2 1 0.5\n\n2 1 1 0.5\n2 x 1 0.5\n",
+		"mpmb-bigraph 2 2 2\r\n0 0 1 0.5\r\n\r\n1 1 2 0.5\r\n",
+		"mpmb-bigraph 2 2 1\n0 0 1 0.5\n1 1 1 0.5\n0 1 2 0.25\n",
+		"mpmb-bigraph 2 2 2\n0 0 1 0.5\n1 1 2 0.5",
+		"mpmb-bigraph 2 2 1\n0 0 1 1\r",
+		"# a\n\n# b\n  # c\nmpmb-bigraph 2 2 1\n0 1 2 0.5\n",
 	}
-	if flag.Lookup("test.fuzz").Value.String() == "" {
+	fuzzing := flag.Lookup("test.fuzz").Value.String() != ""
+	if !fuzzing {
 		seeds = append(seeds,
 			"mpmb-bigraph 2 2 2\n0 0 1 0.5\n0 0 1 0.5\n# "+strings.Repeat("x", 1<<20)+"\n",
-			"mpmb-bigraph 2 2 1\n0 0 1 0.5\n"+strings.Repeat(" ", 1<<20)+"\n")
+			"mpmb-bigraph 2 2 1\n0 0 1 0.5\n"+strings.Repeat(" ", 1<<20)+"\n",
+			"mpmb-bigraph 2 2 2\n0 0 1 0.5\n#"+strings.Repeat("x", maxLine-2)+"\n1 1 2 0.5\n")
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -130,14 +149,54 @@ func FuzzReadVsReference(f *testing.F) {
 		got, err := Read(strings.NewReader(in))
 		want, wantErr := readRef(strings.NewReader(in))
 		sameParse(t, got, err, want, wantErr)
+		splits := blockSplits(everySize)
+		if len(in) > 1<<12 {
+			splits = blockSplits(someSizes) // the 1 MiB seeds
+		}
+		if fuzzing {
+			h := crc32.ChecksumIEEE([]byte(in))
+			splits = splits[h%uint32(len(splits)):][:1]
+		}
+		for _, sp := range splits {
+			got, err := readText(strings.NewReader(in), sp.size, sp.workers)
+			sameBlockParse(t, sp, got, err, want, wantErr)
+		}
 	})
+}
+
+// blockSplit is a block size and a worker count for readText.
+type blockSplit struct{ size, workers int }
+
+// everySize holds every block size from 1 to 64 bytes, and someSizes a
+// few of them, for inputs too long to parse at all 64.
+var (
+	everySize = func() (sizes []int) {
+		for size := 1; size <= 64; size++ {
+			sizes = append(sizes, size)
+		}
+		return sizes
+	}()
+	someSizes = []int{1, 2, 3, 7, 16, 64}
+)
+
+// blockSplits returns each of sizes on 1, 2 and 3 workers.
+func blockSplits(sizes []int) []blockSplit {
+	var splits []blockSplit
+	for _, size := range sizes {
+		for workers := 1; workers <= 3; workers++ {
+			splits = append(splits, blockSplit{size, workers})
+		}
+	}
+	return splits
 }
 
 // TestReadVsReferenceLongLines holds Read to readRef on lines at the
 // scanner's limit: a line of 1 MiB − 1 bytes before its newline still
 // parses, and one a byte longer fails with the scanner's error, whether
 // it is a comment, white space, or an edge padded with spaces; a repeated
-// pair before an overlong comment still reports the repeat.
+// pair before an overlong comment still reports the repeat. The block
+// parser is held to readRef on the same inputs at a few block sizes from
+// 1 to 64 bytes on 1 to 3 workers, so a long line spans many blocks.
 func TestReadVsReferenceLongLines(t *testing.T) {
 	const limit = 1<<20 - 1 // the longest line the scanner takes
 	for _, tc := range []struct {
@@ -158,6 +217,10 @@ func TestReadVsReferenceLongLines(t *testing.T) {
 			t.Fatalf("input of %d bytes: error %v, want success %v", len(tc.in), err, tc.ok)
 		}
 		sameParse(t, got, err, want, wantErr)
+		for _, sp := range blockSplits(someSizes) {
+			got, err := readText(strings.NewReader(tc.in), sp.size, sp.workers)
+			sameBlockParse(t, sp, got, err, want, wantErr)
+		}
 	}
 }
 
@@ -204,20 +267,37 @@ func binaryFile(numL, numR uint32, edges []Edge) []byte {
 // message, or graphs with the same sides, edges, offsets and rows.
 func sameParse(t *testing.T, got *Graph, err error, want *Graph, wantErr error) {
 	t.Helper()
+	if diff := parseDiff(got, err, want, wantErr); diff != "" {
+		t.Fatal(diff)
+	}
+}
+
+// sameBlockParse is sameParse for a parse at the split sp, which it names
+// when the two differ.
+func sameBlockParse(t *testing.T, sp blockSplit, got *Graph, err error, want *Graph, wantErr error) {
+	t.Helper()
+	if diff := parseDiff(got, err, want, wantErr); diff != "" {
+		t.Fatalf("blocks of %d bytes on %d workers: %s", sp.size, sp.workers, diff)
+	}
+}
+
+// parseDiff describes how two parses of one input differ, or returns "".
+func parseDiff(got *Graph, err error, want *Graph, wantErr error) string {
 	if err != nil || wantErr != nil {
 		if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
-			t.Fatalf("error %v, reference error %v", err, wantErr)
+			return fmt.Sprintf("error %v, reference error %v", err, wantErr)
 		}
-		return
+		return ""
 	}
 	if got.numL != want.numL || got.numR != want.numR {
-		t.Fatalf("sides %d×%d, reference %d×%d", got.numL, got.numR, want.numL, want.numR)
+		return fmt.Sprintf("sides %d×%d, reference %d×%d", got.numL, got.numR, want.numL, want.numR)
 	}
 	if !slices.Equal(got.edges, want.edges) {
-		t.Fatalf("edges %v, reference %v", got.edges, want.edges)
+		return fmt.Sprintf("edges %v, reference %v", got.edges, want.edges)
 	}
 	if !slices.Equal(got.lOff, want.lOff) || !slices.Equal(got.rOff, want.rOff) ||
 		!slices.Equal(got.lAdj, want.lAdj) || !slices.Equal(got.rAdj, want.rAdj) {
-		t.Fatal("CSR offsets or rows differ from the reference")
+		return "CSR offsets or rows differ from the reference"
 	}
+	return ""
 }

@@ -1,12 +1,16 @@
 package bigraph
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestIORoundTrip(t *testing.T) {
@@ -146,5 +150,54 @@ func TestSaveFailsOnBadPath(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(t.TempDir(), "x.graph")); err == nil {
 		t.Fatal("unexpected file created")
+	}
+}
+
+// TestReadBlocksVsReference holds the block parser at Read's block size
+// to readRef on inputs of about 1.5 MB, whose blocks past the first
+// seqBlocks (1 MiB) parse on 1 to 3 workers: a clean graph; the same with CR LF
+// line ends; a repeated pair in an early block before a fault in a late
+// one; a late fault alone; a late repeat; and a late overlong line. Every
+// parse must agree with the reference, and every goroutine a parse
+// starts must have exited once it returns.
+func TestReadBlocksVsReference(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, benchGraph(2000, 2000, 50000)); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(buf.String(), "\n")
+	edit := func(edits map[int]string) string {
+		out := slices.Clone(lines)
+		for i, line := range edits {
+			out[i] = line
+		}
+		return strings.Join(out, "")
+	}
+	cases := map[string]string{
+		"clean":              buf.String(),
+		"crlf":               strings.ReplaceAll(buf.String(), "\n", "\r\n"),
+		"repeat then fault":  edit(map[int]string{900: lines[20], 45000: "1 x 1 0.5\n"}),
+		"late fault":         edit(map[int]string{45000: "1 2 1 1.5\n"}),
+		"late repeat":        edit(map[int]string{47000: lines[40000]}),
+		"late overlong line": edit(map[int]string{45000: "#" + strings.Repeat("x", maxLine) + "\n"}),
+	}
+	before := runtime.NumGoroutine()
+	for name, in := range cases {
+		want, wantErr := readRef(strings.NewReader(in))
+		if (wantErr == nil) != (name == "clean" || name == "crlf") {
+			t.Fatalf("%s: reference error %v", name, wantErr)
+		}
+		for workers := 1; workers <= 3; workers++ {
+			got, err := readText(strings.NewReader(in), textBlockSize, workers)
+			if diff := parseDiff(got, err, want, wantErr); diff != "" {
+				t.Fatalf("%s on %d workers: %s", name, workers, diff)
+			}
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the parses returned, %d before", runtime.NumGoroutine(), before)
+		}
+		runtime.Gosched()
 	}
 }

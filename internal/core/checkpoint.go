@@ -183,7 +183,9 @@ func writePayload(w io.Writer, kind ExecKind, p *Payload) error {
 }
 
 // readPayload reads a payload section from r, refusing one that declares
-// more than limit records.
+// more than limit records. Its slices grow as records arrive, from room
+// for at most 4,096, so a count that overstates the records costs no
+// more than the records read.
 func readPayload(r io.Reader, limit int) (ExecKind, Payload, error) {
 	var rec [32]byte
 	if _, err := io.ReadFull(r, rec[:9]); err != nil {
@@ -198,30 +200,32 @@ func readPayload(r io.Reader, limit int) (ExecKind, Payload, error) {
 		return 0, Payload{}, fmt.Errorf("payload declares %d records (limit %d)", n, limit)
 	}
 	var p Payload
+	room := int(min(n, 4096))
 	switch kind {
 	case ExecOS:
-		p.Counts = make([]ButterflyCount, n)
+		p.Counts = make([]ButterflyCount, 0, room)
 	case ExecOptimized:
-		p.CandCounts = make([]int64, n)
+		p.CandCounts = make([]int64, 0, room)
 	case ExecKarpLuby:
-		p.CandProbs, p.CandTrials = make([]float64, n), make([]int64, n)
+		p.CandProbs, p.CandTrials = make([]float64, 0, room), make([]int64, 0, room)
 	}
 	le := binary.LittleEndian
-	for i := 0; i < int(n); i++ {
+	for i := uint64(0); i < n; i++ {
 		b := rec[:size]
 		if _, err := io.ReadFull(r, b); err != nil {
 			return 0, Payload{}, fmt.Errorf("truncated payload: %w", err)
 		}
 		switch kind {
 		case ExecOS:
-			p.Counts[i] = ButterflyCount{
+			p.Counts = append(p.Counts, ButterflyCount{
 				B:     butterfly.Butterfly{U1: le.Uint32(b), U2: le.Uint32(b[4:]), V1: le.Uint32(b[8:]), V2: le.Uint32(b[12:])},
 				Count: int64(le.Uint64(b[16:])), Weight: math.Float64frombits(le.Uint64(b[24:])),
-			}
+			})
 		case ExecOptimized:
-			p.CandCounts[i] = int64(le.Uint64(b))
+			p.CandCounts = append(p.CandCounts, int64(le.Uint64(b)))
 		case ExecKarpLuby:
-			p.CandProbs[i], p.CandTrials[i] = math.Float64frombits(le.Uint64(b)), int64(le.Uint64(b[8:]))
+			p.CandProbs = append(p.CandProbs, math.Float64frombits(le.Uint64(b)))
+			p.CandTrials = append(p.CandTrials, int64(le.Uint64(b[8:])))
 		}
 	}
 	return kind, p, nil

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -178,6 +179,41 @@ func restampCRC(raw []byte) {
 	binary.LittleEndian.PutUint32(raw[len(raw)-4:], sum)
 }
 
+// overstatedCheckpoint returns a 74-byte OS checkpoint whose payload
+// declares 2^20 entries, 32 MiB of them, and holds none.
+func overstatedCheckpoint(t testing.TB) []byte {
+	ck := &Checkpoint{Method: "os", Seed: 7, Trials: 10, GraphCRC: 1}
+	var buf bytes.Buffer
+	if err := ck.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	binary.LittleEndian.PutUint64(raw[len(raw)-12:], 1<<20) // the entry count
+	restampCRC(raw)
+	return raw
+}
+
+// TestCheckpointDecodeBoundsAllocation: a checkpoint whose entry count
+// overstates its records fails as truncated, and its decode allocates
+// for the records read, not for the count: under 1 MiB, where allocating
+// the declared 2^20 entries took 33.6 MB.
+func TestCheckpointDecodeBoundsAllocation(t *testing.T) {
+	raw := overstatedCheckpoint(t)
+	if len(raw) != 74 {
+		t.Fatalf("overstated checkpoint is %d bytes, want 74", len(raw))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeCheckpoint(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated payload") {
+		t.Fatalf("overstated checkpoint: err = %v, want a truncated payload", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("decoding the overstated checkpoint allocated %d bytes, want under 1 MiB", got)
+	}
+}
+
 // TestCheckpointEncodeRejectsInvalid ensures structurally inconsistent
 // checkpoints cannot be serialized in the first place.
 func TestCheckpointEncodeRejectsInvalid(t *testing.T) {
@@ -218,6 +254,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("MPMBCKP1"))
+	f.Add(overstatedCheckpoint(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := DecodeCheckpoint(bytes.NewReader(data))
 		if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
@@ -55,7 +56,7 @@ func BenchmarkSnapshotBuild(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				newEdgeSnapshot(c.g)
+				newEdgeSnapshot(c.g, runtime.GOMAXPROCS(0))
 			}
 		})
 	}

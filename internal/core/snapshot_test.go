@@ -3,9 +3,11 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
 	"github.com/uncertain-graphs/mpmb/internal/butterfly"
@@ -152,7 +154,7 @@ func FuzzButterflyEdges(f *testing.F) {
 			}
 			return order[a] < order[b]
 		})
-		s := newEdgeSnapshot(g)
+		s := newEdgeSnapshot(g, runtime.GOMAXPROCS(0))
 		if !slices.Equal(s.id, order) {
 			t.Fatalf("snapshot order %v, comparator order %v", s.id, order)
 		}
@@ -223,5 +225,81 @@ func TestButterflyEdgesExactFallback(t *testing.T) {
 		if got := butterflyEdges(gr, workers); !slices.Equal(got, want) {
 			t.Fatalf("%d workers: membership %v, want %v", workers, got, want)
 		}
+	}
+}
+
+// TestSnapshotTablesIndependentOfWorkers: a snapshot built on 2, 3 or 8
+// workers equals the 1-worker build in every table, on graphs of 70,001
+// edges, enough for every worker to get a range of its own, and not a
+// multiple of rngBlock. Weights come from a few values, so ties straddle
+// the range boundaries, ±0 among them; probabilities mix 0 and 1 with
+// values in (0, 1); and the two graphs are transposes of each other, so
+// the live lists center on the right side in one and on the left in the
+// other. Every goroutine a build starts must have exited once it returns.
+func TestSnapshotTablesIndependentOfWorkers(t *testing.T) {
+	const numL, numR, n = 140, 1400, 70001
+	r := rand.New(rand.NewSource(29))
+	weights := []float64{-1, math.Copysign(0, -1), 0, 0.5, 0.75, 2}
+	probs := []float64{0, 1, 0.25, 0.5, 0.9}
+	var edges []bigraph.Edge
+	for _, k := range r.Perm(numL * numR)[:n] {
+		edges = append(edges, bigraph.Edge{U: bigraph.VertexID(k % numL), V: bigraph.VertexID(k / numL),
+			W: weights[r.Intn(len(weights))], P: probs[r.Intn(len(probs))]})
+	}
+	flips := map[bool]bool{}
+	before := runtime.NumGoroutine()
+	for _, transpose := range []bool{false, true} {
+		sl, sr := numL, numR
+		if transpose {
+			sl, sr = numR, numL
+			for i := range edges {
+				edges[i].U, edges[i].V = edges[i].V, edges[i].U
+			}
+		}
+		g, err := bigraph.FromEdges(sl, sr, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := newEdgeSnapshot(g, 1)
+		flips[want.flip] = true
+		if want.barren || !slices.Contains(want.admitTh, 0) || !slices.Contains(want.admitTh, 1<<53) {
+			t.Fatalf("transpose %v: the graph does not exercise admission (barren %v)", transpose, want.barren)
+		}
+		bits := func(w []float64) []uint64 {
+			b := make([]uint64, len(w))
+			for i, x := range w {
+				b[i] = math.Float64bits(x)
+			}
+			return b
+		}
+		for _, workers := range []int{2, 3, 8} {
+			s := newEdgeSnapshot(g, workers)
+			for table, same := range map[string]bool{
+				"id":      slices.Equal(s.id, want.id),
+				"w":       slices.Equal(bits(s.w), bits(want.w)),
+				"pc":      slices.Equal(s.pc, want.pc),
+				"thresh":  slices.Equal(s.thresh, want.thresh),
+				"liveOff": slices.Equal(s.liveOff, want.liveOff),
+				"admitTh": slices.Equal(s.admitTh, want.admitTh),
+				"wordOf":  slices.Equal(s.wordOf, want.wordOf),
+				"ndraws":  slices.Equal(s.ndraws, want.ndraws),
+				"flip":    s.flip == want.flip,
+				"budgets": slices.Equal(bits([]float64{s.wBar, s.wBarS, s.wBar2S}), bits([]float64{want.wBar, want.wBarS, want.wBar2S})),
+				"barren":  s.barren == want.barren,
+			} {
+				if !same {
+					t.Errorf("transpose %v, %d workers: %s differs from the 1-worker build", transpose, workers, table)
+				}
+			}
+		}
+	}
+	if len(flips) != 2 {
+		t.Fatalf("flip took only the values %v; want both sides", flips)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the builds returned, %d before", runtime.NumGoroutine(), before)
+		}
+		runtime.Gosched()
 	}
 }

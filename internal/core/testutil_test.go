@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
 	"github.com/uncertain-graphs/mpmb/internal/butterfly"
@@ -34,7 +35,7 @@ func statTolScaled(scale float64, trials int) float64 {
 
 // newOSIndex builds a kernel over a fresh, uncached snapshot of g.
 func newOSIndex(g *bigraph.Graph, opt OSOptions) *osIndex {
-	return newOSIndexFromSnapshot(g, opt, newEdgeSnapshot(g))
+	return newOSIndexFromSnapshot(g, opt, newEdgeSnapshot(g, runtime.GOMAXPROCS(0)))
 }
 
 // figure1Graph builds the running example of the paper's Figure 1:

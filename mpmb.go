@@ -127,8 +127,8 @@ func LoadGraph(path string) (*Graph, error) { return bigraph.Load(path) }
 func SaveGraph(path string, g *Graph) error { return bigraph.Save(path, g) }
 
 // SaveGraphBinary writes a graph in the checksummed binary interchange
-// format, which loads about 3× faster than text: the ~985k-edge protein
-// analogue loads in ~0.15 s from binary and ~0.42 s from text (median of
+// format, which loads about 1.9× faster than text: the ~985k-edge protein
+// analogue loads in ~0.14 s from binary and ~0.26 s from text (median of
 // 7 loads on a 2-CPU host, Go 1.24). LoadGraph reads either format.
 func SaveGraphBinary(path string, g *Graph) error { return bigraph.SaveBinary(path, g) }
 
