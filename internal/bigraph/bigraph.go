@@ -511,16 +511,6 @@ func (g *Graph) TopWeightSum(k int) float64 {
 	return s
 }
 
-// TotalExpectedEdges returns Σ_e p(e), the expected number of edges in a
-// possible world.
-func (g *Graph) TotalExpectedEdges() float64 {
-	s := 0.0
-	for _, e := range g.edges {
-		s += e.P
-	}
-	return s
-}
-
 // MaxWeight returns the largest edge weight, or 0 for an empty graph.
 func (g *Graph) MaxWeight() float64 {
 	m := math.Inf(-1)

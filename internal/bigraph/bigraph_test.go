@@ -242,9 +242,6 @@ func TestMaxWeightAndExpectedEdges(t *testing.T) {
 	if g.MaxWeight() != 3 {
 		t.Fatalf("MaxWeight = %v, want 3", g.MaxWeight())
 	}
-	if got := g.TotalExpectedEdges(); math.Abs(got-3.3) > 1e-12 {
-		t.Fatalf("TotalExpectedEdges = %v, want 3.3", got)
-	}
 	empty := NewBuilder(1, 1).Build()
 	if empty.MaxWeight() != 0 {
 		t.Fatalf("empty MaxWeight = %v, want 0", empty.MaxWeight())

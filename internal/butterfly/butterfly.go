@@ -111,15 +111,6 @@ func (b Butterfly) ExistsIn(g *bigraph.Graph, w *possible.World) bool {
 	return true
 }
 
-// Vertices reports whether gid (a Graph.GlobalID) is one of b's vertices.
-func (b Butterfly) ContainsGlobal(g *bigraph.Graph, gid int) bool {
-	side, v := g.SplitGlobalID(gid)
-	if side == bigraph.SideL {
-		return v == b.U1 || v == b.U2
-	}
-	return v == b.V1 || v == b.V2
-}
-
 // ForEachInWorld enumerates every butterfly present in world w exactly
 // once, calling fn with the butterfly and its weight. Enumeration is the
 // straightforward common-neighbour method: for each right-vertex pair

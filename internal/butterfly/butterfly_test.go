@@ -116,19 +116,6 @@ func TestExistsIn(t *testing.T) {
 	}
 }
 
-func TestContainsGlobal(t *testing.T) {
-	g := figure1(t)
-	b := New(0, 1, 1, 2)
-	for gid := 0; gid < g.NumVertices(); gid++ {
-		side, v := g.SplitGlobalID(gid)
-		want := (side == bigraph.SideL && (v == 0 || v == 1)) ||
-			(side == bigraph.SideR && (v == 1 || v == 2))
-		if got := b.ContainsGlobal(g, gid); got != want {
-			t.Fatalf("ContainsGlobal(%d) = %v, want %v", gid, got, want)
-		}
-	}
-}
-
 func TestAllBackboneFigure1(t *testing.T) {
 	g := figure1(t)
 	all := AllBackbone(g)

@@ -102,13 +102,3 @@ func EnumerateThreshold(g *bigraph.Graph, t float64) ([]WithProb, error) {
 	})
 	return out, nil
 }
-
-// CountThreshold returns the number of butterflies with Pr[E(B)] ≥ t
-// without materializing them beyond per-pair wedge lists.
-func CountThreshold(g *bigraph.Graph, t float64) (int, error) {
-	list, err := EnumerateThreshold(g, t)
-	if err != nil {
-		return 0, err
-	}
-	return len(list), nil
-}

@@ -67,13 +67,6 @@ func TestEnumerateThresholdSortedAndBounds(t *testing.T) {
 	if len(high) != 0 {
 		t.Fatalf("threshold 0.2 returned %d butterflies, want 0", len(high))
 	}
-	n, err := CountThreshold(g, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("CountThreshold(0.1) = %d, want 1", n)
-	}
 	if _, err := EnumerateThreshold(g, -0.1); err == nil {
 		t.Fatal("negative threshold accepted")
 	}

@@ -58,13 +58,6 @@ type OLSOptions struct {
 	stop int
 }
 
-// DefaultOLSOptions mirrors the paper's experimental defaults (Section
-// VIII-B, Table IV): 100 preparing trials and 2×10⁴ sampling trials,
-// matching μ=0.05, ε=δ=0.1 under Theorem IV.1.
-func DefaultOLSOptions() OLSOptions {
-	return OLSOptions{PrepTrials: 100, Trials: 20000}
-}
-
 func (o OLSOptions) method() string {
 	if o.UseKarpLuby {
 		return "ols-kl"

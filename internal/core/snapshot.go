@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
+	"github.com/uncertain-graphs/mpmb/internal/cache"
 	"github.com/uncertain-graphs/mpmb/internal/parallel"
 	"github.com/uncertain-graphs/mpmb/internal/randx"
 )
@@ -466,64 +467,23 @@ func wedgeCount(x bigraph.VertexID, nbr, opp func(bigraph.VertexID) []bigraph.Ha
 	return wedges
 }
 
-// snapCache memoizes snapshots per graph, keyed by graph identity
-// (graphs are immutable). Capacity is small — the cache exists so
-// repeated runs, parallel workers and pooled service jobs over the same
-// few graphs stop rebuilding ~1MB of SoA tables plus the butterfly
-// membership pass per kernel — and old entries fall off the MRU tail, so
-// at most snapCacheCap graphs are kept alive by it.
+// snapCacheCap bounds how many graphs' snapshots the cache keeps alive.
+// The cache exists so repeated runs, parallel workers and pooled service
+// jobs over the same few graphs stop rebuilding ~1MB of SoA tables plus
+// the butterfly membership pass per kernel, so a few entries suffice.
 const snapCacheCap = 4
 
-var snapCache struct {
-	sync.Mutex
-	entries []snapCacheEntry
-}
-
-type snapCacheEntry struct {
-	g *bigraph.Graph
-	s *edgeSnapshot
-}
+// snapshots memoizes snapshots per graph, keyed by graph identity
+// (graphs are immutable).
+var snapshots = cache.New[*bigraph.Graph, *edgeSnapshot](snapCacheCap, nil)
 
 // snapshotFor returns the snapshot for g, building it on the first
-// request. Building (layout and the membership pass) happens outside the
-// cache lock, so concurrent first requests for the same graph may build
-// duplicates — each interchangeable; one of them wins the cache slot.
+// request; concurrent first requests for a graph wait for one build.
 func snapshotFor(g *bigraph.Graph) *edgeSnapshot {
-	if s := cachedSnapshot(g); s != nil {
-		return s
-	}
-	s := newEdgeSnapshot(g, runtime.GOMAXPROCS(0))
-
-	snapCache.Lock()
-	defer snapCache.Unlock()
-	for i := range snapCache.entries {
-		if snapCache.entries[i].g == g {
-			return snapCache.entries[i].s // lost the build race; use the winner
-		}
-	}
-	snapCache.entries = append(snapCache.entries, snapCacheEntry{})
-	copy(snapCache.entries[1:], snapCache.entries)
-	snapCache.entries[0] = snapCacheEntry{g: g, s: s}
-	if len(snapCache.entries) > snapCacheCap {
-		snapCache.entries = snapCache.entries[:snapCacheCap]
-	}
+	s, _ := snapshots.Get(g, func() (*edgeSnapshot, error) {
+		return newEdgeSnapshot(g, runtime.GOMAXPROCS(0)), nil
+	}, nil)
 	return s
-}
-
-// cachedSnapshot returns g's cached snapshot, or nil without building
-// one.
-func cachedSnapshot(g *bigraph.Graph) *edgeSnapshot {
-	snapCache.Lock()
-	defer snapCache.Unlock()
-	for i := range snapCache.entries {
-		if snapCache.entries[i].g == g {
-			e := snapCache.entries[i]
-			copy(snapCache.entries[1:i+1], snapCache.entries[:i])
-			snapCache.entries[0] = e
-			return e.s
-		}
-	}
-	return nil
 }
 
 // edgeThresholds precomputes the Bernoulli threshold of every backbone

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -301,5 +302,49 @@ func TestSnapshotTablesIndependentOfWorkers(t *testing.T) {
 			t.Fatalf("%d goroutines after the builds returned, %d before", runtime.NumGoroutine(), before)
 		}
 		runtime.Gosched()
+	}
+}
+
+// TestSnapshotCacheBounded: concurrent first requests for a graph get one
+// snapshot, and the cache keeps at most snapCacheCap graphs' snapshots,
+// dropping the least recently used, so a graph asked for between the
+// others keeps its snapshot.
+func TestSnapshotCacheBounded(t *testing.T) {
+	graphs := make([]*bigraph.Graph, 2*snapCacheCap)
+	for i := range graphs {
+		graphs[i] = figure1Graph()
+	}
+	const n = 8
+	first := make([]*edgeSnapshot, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			first[i] = snapshotFor(graphs[0])
+		}()
+	}
+	wg.Wait()
+	for i, s := range first {
+		if s != first[0] {
+			t.Fatalf("concurrent request %d got a snapshot of its own", i)
+		}
+	}
+	for _, g := range graphs[1:] {
+		snapshotFor(g)
+		if snapshotFor(graphs[0]) != first[0] {
+			t.Fatal("a graph asked for between the others lost its snapshot")
+		}
+	}
+	held := map[*bigraph.Graph]bool{}
+	snapshots.DeleteFunc(func(g *bigraph.Graph, _ *edgeSnapshot) bool {
+		held[g] = true
+		return false
+	})
+	if len(held) > snapCacheCap {
+		t.Fatalf("%d snapshots cached, want at most %d", len(held), snapCacheCap)
+	}
+	if !held[graphs[0]] || !held[graphs[len(graphs)-1]] {
+		t.Fatal("the cache dropped one of the graphs used most recently")
 	}
 }

@@ -64,6 +64,11 @@ func TestConformanceShippedCandidates(t *testing.T) {
 
 	coord := NewCoordinator()
 	coord.LeaseUnits = 32
+	// No straggler stealing: a worker granted the other's outstanding
+	// range could finish the job before the other fetched its set, whose
+	// fetch would then be refused or never made. The chaos tests cover
+	// stealing.
+	coord.MaxGrants = 1
 	hs := httptest.NewServer(coord.Handler())
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
@@ -218,10 +223,10 @@ func TestGoldenV1CompleteSkews(t *testing.T) {
 }
 
 // TestWorkerGraphCacheBounded: a worker leasing jobs on more graphs than
-// maxWorkerCache holds at most that many graphs at any lease, evicts the
-// least recently used one, so a graph leased between the others is
-// fetched once, drops the candidate sets of an evicted graph with it, and
-// still returns every job's LocalExecutor state.
+// maxWorkerCache holds at most that many graphs and candidate sets at any
+// lease, evicts the least recently used graph, so a graph leased between
+// the others is fetched once, drops the candidate sets of an evicted graph
+// with it, and still returns every job's LocalExecutor state.
 func TestWorkerGraphCacheBounded(t *testing.T) {
 	coord := NewCoordinator()
 	coord.LeaseUnits = 16
@@ -236,15 +241,33 @@ func TestWorkerGraphCacheBounded(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	w := &Worker{Base: hs.URL, Name: "w0", Pool: 1}
-	// cached checks the cache bounds and that every cached candidate set
-	// is on a cached graph.
+	// held lists the candidate sets the worker holds; cached checks the
+	// cache bounds and that every cached candidate set is on a cached
+	// graph.
+	held := func() map[uint32]*core.Candidates {
+		sets := map[uint32]*core.Candidates{}
+		w.cands.DeleteFunc(func(crc uint32, c *core.Candidates) bool {
+			sets[crc] = c
+			return false
+		})
+		return sets
+	}
 	cached := func() error {
-		if n := len(w.graphs); n > maxWorkerCache {
+		var gs []*bigraph.Graph
+		w.graphs.DeleteFunc(func(_ uint32, g *bigraph.Graph) bool {
+			gs = append(gs, g)
+			return false
+		})
+		if n := len(gs); n > maxWorkerCache {
 			return fmt.Errorf("worker holds %d graphs, cap %d", n, maxWorkerCache)
 		}
-		for _, c := range w.cands {
-			if !slices.ContainsFunc(w.graphs, func(e mruEntry[*bigraph.Graph]) bool { return e.v == c.v.G }) {
-				return fmt.Errorf("candidate set %08x is on an evicted graph", c.crc)
+		sets := held()
+		if n := len(sets); n > maxWorkerCache {
+			return fmt.Errorf("worker holds %d candidate sets, cap %d", n, maxWorkerCache)
+		}
+		for crc, c := range sets {
+			if !slices.Contains(gs, c.G) {
+				return fmt.Errorf("candidate set %08x is on an evicted graph", crc)
 			}
 		}
 		return nil
@@ -307,7 +330,7 @@ func TestWorkerGraphCacheBounded(t *testing.T) {
 	if n := fetches.Load(); n != int32(len(graphs)) {
 		t.Fatalf("worker fetched graphs %d times, want once for each of %d", n, len(graphs))
 	}
-	if n := len(w.cands); n != 1 {
+	if n := len(held()); n != 1 {
 		t.Fatalf("worker holds %d candidate sets, want graph 0's", n)
 	}
 }

@@ -9,10 +9,10 @@ import (
 	"hash/fnv"
 	"net/http"
 	"os"
-	"slices"
 	"time"
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
+	"github.com/uncertain-graphs/mpmb/internal/cache"
 	"github.com/uncertain-graphs/mpmb/internal/core"
 	"github.com/uncertain-graphs/mpmb/internal/telemetry"
 )
@@ -67,50 +67,14 @@ type Worker struct {
 	parked    bool
 	parkedAt  time.Time
 	leases    int
-	graphs    mru[*bigraph.Graph]   // by GraphCRC
-	cands     mru[*core.Candidates] // by CandCRC, each on a graph in graphs
+	graphs    *cache.Cache[uint32, *bigraph.Graph]   // by GraphCRC
+	cands     *cache.Cache[uint32, *core.Candidates] // by CandCRC, each on a graph in graphs
 }
 
 // maxWorkerCache bounds the graphs and the candidate sets a worker keeps
 // across leases, so a long-lived worker holds only those of recent jobs:
 // a query's sampling phase is one job, so jobs that interleave are few.
 const maxWorkerCache = 4
-
-// mru is a worker cache of at most maxWorkerCache values keyed by
-// checksum, most recently used first: a full cache drops its least
-// recently used value to take a new one.
-type mru[V any] []mruEntry[V]
-
-type mruEntry[V any] struct {
-	crc uint32
-	v   V
-}
-
-// get returns the value under crc and moves it to the front.
-func (m mru[V]) get(crc uint32) (V, bool) {
-	for i, e := range m {
-		if e.crc == crc {
-			copy(m[1:i+1], m[:i])
-			m[0] = e
-			return e.v, true
-		}
-	}
-	var zero V
-	return zero, false
-}
-
-// put adds v under crc at the front and returns the value it dropped to
-// make room, if any.
-func (m *mru[V]) put(crc uint32, v V) (dropped V, ok bool) {
-	if len(*m) == maxWorkerCache {
-		dropped, ok = (*m)[len(*m)-1].v, true
-	} else {
-		*m = append(*m, mruEntry[V]{})
-	}
-	copy((*m)[1:], *m)
-	(*m)[0] = mruEntry[V]{crc, v}
-	return dropped, ok
-}
 
 // workerFaults is the injectable fault seam used by chaos tests.
 type workerFaults struct {
@@ -141,6 +105,13 @@ func (w *Worker) Run(ctx context.Context) error {
 	if w.Name == "" {
 		host, _ := os.Hostname()
 		w.Name = fmt.Sprintf("%s:%d", host, os.Getpid())
+	}
+	if w.graphs == nil {
+		w.cands = cache.New[uint32, *core.Candidates](maxWorkerCache, nil)
+		w.graphs = cache.New(maxWorkerCache, func(_ uint32, old *bigraph.Graph) {
+			// A candidate set holds its graph: drop those of the evicted one.
+			w.cands.DeleteFunc(func(_ uint32, c *core.Candidates) bool { return c.G == old })
+		})
 	}
 	for {
 		if ctx.Err() != nil {
@@ -325,14 +296,17 @@ func (w *Worker) execute(ctx context.Context, rep *LeaseReply) (*LeaseComplete, 
 	if spec.V != Version {
 		return nil, fmt.Errorf("%w: job spec v%d", ErrVersionSkew, spec.V)
 	}
-	g, err := w.graph(ctx, spec)
+	// Each graph is fetched once per fingerprint, and each candidate set
+	// once per CandCRC, while the worker's caches hold them.
+	g, err := w.graphs.Get(spec.GraphCRC, func() (*bigraph.Graph, error) { return w.fetchGraph(ctx, spec) }, nil)
 	if err != nil {
 		return nil, err
 	}
 	kind := core.ExecKind(spec.Kind)
 	var cands *core.Candidates
 	if kind != core.ExecOS {
-		if cands, err = w.candidateSet(ctx, spec, g); err != nil {
+		cands, err = w.cands.Get(spec.CandCRC, func() (*core.Candidates, error) { return w.fetchCandidates(ctx, spec, g) }, nil)
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -350,14 +324,10 @@ func (w *Worker) execute(ctx context.Context, rep *LeaseReply) (*LeaseComplete, 
 	return msg, nil
 }
 
-// graph returns the verified graph for a spec, fetching it once per
-// fingerprint while the cache holds it. A torn response body (the fetch
-// died mid-stream) is retried by the transport like any other transient
-// fault.
-func (w *Worker) graph(ctx context.Context, spec *JobSpec) (*bigraph.Graph, error) {
-	if g, ok := w.graphs.get(spec.GraphCRC); ok {
-		return g, nil
-	}
+// fetchGraph fetches the graph of a spec and verifies it. A torn
+// response body (the fetch died mid-stream) is retried by the transport
+// like any other transient fault.
+func (w *Worker) fetchGraph(ctx context.Context, spec *JobSpec) (*bigraph.Graph, error) {
 	var g *bigraph.Graph
 	url := fmt.Sprintf("%s/dist/v1/graph?job=%d", w.Base, spec.Job)
 	err := w.transport().get(ctx, "graph", url, func(resp *http.Response) error {
@@ -374,10 +344,6 @@ func (w *Worker) graph(ctx context.Context, spec *JobSpec) (*bigraph.Graph, erro
 	if crc := g.Checksum(); crc != spec.GraphCRC {
 		return nil, fmt.Errorf("dist: graph checksum %08x does not match job spec %08x", crc, spec.GraphCRC)
 	}
-	if old, ok := w.graphs.put(spec.GraphCRC, g); ok {
-		// A candidate set holds its graph: drop those of the evicted one.
-		w.cands = slices.DeleteFunc(w.cands, func(e mruEntry[*core.Candidates]) bool { return e.v.G == old })
-	}
 	return g, nil
 }
 
@@ -390,12 +356,9 @@ func jobGone(err error) bool {
 	return errors.As(err, &se) && (se.op == "graph" || se.op == "candidates") && se.code == http.StatusNotFound
 }
 
-// candidateSet returns the candidate set of an estimator job on graph g,
-// fetching it once per CandCRC while the cache holds it.
-func (w *Worker) candidateSet(ctx context.Context, spec *JobSpec, g *bigraph.Graph) (*core.Candidates, error) {
-	if c, ok := w.cands.get(spec.CandCRC); ok {
-		return c, nil
-	}
+// fetchCandidates fetches the candidate set of an estimator job on
+// graph g and verifies it.
+func (w *Worker) fetchCandidates(ctx context.Context, spec *JobSpec, g *bigraph.Graph) (*core.Candidates, error) {
 	var data []byte
 	url := fmt.Sprintf("%s/dist/v1/candidates?job=%d", w.Base, spec.Job)
 	err := w.transport().get(ctx, "candidates", url, func(resp *http.Response) (err error) {
@@ -412,7 +375,6 @@ func (w *Worker) candidateSet(ctx context.Context, spec *JobSpec, g *bigraph.Gra
 	if err != nil {
 		return nil, fmt.Errorf("dist: decoding candidates for job %d: %w", spec.Job, err)
 	}
-	w.cands.put(spec.CandCRC, c)
 	return c, nil
 }
 

@@ -15,7 +15,6 @@ package possible
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
 	"github.com/uncertain-graphs/mpmb/internal/randx"
@@ -130,20 +129,6 @@ func Prob(g *bigraph.Graph, w *World) float64 {
 		}
 	}
 	return p
-}
-
-// LogProb returns ln Prob(g, w), safe for graphs whose world probabilities
-// underflow float64. Worlds with probability zero return -Inf.
-func LogProb(g *bigraph.Graph, w *World) float64 {
-	lp := 0.0
-	for id, e := range g.Edges() {
-		if w.Has(bigraph.EdgeID(id)) {
-			lp += math.Log(e.P)
-		} else {
-			lp += math.Log1p(-e.P)
-		}
-	}
-	return lp
 }
 
 // MaxEnumerableEdges bounds Enumerate: 2^24 worlds is already ~16M

@@ -108,31 +108,6 @@ func TestEnumerateProbMatchesProb(t *testing.T) {
 	}
 }
 
-func TestLogProbConsistent(t *testing.T) {
-	g := smallGraph(t)
-	rng := randx.New(3)
-	for i := 0; i < 50; i++ {
-		w := Sample(g, rng)
-		p := Prob(g, w)
-		lp := LogProb(g, w)
-		if math.Abs(math.Exp(lp)-p) > 1e-12 {
-			t.Fatalf("exp(LogProb) = %v, Prob = %v", math.Exp(lp), p)
-		}
-	}
-	// A forced-absent edge makes a world containing it impossible.
-	b := bigraph.NewBuilder(1, 1)
-	b.MustAddEdge(0, 0, 1, 0)
-	g0 := b.Build()
-	w := NewWorld(1)
-	w.Set(0)
-	if Prob(g0, w) != 0 {
-		t.Fatal("impossible world has nonzero probability")
-	}
-	if !math.IsInf(LogProb(g0, w), -1) {
-		t.Fatal("impossible world has finite log probability")
-	}
-}
-
 func TestEnumerateEarlyStop(t *testing.T) {
 	g := smallGraph(t)
 	visits := 0

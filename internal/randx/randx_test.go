@@ -179,20 +179,3 @@ func TestPermIsPermutation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestShuffleKeepsMultiset(t *testing.T) {
-	r := New(8)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, v := range xs {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed the multiset: sum %d != %d", got, sum)
-	}
-}

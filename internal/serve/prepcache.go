@@ -4,19 +4,16 @@ import (
 	"sync"
 
 	mpmb "github.com/uncertain-graphs/mpmb"
+	"github.com/uncertain-graphs/mpmb/internal/cache"
 )
 
-// graphEntry is one cached graph with its query-serving Searcher. ready
-// closes when the load finishes; afterwards the remaining fields are
-// immutable. Jobs running against an entry hold it directly, so LRU
-// eviction only drops the cache's reference — in-flight work is safe.
+// graphEntry is one cached graph with its query-serving Searcher. Jobs
+// running against an entry hold it directly, so LRU eviction only drops
+// the cache's reference — in-flight work is safe.
 type graphEntry struct {
-	ready    chan struct{}
-	path     string
 	g        *mpmb.Graph
 	searcher *mpmb.Searcher
 	fp       uint32 // bigraph checksum — the graph fingerprint
-	err      error
 }
 
 // graphCache loads graphs on demand and shares one Searcher per distinct
@@ -26,94 +23,43 @@ type graphEntry struct {
 // prep-candidate cache. Loads are single-flighted per path; capacity is
 // bounded with least-recently-used eviction.
 type graphCache struct {
-	root string
-	size int
+	paths *cache.Cache[string, *graphEntry]
 
-	mu     sync.Mutex
-	byPath map[string]*graphEntry
-	byFP   map[uint32]*graphEntry
-	order  []string // LRU order, oldest first
+	mu   sync.Mutex // guards byFP
+	byFP map[uint32]*graphEntry
 }
 
-func newGraphCache(root string, size int) *graphCache {
-	return &graphCache{
-		root:   root,
-		size:   size,
-		byPath: make(map[string]*graphEntry),
-		byFP:   make(map[uint32]*graphEntry),
-	}
+func newGraphCache(size int) *graphCache {
+	c := &graphCache{byFP: make(map[uint32]*graphEntry)}
+	c.paths = cache.New(size, func(_ string, e *graphEntry) {
+		c.mu.Lock()
+		if c.byFP[e.fp] == e {
+			delete(c.byFP, e.fp)
+		}
+		c.mu.Unlock()
+	})
+	return c
 }
 
 // get returns the entry for path, loading it if needed. Concurrent
-// callers for one path share a single load.
+// callers for one path share a single load; a failed load is not kept,
+// so a later call retries (a fixed file, a transient read error).
 func (c *graphCache) get(path string) (*graphEntry, error) {
-	c.mu.Lock()
-	e, ok := c.byPath[path]
-	if ok {
-		c.touch(path)
-		c.mu.Unlock()
-		<-e.ready
-		return e, e.err
-	}
-	e = &graphEntry{ready: make(chan struct{}), path: path}
-	c.byPath[path] = e
-	c.touch(path)
-	c.mu.Unlock()
-
-	g, err := mpmb.LoadGraph(path)
-	c.mu.Lock()
-	if err != nil {
-		e.err = err
-		// Failed loads must not poison the path: evict so a later call
-		// retries (a fixed file, a transient read error).
-		if c.byPath[path] == e {
-			c.dropLocked(path)
+	return c.paths.Get(path, func() (*graphEntry, error) {
+		g, err := mpmb.LoadGraph(path)
+		if err != nil {
+			return nil, err
 		}
-	} else {
 		fp := g.Checksum()
-		if twin, ok := c.byFP[fp]; ok && twin != e {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if twin, ok := c.byFP[fp]; ok {
 			// Same bytes under another name: share its Searcher so the
 			// prep-candidate cache is shared too.
-			e.g, e.searcher, e.fp = twin.g, twin.searcher, fp
-		} else {
-			e.g, e.searcher, e.fp = g, mpmb.NewSearcher(g), fp
-			c.byFP[fp] = e
+			return &graphEntry{g: twin.g, searcher: twin.searcher, fp: fp}, nil
 		}
-		c.evictLocked()
-	}
-	c.mu.Unlock()
-	close(e.ready)
-	return e, e.err
-}
-
-// touch moves path to the most-recently-used end.
-func (c *graphCache) touch(path string) {
-	for i, p := range c.order {
-		if p == path {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
-	c.order = append(c.order, path)
-}
-
-func (c *graphCache) dropLocked(path string) {
-	e := c.byPath[path]
-	delete(c.byPath, path)
-	if e != nil && c.byFP[e.fp] == e {
-		delete(c.byFP, e.fp)
-	}
-	for i, p := range c.order {
-		if p == path {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
-}
-
-// evictLocked drops least-recently-used entries beyond capacity.
-func (c *graphCache) evictLocked() {
-	for len(c.byPath) > c.size && len(c.order) > 0 {
-		c.dropLocked(c.order[0])
-	}
+		e := &graphEntry{g: g, searcher: mpmb.NewSearcher(g), fp: fp}
+		c.byFP[fp] = e
+		return e, nil
+	}, nil)
 }

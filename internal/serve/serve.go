@@ -192,7 +192,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		store:    store,
-		graphs:   newGraphCache(cfg.GraphRoot, cfg.GraphCacheSize),
+		graphs:   newGraphCache(cfg.GraphCacheSize),
 		quotas:   newQuotaBook(cfg.TenantJobs, cfg.TenantTrialRate, cfg.TenantTrialBurst),
 		stats:    &serveStats{},
 		jobs:     make(map[string]*Job),

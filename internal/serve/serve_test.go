@@ -636,12 +636,13 @@ func TestValidateSpecRejections(t *testing.T) {
 }
 
 // TestGraphCacheSharing: two names with identical bytes share one
-// Searcher; the LRU keeps the cache bounded.
+// Searcher; the LRU keeps the cache bounded, and the fingerprint index
+// drops a graph together with its path.
 func TestGraphCacheSharing(t *testing.T) {
 	dir := t.TempDir()
 	writeFigure1(t, dir, "a.graph")
 	writeFigure1(t, dir, "b.graph")
-	c := newGraphCache(dir, 4)
+	c := newGraphCache(4)
 	ea, err := c.get(filepath.Join(dir, "a.graph"))
 	if err != nil {
 		t.Fatal(err)
@@ -657,18 +658,27 @@ func TestGraphCacheSharing(t *testing.T) {
 		t.Fatal("missing graph loaded")
 	}
 
-	small := newGraphCache(dir, 1)
+	small := newGraphCache(1)
 	if _, err := small.get(filepath.Join(dir, "a.graph")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := small.get(filepath.Join(dir, "b.graph")); err != nil {
 		t.Fatal(err)
 	}
+	held := map[*graphEntry]bool{}
+	small.paths.DeleteFunc(func(_ string, e *graphEntry) bool {
+		held[e] = true
+		return false
+	})
+	if len(held) != 1 {
+		t.Fatalf("cache holds %d entries past capacity 1", len(held))
+	}
 	small.mu.Lock()
-	n := len(small.byPath)
-	small.mu.Unlock()
-	if n != 1 {
-		t.Fatalf("cache holds %d entries past capacity 1", n)
+	defer small.mu.Unlock()
+	for _, e := range small.byFP {
+		if !held[e] {
+			t.Fatal("the fingerprint index keeps an evicted graph")
+		}
 	}
 }
 

@@ -2,10 +2,10 @@ package mpmb
 
 import (
 	"context"
-	"slices"
-	"sync"
+	"encoding/binary"
 	"time"
 
+	"github.com/uncertain-graphs/mpmb/internal/cache"
 	"github.com/uncertain-graphs/mpmb/internal/core"
 	"github.com/uncertain-graphs/mpmb/internal/telemetry"
 )
@@ -24,12 +24,9 @@ import (
 // pays for candidate listing exactly once. The caches keep the sets
 // used most recently, maxCachedSets at most.
 type Searcher struct {
-	g *Graph
-
-	mu    sync.Mutex
-	clock uint64 // orders cache entries by last use
-	cands map[candKey]*candEntry
-	comms map[uint64]*commEntry
+	g     *Graph
+	cands *cache.Cache[candKey, *core.Candidates]
+	comms *cache.Cache[string, communitySplit]
 }
 
 // maxCachedSets caps each cache's completed entries: past it the least
@@ -37,41 +34,6 @@ type Searcher struct {
 // once by default and each reuses its set every checkpoint slice, so a
 // job loses its set only if eight others were used since its last slice.
 const maxCachedSets = 8
-
-// cacheSlot is a cache entry's single-flight signal (ready closes once
-// the entry is complete) and the clock at its last use.
-type cacheSlot struct {
-	ready chan struct{}
-	used  uint64
-}
-
-func (c *cacheSlot) slot() *cacheSlot { return c }
-
-// touch stamps c as the most recent use, then drops the least recently
-// used completed entries of m past maxCachedSets. Called with s.mu held.
-func touch[K comparable, E interface{ slot() *cacheSlot }](s *Searcher, m map[K]E, c *cacheSlot) {
-	s.clock++
-	c.used = s.clock
-	for {
-		var lru K
-		var oldest *cacheSlot
-		done := 0
-		for k, e := range m {
-			select {
-			case <-e.slot().ready:
-			default:
-				continue // in flight
-			}
-			if done++; oldest == nil || e.slot().used < oldest.used {
-				lru, oldest = k, e.slot()
-			}
-		}
-		if done <= maxCachedSets {
-			return
-		}
-		delete(m, lru)
-	}
-}
 
 // candKey identifies one preparing-phase run. The zero anchor is the
 // global preparing phase; anchored queries cache their (disjoint)
@@ -82,34 +44,20 @@ type candKey struct {
 	anchor     core.Anchor
 }
 
-// candEntry is one single-flight slot: ready closes when the preparing
-// phase finishes, after which cands/err are immutable.
-type candEntry struct {
-	cacheSlot
-	cands *core.Candidates
-	err   error
-}
-
-// commEntry is one cached community split: the induced subgraphs plus a
-// child Searcher per community, so repeated community queries reuse both
-// the split and each community's preparing phases. Keyed by a hash of
-// the label slices; specL/specR keep the exact labels to rule out
-// collisions.
-type commEntry struct {
-	cacheSlot
-	specL []int
-	specR []int
-	subs  []core.CommunityGraph
-	kids  []*Searcher
-	err   error
+// communitySplit is one cached community split: the induced subgraphs
+// plus a child Searcher per community, so repeated community queries
+// reuse both the split and each community's preparing phases.
+type communitySplit struct {
+	subs []core.CommunityGraph
+	kids []*Searcher
 }
 
 // NewSearcher wraps g for repeated queries.
 func NewSearcher(g *Graph) *Searcher {
 	return &Searcher{
 		g:     g,
-		cands: make(map[candKey]*candEntry),
-		comms: make(map[uint64]*commEntry),
+		cands: cache.New[candKey, *core.Candidates](maxCachedSets, nil),
+		comms: cache.New[string, communitySplit](maxCachedSets, nil),
 	}
 }
 
@@ -149,12 +97,12 @@ func (s *Searcher) search(opt Options, interrupt func() bool) (*Result, error) {
 	}
 	g, q := s.g, opt.Query
 	if q != nil && q.Community != nil {
-		subs, kids, err := s.communityEntry(q.Community)
+		split, err := s.communityEntry(q.Community)
 		if err != nil {
 			return nil, err
 		}
-		parts, err := runCommunities(subs, opt, func(i int, innerOpt Options) (*Result, error) {
-			return kids[i].search(innerOpt, interrupt)
+		parts, err := runCommunities(split.subs, opt, func(i int, innerOpt Options) (*Result, error) {
+			return split.kids[i].search(innerOpt, interrupt)
 		})
 		if err != nil {
 			return nil, err
@@ -276,72 +224,33 @@ func (s *Searcher) searchOLS(opt Options, method Method, anchor core.Anchor, int
 }
 
 // communityEntry returns the cached (or freshly built) community split
-// for the label slices, single-flighted like the candidate cache. A hash
-// collision with different labels bypasses the cache rather than
-// poisoning it.
-func (s *Searcher) communityEntry(c *Communities) ([]core.CommunityGraph, []*Searcher, error) {
-	key := communityLabelHash(c.L, c.R)
-	s.mu.Lock()
-	e, ok := s.comms[key]
-	if ok {
-		touch(s, s.comms, &e.cacheSlot)
-		s.mu.Unlock()
-		<-e.ready
-		if e.err == nil && slices.Equal(e.specL, c.L) && slices.Equal(e.specR, c.R) {
-			return e.subs, e.kids, nil
-		}
-		if e.err != nil {
-			return nil, nil, e.err
-		}
-		// Hash collision: build uncached.
+// for the label slices, single-flighted like the candidate cache.
+func (s *Searcher) communityEntry(c *Communities) (communitySplit, error) {
+	return s.comms.Get(communityKey(c), func() (communitySplit, error) {
 		subs, err := communitySubgraphs(s.g, c)
 		if err != nil {
-			return nil, nil, err
+			return communitySplit{}, err
 		}
-		return subs, communityKids(subs), nil
-	}
-	e = &commEntry{cacheSlot: cacheSlot{ready: make(chan struct{})}, specL: append([]int(nil), c.L...), specR: append([]int(nil), c.R...)}
-	s.comms[key] = e
-	s.mu.Unlock()
-
-	e.subs, e.err = communitySubgraphs(s.g, c)
-	if e.err == nil {
-		e.kids = communityKids(e.subs)
-	}
-	s.mu.Lock()
-	if e.err != nil && s.comms[key] == e {
-		delete(s.comms, key)
-	}
-	close(e.ready)
-	touch(s, s.comms, &e.cacheSlot)
-	s.mu.Unlock()
-	return e.subs, e.kids, e.err
+		kids := make([]*Searcher, len(subs))
+		for i, cg := range subs {
+			kids[i] = NewSearcher(cg.G)
+		}
+		return communitySplit{subs: subs, kids: kids}, nil
+	}, nil)
 }
 
-func communityKids(subs []core.CommunityGraph) []*Searcher {
-	kids := make([]*Searcher, len(subs))
-	for i, cg := range subs {
-		kids[i] = NewSearcher(cg.G)
+// communityKey is the community cache's key: both label slices as
+// varints, L's length first, so two label sets share a key exactly when
+// they are equal.
+func communityKey(c *Communities) string {
+	b := binary.AppendUvarint(nil, uint64(len(c.L)))
+	for _, l := range c.L {
+		b = binary.AppendVarint(b, int64(l))
 	}
-	return kids
-}
-
-// communityLabelHash is FNV-1a over both label slices.
-func communityLabelHash(l, r []int) uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		h ^= v
-		h *= 1099511628211
+	for _, r := range c.R {
+		b = binary.AppendVarint(b, int64(r))
 	}
-	mix(uint64(len(l)))
-	for _, c := range l {
-		mix(uint64(int64(c)))
-	}
-	mix(uint64(len(r)))
-	for _, c := range r {
-		mix(uint64(int64(c)))
-	}
-	return h
+	return string(b)
 }
 
 // CandidateCount reports how many candidate butterflies the preparing
@@ -358,40 +267,11 @@ func (s *Searcher) CandidateCount(prepTrials int, seed uint64) (int, error) {
 
 // candidates returns the candidate set for key, running prepare when no
 // completed or in-flight preparing phase for it exists. Only completed
-// phases stay cached: a failed or interrupted flight is evicted, and the
-// callers that were waiting on an interrupted one retry — each with its
-// own interrupt — rather than inherit someone else's cancellation.
+// phases stay cached: a failed or interrupted flight is not kept, and the
+// callers that were waiting on an interrupted one rerun it, each with
+// its own interrupt, rather than inherit someone else's cancellation.
+// The waiters' probes record nothing for a phase they awaited: the
+// metrics reflect work done, not work awaited.
 func (s *Searcher) candidates(key candKey, prepare func() (*core.Candidates, error)) (*core.Candidates, error) {
-	for {
-		s.mu.Lock()
-		e, ok := s.cands[key]
-		if !ok {
-			break // s.mu stays held: this caller claims the key below
-		}
-		touch(s, s.cands, &e.cacheSlot)
-		s.mu.Unlock()
-		// Either a completed prep (ready already closed) or one in
-		// flight; wait rather than duplicating the work. The follower's
-		// probe records nothing for the preparing phase — the metrics
-		// reflect work done, not work awaited.
-		<-e.ready
-		if e.err != nil || e.cands.PrepDone == key.prepTrials {
-			return e.cands, e.err
-		}
-	}
-	e := &candEntry{cacheSlot: cacheSlot{ready: make(chan struct{})}}
-	s.cands[key] = e
-	s.mu.Unlock()
-
-	// Prepare outside the lock: the phase is expensive and the slot
-	// already claims the key, so concurrent identical preps run once.
-	e.cands, e.err = prepare()
-	s.mu.Lock()
-	if (e.err != nil || e.cands.PrepDone < key.prepTrials) && s.cands[key] == e {
-		delete(s.cands, key)
-	}
-	close(e.ready)
-	touch(s, s.cands, &e.cacheSlot)
-	s.mu.Unlock()
-	return e.cands, e.err
+	return s.cands.Get(key, prepare, func(c *core.Candidates) bool { return c.PrepDone == key.prepTrials })
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/uncertain-graphs/mpmb/internal/core"
 )
@@ -220,9 +221,9 @@ func TestSearcherCacheBounded(t *testing.T) {
 		}
 	}
 	cached := func() int {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return len(s.cands)
+		n := 0
+		s.cands.DeleteFunc(func(candKey, *core.Candidates) bool { n++; return false })
+		return n
 	}
 	inFlight := candKey{prepTrials: 1, seed: 0}
 	started, release := make(chan struct{}), make(chan struct{})
@@ -242,32 +243,102 @@ func TestSearcherCacheBounded(t *testing.T) {
 		get(jobB)
 		get(1000 + i)
 	}
-	s.mu.Lock()
-	_, held := s.cands[inFlight]
-	s.mu.Unlock()
 	n := cached()
 	close(release)
 	if err := <-flight; err != nil {
 		t.Fatal(err)
 	}
-	if !held {
-		t.Fatal("an in-flight preparing phase was dropped")
-	}
-	if n > maxCachedSets+1 {
-		t.Fatalf("%d candidate sets cached beside the in-flight one, want at most %d", n-1, maxCachedSets)
+	if n > maxCachedSets {
+		t.Fatalf("%d candidate sets cached beside the in-flight one, want at most %d", n, maxCachedSets)
 	}
 	if n := cached(); n > maxCachedSets {
 		t.Fatalf("%d candidate sets cached, want at most %d", n, maxCachedSets)
+	}
+	if get(inFlight.seed); preps[inFlight.seed] != 0 {
+		t.Fatal("an in-flight preparing phase was dropped")
 	}
 	if preps[jobA] != 1 || preps[jobB] != 1 {
 		t.Fatalf("recurring keys prepared %d and %d times, want once each", preps[jobA], preps[jobB])
 	}
 	for i := 0; i < 3*maxCachedSets; i++ {
-		if _, _, err := s.communityEntry(&Communities{L: []int{i, i}, R: []int{i, i, i}}); err != nil {
+		if _, err := s.communityEntry(&Communities{L: []int{i, i}, R: []int{i, i, i}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := len(s.comms); n > maxCachedSets {
+	n = 0
+	s.comms.DeleteFunc(func(string, communitySplit) bool { n++; return false })
+	if n > maxCachedSets {
 		t.Fatalf("%d community splits cached, want at most %d", n, maxCachedSets)
+	}
+}
+
+// TestSearcherInterruptedPrepNotShared: a preparing phase cut short by
+// its caller's interrupt goes to that caller only. A caller that asked
+// for the same set meanwhile reruns the phase with its own interrupt, and
+// only that complete set is kept.
+func TestSearcherInterruptedPrepNotShared(t *testing.T) {
+	s := NewSearcher(figure1(t))
+	key := candKey{prepTrials: 4, seed: 1}
+	asking := make(chan struct{})
+	rerun := make(chan *core.Candidates, 1)
+	partial, err := s.candidates(key, func() (*core.Candidates, error) {
+		go func() {
+			close(asking)
+			c, err := s.candidates(key, func() (*core.Candidates, error) {
+				return &core.Candidates{PrepDone: 4}, nil
+			})
+			if err != nil {
+				t.Error(err)
+			}
+			rerun <- c
+		}()
+		<-asking
+		return &core.Candidates{PrepDone: 2}, nil // interrupted after 2 of 4 trials
+	})
+	if err != nil || partial.PrepDone != 2 {
+		t.Fatalf("interrupted caller got %+v, %v, want its own partial set", partial, err)
+	}
+	full := <-rerun
+	if full == nil || full.PrepDone != 4 {
+		t.Fatalf("waiting caller got %+v, want the complete set of its own run", full)
+	}
+	c, err := s.candidates(key, func() (*core.Candidates, error) {
+		t.Error("a complete preparing phase was not kept")
+		return nil, nil
+	})
+	if err != nil || c != full {
+		t.Fatalf("later caller got %+v, %v, want the kept complete set", c, err)
+	}
+}
+
+// TestSearcherPrepPanicFreesKey: a preparing phase that panics leaves
+// its key free, so the next query with the same (PrepTrials, Seed) runs
+// its own phase instead of waiting forever on the poisoned one.
+func TestSearcherPrepPanicFreesKey(t *testing.T) {
+	s := NewSearcher(figure1(t))
+	key := candKey{prepTrials: 1, seed: 9}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the preparing phase's panic did not reach its caller")
+			}
+		}()
+		s.candidates(key, func() (*core.Candidates, error) { panic("poisoned preparing phase") })
+	}()
+	got := make(chan *core.Candidates, 1)
+	go func() {
+		c, err := s.candidates(key, func() (*core.Candidates, error) { return &core.Candidates{PrepDone: 1}, nil })
+		if err != nil {
+			t.Error(err)
+		}
+		got <- c
+	}()
+	select {
+	case c := <-got:
+		if c == nil || c.PrepDone != 1 {
+			t.Fatalf("query after the panic got %+v, want its own complete set", c)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a query after a panicked preparing phase is still waiting on it")
 	}
 }
